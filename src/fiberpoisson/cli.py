@@ -9,6 +9,7 @@ expression string in the input grammar (see ``parse``).  Exit codes:
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -257,7 +258,10 @@ def cmd_algebroid_check(problem, args):
     a = problem.algebroid()
     report = check_admissible(a)
     if "points" in problem.doc:
-        pts = [[Fraction(str(v)) for v in p] for p in problem.doc["points"]]
+        # full-dimension points (shared with moser-flow) give their base coordinates
+        b, n = problem.chart.base_dim, problem.chart.n_vars
+        pts = [[Fraction(str(v)) for v in (p[:b] if len(p) == n else p)]
+               for p in problem.doc["points"]]
         report.extend(coisotropy_check(a, pts))
     return report, []
 
@@ -345,8 +349,12 @@ def cmd_moser_flow(problem, args):
 
 
 def cmd_linearize(problem, args):
+    data = problem.geometric_data()
+    checked = verify_coupling_conditions(data)
+    if not checked.passed:
+        return checked, []
     try:
-        out = linearize_data(problem.geometric_data())
+        out = linearize_data(data)
     except ValueError as exc:
         raise InputError(str(exc))
     lines = ["vertical: %s" % out.vertical.render(),
@@ -360,8 +368,12 @@ def cmd_linearize(problem, args):
 
 
 def cmd_extract_algebroid(problem, args):
+    data = problem.geometric_data()
+    checked = verify_coupling_conditions(data)
+    if not checked.passed:
+        return checked, []
     try:
-        a = extract_algebroid(problem.geometric_data())
+        a = extract_algebroid(data)
     except ValueError as exc:
         raise InputError(str(exc))
     lines = []
@@ -433,8 +445,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # parsing leaves the parser unchanged, so one instance serves every call
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.tol is None:
         args.tol = _NUMERIC_DEFAULT_TOL.get(args.command)
     try:

@@ -15,6 +15,7 @@ result.
 
 import re
 from fractions import Fraction
+from operator import add
 
 from .series import FiberSeries
 
@@ -51,27 +52,25 @@ def _tokenize(text):
 
 
 class _Poly:
-    """Untruncated exponent-dict polynomial used only while parsing."""
+    """Untruncated exponent-dict polynomial used only while parsing; its
+    coefficients are nonzero."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms):
-        self.terms = {e: c for e, c in terms.items() if c != 0}
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return _Poly(out)
+        self.terms = terms
 
     def __neg__(self):
         return _Poly({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
+        if len(self.terms) == 1:
+            self, other = other, self
+        if len(other.terms) == 1:
+            # shifting exponents by one monomial is injective: no collisions
+            ((e2, c2),) = other.terms.items()
+            return _Poly({tuple(map(add, e1, e2)): c1 if c2 == 1 else c1 * c2
+                          for e1, c1 in self.terms.items()})
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -123,17 +122,20 @@ class _Parser:
         if kind == "op" and val in "+-":
             self.next()
             negate = val == "-"
-        value = self.term()
-        if negate:
-            value = -value
+        out = {}
         while True:
+            for e, c in self.term().terms.items():
+                s = out.get(e, 0) + (-c if negate else c)
+                if s == 0:
+                    out.pop(e, None)
+                else:
+                    out[e] = s
             kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
-                rhs = self.term()
-                value = value + (-rhs if val == "-" else rhs)
+                negate = val == "-"
             else:
-                return value
+                return _Poly(out)
 
     def term(self):
         value = self.factor()
@@ -174,7 +176,7 @@ class _Parser:
                 if int(val3) == 0:
                     raise ParseError("zero denominator", pos3)
                 num /= int(val3)
-            return _Poly({(0,) * n: num})
+            return _Poly({(0,) * n: num} if num else {})
         if kind == "var":
             if val.startswith("xi"):
                 k = int(val[2:]) - 1

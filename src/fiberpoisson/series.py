@@ -16,6 +16,7 @@ sums and products certify the minimum of their operands' orders.
 """
 
 from fractions import Fraction
+from operator import add, itemgetter
 
 
 class ChartMismatchError(ValueError):
@@ -144,6 +145,19 @@ class FiberSeries:
         self.truncated = bool(truncated or dropped)
         self._flt = None
 
+    @classmethod
+    def _trusted(cls, chart, terms, valid_order, truncated):
+        """Wrap an internal result without re-validation: ``terms`` must
+        already map tuples to nonzero Fractions of fiber degree at most
+        ``valid_order <= chart.trunc_order``."""
+        out = cls.__new__(cls)
+        out.chart = chart
+        out.valid_order = valid_order
+        out.terms = terms
+        out.truncated = truncated
+        out._flt = None
+        return out
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -200,26 +214,24 @@ class FiberSeries:
             other = FiberSeries.constant(self.chart, other, self.valid_order)
         _check_same_chart(self, other)
         vo = min(self.valid_order, other.valid_order)
-        fd = self.chart.fiber_degree
-        out = {}
-        for exps, c in self.terms.items():
-            if fd(exps) <= vo:
+        out = self.truncate(vo).terms.copy()
+        for exps, c in other.truncate(vo).terms.items():
+            s = out.get(exps)
+            if s is None:
                 out[exps] = c
-        for exps, c in other.terms.items():
-            if fd(exps) > vo:
-                continue
-            s = out.get(exps, Fraction(0)) + c
-            if s == 0:
-                out.pop(exps, None)
             else:
-                out[exps] = s
-        return FiberSeries(self.chart, out, vo, self.truncated or other.truncated)
+                s += c
+                if s:
+                    out[exps] = s
+                else:
+                    del out[exps]
+        return FiberSeries._trusted(self.chart, out, vo, self.truncated or other.truncated)
 
     __radd__ = __add__
 
     def __neg__(self):
         out = {e: -c for e, c in self.terms.items()}
-        return FiberSeries(self.chart, out, self.valid_order, self.truncated)
+        return FiberSeries._trusted(self.chart, out, self.valid_order, self.truncated)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -235,19 +247,27 @@ class FiberSeries:
         _check_same_chart(self, other)
         vo = min(self.valid_order, other.valid_order)
         b = self.chart.base_dim
+        # other's terms in ascending fiber degree: the inner loop stops at
+        # the first term that would overshoot the certified order
+        rhs = sorted(((sum(e[b:]), e, c) for e, c in other.terms.items()),
+                     key=itemgetter(0))
         out = {}
         for e1, c1 in self.terms.items():
-            d1 = sum(e1[b:])
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2[b:]) > vo:
-                    continue
-                exps = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(exps, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(exps, None)
+            budget = vo - sum(e1[b:])
+            for d2, e2, c2 in rhs:
+                if d2 > budget:
+                    break
+                exps = tuple(map(add, e1, e2))
+                s = out.get(exps)
+                if s is None:
+                    out[exps] = c1 * c2
                 else:
-                    out[exps] = s
-        return FiberSeries(self.chart, out, vo, self.truncated or other.truncated)
+                    s += c1 * c2
+                    if s:
+                        out[exps] = s
+                    else:
+                        del out[exps]
+        return FiberSeries._trusted(self.chart, out, vo, self.truncated or other.truncated)
 
     __rmul__ = __mul__
 
@@ -256,7 +276,7 @@ class FiberSeries:
         if c == 0:
             return FiberSeries.zero(self.chart, self.valid_order)
         out = {e: c * v for e, v in self.terms.items()}
-        return FiberSeries(self.chart, out, self.valid_order, self.truncated)
+        return FiberSeries._trusted(self.chart, out, self.valid_order, self.truncated)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -275,22 +295,21 @@ class FiberSeries:
         out = {}
         for exps, c in self.terms.items():
             k = exps[idx]
-            if k == 0:
-                continue
-            e = list(exps)
-            e[idx] = k - 1
-            out[tuple(e)] = c * k
+            if k:
+                out[exps[:idx] + (k - 1,) + exps[idx + 1:]] = c if k == 1 else c * k
         if not fiber:
-            return FiberSeries(chart, out, self.valid_order, self.truncated)
+            return FiberSeries._trusted(chart, out, self.valid_order, self.truncated)
         vo = self.valid_order - 1
-        return FiberSeries(chart, out, vo, self.truncated or vo < 0)
+        return FiberSeries._trusted(chart, out, vo, self.truncated or vo < 0)
 
     def truncate(self, order):
         """Drop fiber degrees above ``order`` and lower the certified order (no flag)."""
         vo = min(self.valid_order, order)
+        if vo == self.valid_order:
+            return self
         fd = self.chart.fiber_degree
         out = {e: c for e, c in self.terms.items() if fd(e) <= vo}
-        return FiberSeries(self.chart, out, vo, self.truncated)
+        return FiberSeries._trusted(self.chart, out, vo, self.truncated)
 
     # -- structural helpers -------------------------------------------
 

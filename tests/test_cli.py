@@ -1,10 +1,17 @@
 import io
 import json
 import contextlib
+import pathlib
+import re
 
 import pytest
 
+from fiberpoisson import cli
 from fiberpoisson.cli import main
+from fiberpoisson.report import CheckReport, InternalInvariantError
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+BROKEN_BIANCHI = str(ROOT / "problems" / "broken_bianchi.problem.json")
 
 
 def run(argv):
@@ -148,6 +155,23 @@ class TestAlgebroidCommands:
         assert "[FAIL] bianchi" in out
         assert "residual" in out
 
+    def test_full_dimension_points_give_base_points(self, tmp_path):
+        doc = e1_algebroid_problem()
+        doc["points"] = [[0.3, -0.2]]
+        base = run(["algebroid-check", write(tmp_path, "b.json", doc)])
+        doc["points"] = [[0.3, -0.2, 0.08]]
+        full = run(["algebroid-check", write(tmp_path, "f.json", doc)])
+        assert full == base
+        assert "point-3/10,-1/5" in full[1]
+
+    def test_points_of_other_lengths_rejected(self, tmp_path):
+        doc = e1_algebroid_problem()
+        for bad in ([0.3], [0.3, -0.2, 0.08, 1.0]):
+            doc["points"] = [bad]
+            code, _, err = run(["algebroid-check", write(tmp_path, "p.json", doc)])
+            assert code == 2
+            assert "base dimension" in err
+
     def test_build(self, tmp_path):
         path = write(tmp_path, "a.json", e1_algebroid_problem())
         code, out, _ = run(["algebroid-build", path])
@@ -228,6 +252,26 @@ class TestLinearizeCommands:
         assert "omega[1][2] = 1" in out
 
 
+    @pytest.mark.parametrize("command", ["linearize", "extract-algebroid"])
+    def test_input_failing_coupling_conditions_exits_one(self, command, tmp_path):
+        out_file = tmp_path / "r.json"
+        code, out, err = run([command, BROKEN_BIANCHI, "--report", str(out_file)])
+        assert (code, err) == (1, "")
+        assert "[FAIL] covariant-closedness" in out
+        assert json.loads(out_file.read_text())["title"] == "coupling-conditions"
+
+    @pytest.mark.parametrize("command, target", [("linearize", "linearize_data"),
+                                                 ("extract-algebroid", "extract_algebroid")])
+    def test_failing_output_of_verified_input_exits_three(self, command, target,
+                                                          tmp_path, monkeypatch):
+        def broken(data):
+            raise InternalInvariantError("derived data fails")
+        monkeypatch.setattr(cli, target, broken)
+        code, _, err = run([command, write(tmp_path, "l.json", e1_problem())])
+        assert code == 3
+        assert "internal invariant violation" in err
+
+
 class TestHolonomyCommand:
     def test_holonomy(self, tmp_path):
         doc = {
@@ -279,3 +323,40 @@ class TestErrorPaths:
                                                     "trunc_order": 2}})
         code, _, err = run(["verify-data", path])
         assert code == 2
+
+
+class TestParserReuse:
+    def test_no_argument_state_leaks_between_calls(self, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(problem, args):
+            seen.append((args.command, args.steps, args.tol, args.order, args.quiet))
+            return CheckReport("spy"), []
+        monkeypatch.setitem(cli.COMMANDS, "holonomy", spy)
+        monkeypatch.setitem(cli.COMMANDS, "moser-flow", spy)
+        path = write(tmp_path, "p.json", e1_problem())
+        run(["holonomy", path, "--steps", "7", "--tol", "0.5", "--order", "2", "--quiet"])
+        run(["holonomy", path, "--steps", "9", "--tol", "0.25"])
+        run(["holonomy", path])
+        run(["moser-flow", path])
+        assert seen == [("holonomy", 7, 0.5, 2, True),
+                        ("holonomy", 9, 0.25, None, False),
+                        ("holonomy", 1000, 1e-8, None, False),
+                        ("moser-flow", 1000, 1e-6, None, False)]
+
+
+def readme_examples():
+    """(argv, documented exit code) for each example command in the README."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("Ready-to-run examples")[1].split("```sh")[1].split("```")[0]
+    for line in block.strip().splitlines():
+        command, _, comment = line.partition("#")
+        documented = re.search(r"exits (\d)", comment)
+        yield command.split()[1:], int(documented.group(1)) if documented else 0
+
+
+@pytest.mark.parametrize("argv, code", list(readme_examples()),
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_readme_example(argv, code, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert run(argv)[0] == code

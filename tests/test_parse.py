@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,38 @@ def test_unary_minus():
     s = parse_series("-x1 + -2", chart())
     assert s.terms[(0, 0, 1, 0)] == -1
     assert s.terms[(0, 0, 0, 0)] == -2
+
+
+def test_long_sum_equals_sum_of_parsed_terms():
+    ch = chart(n=4)
+    r = random.Random(5)
+    names = ["xi1", "xi2", "x1", "x2"]
+
+    def monomial():
+        factors = ["%d/%d" % (r.randint(1, 9), r.randint(1, 4))]
+        for _ in range(r.randint(0, 3)):
+            factors.append("%s^%d" % (r.choice(names), r.randint(1, 2)))
+        return "*".join(factors)
+
+    terms = []
+    for _ in range(300):
+        k = r.random()
+        if k < 0.2:
+            text = "(%s - %s)*(%s + %s)" % (monomial(), monomial(), monomial(), monomial())
+        elif k < 0.3:
+            text = "(%s + %s)^2" % (monomial(), monomial())
+        else:
+            text = monomial()
+        terms.append(("-" if r.random() < 0.5 else "+", text))
+        if r.random() < 0.3:   # the same term again, cancelling or doubling it
+            terms.append((r.choice("+-"), text))
+    whole = parse_series(" ".join("%s %s" % t for t in terms), ch)
+    total = parse_series("0", ch)
+    for sign, text in terms:
+        part = parse_series(text, ch)
+        total = total - part if sign == "-" else total + part
+    assert whole == total
+    assert len(whole.terms) > 100
 
 
 def test_rationals_exact():

@@ -125,6 +125,79 @@ class TestRingAxioms:
         assert again.terms == a.terms
 
 
+
+DIFF_CHART = ChartSpec(2, 2, 4)
+
+
+@st.composite
+def mixed_series(draw):
+    """Terms of fiber degree 0..4 on a chart of order 4, certified below it."""
+    n = DIFF_CHART.n_vars
+    terms = {}
+    for _ in range(draw(st.integers(0, 7))):
+        exps = tuple(draw(st.integers(0, 2)) for _ in range(n))
+        terms[exps] = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
+    vo = draw(st.integers(-1, DIFF_CHART.trunc_order))
+    return FiberSeries(DIFF_CHART, terms, vo)
+
+
+class TestSympyDifferential:
+    """Kernel results against sympy expansion truncated by hand."""
+
+    @staticmethod
+    def expand(series):
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols("v0:%d" % series.chart.n_vars)
+        expr = sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.Mul(*[x ** e for x, e in zip(xs, exps)])
+                    for exps, c in series.terms.items()), sympy.Integer(0))
+        return expr, xs
+
+    @classmethod
+    def truncated_terms(cls, expr, xs, order):
+        sympy = pytest.importorskip("sympy")
+        b = DIFF_CHART.base_dim
+        poly = sympy.Poly(sympy.expand(expr), *xs)
+        return {m: Fraction(int(c.p), int(c.q)) for m, c in poly.terms()
+                if c != 0 and sum(m[b:]) <= order}
+
+    @staticmethod
+    def check_clean(r):
+        # an internal result passes the validating constructor unchanged
+        again = FiberSeries(r.chart, r.terms, r.valid_order)
+        assert again.terms == r.terms and not again.truncated
+        assert all(type(c) is Fraction for c in r.terms.values())
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_series(), mixed_series())
+    def test_mul_and_add(self, a, b):
+        ea, xs = self.expand(a)
+        eb, _ = self.expand(b)
+        vo = min(a.valid_order, b.valid_order)
+        flag = a.truncated or b.truncated
+        for r, expr in ((a * b, ea * eb), (a + b, ea + eb), (a - b, ea - eb)):
+            assert r.terms == self.truncated_terms(expr, xs, vo)
+            assert (r.valid_order, r.truncated) == (vo, flag)
+            self.check_clean(r)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_series(), st.integers(0, 3), st.integers(-2, 5))
+    def test_diff_and_truncate(self, a, idx, order):
+        sympy = pytest.importorskip("sympy")
+        ea, xs = self.expand(a)
+        d = a.diff(idx)
+        fiber = idx >= DIFF_CHART.base_dim
+        vo = a.valid_order - 1 if fiber else a.valid_order
+        assert d.terms == self.truncated_terms(sympy.diff(ea, xs[idx]), xs, vo)
+        assert (d.valid_order, d.truncated) == (vo, a.truncated or (fiber and vo < 0))
+        self.check_clean(d)
+        t = a.truncate(order)
+        vo = min(a.valid_order, order)
+        assert t.terms == self.truncated_terms(ea, xs, vo)
+        assert (t.valid_order, t.truncated) == (vo, a.truncated)
+        self.check_clean(t)
+
+
 class TestEvaluate:
     def test_exact(self):
         ch = ChartSpec(2, 1, 3)
