@@ -24,7 +24,7 @@ from .series import FiberSeries, mat_mul, mat_is_identity
 from .multivector import Multivector, HForm
 from .connection import Connection
 from .coupling import GeometricData, assemble, v_sharp
-from .report import CheckReport, InternalInvariantError, summarize_residual
+from .report import CheckReport, InternalInvariantError
 from . import linalg
 
 
@@ -110,10 +110,19 @@ def check_admissible(a):
     satisfies the covariant Bianchi identity.
     """
     chart = a.chart
-    b, r = chart.base_dim, chart.fiber_dim
     report = CheckReport("algebroid-admissibility")
+    report.add_residuals("connection-preserves-bracket", "adm-1",
+                         _bracket_preservation(a), chart.trunc_order)
+    report.add_residuals("curvature-is-adjoint-of-R", "adm-2",
+                         _curvature_defect(a), chart.trunc_order)
+    report.add_residuals("bianchi", "adm-3", _covariant_closedness(a, a.R),
+                         chart.trunc_order)
+    return report
 
-    worst, ok = None, True
+
+def _bracket_preservation(a):
+    """Residuals of: the connection preserves the fiberwise bracket."""
+    b, r = a.chart.base_dim, a.chart.fiber_dim
     for i in range(b):
         for s1 in range(r):
             for s2 in range(r):
@@ -123,13 +132,12 @@ def check_admissible(a):
                         res = res - a.lam[s1][s2][n] * a.theta[i][n][t] \
                                   + a.theta[i][s1][n] * a.lam[n][s2][t] \
                                   + a.theta[i][s2][n] * a.lam[s1][n][t]
-                    if not res.is_zero():
-                        ok = False
-                        worst = worst or res
-    report.add("connection-preserves-bracket", "adm-1", chart.trunc_order, ok,
-               summarize_residual(worst))
+                    yield res
 
-    worst, ok = None, True
+
+def _curvature_defect(a):
+    """Residuals of: the curvature of the connection is the adjoint action of R."""
+    b, r = a.chart.base_dim, a.chart.fiber_dim
     for i in range(b):
         for j in range(i + 1, b):
             for s in range(r):
@@ -139,27 +147,33 @@ def check_admissible(a):
                         res = res + a.theta[j][s][n] * a.theta[i][n][t] \
                                   - a.theta[i][s][n] * a.theta[j][n][t] \
                                   - a.R[i][j][n] * a.lam[n][s][t]
-                    if not res.is_zero():
-                        ok = False
-                        worst = worst or res
-    report.add("curvature-is-adjoint-of-R", "adm-2", chart.trunc_order, ok,
-               summarize_residual(worst))
+                    yield res
 
-    worst, ok = None, True
+
+def _covariant_closedness(a, C):
+    """Residuals of the covariant closedness of a frame-valued base 2-form
+    ``C[i][j][t]`` under the linear connection of ``a``: the Bianchi
+    identity when C is R."""
+    chart = a.chart
+    b, r = chart.base_dim, chart.fiber_dim
     for i in range(b):
         for j in range(i + 1, b):
             for k in range(j + 1, b):
                 for t in range(r):
                     res = FiberSeries.zero(chart)
                     for (u, v, w) in ((i, j, k), (j, k, i), (k, i, j)):
-                        res = res + a.R[v][w][t].diff(u)
+                        res = res + C[v][w][t].diff(u)
                         for n in range(r):
-                            res = res - a.R[v][w][n] * a.theta[u][n][t]
-                    if not res.is_zero():
-                        ok = False
-                        worst = worst or res
-    report.add("bianchi", "adm-3", chart.trunc_order, ok, summarize_residual(worst))
-    return report
+                            res = res - C[v][w][n] * a.theta[u][n][t]
+                    yield res
+
+
+def _fiber_pairing(chart, coeffs):
+    """The fiber-linear function sum_t coeffs[t] * x_t of a frame vector."""
+    acc = FiberSeries.zero(chart)
+    for t, c in enumerate(coeffs):
+        acc = acc + c * FiberSeries.variable(chart, chart.base_dim + t)
+    return acc
 
 
 def build_geometric_data(a):
@@ -170,31 +184,18 @@ def build_geometric_data(a):
         raise ValueError("algebroid data is not admissible:\n" + adm.render())
     chart = a.chart
     b, r = chart.base_dim, chart.fiber_dim
-    x = [FiberSeries.variable(chart, b + s) for s in range(r)]
-    gamma = []
-    for i in range(b):
-        row = []
-        for s in range(r):
-            acc = FiberSeries.zero(chart)
-            for t in range(r):
-                acc = acc + a.theta[i][s][t] * x[t]
-            row.append(acc)
-        gamma.append(row)
+    gamma = [[_fiber_pairing(chart, a.theta[i][s]) for s in range(r)] for i in range(b)]
     vcomps = {}
     for s in range(r):
         for s2 in range(s + 1, r):
-            acc = FiberSeries.zero(chart)
-            for n in range(r):
-                acc = acc + a.lam[s][s2][n] * x[n]
+            acc = _fiber_pairing(chart, a.lam[s][s2])
             if not acc.is_zero():
                 vcomps[(b + s, b + s2)] = acc
     vertical = Multivector(chart, 2, vcomps)
     fcomps = {}
     for i in range(b):
         for j in range(i + 1, b):
-            acc = a.omega[i][j]
-            for s in range(r):
-                acc = acc - a.R[i][j][s] * x[s]
+            acc = a.omega[i][j] - _fiber_pairing(chart, a.R[i][j])
             if not acc.is_zero():
                 fcomps[(i, j)] = acc
     fform = HForm(chart, 2, fcomps)
@@ -285,6 +286,21 @@ def _mu_mu_half(a, m):
     return out
 
 
+def _changed_theta(a, m):
+    """Linear-connection coefficients after the change of splitting by mu:
+    theta[i][s][t] - sum_n mu[i][n] lam[n][s][t]."""
+    b, r = a.chart.base_dim, a.chart.fiber_dim
+    theta2 = [[[None] * r for _ in range(r)] for _ in range(b)]
+    for i in range(b):
+        for s in range(r):
+            for t in range(r):
+                res = a.theta[i][s][t]
+                for n in range(r):
+                    res = res - m.mu[i][n] * a.lam[n][s][t]
+                theta2[i][s][t] = res
+    return theta2
+
+
 def change_connection(a, m):
     """
     Transform admissible data under a change of splitting by mu.
@@ -297,14 +313,7 @@ def change_connection(a, m):
     adm = check_admissible(a)
     if not adm.passed:
         raise ValueError("change_connection requires admissible input")
-    theta2 = [[[None] * r for _ in range(r)] for _ in range(b)]
-    for i in range(b):
-        for s in range(r):
-            for t in range(r):
-                res = a.theta[i][s][t]
-                for n in range(r):
-                    res = res - m.mu[i][n] * a.lam[n][s][t]
-                theta2[i][s][t] = res
+    theta2 = _changed_theta(a, m)
     dmu = _nabla_mu(a, m)
     sq = _mu_mu_half(a, m)
     R2 = [[[a.R[i][j][t] + dmu[i][j][t] + sq[i][j][t] for t in range(r)]
@@ -330,35 +339,18 @@ def verify_connection_equivalence(a, m):
     b, r = chart.base_dim, chart.fiber_dim
     d1 = build_geometric_data(a)
     d2 = build_geometric_data(change_connection(a, m))
-    x = [FiberSeries.variable(chart, b + s) for s in range(r)]
-    phi_comps = []
-    for i in range(b):
-        acc = FiberSeries.zero(chart)
-        for s in range(r):
-            acc = acc + m.mu[i][s] * x[s]
-        phi_comps.append(acc)
-    phi = PhiForm(chart, phi_comps)
+    phi = PhiForm(chart, [_fiber_pairing(chart, row) for row in m.mu])
 
     report = CheckReport("connection-change-equivalence")
-    worst, ok, order = None, True, None
-    for i in range(b):
-        for s in range(r):
-            corr = v_sharp(d1.vertical, phi.phi[i]).component((b + s,))
-            res = d2.connection.gamma[i][s] - (d1.connection.gamma[i][s] - corr)
-            order = res.valid_order if order is None else min(order, res.valid_order)
-            if not res.is_zero():
-                ok = False
-                worst = worst or res
-    report.add("connection-relation", "equiv-conn", order, ok, summarize_residual(worst))
-
-    dphi = d1.connection.cov_ext_deriv(HForm(chart, 1, {(i,): phi.phi[i]
-                                                        for i in range(b)
-                                                        if not phi.phi[i].is_zero()}))
+    corrections = [v_sharp(d1.vertical, p) for p in phi.phi]
+    report.add_residuals("connection-relation", "equiv-conn",
+                         (d2.connection.gamma[i][s]
+                          - (d1.connection.gamma[i][s] - corrections[i].component((b + s,)))
+                          for i in range(b) for s in range(r)), None)
+    dphi = d1.connection.cov_ext_deriv(phi.hform())
     quad = phi_bracket(phi, phi, d1.vertical)
     target = d1.fform - dphi - quad.scale(Fraction(1, 2))
-    res = d2.fform - target
-    report.add("two-form-relation", "equiv-form", res.valid_order, res.is_zero(),
-               summarize_residual(res))
+    report.add_residuals("two-form-relation", "equiv-form", [d2.fform - target], None)
     return report
 
 
@@ -383,51 +375,26 @@ def relative_cocycle(a, a2, m):
         for j in range(b):
             if not (a.omega[i][j] - a2.omega[i][j]).is_zero():
                 raise ValueError("relative cocycle requires a shared base form")
-    for i in range(b):
-        for s in range(r):
-            for t in range(r):
-                res = a2.theta[i][s][t] - a.theta[i][s][t]
-                for n in range(r):
-                    res = res + m.mu[i][n] * a.lam[n][s][t]
-                if not res.is_zero():
-                    raise ValueError("the two connections do not differ by the "
-                                     "adjoint action of mu")
+    theta2 = _changed_theta(a, m)
+    if not all((a2.theta[i][s][t] - theta2[i][s][t]).is_zero()
+               for i in range(b) for s in range(r) for t in range(r)):
+        raise ValueError("the two connections do not differ by the "
+                         "adjoint action of mu")
     dmu = _nabla_mu(a, m)
     sq = _mu_mu_half(a, m)
     C = [[[a2.R[i][j][t] - a.R[i][j][t] - dmu[i][j][t] - sq[i][j][t]
            for t in range(r)] for j in range(b)] for i in range(b)]
 
     report = CheckReport("relative-cocycle")
-    worst, ok = None, True
-    for i in range(b):
-        for j in range(i + 1, b):
-            # center-valuedness: the bracket of C_{ij} with every frame element vanishes
-            for s in range(r):
-                for n in range(r):
-                    acc = FiberSeries.zero(chart)
-                    for t in range(r):
-                        acc = acc + C[i][j][t] * a.lam[t][s][n]
-                    if not acc.is_zero():
-                        ok = False
-                        worst = worst or acc
-    report.add("center-valued", "cocycle-center", chart.trunc_order, ok,
-               summarize_residual(worst))
-
-    worst, ok = None, True
-    for i in range(b):
-        for j in range(i + 1, b):
-            for k in range(j + 1, b):
-                for t in range(r):
-                    res = FiberSeries.zero(chart)
-                    for (u, v, w) in ((i, j, k), (j, k, i), (k, i, j)):
-                        res = res + C[v][w][t].diff(u)
-                        for n in range(r):
-                            res = res - C[v][w][n] * a.theta[u][n][t]
-                    if not res.is_zero():
-                        ok = False
-                        worst = worst or res
-    report.add("covariantly-closed", "cocycle-closed", chart.trunc_order, ok,
-               summarize_residual(worst))
+    # center-valuedness: the bracket of C_{ij} with every frame element vanishes
+    report.add_residuals("center-valued", "cocycle-center",
+                         (sum((C[i][j][t] * a.lam[t][s][n] for t in range(r)),
+                              FiberSeries.zero(chart))
+                          for i in range(b) for j in range(i + 1, b)
+                          for s in range(r) for n in range(r)),
+                         chart.trunc_order)
+    report.add_residuals("covariantly-closed", "cocycle-closed",
+                         _covariant_closedness(a, C), chart.trunc_order)
     return C, report
 
 
@@ -435,13 +402,10 @@ def cocycle_hform(a, C):
     """The fiber-linear 2-form with values pairing C against the fiber variables."""
     chart = a.chart
     b, r = chart.base_dim, chart.fiber_dim
-    x = [FiberSeries.variable(chart, b + s) for s in range(r)]
     comps = {}
     for i in range(b):
         for j in range(i + 1, b):
-            acc = FiberSeries.zero(chart)
-            for t in range(r):
-                acc = acc + C[i][j][t] * x[t]
+            acc = _fiber_pairing(chart, C[i][j])
             if not acc.is_zero():
                 comps[(i, j)] = acc
     return HForm(chart, 2, comps)

@@ -11,14 +11,16 @@ expression string in the input grammar (see ``parse``).  Exit codes:
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
-from .series import ChartSpec, FiberSeries
+from .series import ChartSpec
 from .parse import parse_series, ParseError
 from .multivector import Multivector, HForm, jacobiator
 from .connection import Connection
-from .coupling import GeometricData, assemble, decompose, verify_coupling_conditions
+from .coupling import (GeometricData, assemble, decompose, verify_coupling_conditions,
+                       constant_block_inverse)
 from .algebroid import (AlgebroidData, ConnectionChange, check_admissible,
                         build_coupling, change_connection,
                         verify_connection_equivalence, relative_cocycle,
@@ -28,7 +30,6 @@ from .moser import (PhiForm, build_family, verify_deformation_equation,
 from .linearize import linearize_data, extract_algebroid
 from .holonomy import BasePath, holonomy_compare
 from .report import CheckReport, InternalInvariantError
-from . import linalg
 
 
 class InputError(ValueError):
@@ -111,29 +112,14 @@ class Problem:
         fform = HForm.from_matrix(self.chart, fmat)
         seed = self.matrix("fform_inv_seed", b, b, required=False)
         if seed is None:
-            seed = self._constant_inverse(fform.matrix(), "fform")
+            try:
+                seed = constant_block_inverse(fmat, seed_name="fform_inv_seed")
+            except ValueError as exc:
+                raise InputError("fform: %s" % exc)
         try:
             return GeometricData(Connection(self.chart, gamma), vertical, fform, seed)
         except ValueError as exc:
             raise InputError(str(exc))
-
-    def _constant_inverse(self, M, what):
-        b = self.chart.base_dim
-        const = []
-        for row in M:
-            crow = []
-            for s in row:
-                s0 = s.fiber_part(0, 0)
-                if not all(sum(e[:b]) == 0 for e in s0.terms):
-                    raise InputError("%s has a base-dependent constant part; supply "
-                                     "fform_inv_seed explicitly" % what)
-                crow.append(s0.constant_term())
-            const.append(crow)
-        try:
-            inv = linalg.invert(const)
-        except ValueError:
-            raise InputError("%s is singular at the zero section" % what)
-        return [[FiberSeries.constant(self.chart, v) for v in row] for row in inv]
 
     def bivector(self):
         n = self.chart.n_vars
@@ -210,17 +196,10 @@ class Problem:
 # -- commands -----------------------------------------------------------
 
 
-def summarize_series_obj(obj):
-    text = obj.render()
-    return text if len(text) <= 100 else text[:100] + " ..."
-
-
 def cmd_check_jacobi(problem, args):
     pi = problem.bivector()
-    jac = jacobiator(pi)
     report = CheckReport("jacobi")
-    report.add("jacobiator-vanishes", "jacobi", jac.valid_order, jac.is_zero(),
-               "0" if jac.is_zero() else summarize_series_obj(jac))
+    report.add_residuals("jacobiator-vanishes", "jacobi", [jacobiator(pi)], None)
     return report, []
 
 
@@ -274,9 +253,8 @@ def cmd_algebroid_build(problem, args):
     lines = []
     if adm.passed:
         tensor = build_coupling(a)
-        jac = jacobiator(tensor.pi)
-        report.add("built-tensor-jacobiator", "jacobi", jac.valid_order,
-                   jac.is_zero(), "0" if jac.is_zero() else summarize_series_obj(jac))
+        report.add_residuals("built-tensor-jacobiator", "jacobi",
+                             [jacobiator(tensor.pi)], None)
         lines.append("coupling tensor: %s" % tensor.pi.render())
     return report, lines
 
@@ -421,6 +399,19 @@ COMMANDS = {
 _NUMERIC_DEFAULT_TOL = {"moser-flow": 1e-6, "holonomy": 1e-8}
 
 
+def _positive(kind):
+    """argparse type: a finite, positive ``kind`` (bad values exit 2)."""
+    def convert(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid %s value: %r" % (kind.__name__, text))
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError("must be finite and positive, got %r" % text)
+        return value
+    return convert
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fiberpoisson",
@@ -433,13 +424,13 @@ def build_parser():
                        help="override the chart truncation order")
         p.add_argument("--t-samples", default=None,
                        help="comma-separated rational homotopy samples")
-        p.add_argument("--steps", type=int, default=1000,
+        p.add_argument("--steps", type=_positive(int), default=1000,
                        help="integrator step budget for numeric commands")
         p.add_argument("--points", default=None,
                        help="JSON file with float sample points (moser-flow)")
         p.add_argument("--report", default=None,
                        help="write the structured report to this JSON file")
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=_positive(float), default=None,
                        help="pass/fail tolerance for numeric commands")
         p.add_argument("--quiet", action="store_true")
     return parser

@@ -29,7 +29,7 @@ from .series import (FiberSeries, matrix_invert, mat_mul, mat_is_identity,
                      mat_fiber_zero_part, mat_neg, mat_valid_order)
 from .multivector import Multivector, HForm, wedge, interior, schouten, jacobiator
 from .connection import Connection
-from .report import CheckReport, summarize_residual
+from .report import CheckReport
 from . import linalg
 
 
@@ -82,6 +82,34 @@ class CouplingTensor:
         return self.pi.component((a, b))
 
 
+def constant_block_inverse(M, valid_order=None, seed_name="a seed"):
+    """
+    Exact inverse of the fiber-degree-0 part of a square series matrix, as
+    constant series: the certified seed that ``matrix_invert`` needs.
+
+    Raises ValueError when that part depends on the base variables (its
+    inverse is then no constant, and ``seed_name`` names where to supply
+    it) or is singular.
+    """
+    chart = M[0][0].chart
+    b = chart.base_dim
+    const = []
+    for row in M:
+        crow = []
+        for s in row:
+            s0 = s.fiber_part(0, 0)
+            if any(sum(e[:b]) for e in s0.terms):
+                raise ValueError("fiber-constant part depends on the base variables; "
+                                 "supply %s to certify its inverse" % seed_name)
+            crow.append(s0.constant_term())
+        const.append(crow)
+    try:
+        inv = linalg.invert(const)
+    except ValueError:
+        raise ValueError("fiber-constant part is singular")
+    return [[FiberSeries.constant(chart, c, valid_order) for c in row] for row in inv]
+
+
 def assemble(data):
     """Coupling bivector of geometric data.  Raises ValueError when the
     2-form matrix is singular at fiber degree 0."""
@@ -121,21 +149,10 @@ def decompose(pi, fform0=None):
     if fform0 is not None:
         seed = mat_neg([list(row) for row in fform0])
     else:
-        const = []
-        for row in Q0:
-            crow = []
-            for s in row:
-                if not all(sum(e[:b]) == 0 for e in s.terms):
-                    raise ValueError("degree-0 base block depends on the base "
-                                     "variables; supply fform0 to certify the inverse")
-                crow.append(s.constant_term())
-            const.append(crow)
         try:
-            inv = linalg.invert(const)
-        except ValueError:
-            raise ValueError("bivector is not horizontally nondegenerate "
-                             "(base block singular at fiber degree 0)")
-        seed = [[FiberSeries.constant(chart, c, pi.valid_order) for c in row] for row in inv]
+            seed = constant_block_inverse(Q, pi.valid_order, "fform0")
+        except ValueError as exc:
+            raise ValueError("base block of the bivector: %s" % exc)
     if not (mat_is_identity(mat_mul(seed, Q0)) and mat_is_identity(mat_mul(Q0, seed))):
         raise ValueError("bivector is not horizontally nondegenerate "
                          "(certified inverse of the base block failed)")
@@ -188,58 +205,19 @@ def verify_coupling_conditions(data):
     V = data.vertical
     conn = data.connection
 
-    jac = jacobiator(V)
-    report.add("vertical-jacobi", "cond-1", jac.valid_order, jac.is_zero(),
-               summarize_residual(jac))
-
-    lifts = [conn.hor_lift(i) for i in range(chart.base_dim)]
-    worst = None
-    ok = True
-    order = None
-    for lift in lifts:
-        r = schouten(lift, V)
-        order = r.valid_order if order is None else min(order, r.valid_order)
-        if not r.is_zero():
-            ok = False
-            if worst is None:
-                worst = r
-    report.add("horizontal-lifts-preserve-vertical", "cond-2",
-               order if order is not None else V.valid_order - 1, ok,
-               summarize_residual(worst))
-
+    report.add_residuals("vertical-jacobi", "cond-1", [jacobiator(V)], None)
+    report.add_residuals("horizontal-lifts-preserve-vertical", "cond-2",
+                         (schouten(conn.hor_lift(i), V) for i in range(chart.base_dim)),
+                         V.valid_order - 1)
     dF = conn.cov_ext_deriv(data.fform)
-    report.add("covariant-closedness", "cond-3", dF.valid_order, dF.is_zero(),
-               summarize_residual(dF))
-
-    curv = conn.curvature()
-    worst = None
-    ok = True
-    order = None
-    for (i, j), c in curv.items():
-        rhs = v_sharp(V, data.fform.component((i, j)))
-        r = c - rhs
-        order = r.valid_order if order is None else min(order, r.valid_order)
-        if not r.is_zero():
-            ok = False
-            if worst is None:
-                worst = r
-    report.add("curvature-identity", "cond-4",
-               order if order is not None else data.valid_order() - 1, ok,
-               summarize_residual(worst))
-
-    casimir_ok = True
-    worst = None
-    corder = None
-    for idx, s in dF.comps.items():
-        h = v_sharp(V, s)
-        corder = h.valid_order if corder is None else min(corder, h.valid_order)
-        if not h.is_zero():
-            casimir_ok = False
-            if worst is None:
-                worst = h
-    report.add("closedness-defect-casimir-valued", "cond-3-weak",
-               corder if corder is not None else dF.valid_order - 1,
-               casimir_ok, summarize_residual(worst), required=False)
+    report.add_residuals("covariant-closedness", "cond-3", [dF], None)
+    report.add_residuals("curvature-identity", "cond-4",
+                         (c - v_sharp(V, data.fform.component(ij))
+                          for ij, c in conn.curvature().items()),
+                         data.valid_order() - 1)
+    report.add_residuals("closedness-defect-casimir-valued", "cond-3-weak",
+                         (v_sharp(V, s) for s in dF.comps.values()),
+                         dF.valid_order - 1, required=False)
     return report
 
 
@@ -253,8 +231,7 @@ def coupling_criterion_test(data):
     report.add("conditions", "cond-all", conditions.certified_order(),
                conditions.passed,
                "; ".join(e.residual for e in conditions.entries if not e.passed) or "0")
-    report.add("jacobiator", "jacobi", jac.valid_order, jac.is_zero(),
-               summarize_residual(jac))
+    report.add_residuals("jacobiator", "jacobi", [jac], None)
     agree = conditions.passed == jac.is_zero()
     report.add("biconditional", "iff", min(conditions.certified_order(), jac.valid_order),
                agree, "0" if agree else "sides disagree")

@@ -22,6 +22,7 @@ import numpy as np
 
 from .report import CheckReport
 from .algebroid import change_connection
+from .moser import rk4_step
 
 
 class BasePath:
@@ -76,6 +77,23 @@ def _rhs_factory(a_data, theta):
     return rhs
 
 
+def _grid(path, steps):
+    """
+    The fixed RK4 grid along a path: (step, velocity, start, midpoint,
+    end) of every step, with the step budget split evenly across the
+    polyline segments.
+    """
+    nseg = path.n_segments
+    per = max(1, -(-steps // nseg))
+    h = 1.0 / (nseg * per)
+    for k in range(nseg):
+        start, vel = path.segment(k)
+        seg = vel / nseg  # chord of this segment
+        for m in range(per):
+            yield (h, vel, start + (m / per) * seg, start + ((m + 0.5) / per) * seg,
+                   start + ((m + 1.0) / per) * seg)
+
+
 def parallel_transport(a_data, path, steps, theta=None, grid=False):
     """
     Fundamental solution of the transport system at t=1 (an r x r float
@@ -90,24 +108,11 @@ def parallel_transport(a_data, path, steps, theta=None, grid=False):
         raise ValueError("path dimension does not match the base")
     theta = a_data.theta if theta is None else theta
     rhs = _rhs_factory(a_data, theta)
-    nseg = path.n_segments
-    per = max(1, -(-steps // nseg))
-    h = 1.0 / (nseg * per)
     P = np.eye(r)
     out = [P.copy()]
-    for k in range(nseg):
-        start, vel = path.segment(k)
-        seg = vel / nseg  # chord of this segment
-        for m in range(per):
-            x_a = start + (m / per) * seg
-            x_b = start + ((m + 0.5) / per) * seg
-            x_c = start + ((m + 1.0) / per) * seg
-            k1 = rhs(x_a, vel, P)
-            k2 = rhs(x_b, vel, P + h / 2 * k1)
-            k3 = rhs(x_b, vel, P + h / 2 * k2)
-            k4 = rhs(x_c, vel, P + h * k3)
-            P = P + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            out.append(P.copy())
+    for h, vel, x_a, x_b, x_c in _grid(path, steps):
+        P = rk4_step(lambda x, y: rhs(x, vel, y), P, h, x_a, x_b, x_c)
+        out.append(P.copy())
     return out if grid else P
 
 
@@ -146,27 +151,15 @@ def holonomy_compare(a_data, m, path, steps):
     def joint_rhs(xi, dsig, state):
         P, Pt, T = state
         Xi = np.linalg.solve(P, ad_mu(xi, dsig) @ P)
-        return (rhs_p(xi, dsig, P), rhs_pt(xi, dsig, Pt), -Xi @ T)
+        return np.stack((rhs_p(xi, dsig, P), rhs_pt(xi, dsig, Pt), -Xi @ T))
 
-    nseg = path.n_segments
-    per = max(1, -(-steps // nseg))
-    h = 1.0 / (nseg * per)
-    P, Pt, T = np.eye(r), np.eye(r), np.eye(r)
+    # the stacked transports P, P~ and the comparison operator T
+    state = np.stack((np.eye(r), np.eye(r), np.eye(r)))
     deviations = [0.0]
-    for k in range(nseg):
-        start, vel = path.segment(k)
-        for mstep in range(per):
-            x_a = start + (mstep / per) * (vel / nseg)
-            x_b = start + ((mstep + 0.5) / per) * (vel / nseg)
-            x_c = start + ((mstep + 1.0) / per) * (vel / nseg)
-            s1 = joint_rhs(x_a, vel, (P, Pt, T))
-            s2 = joint_rhs(x_b, vel, (P + h / 2 * s1[0], Pt + h / 2 * s1[1], T + h / 2 * s1[2]))
-            s3 = joint_rhs(x_b, vel, (P + h / 2 * s2[0], Pt + h / 2 * s2[1], T + h / 2 * s2[2]))
-            s4 = joint_rhs(x_c, vel, (P + h * s3[0], Pt + h * s3[1], T + h * s3[2]))
-            P = P + h / 6 * (s1[0] + 2 * s2[0] + 2 * s3[0] + s4[0])
-            Pt = Pt + h / 6 * (s1[1] + 2 * s2[1] + 2 * s3[1] + s4[1])
-            T = T + h / 6 * (s1[2] + 2 * s2[2] + 2 * s3[2] + s4[2])
-            deviations.append(float(np.max(np.abs(Pt - P @ T))))
+    for h, vel, x_a, x_b, x_c in _grid(path, steps):
+        state = rk4_step(lambda x, y: joint_rhs(x, vel, y), state, h, x_a, x_b, x_c)
+        P, Pt, T = state
+        deviations.append(float(np.max(np.abs(Pt - P @ T))))
     dev = max(deviations)
     report = CheckReport("holonomy-comparison")
     report.add("transport-comparison", "holonomy", None, True, "%.3e" % dev,

@@ -14,7 +14,7 @@ from .multivector import HForm
 from .connection import Connection
 from .coupling import GeometricData, assemble, verify_coupling_conditions
 from .algebroid import AlgebroidData, check_admissible
-from .report import CheckReport, InternalInvariantError, summarize_residual
+from .report import CheckReport, InternalInvariantError
 
 
 def _check_section_compatible(data):
@@ -25,6 +25,18 @@ def _check_section_compatible(data):
         raise ValueError("vertical part has nonzero rank on the zero section")
 
 
+def _output_fault(data, message):
+    """
+    The error for output that failed its check: a ValueError when the input
+    already fails the coupling conditions, else an internal fault.  Only a
+    failed output pays for checking the input.
+    """
+    checked = verify_coupling_conditions(data)
+    if not checked.passed:
+        return ValueError("input data fails the coupling conditions:\n" + checked.render())
+    return InternalInvariantError(message)
+
+
 def linearize_data(data):
     """
     Fiber-linear truncation of zero-section-compatible geometric data.
@@ -32,6 +44,7 @@ def linearize_data(data):
     The output keeps the fiber-linear parts of the connection and the
     vertical bivector and the fiber-affine part of the 2-form; for a
     chart order >= 2 it is verified to satisfy the coupling conditions.
+    Raises ValueError if it fails them because the input does.
     """
     _check_section_compatible(data)
     chart = data.chart
@@ -45,8 +58,8 @@ def linearize_data(data):
     if chart.trunc_order >= 2:
         rep = verify_coupling_conditions(out)
         if not rep.passed:
-            raise InternalInvariantError(
-                "linearized data fails the coupling conditions:\n" + rep.render())
+            raise _output_fault(data, "linearized data fails the coupling "
+                                      "conditions:\n" + rep.render())
     return out
 
 
@@ -58,7 +71,8 @@ def extract_algebroid(data):
     vertical part, linear-connection coefficients from the connection,
     curvature from minus the fiber-linear part of the 2-form, base form
     from its fiber-constant part.  The result is validated admissible,
-    which for compatible verified data is forced.
+    which for compatible verified data is forced; ValueError if it is not
+    because the input fails the coupling conditions.
     """
     _check_section_compatible(data)
     chart = data.chart
@@ -80,9 +94,8 @@ def extract_algebroid(data):
     out = AlgebroidData(chart, lam, theta, R, omega, data.fform_inv_seed)
     adm = check_admissible(out)
     if not adm.passed:
-        raise InternalInvariantError(
-            "extracted algebroid data is not admissible (the input cannot have "
-            "satisfied the coupling conditions at order >= 1):\n" + adm.render())
+        raise _output_fault(data, "extracted algebroid data is not admissible:\n"
+                            + adm.render())
     return out
 
 
@@ -94,8 +107,7 @@ def first_approx_check(full, approx):
     if full.chart != approx.chart:
         raise ValueError("first_approx_check needs a shared chart")
     delta = assemble(full).pi - assemble(approx).pi
-    low = delta.fiber_part(0, 1)
     report = CheckReport("first-approximation")
-    report.add("agreement-to-second-order", "first-approx", delta.valid_order,
-               low.is_zero(), summarize_residual(low))
+    report.add_residuals("agreement-to-second-order", "first-approx",
+                         [delta.fiber_part(0, 1)], None)
     return report

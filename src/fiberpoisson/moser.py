@@ -27,9 +27,9 @@ import numpy as np
 from .series import FiberSeries, matrix_invert, mat_fiber_zero_part, mat_neg, mat_mul
 from .multivector import Multivector, HForm, wedge, schouten
 from .connection import Connection
-from .coupling import GeometricData, assemble, verify_coupling_conditions, v_sharp
-from .report import CheckReport, InternalInvariantError, summarize_residual
-from . import linalg
+from .coupling import (GeometricData, assemble, verify_coupling_conditions, v_sharp,
+                       constant_block_inverse)
+from .report import CheckReport, InternalInvariantError
 
 DEFAULT_T_SAMPLES = (Fraction(0), Fraction(1, 4), Fraction(1, 2),
                      Fraction(3, 4), Fraction(1))
@@ -181,25 +181,14 @@ class HomotopyFamily:
 
     def seed_at(self, t):
         """Certified inverse of the fiber-constant block at this sample, or None."""
-        F = self.fform_matrix_at(t)
-        F0 = mat_fiber_zero_part(F)
+        F0 = mat_fiber_zero_part(self.fform_matrix_at(t))
         base0 = mat_fiber_zero_part(self.data.fform.matrix())
         if all((a - b).is_zero() for ra, rb in zip(F0, base0) for a, b in zip(ra, rb)):
             return self.data.fform_inv_seed
-        b = self.chart.base_dim
-        const = []
-        for row in F0:
-            crow = []
-            for s in row:
-                if any(sum(e[:b]) > 0 for e in s.terms):
-                    return None
-                crow.append(s.constant_term())
-            const.append(crow)
         try:
-            inv = linalg.invert(const)
+            return constant_block_inverse(F0)
         except ValueError:
             return None
-        return [[FiberSeries.constant(self.chart, c) for c in row] for row in inv]
 
     def data_at(self, t):
         seed = self.seed_at(t)
@@ -309,6 +298,19 @@ def horizontal_field(fam, t, X):
     return Multivector(chart, 1, comps, vo2)
 
 
+def _reduced_identity(fam, i, j):
+    """The (i, j) component of dGamma_t(phi) - dGamma(phi) - t {phi^phi}_V
+    as a polynomial in t."""
+    chart = fam.chart
+    phi = fam.phi.phi
+    acc = TPoly.const(phi[j].diff(i) - phi[i].diff(j))
+    for s in range(chart.fiber_dim):
+        acc = acc - fam.gamma_t[i][s].mul_series(phi[j].diff(chart.base_dim + s))
+        acc = acc + fam.gamma_t[j][s].mul_series(phi[i].diff(chart.base_dim + s))
+    acc = acc - TPoly.const(fam.dphi.component((i, j)))
+    return acc - TPoly(chart, [FiberSeries.zero(chart), fam.quad.component((i, j))])
+
+
 def verify_deformation_equation(fam, t_samples=DEFAULT_T_SAMPLES):
     """
     Two-part verification of the deformation equation.
@@ -323,23 +325,10 @@ def verify_deformation_equation(fam, t_samples=DEFAULT_T_SAMPLES):
     b, r = chart.base_dim, chart.fiber_dim
     report = CheckReport("deformation-equation")
 
-    worst, ok, order = None, True, None
-    for i in range(b):
-        for j in range(i + 1, b):
-            acc = TPoly.const(fam.phi.phi[j].diff(i) - fam.phi.phi[i].diff(j))
-            for s in range(r):
-                acc = acc - fam.gamma_t[i][s].mul_series(fam.phi.phi[j].diff(chart.base_dim + s))
-                acc = acc + fam.gamma_t[j][s].mul_series(fam.phi.phi[i].diff(chart.base_dim + s))
-            acc = acc - TPoly.const(fam.dphi.component((i, j)))
-            acc = acc - TPoly(chart, [FiberSeries.zero(chart), fam.quad.component((i, j))])
-            for c in acc.coeffs:
-                order = c.valid_order if order is None else min(order, c.valid_order)
-                if not c.is_zero():
-                    ok = False
-                    worst = worst or c
-    report.add("reduced-identity-in-t", "part-1",
-               order if order is not None else chart.trunc_order - 1, ok,
-               summarize_residual(worst))
+    report.add_residuals("reduced-identity-in-t", "part-1",
+                         (c for i in range(b) for j in range(i + 1, b)
+                          for c in _reduced_identity(fam, i, j).coeffs),
+                         chart.trunc_order - 1)
 
     for t in t_samples:
         t = Fraction(t)
@@ -374,13 +363,26 @@ def verify_deformation_equation(fam, t_samples=DEFAULT_T_SAMPLES):
         pi_t = assemble(fam.data_at(t)).pi
         X = solve_homological(fam, t)
         Xh = horizontal_field(fam, t, X)
-        res = schouten(Xh, pi_t) + dpi
-        report.add("deformation-at-t=%s" % t, "part-2", res.valid_order,
-                   res.is_zero(), summarize_residual(res))
+        report.add_residuals("deformation-at-t=%s" % t, "part-2",
+                             [schouten(Xh, pi_t) + dpi], None)
     return report
 
 
 # -- numerics ----------------------------------------------------------
+
+
+def rk4_step(f, y, h, t0, tm, t1):
+    """
+    One classical RK4 step of y' = f(t, y) over [t0, t1] with midpoint tm
+    and step h; ``y`` is a numpy array of any shape.  The caller passes
+    the three times because a step along a path evaluates the field at
+    points, not at times.
+    """
+    k1 = f(t0, y)
+    k2 = f(tm, y + h / 2 * k1)
+    k3 = f(tm, y + h / 2 * k2)
+    k4 = f(t1, y + h * k3)
+    return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def _family_rhs(fam, t, z):
@@ -404,11 +406,7 @@ def _flow(fam, z0, steps, chart_bound):
     h = 1.0 / steps
     for k in range(steps):
         t = k * h
-        k1 = _family_rhs(fam, t, z)
-        k2 = _family_rhs(fam, t + h / 2, z + h / 2 * k1)
-        k3 = _family_rhs(fam, t + h / 2, z + h / 2 * k2)
-        k4 = _family_rhs(fam, t + h, z + h * k3)
-        z = z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        z = rk4_step(lambda s, y: _family_rhs(fam, s, y), z, h, t, t + h / 2, t + h)
         if not np.all(np.isfinite(z)) or np.max(np.abs(z)) > chart_bound:
             raise FloatingPointError("flow escaped the chart at step %d" % k)
     return z
@@ -507,58 +505,44 @@ def data_equivalence_check(d1, d2, phi, g=None, g_inv=None):
     def subst(s):
         return s.substitute_fiber(g)
 
-    worst, ok, order = None, True, None
-    for u in range(r):
-        for v in range(u + 1, r):
-            acc = FiberSeries.zero(chart)
-            for al in range(r):
-                for be in range(r):
-                    w = d2.vertical.component((b + al, b + be))
-                    if w.is_zero():
-                        continue
-                    acc = acc + g_inv[u][al] * g_inv[v][be] * subst(w)
-            res = acc - d1.vertical.component((b + u, b + v))
-            order = res.valid_order if order is None else min(order, res.valid_order)
-            if not res.is_zero():
-                ok = False
-                worst = worst or res
-    report.add("vertical-relation", "equiv-vert",
-               order if order is not None else d1.vertical.valid_order, ok,
-               summarize_residual(worst))
+    def vertical_residuals():
+        for u in range(r):
+            for v in range(u + 1, r):
+                acc = FiberSeries.zero(chart)
+                for al in range(r):
+                    for be in range(r):
+                        w = d2.vertical.component((b + al, b + be))
+                        if w.is_zero():
+                            continue
+                        acc = acc + g_inv[u][al] * g_inv[v][be] * subst(w)
+                yield acc - d1.vertical.component((b + u, b + v))
+
+    report.add_residuals("vertical-relation", "equiv-vert", vertical_residuals(),
+                         d1.vertical.valid_order)
 
     x = [FiberSeries.variable(chart, b + s) for s in range(r)]
-    worst, ok, order = None, True, None
-    for i in range(b):
-        for u in range(r):
-            acc = FiberSeries.zero(chart)
-            for t in range(r):
-                inner = subst(d2.connection.gamma[i][t])
-                for v in range(r):
-                    inner = inner + g[t][v].diff(i) * x[v]
-                acc = acc + g_inv[u][t] * inner
-            corr = v_sharp(d1.vertical, phi.phi[i]).component((b + u,))
-            res = acc - (d1.connection.gamma[i][u] - corr)
-            order = res.valid_order if order is None else min(order, res.valid_order)
-            if not res.is_zero():
-                ok = False
-                worst = worst or res
-    report.add("connection-relation", "equiv-conn",
-               order if order is not None else d1.valid_order(), ok,
-               summarize_residual(worst))
+
+    def connection_residuals():
+        for i in range(b):
+            for u in range(r):
+                acc = FiberSeries.zero(chart)
+                for t in range(r):
+                    inner = subst(d2.connection.gamma[i][t])
+                    for v in range(r):
+                        inner = inner + g[t][v].diff(i) * x[v]
+                    acc = acc + g_inv[u][t] * inner
+                corr = v_sharp(d1.vertical, phi.phi[i]).component((b + u,))
+                yield acc - (d1.connection.gamma[i][u] - corr)
+
+    report.add_residuals("connection-relation", "equiv-conn", connection_residuals(),
+                         d1.valid_order())
 
     dphi = d1.connection.cov_ext_deriv(phi.hform())
     quad = phi_bracket(phi, phi, d1.vertical)
-    worst, ok, order = None, True, None
-    for i in range(b):
-        for j in range(i + 1, b):
-            res = subst(d2.fform.component((i, j))) - (
-                d1.fform.component((i, j)) - dphi.component((i, j))
-                - quad.component((i, j)).scale(Fraction(1, 2)))
-            order = res.valid_order if order is None else min(order, res.valid_order)
-            if not res.is_zero():
-                ok = False
-                worst = worst or res
-    report.add("two-form-relation", "equiv-form",
-               order if order is not None else d1.fform.valid_order, ok,
-               summarize_residual(worst))
+    report.add_residuals("two-form-relation", "equiv-form",
+                         (subst(d2.fform.component((i, j))) - (
+                             d1.fform.component((i, j)) - dphi.component((i, j))
+                             - quad.component((i, j)).scale(Fraction(1, 2)))
+                          for i in range(b) for j in range(i + 1, b)),
+                         d1.fform.valid_order)
     return report

@@ -2,9 +2,14 @@
 Antisymmetric multivector fields and base forms with series components,
 and the Schouten-Nijenhuis calculus on a chart.
 
-A degree-p multivector stores components only on strictly increasing
-index tuples (indices run over all base-then-fiber directions).  The
-bracket is normalized so that ``schouten(X, f) = X(f)`` for a vector
+Both kinds of tensor share one base class, ``AntisymmetricTensor``: it
+stores components only on strictly increasing index tuples and owns their
+validation, the signed ``component`` lookup, ``+``/``-``/``scale`` and
+``render``.  A ``Multivector`` indexes all base-then-fiber directions and
+renders them ``d1, d2, ...``; an ``HForm`` indexes base directions only
+and renders them ``dxi1, dxi2, ...``.
+
+The bracket is normalized so that ``schouten(X, f) = X(f)`` for a vector
 field X and a function f, and ``schouten(X, Y)`` is the Lie bracket of
 vector fields.  With this normalization the bracket of two monomials
 ``a d_I`` and ``b d_J`` (|I| = p, |J| = q) expands to
@@ -39,14 +44,31 @@ def _merge(I, J):
     return tuple(sorted(I + J)), merge_sign(I, J)
 
 
-class Multivector:
+def _permutation_sign(perm, sorted_tuple):
+    perm = list(perm)
+    sign = 1
+    for i in range(len(perm)):
+        if perm[i] != sorted_tuple[i]:
+            j = perm.index(sorted_tuple[i], i + 1)
+            perm[i], perm[j] = perm[j], perm[i]
+            sign = -sign
+    return sign
+
+
+class AntisymmetricTensor:
     """
-    Antisymmetric contravariant tensor field of fixed degree.
+    Antisymmetric tensor of fixed degree with series components, the
+    shared base of :class:`Multivector` and :class:`HForm`.
 
     ``comps`` maps strictly increasing index tuples to
     :class:`FiberSeries`; zero components are never stored.  Degree 0 is
-    a single function stored at the empty tuple.
+    a single function stored at the empty tuple.  A subclass names the
+    chart attribute bounding its indices (``_index_range``) and the text
+    of one direction in ``render`` (``_prefix``).
     """
+
+    _index_range = None
+    _prefix = None
 
     def __init__(self, chart, degree, comps=None, valid_order=None):
         if degree < 0:
@@ -58,12 +80,13 @@ class Multivector:
             vo = min([vo] + [s.valid_order for s in comps.values()])
         clean = {}
         if comps:
+            bound = getattr(chart, self._index_range)
             for idx, s in comps.items():
                 idx = tuple(idx)
                 if len(idx) != degree or list(idx) != sorted(set(idx)):
                     raise ValueError("component index must be a strictly increasing "
                                      "%d-tuple, got %r" % (degree, idx))
-                if any(i < 0 or i >= chart.n_vars for i in idx):
+                if any(i < 0 or i >= bound for i in idx):
                     raise IndexError("component index out of range: %r" % (idx,))
                 if s.chart != chart:
                     raise ChartMismatchError("component lives on a different chart")
@@ -77,22 +100,8 @@ class Multivector:
     def zero(cls, chart, degree, valid_order=None):
         return cls(chart, degree, {}, valid_order)
 
-    @classmethod
-    def basis(cls, chart, idx, valid_order=None):
-        """The coordinate vector field d_idx (0-based direction)."""
-        one = FiberSeries.constant(chart, 1, valid_order)
-        return cls(chart, 1, {(idx,): one}, valid_order)
-
-    @classmethod
-    def function(cls, chart, series):
-        return cls(chart, 0, {(): series}, series.valid_order)
-
     def is_zero(self):
         return not self.comps
-
-    def is_vertical(self):
-        b = self.chart.base_dim
-        return all(all(i >= b for i in idx) for idx in self.comps)
 
     def component(self, idx):
         """Component at any index tuple, with the antisymmetric sign."""
@@ -108,24 +117,63 @@ class Multivector:
 
     def __add__(self, other):
         if self.degree != other.degree:
-            raise ValueError("cannot add multivectors of different degree")
+            raise ValueError("cannot add tensors of different degree")
         _check_same_chart(self, other)
         vo = min(self.valid_order, other.valid_order)
         out = {idx: s for idx, s in self.comps.items()}
         for idx, s in other.comps.items():
             out[idx] = out[idx] + s if idx in out else s
-        return Multivector(self.chart, self.degree, out, vo)
+        return type(self)(self.chart, self.degree, out, vo)
 
     def __neg__(self):
-        return Multivector(self.chart, self.degree,
-                           {i: -s for i, s in self.comps.items()}, self.valid_order)
+        return type(self)(self.chart, self.degree,
+                          {i: -s for i, s in self.comps.items()}, self.valid_order)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        return Multivector(self.chart, self.degree,
-                           {i: s.scale(c) for i, s in self.comps.items()}, self.valid_order)
+        return type(self)(self.chart, self.degree,
+                          {i: s.scale(c) for i, s in self.comps.items()}, self.valid_order)
+
+    def render(self):
+        """Canonical text: components in tuple order, directions 1-based."""
+        if not self.comps:
+            return "0"
+        parts = []
+        for idx in sorted(self.comps):
+            body = self.comps[idx].render()
+            if " " in body:
+                body = "(" + body + ")"
+            wedge = "^".join("%s%d" % (self._prefix, i + 1) for i in idx)
+            parts.append("%s*%s" % (body, wedge) if wedge else body)
+        return " + ".join(parts)
+
+    def __repr__(self):
+        return "<%s deg %d: %s (order %d)>" % (type(self).__name__, self.degree,
+                                              self.render(), self.valid_order)
+
+
+class Multivector(AntisymmetricTensor):
+    """Antisymmetric contravariant tensor field; indices run over all
+    base-then-fiber directions."""
+
+    _index_range = "n_vars"
+    _prefix = "d"
+
+    @classmethod
+    def basis(cls, chart, idx, valid_order=None):
+        """The coordinate vector field d_idx (0-based direction)."""
+        one = FiberSeries.constant(chart, 1, valid_order)
+        return cls(chart, 1, {(idx,): one}, valid_order)
+
+    @classmethod
+    def function(cls, chart, series):
+        return cls(chart, 0, {(): series}, series.valid_order)
+
+    def is_vertical(self):
+        b = self.chart.base_dim
+        return all(all(i >= b for i in idx) for idx in self.comps)
 
     def mul_series(self, f):
         return Multivector(self.chart, self.degree,
@@ -142,33 +190,6 @@ class Multivector:
     def min_fiber_degree(self):
         degs = [d for s in self.comps.values() for d in s.fiber_degrees()]
         return min(degs) if degs else None
-
-    def render(self):
-        """Canonical text: components in tuple order, directions 1-based."""
-        if not self.comps:
-            return "0"
-        parts = []
-        for idx in sorted(self.comps):
-            body = self.comps[idx].render()
-            if " " in body:
-                body = "(" + body + ")"
-            wedge = "^".join("d%d" % (i + 1) for i in idx)
-            parts.append("%s*%s" % (body, wedge) if wedge else body)
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return "<Multivector deg %d: %s (order %d)>" % (self.degree, self.render(), self.valid_order)
-
-
-def _permutation_sign(perm, sorted_tuple):
-    perm = list(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if perm[i] != sorted_tuple[i]:
-            j = perm.index(sorted_tuple[i], i + 1)
-            perm[i], perm[j] = perm[j], perm[i]
-            sign = -sign
-    return sign
 
 
 def wedge(A, B):
@@ -274,72 +295,14 @@ def lie_derivative(X, T):
     return schouten(X, T)
 
 
-class HForm:
+class HForm(AntisymmetricTensor):
     """
     Base k-form with function values: components on strictly increasing
     base-index tuples only.
     """
 
-    def __init__(self, chart, degree, comps=None, valid_order=None):
-        self.chart = chart
-        self.degree = degree
-        vo = chart.trunc_order if valid_order is None else valid_order
-        if comps:
-            vo = min([vo] + [s.valid_order for s in comps.values()])
-        clean = {}
-        if comps:
-            for idx, s in comps.items():
-                idx = tuple(idx)
-                if len(idx) != degree or list(idx) != sorted(set(idx)):
-                    raise ValueError("HForm index must be strictly increasing, got %r" % (idx,))
-                if any(i < 0 or i >= chart.base_dim for i in idx):
-                    raise IndexError("HForm indices range over base directions only")
-                if s.chart != chart:
-                    raise ChartMismatchError("component lives on a different chart")
-                s = s.truncate(vo)
-                if not s.is_zero():
-                    clean[idx] = s
-        self.comps = clean
-        self.valid_order = vo
-
-    @classmethod
-    def zero(cls, chart, degree, valid_order=None):
-        return cls(chart, degree, {}, valid_order)
-
-    def is_zero(self):
-        return not self.comps
-
-    def component(self, idx):
-        idx = tuple(idx)
-        if len(set(idx)) != len(idx):
-            return FiberSeries.zero(self.chart, self.valid_order)
-        order = tuple(sorted(idx))
-        s = self.comps.get(order)
-        if s is None:
-            return FiberSeries.zero(self.chart, self.valid_order)
-        sign = _permutation_sign(idx, order)
-        return s if sign == 1 else -s
-
-    def __add__(self, other):
-        if self.degree != other.degree:
-            raise ValueError("cannot add forms of different degree")
-        _check_same_chart(self, other)
-        vo = min(self.valid_order, other.valid_order)
-        out = {idx: s for idx, s in self.comps.items()}
-        for idx, s in other.comps.items():
-            out[idx] = out[idx] + s if idx in out else s
-        return HForm(self.chart, self.degree, out, vo)
-
-    def __neg__(self):
-        return HForm(self.chart, self.degree,
-                     {i: -s for i, s in self.comps.items()}, self.valid_order)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return HForm(self.chart, self.degree,
-                     {i: s.scale(c) for i, s in self.comps.items()}, self.valid_order)
+    _index_range = "base_dim"
+    _prefix = "dxi"
 
     def interior_base(self, u):
         """Contraction with the base coordinate field d_u in the first slot."""
@@ -374,18 +337,3 @@ class HForm:
                 if not M[i][j].is_zero():
                     comps[(i, j)] = M[i][j]
         return cls(chart, 2, comps, valid_order)
-
-    def render(self):
-        if not self.comps:
-            return "0"
-        parts = []
-        for idx in sorted(self.comps):
-            body = self.comps[idx].render()
-            if " " in body:
-                body = "(" + body + ")"
-            wedge = "^".join("dxi%d" % (i + 1) for i in idx)
-            parts.append("%s*%s" % (body, wedge) if wedge else body)
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return "<HForm deg %d: %s (order %d)>" % (self.degree, self.render(), self.valid_order)

@@ -83,6 +83,7 @@ class _Poly:
         return _Poly(out)
 
     def __pow__(self, n):
+        # n >= 1; the parser reads exponent 0 as the constant 1
         result = self
         for _ in range(n - 1):
             result = result * self
@@ -156,7 +157,9 @@ class _Parser:
                 kind, val, pos = self.next()
                 if kind != "num":
                     raise ParseError("expected an integer exponent", pos)
-                value = value ** int(val)
+                exponent = int(val)
+                value = (value ** exponent if exponent
+                         else _Poly({(0,) * self.chart.n_vars: Fraction(1)}))
             else:
                 return value
 

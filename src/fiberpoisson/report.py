@@ -70,6 +70,21 @@ class CheckReport:
         self.entries.append(entry)
         return entry
 
+    def add_residuals(self, name, tag, residuals, empty_order, required=True):
+        """
+        Add one entry for an identity checked as an iterable of residual
+        series or tensors: it passes when every residual is zero, certifies
+        the least of their orders (``empty_order`` when there are none) and
+        shows the first nonzero residual.
+        """
+        order, worst = None, None
+        for res in residuals:
+            order = res.valid_order if order is None else min(order, res.valid_order)
+            if worst is None and not res.is_zero():
+                worst = res
+        return self.add(name, tag, empty_order if order is None else order,
+                        worst is None, summarize_residual(worst), required=required)
+
     def extend(self, other):
         self.entries.extend(other.entries)
 

@@ -360,3 +360,52 @@ def readme_examples():
 def test_readme_example(argv, code, monkeypatch):
     monkeypatch.chdir(ROOT)
     assert run(argv)[0] == code
+
+
+class TestNumericFlags:
+    """Bad --steps and --tol values are rejected by the argument parser
+    (exit 2) before any problem file is read."""
+
+    @pytest.mark.parametrize("command", ["moser-flow", "holonomy"])
+    @pytest.mark.parametrize("flags", [["--steps", "0"], ["--steps", "-5"],
+                                       ["--steps", "abc"], ["--steps", "2.5"],
+                                       ["--tol", "nan"], ["--tol", "inf"],
+                                       ["--tol", "-inf"], ["--tol", "0"],
+                                       ["--tol", "-1e-6"], ["--tol", "abc"]])
+    def test_rejected_with_exit_two(self, command, flags, tmp_path):
+        path = write(tmp_path, "p.json", e1_problem())
+        with pytest.raises(SystemExit) as exc:
+            run([command, path] + flags)
+        assert exc.value.code == 2
+
+    def test_positive_values_accepted(self):
+        args = cli._parser().parse_args(["holonomy", "p.json", "--steps", "1",
+                                         "--tol", "1e-300"])
+        assert (args.steps, args.tol) == (1, 1e-300)
+        assert isinstance(args.steps, int)
+
+
+class TestConstantBlockInverseCallers:
+    """Without a seed the CLI inverts the fiber-constant block itself."""
+
+    @pytest.mark.parametrize("fform, code, message", [
+        ([["0", "1 - x1"], ["-1 + x1", "0"]], 0, ""),
+        ([["0", "1 + xi1"], ["-1 - xi1", "0"]], 2, "supply fform_inv_seed"),
+        ([["0", "x1"], ["-x1", "0"]], 2, "fform: fiber-constant part is singular"),
+    ])
+    def test_verify_data_without_seed(self, fform, code, message, tmp_path):
+        doc = e1_problem()
+        del doc["fform_inv_seed"]
+        doc["fform"] = fform
+        got, _, err = run(["verify-data", write(tmp_path, "p.json", doc)])
+        assert got == code
+        assert message in err
+
+    @pytest.mark.parametrize("entry, message", [("1 + xi1", "supply fform0"),
+                                                ("x1", "is singular")])
+    def test_decompose_without_fform0(self, entry, message, tmp_path):
+        doc = {"chart": {"base_dim": 2, "fiber_dim": 1, "trunc_order": 3},
+               "pi": [["0", entry, "0"], ["-(%s)" % entry, "0", "0"], ["0", "0", "0"]]}
+        code, _, err = run(["decompose", write(tmp_path, "p.json", doc)])
+        assert code == 2
+        assert message in err

@@ -1,0 +1,128 @@
+"""
+Golden reports: every command on every shipped problem file, compared with
+stored stdout, exit code and ``--report`` JSON.
+
+Exact commands must match byte for byte.  The two numeric commands
+(``moser-flow``, ``holonomy``) run at ``--steps 100``; their ``detail`` and
+``residual`` values may differ by 1e-6 relative, because numpy and LAPACK
+builds differ in the last digits, and everything else must match exactly.
+Deviations below 1e-10 are compared only against that bound: they are
+finite-difference round-off (the flow Jacobian divides by 2e-5), whose
+leading digits follow the BLAS kernel, and lie far below both default
+tolerances (1e-6 and 1e-8).
+
+Regenerate the files (only when a change of output is intended) with
+
+    PYTHONPATH=src python3 tests/test_golden.py --update
+"""
+
+import contextlib
+import io
+import json
+import math
+import pathlib
+import sys
+
+import pytest
+
+from fiberpoisson.cli import main, COMMANDS
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+PROBLEMS = ("e1", "wong", "broken_bianchi")
+NUMERIC = ("moser-flow", "holonomy")
+REL_TOL = 1e-6
+ABS_TOL = 1e-10
+CASES = [(p, c) for p in PROBLEMS for c in COMMANDS]
+
+
+def argv_of(problem, command):
+    argv = [command, "problems/%s.problem.json" % problem]
+    return argv + ["--steps", "100"] if command in NUMERIC else argv
+
+
+def capture(problem, command, report_path):
+    """Exit code, stdout and report text of one call, run from the repo root."""
+    argv = argv_of(problem, command)
+    argv[1] = str(ROOT / argv[1])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv + ["--report", str(report_path)])
+    report = report_path.read_text() if report_path.exists() else None
+    return code, out.getvalue(), report
+
+
+def golden_path(problem, command):
+    return GOLDEN / ("%s.%s.json" % (problem, command))
+
+
+def dump_report(obj):
+    # the CLI's own serialisation of a report
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def close(a, b):
+    return math.isclose(float(a), float(b), rel_tol=REL_TOL, abs_tol=ABS_TOL)
+
+
+def assert_numeric_report(got, want):
+    assert got.keys() == want.keys()
+    for key in want:
+        if key != "entries":
+            assert got[key] == want[key], key
+    assert len(got["entries"]) == len(want["entries"])
+    for e_got, e_want in zip(got["entries"], want["entries"]):
+        assert e_got.keys() == e_want.keys()
+        for key in e_want:
+            if key in ("detail", "residual") and e_want.get("detail") is not None:
+                assert close(e_got[key], e_want[key]), (key, e_got[key], e_want[key])
+            else:
+                assert e_got[key] == e_want[key], key
+
+
+def assert_numeric_stdout(got, want):
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    assert len(got_lines) == len(want_lines)
+    for g, w in zip(got_lines, want_lines):
+        g_head, _, g_val = g.partition("  residual: ")
+        w_head, _, w_val = w.partition("  residual: ")
+        assert g_head == w_head
+        if w_val:
+            assert close(g_val, w_val), (g_val, w_val)
+
+
+@pytest.mark.parametrize("problem,command", CASES,
+                         ids=["%s-%s" % case for case in CASES])
+def test_golden(problem, command, tmp_path):
+    want = json.loads(golden_path(problem, command).read_text())
+    assert want["argv"] == argv_of(problem, command)
+    code, stdout, report = capture(problem, command, tmp_path / "report.json")
+    assert code == want["exit"]
+    assert (report is None) == (want["report"] is None)
+    if command not in NUMERIC:
+        assert stdout == want["stdout"]
+        if report is not None:
+            assert report == dump_report(want["report"])
+        return
+    assert_numeric_stdout(stdout, want["stdout"])
+    if report is not None:
+        assert_numeric_report(json.loads(report), want["report"])
+
+
+def update():
+    import tempfile
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for problem, command in CASES:
+            report_path = pathlib.Path(tmp) / ("%s.%s.json" % (problem, command))
+            code, stdout, report = capture(problem, command, report_path)
+            doc = {"argv": argv_of(problem, command), "exit": code, "stdout": stdout,
+                   "report": None if report is None else json.loads(report)}
+            golden_path(problem, command).write_text(
+                json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--update"]:
+        sys.exit("usage: python3 tests/test_golden.py --update")
+    update()

@@ -127,3 +127,45 @@ class TestFirstApprox:
                               HForm(ch, 2, fcomps), seed)
         rep = first_approx_check(data, other)
         assert not rep.passed
+
+
+class TestInputFaults:
+    """A failed output check is an input error when the input already fails
+    the coupling conditions, and an internal fault otherwise."""
+
+    @staticmethod
+    def broken_bianchi_data():
+        import pathlib
+        from fiberpoisson.cli import Problem
+        root = pathlib.Path(__file__).resolve().parent.parent
+        return Problem.load(str(root / "problems" / "broken_bianchi.problem.json")) \
+            .geometric_data()
+
+    @staticmethod
+    def failing_report():
+        from fiberpoisson import CheckReport
+        report = CheckReport("forced")
+        report.add("forced", "forced", None, False, "forced")
+        return report
+
+    @pytest.mark.parametrize("fn", [linearize_data, extract_algebroid])
+    def test_input_failing_coupling_conditions_raises_value_error(self, fn):
+        data = self.broken_bianchi_data()
+        assert not verify_coupling_conditions(data).passed
+        with pytest.raises(ValueError, match="input data fails the coupling conditions"):
+            fn(data)
+
+    def test_linearize_output_failure_of_verified_input_is_internal(self, monkeypatch):
+        from fiberpoisson import InternalInvariantError, linearize
+        data = e1_data(4)
+        real = linearize.verify_coupling_conditions
+        monkeypatch.setattr(linearize, "verify_coupling_conditions",
+                            lambda d: real(d) if d is data else self.failing_report())
+        with pytest.raises(InternalInvariantError):
+            linearize_data(data)
+
+    def test_extract_output_failure_of_verified_input_is_internal(self, monkeypatch):
+        from fiberpoisson import InternalInvariantError, linearize
+        monkeypatch.setattr(linearize, "check_admissible", lambda a: self.failing_report())
+        with pytest.raises(InternalInvariantError):
+            extract_algebroid(e1_data(4))

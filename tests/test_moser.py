@@ -297,3 +297,36 @@ def sum_series(ch, items):
     for s in items:
         acc = acc + s
     return acc
+
+
+class TestRK4Step:
+    @staticmethod
+    def integrate(f, y0, steps, t_end=1.0):
+        from fiberpoisson.moser import rk4_step
+        h = t_end / steps
+        y = y0
+        for k in range(steps):
+            t = k * h
+            y = rk4_step(f, y, h, t, t + h / 2, t + h)
+        return y
+
+    @pytest.mark.parametrize("lam", [-1.5, 0.8, 2.0])
+    def test_observed_order_four(self, lam):
+        import numpy as np
+        exact = math.exp(lam)
+        errors = [abs(self.integrate(lambda t, y: lam * y, np.array([1.0]), n)[0] - exact)
+                  for n in (8, 16)]
+        order = math.log2(errors[0] / errors[1])
+        assert 3.6 <= order <= 4.4
+
+    def test_time_dependent_field_at_the_given_times(self):
+        # y' = 4 t^3: Simpson's rule, hence RK4, is exact for cubics
+        import numpy as np
+        y = self.integrate(lambda t, y: np.array([4 * t ** 3]), np.array([0.0]), 3, 2.0)
+        assert y[0] == pytest.approx(16.0, rel=1e-14)
+
+    def test_array_state(self):
+        import numpy as np
+        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        Y = self.integrate(lambda t, y: A @ y, np.eye(2), 64, math.pi / 2)
+        assert np.allclose(Y, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-8)

@@ -111,3 +111,16 @@ def test_zero_denominator():
 def test_missing_paren():
     with pytest.raises(ParseError):
         parse_series("(1 + x1", chart())
+
+
+@pytest.mark.parametrize("text", ["x1^0", "(1 + x1)^0", "2^0", "0^0", "xi2^0",
+                                  "(x1 - xi1)^2^0"])
+def test_zero_exponent_gives_one(text):
+    s = parse_series(text, chart())
+    assert s.render() == "1"
+    assert s.terms == {(0, 0, 0, 0): Fraction(1)}
+
+
+def test_zero_exponent_inside_an_expression():
+    got = parse_series("3*x1^0*xi1 - (2 + x2)^0 + 0^0*x2", chart())
+    assert got.terms == parse_series("3*xi1 - 1 + x2", chart()).terms
