@@ -38,7 +38,7 @@ class InputError(ValueError):
 
 class Problem:
     def __init__(self, doc, order_override=None):
-        if "chart" not in doc:
+        if not isinstance(doc, dict) or "chart" not in doc:
             raise InputError("problem file has no 'chart' section")
         c = doc["chart"]
         try:
@@ -63,7 +63,7 @@ class Problem:
     # -- entry readers -------------------------------------------------
 
     def _expr(self, text, where):
-        if isinstance(text, (int, float)) and float(text) == int(text):
+        if isinstance(text, int) or (isinstance(text, float) and text.is_integer()):
             text = str(int(text))
         if not isinstance(text, str):
             raise InputError("%s: expected an expression string, got %r" % (where, text))
@@ -72,32 +72,36 @@ class Problem:
         except ParseError as exc:
             raise InputError("%s: %s" % (where, exc))
 
-    def matrix(self, key, rows, cols, doc=None, required=True):
+    def array(self, key, shape, doc=None, missing="problem file needs a %r matrix"):
+        """
+        The entries at ``key``: nested lists of exactly ``shape``, checked
+        before any entry is parsed.  An absent key raises ``missing``
+        (formatted with the key), or gives None when ``missing`` is None.
+        """
         doc = self.doc if doc is None else doc
         if key not in doc:
-            if required:
-                raise InputError("problem file needs a %r matrix" % key)
-            return None
-        M = doc[key]
-        if len(M) != rows or any(len(r) != cols for r in M):
-            raise InputError("%r must be a %dx%d matrix" % (key, rows, cols))
-        return [[self._expr(M[i][j], "%s[%d][%d]" % (key, i, j))
-                 for j in range(cols)] for i in range(rows)]
+            if missing is None:
+                return None
+            raise InputError(missing % key)
 
-    def cube(self, key, d1, d2, d3, doc):
-        if key not in doc:
-            raise InputError("algebroid section needs %r" % key)
-        C = doc[key]
-        if len(C) != d1 or any(len(r) != d2 for r in C) \
-                or any(len(c) != d3 for r in C for c in r):
-            raise InputError("%r must be %dx%dx%d" % (key, d1, d2, d3))
-        return [[[self._expr(C[i][j][k], "%s[%d][%d][%d]" % (key, i, j, k))
-                  for k in range(d3)] for j in range(d2)] for i in range(d1)]
+        def fits(value, dims):
+            return not dims or (isinstance(value, list) and len(value) == dims[0]
+                                and all(fits(v, dims[1:]) for v in value))
+
+        def parse(value, dims, where):
+            if not dims:
+                return self._expr(value, where)
+            return [parse(v, dims[1:], "%s[%d]" % (where, k)) for k, v in enumerate(value)]
+
+        if not fits(doc[key], shape):
+            raise InputError("%r must be a list of shape %s"
+                             % (key, "x".join(str(d) for d in shape)))
+        return parse(doc[key], shape, key)
 
     def geometric_data(self):
         b, r = self.chart.base_dim, self.chart.fiber_dim
-        gamma = self.matrix("connection", b, r)
-        vmat = self.matrix("vertical", r, r)
+        gamma = self.array("connection", (b, r))
+        vmat = self.array("vertical", (r, r))
         vcomps = {}
         for s in range(r):
             if not vmat[s][s].is_zero():
@@ -108,22 +112,19 @@ class Problem:
                 if not vmat[s][t].is_zero():
                     vcomps[(b + s, b + t)] = vmat[s][t]
         vertical = Multivector(self.chart, 2, vcomps)
-        fmat = self.matrix("fform", b, b)
+        fmat = self.array("fform", (b, b))
         fform = HForm.from_matrix(self.chart, fmat)
-        seed = self.matrix("fform_inv_seed", b, b, required=False)
+        seed = self.array("fform_inv_seed", (b, b), missing=None)
         if seed is None:
             try:
                 seed = constant_block_inverse(fmat, seed_name="fform_inv_seed")
             except ValueError as exc:
                 raise InputError("fform: %s" % exc)
-        try:
-            return GeometricData(Connection(self.chart, gamma), vertical, fform, seed)
-        except ValueError as exc:
-            raise InputError(str(exc))
+        return GeometricData(Connection(self.chart, gamma), vertical, fform, seed)
 
     def bivector(self):
         n = self.chart.n_vars
-        M = self.matrix("pi", n, n)
+        M = self.array("pi", (n, n))
         comps = {}
         for i in range(n):
             if not M[i][i].is_zero():
@@ -139,35 +140,26 @@ class Problem:
         if key not in self.doc:
             raise InputError("problem file has no %r section" % key)
         sec = self.doc[key]
+        if not isinstance(sec, dict):
+            raise InputError("%r section must be an object" % key)
         b, r = self.chart.base_dim, self.chart.fiber_dim
-        lam = self.cube("lambda", r, r, r, sec)
-        theta = self.cube("theta", b, r, r, sec)
-        R = self.cube("R", b, b, r, sec)
-        omega = self.matrix("omega", b, b, doc=sec, required=False) \
-            or self.matrix("omega", b, b)
-        omega_inv = self.matrix("omega_inv", b, b, doc=sec, required=False) \
-            or self.matrix("omega_inv", b, b)
-        try:
-            return AlgebroidData(self.chart, lam, theta, R, omega, omega_inv)
-        except ValueError as exc:
-            raise InputError(str(exc))
+        cube = "algebroid section needs %r"
+        lam = self.array("lambda", (r, r, r), sec, cube)
+        theta = self.array("theta", (b, r, r), sec, cube)
+        R = self.array("R", (b, b, r), sec, cube)
+        omega = self.array("omega", (b, b), sec, None) or self.array("omega", (b, b))
+        omega_inv = (self.array("omega_inv", (b, b), sec, None)
+                     or self.array("omega_inv", (b, b)))
+        return AlgebroidData(self.chart, lam, theta, R, omega, omega_inv)
 
     def phi(self):
-        if "phi" not in self.doc:
-            raise InputError("problem file has no 'phi' section")
-        comps = [self._expr(t, "phi[%d]" % i) for i, t in enumerate(self.doc["phi"])]
-        try:
-            return PhiForm(self.chart, comps)
-        except ValueError as exc:
-            raise InputError(str(exc))
+        comps = self.array("phi", (self.chart.base_dim,),
+                           missing="problem file has no %r section")
+        return PhiForm(self.chart, comps)
 
     def mu(self):
         b, r = self.chart.base_dim, self.chart.fiber_dim
-        mu = self.matrix("mu", b, r)
-        try:
-            return ConnectionChange(self.chart, mu)
-        except ValueError as exc:
-            raise InputError(str(exc))
+        return ConnectionChange(self.chart, self.array("mu", (b, r)))
 
     def path(self):
         if "path" not in self.doc:
@@ -190,7 +182,10 @@ class Problem:
             pts = self.doc.get("points")
         if not pts:
             raise InputError("no sample points given (problem 'points' or --points)")
-        return [[float(v) for v in p] for p in pts]
+        try:
+            return [[float(v) for v in p] for p in pts]
+        except (TypeError, ValueError) as exc:
+            raise InputError("sample points must be lists of numbers: %s" % exc)
 
 
 # -- commands -----------------------------------------------------------
@@ -217,11 +212,7 @@ def cmd_assemble(problem, args):
 def cmd_decompose(problem, args):
     pi = problem.bivector()
     b = problem.chart.base_dim
-    fz = problem.matrix("fform0", b, b, required=False)
-    try:
-        data = decompose(pi, fz)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    data = decompose(pi, problem.array("fform0", (b, b), missing=None))
     lines = ["connection:"]
     for i, row in enumerate(data.connection.gamma):
         for s, g in enumerate(row):
@@ -239,8 +230,11 @@ def cmd_algebroid_check(problem, args):
     if "points" in problem.doc:
         # full-dimension points (shared with moser-flow) give their base coordinates
         b, n = problem.chart.base_dim, problem.chart.n_vars
-        pts = [[Fraction(str(v)) for v in (p[:b] if len(p) == n else p)]
-               for p in problem.doc["points"]]
+        try:
+            pts = [[Fraction(str(v)) for v in (p[:b] if len(p) == n else p)]
+                   for p in problem.doc["points"]]
+        except (TypeError, ValueError) as exc:
+            raise InputError("sample points must be lists of numbers: %s" % exc)
         report.extend(coisotropy_check(a, pts))
     return report, []
 
@@ -283,10 +277,7 @@ def cmd_cocycle(problem, args):
     a = problem.algebroid()
     a2 = problem.algebroid("algebroid2")
     m = problem.mu()
-    try:
-        C, report = relative_cocycle(a, a2, m)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    C, report = relative_cocycle(a, a2, m)
     lines = ["cocycle (fiber pairing): %s" % cocycle_hform(a, C).render()]
     return report, lines
 
@@ -304,10 +295,7 @@ def cmd_moser_verify(problem, args):
     data = problem.geometric_data()
     phi = problem.phi()
     samples = _t_samples(args)
-    try:
-        fam = build_family(data, phi, samples)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    fam = build_family(data, phi, samples)
     report = verify_deformation_equation(fam, samples)
     lines = ["degenerate samples: %s" % (", ".join(str(t) for t in fam.degenerate_samples)
                                          or "none")]
@@ -316,11 +304,7 @@ def cmd_moser_verify(problem, args):
 
 def cmd_moser_flow(problem, args):
     data = problem.geometric_data()
-    phi = problem.phi()
-    try:
-        fam = build_family(data, phi, _t_samples(args))
-    except ValueError as exc:
-        raise InputError(str(exc))
+    fam = build_family(data, problem.phi(), _t_samples(args))
     points = problem.float_points(args.points)
     report = numeric_pullback_check(fam, points, args.steps, tol=args.tol)
     return report, []
@@ -331,10 +315,7 @@ def cmd_linearize(problem, args):
     checked = verify_coupling_conditions(data)
     if not checked.passed:
         return checked, []
-    try:
-        out = linearize_data(data)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    out = linearize_data(data)
     lines = ["vertical: %s" % out.vertical.render(),
              "fform: %s" % out.fform.render()]
     for i, row in enumerate(out.connection.gamma):
@@ -350,10 +331,7 @@ def cmd_extract_algebroid(problem, args):
     checked = verify_coupling_conditions(data)
     if not checked.passed:
         return checked, []
-    try:
-        a = extract_algebroid(data)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    a = extract_algebroid(data)
     lines = []
     r, b = problem.chart.fiber_dim, problem.chart.base_dim
     for s in range(r):

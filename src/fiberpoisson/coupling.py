@@ -25,6 +25,8 @@ into the first slot, (V# dg)^t = sum_n V^{nt} d_n g.  The Lie-algebroid
 fixtures exercise every sign.
 """
 
+import functools
+
 from .series import (FiberSeries, matrix_invert, mat_mul, mat_is_identity,
                      mat_fiber_zero_part, mat_neg, mat_valid_order)
 from .multivector import Multivector, HForm, wedge, interior, schouten, jacobiator
@@ -36,7 +38,8 @@ from . import linalg
 class GeometricData:
     """
     The triple (connection, vertical, fform) plus the inverse seed for
-    the fiber-constant part of the 2-form matrix.
+    the fiber-constant part of the 2-form matrix; ``fform_inverse`` is
+    the full inverse that the seed certifies.
 
     Invariants checked at construction: the vertical bivector has no
     base-direction components; the seed is an exact two-sided inverse of
@@ -65,6 +68,12 @@ class GeometricData:
         self.vertical = vertical
         self.fform = fform
         self.fform_inv_seed = [list(row) for row in fform_inv_seed]
+
+    @functools.cached_property
+    def fform_inverse(self):
+        """Neumann inverse of the 2-form matrix, certified by the seed;
+        computed once per data set."""
+        return matrix_invert(self.fform.matrix(), self.fform_inv_seed)
 
     def valid_order(self):
         return min(self.connection.valid_order(), self.vertical.valid_order,
@@ -114,9 +123,7 @@ def assemble(data):
     """Coupling bivector of geometric data.  Raises ValueError when the
     2-form matrix is singular at fiber degree 0."""
     chart = data.chart
-    F = data.fform.matrix()
-    G = matrix_invert(F, data.fform_inv_seed)
-    H = mat_neg(G)
+    H = mat_neg(data.fform_inverse)
     lifts = [data.connection.hor_lift(i) for i in range(chart.base_dim)]
     vo = min(mat_valid_order(H), data.vertical.valid_order,
              min(l.valid_order for l in lifts) if lifts else chart.trunc_order)

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .series import FiberSeries, matrix_invert, mat_fiber_zero_part, mat_neg, mat_mul
+from .series import FiberSeries, mat_fiber_zero_part, mat_neg, mat_mul
 from .multivector import Multivector, HForm, wedge, schouten
 from .connection import Connection
 from .coupling import (GeometricData, assemble, verify_coupling_conditions, v_sharp,
@@ -126,14 +126,6 @@ class TPoly:
     def mul_series(self, s):
         return TPoly(self.chart, [c * s for c in self.coeffs])
 
-    def __mul__(self, other):
-        out = [FiberSeries.zero(self.chart)
-               for _ in range(len(self.coeffs) + len(other.coeffs))]
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return TPoly(self.chart, out)
-
     def dt(self):
         return TPoly(self.chart, [c.scale(k) for k, c in enumerate(self.coeffs)][1:])
 
@@ -158,7 +150,8 @@ class TPoly:
 class HomotopyFamily:
     """
     Precomputed family: the connection coefficients and 2-form matrix as
-    t-polynomials, plus the vertical correction fields.
+    t-polynomials, plus the vertical correction fields.  ``member(t)`` is
+    the geometric data at a sample, built once per sample.
     """
 
     def __init__(self, data, phi, gamma_t, fform_t, corrections, dphi, quad,
@@ -172,31 +165,41 @@ class HomotopyFamily:
         self.dphi = dphi
         self.quad = quad
         self.degenerate_samples = degenerate_samples
+        self._members = {}
 
-    def connection_at(self, t):
-        return Connection(self.chart, [[g.eval(t) for g in row] for row in self.gamma_t])
+    def member(self, t):
+        """
+        The geometric data (Gamma_t, V, F_t) at sample t, or None where the
+        fiber-constant block of F_t is singular or its inverse cannot be
+        certified.  Built once per sample.
+        """
+        t = Fraction(t)
+        if t not in self._members:
+            self._members[t] = self._build_member(t)
+        return self._members[t]
 
-    def fform_matrix_at(self, t):
-        return [[f.eval(t) for f in row] for row in self.fform_t]
-
-    def seed_at(self, t):
-        """Certified inverse of the fiber-constant block at this sample, or None."""
-        F0 = mat_fiber_zero_part(self.fform_matrix_at(t))
+    def _build_member(self, t):
+        F = [[f.eval(t) for f in row] for row in self.fform_t]
+        F0 = mat_fiber_zero_part(F)
         base0 = mat_fiber_zero_part(self.data.fform.matrix())
         if all((a - b).is_zero() for ra, rb in zip(F0, base0) for a, b in zip(ra, rb)):
-            return self.data.fform_inv_seed
-        try:
-            return constant_block_inverse(F0)
-        except ValueError:
-            return None
+            # an unchanged block keeps the data's seed, which may be base-dependent
+            seed = self.data.fform_inv_seed
+        else:
+            try:
+                seed = constant_block_inverse(F0)
+            except ValueError:
+                return None
+        conn = Connection(self.chart, [[g.eval(t) for g in row] for row in self.gamma_t])
+        return GeometricData(conn, self.data.vertical, HForm.from_matrix(self.chart, F), seed)
 
-    def data_at(self, t):
-        seed = self.seed_at(t)
-        if seed is None:
-            raise ValueError("family 2-form is degenerate (or uncertifiable) at t=%s" % t)
-        F = self.fform_matrix_at(t)
-        return GeometricData(self.connection_at(t), self.data.vertical,
-                             HForm.from_matrix(self.chart, F), seed)
+
+def _nondegenerate_member(fam, t):
+    t = Fraction(t)
+    member = fam.member(t)
+    if member is None:
+        raise ValueError("family 2-form is singular at fiber degree 0 for t=%s" % t)
+    return member
 
 
 def build_family(data, phi, t_samples=DEFAULT_T_SAMPLES):
@@ -232,11 +235,11 @@ def build_family(data, phi, t_samples=DEFAULT_T_SAMPLES):
                             degenerate_samples=[])
     for t in t_samples:
         t = Fraction(t)
-        seed = family.seed_at(t)
-        if seed is None:
+        member = family.member(t)
+        if member is None:
             family.degenerate_samples.append(t)
             continue
-        rep = verify_coupling_conditions(family.data_at(t))
+        rep = verify_coupling_conditions(member)
         if not rep.passed:
             raise InternalInvariantError(
                 "family member at t=%s fails the coupling conditions:\n" % t
@@ -250,14 +253,11 @@ def solve_homological(fam, t):
     components.  The defining residual is re-checked exactly, and the
     solution vanishes on the zero section.
     """
-    t = Fraction(t)
     chart = fam.chart
     b = chart.base_dim
-    seed = fam.seed_at(t)
-    if seed is None:
-        raise ValueError("family 2-form is singular at fiber degree 0 for t=%s" % t)
-    F = fam.fform_matrix_at(t)
-    G = matrix_invert(F, seed)
+    member = _nondegenerate_member(fam, t)
+    F = member.fform.matrix()
+    G = member.fform_inverse
     X = []
     for s in range(b):
         acc = FiberSeries.zero(chart, G[0][0].valid_order)
@@ -282,7 +282,7 @@ def horizontal_field(fam, t, X):
     connection at time t."""
     chart = fam.chart
     b, r = chart.base_dim, chart.fiber_dim
-    conn = fam.connection_at(t)
+    conn = _nondegenerate_member(fam, t).connection
     comps = {}
     vo = min(x.valid_order for x in X) if X else chart.trunc_order
     for i in range(b):
@@ -332,18 +332,15 @@ def verify_deformation_equation(fam, t_samples=DEFAULT_T_SAMPLES):
 
     for t in t_samples:
         t = Fraction(t)
-        seed = fam.seed_at(t)
-        if seed is None:
+        member = fam.member(t)
+        if member is None:
             report.add("deformation-at-t=%s" % t, "part-2", None, False,
                        "2-form degenerate at this sample")
             continue
-        F = fam.fform_matrix_at(t)
-        G = matrix_invert(F, seed)
-        H = mat_neg(G)
+        H = mat_neg(member.fform_inverse)
         dF = [[fam.fform_t[i][j].dt().eval(t) for j in range(b)] for i in range(b)]
         dH = mat_mul(mat_mul(H, dF), H)
-        conn = fam.connection_at(t)
-        lifts = [conn.hor_lift(i) for i in range(b)]
+        lifts = [member.connection.hor_lift(i) for i in range(b)]
         W = [Multivector(chart, 1,
                          {(b + s,): fam.corrections[i][s] for s in range(r)
                           if not fam.corrections[i][s].is_zero()})
@@ -360,7 +357,7 @@ def verify_deformation_equation(fam, t_samples=DEFAULT_T_SAMPLES):
                 if H[i][j].is_zero() or W[i].is_zero():
                     continue
                 dpi = dpi + wedge(W[i], lifts[j]).mul_series(H[i][j])
-        pi_t = assemble(fam.data_at(t)).pi
+        pi_t = assemble(member).pi
         X = solve_homological(fam, t)
         Xh = horizontal_field(fam, t, X)
         report.add_residuals("deformation-at-t=%s" % t, "part-2",
@@ -524,6 +521,7 @@ def data_equivalence_check(d1, d2, phi, g=None, g_inv=None):
 
     def connection_residuals():
         for i in range(b):
+            corr = v_sharp(d1.vertical, phi.phi[i])
             for u in range(r):
                 acc = FiberSeries.zero(chart)
                 for t in range(r):
@@ -531,8 +529,7 @@ def data_equivalence_check(d1, d2, phi, g=None, g_inv=None):
                     for v in range(r):
                         inner = inner + g[t][v].diff(i) * x[v]
                     acc = acc + g_inv[u][t] * inner
-                corr = v_sharp(d1.vertical, phi.phi[i]).component((b + u,))
-                yield acc - (d1.connection.gamma[i][u] - corr)
+                yield acc - (d1.connection.gamma[i][u] - corr.component((b + u,)))
 
     report.add_residuals("connection-relation", "equiv-conn", connection_residuals(),
                          d1.valid_order())

@@ -21,6 +21,10 @@ from .series import FiberSeries
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<var>xi\d+|x\d+)|(?P<op>[-+*/^()]))")
 
+# Parentheses and unary minuses open at one time.  The parser recurses once
+# per level, so deeper input is refused before it exhausts the Python stack.
+MAX_NESTING = 100
+
 
 class ParseError(ValueError):
     """Syntax or name error, carrying the 0-based position in the input."""
@@ -96,6 +100,7 @@ class _Parser:
         self.chart = chart
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
@@ -166,8 +171,8 @@ class _Parser:
     def atom(self):
         kind, val, pos = self.next()
         n = self.chart.n_vars
-        if kind == "op" and val == "-":
-            return -self.atom()
+        if kind == "op" and val in "-(":
+            return self.nested(val, pos)
         if kind == "num":
             num = Fraction(int(val))
             kind2, val2, _ = self.peek()
@@ -194,13 +199,22 @@ class _Parser:
             exps = [0] * n
             exps[idx] = 1
             return _Poly({tuple(exps): Fraction(1)})
-        if kind == "op" and val == "(":
-            value = self.expr()
-            self.expect_op(")")
-            return value
         if kind is None:
             raise ParseError("unexpected end of input", pos)
         raise ParseError("unexpected token %r" % val, pos)
+
+    def nested(self, op, pos):
+        """A negated atom or a parenthesised expression, one level deeper."""
+        if self.depth == MAX_NESTING:
+            raise ParseError("expression nested deeper than %d levels" % MAX_NESTING, pos)
+        self.depth += 1
+        if op == "-":
+            value = -self.atom()
+        else:
+            value = self.expr()
+            self.expect_op(")")
+        self.depth -= 1
+        return value
 
 
 def parse_series(text, chart):

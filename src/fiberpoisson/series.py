@@ -475,10 +475,6 @@ def mat_sub(A, B):
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
-def mat_scale(A, c):
-    return [[a.scale(c) for a in row] for row in A]
-
-
 def mat_neg(A):
     return [[-a for a in row] for row in A]
 

@@ -409,3 +409,43 @@ class TestConstantBlockInverseCallers:
         code, _, err = run(["decompose", write(tmp_path, "p.json", doc)])
         assert code == 2
         assert message in err
+
+
+class TestMalformedShapes:
+    """A value of the wrong shape or type is bad input (exit 2), never a
+    traceback."""
+
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("verify-data", "fform", 5, "'fform' must be a list of shape 2x2"),
+        ("verify-data", "fform", [5, 6], "'fform' must be a list of shape 2x2"),
+        ("verify-data", "fform", [["0", ["1"]], ["-1", "0"]], "fform[0][1]: expected"),
+        ("verify-data", "fform", [["0", 1e400], ["-1", "0"]], "fform[0][1]: expected"),
+        ("moser-verify", "phi", 5, "'phi' must be a list of shape 2"),
+        ("moser-verify", "phi", ["x1*xi2", "0", "0"], "'phi' must be a list of shape 2"),
+        ("moser-flow", "points", [[None, 1, 2]], "sample points must be lists of numbers"),
+        ("moser-flow", "points", [5], "sample points must be lists of numbers"),
+        ("algebroid-check", "algebroid", 5, "'algebroid' section must be an object"),
+        ("algebroid-check", "points", 5, "sample points must be lists of numbers"),
+    ])
+    def test_exit_two(self, command, key, value, message, tmp_path):
+        doc = json.loads((ROOT / "problems" / "e1.problem.json").read_text())
+        doc[key] = value
+        code, _, err = run([command, write(tmp_path, "p.json", doc), "--steps", "10"])
+        assert code == 2
+        assert message in err
+
+    def test_algebroid_cube_shape(self, tmp_path):
+        doc = e1_algebroid_problem()
+        doc["algebroid"]["theta"] = [[["0"]]]
+        code, _, err = run(["algebroid-check", write(tmp_path, "p.json", doc)])
+        assert code == 2
+        assert "'theta' must be a list of shape 2x1x1" in err
+
+    @pytest.mark.parametrize("text", ["(" * 3000 + "0" + ")" * 3000, "-" * 3000 + "0"],
+                             ids=["parentheses", "unary-minus"])
+    def test_deep_nesting(self, text, tmp_path):
+        doc = e1_problem()
+        doc["connection"][0][0] = text
+        code, _, err = run(["verify-data", write(tmp_path, "p.json", doc)])
+        assert code == 2
+        assert "connection[0][0]: expression nested deeper than" in err

@@ -1,6 +1,9 @@
 """
 Golden reports: every command on every shipped problem file, compared with
-stored stdout, exit code and ``--report`` JSON.
+stored stdout, exit code and ``--report`` JSON.  ``moser-verify`` is also
+pinned off its default chart order: on the Wong family of the acceptance
+suite (``tests/data/wong_family.problem.json``) at orders 3 and 4, and on
+e1 at orders 6, 12 and 18.
 
 Exact commands must match byte for byte.  The two numeric commands
 (``moser-flow``, ``holonomy``) run at ``--steps 100``; their ``detail`` and
@@ -30,20 +33,31 @@ from fiberpoisson.cli import main, COMMANDS
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 PROBLEMS = ("e1", "wong", "broken_bianchi")
+PROBLEM_FILES = {p: "problems/%s.problem.json" % p for p in PROBLEMS}
+PROBLEM_FILES["wong_family"] = "tests/data/wong_family.problem.json"
 NUMERIC = ("moser-flow", "holonomy")
 REL_TOL = 1e-6
 ABS_TOL = 1e-10
-CASES = [(p, c) for p in PROBLEMS for c in COMMANDS]
+# (problem, command, chart order or None for the file's own)
+CASES = ([(p, c, None) for p in PROBLEMS for c in COMMANDS]
+         + [("wong_family", "moser-verify", n) for n in (3, 4)]
+         + [("e1", "moser-verify", n) for n in (6, 12, 18)])
 
 
-def argv_of(problem, command):
-    argv = [command, "problems/%s.problem.json" % problem]
+def case_id(problem, command, order):
+    return "%s-%s" % (problem, command) + ("" if order is None else "-order-%d" % order)
+
+
+def argv_of(problem, command, order):
+    argv = [command, PROBLEM_FILES[problem]]
+    if order is not None:
+        argv += ["--order", str(order)]
     return argv + ["--steps", "100"] if command in NUMERIC else argv
 
 
-def capture(problem, command, report_path):
+def capture(problem, command, order, report_path):
     """Exit code, stdout and report text of one call, run from the repo root."""
-    argv = argv_of(problem, command)
+    argv = argv_of(problem, command, order)
     argv[1] = str(ROOT / argv[1])
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -52,8 +66,9 @@ def capture(problem, command, report_path):
     return code, out.getvalue(), report
 
 
-def golden_path(problem, command):
-    return GOLDEN / ("%s.%s.json" % (problem, command))
+def golden_path(problem, command, order):
+    suffix = "" if order is None else ".order-%d" % order
+    return GOLDEN / ("%s.%s%s.json" % (problem, command, suffix))
 
 
 def dump_report(obj):
@@ -91,12 +106,12 @@ def assert_numeric_stdout(got, want):
             assert close(g_val, w_val), (g_val, w_val)
 
 
-@pytest.mark.parametrize("problem,command", CASES,
-                         ids=["%s-%s" % case for case in CASES])
-def test_golden(problem, command, tmp_path):
-    want = json.loads(golden_path(problem, command).read_text())
-    assert want["argv"] == argv_of(problem, command)
-    code, stdout, report = capture(problem, command, tmp_path / "report.json")
+@pytest.mark.parametrize("problem,command,order", CASES,
+                         ids=[case_id(*case) for case in CASES])
+def test_golden(problem, command, order, tmp_path):
+    want = json.loads(golden_path(problem, command, order).read_text())
+    assert want["argv"] == argv_of(problem, command, order)
+    code, stdout, report = capture(problem, command, order, tmp_path / "report.json")
     assert code == want["exit"]
     assert (report is None) == (want["report"] is None)
     if command not in NUMERIC:
@@ -113,12 +128,12 @@ def update():
     import tempfile
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for problem, command in CASES:
-            report_path = pathlib.Path(tmp) / ("%s.%s.json" % (problem, command))
-            code, stdout, report = capture(problem, command, report_path)
-            doc = {"argv": argv_of(problem, command), "exit": code, "stdout": stdout,
+        for case in CASES:
+            report_path = pathlib.Path(tmp) / (case_id(*case) + ".json")
+            code, stdout, report = capture(*case, report_path)
+            doc = {"argv": argv_of(*case), "exit": code, "stdout": stdout,
                    "report": None if report is None else json.loads(report)}
-            golden_path(problem, command).write_text(
+            golden_path(*case).write_text(
                 json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from fiberpoisson import (ChartSpec, FiberSeries, Multivector, HForm,
                           verify_deformation_equation, numeric_pullback_check,
                           data_equivalence_check, build_geometric_data,
                           change_connection, ConnectionChange,
-                          verify_coupling_conditions)
+                          verify_coupling_conditions, DEFAULT_T_SAMPLES)
+from fiberpoisson import series, coupling
 
 from fixtures import (S, zeros, std_omega, rng, e1_data,
                       so3_flat_algebroid, wong_algebroid, so3_vertical,
@@ -29,6 +31,23 @@ def wong_family(n=4, comps=("3*x1*xi4", "-3*x1*xi3", "2*x2*xi2", "-2*x2*xi1")):
     data = build_geometric_data(a)
     phi = PhiForm(data.chart, [S(c, data.chart) for c in comps])
     return build_family(data, phi, (Fraction(0), Fraction(1)))
+
+
+def count_calls(monkeypatch, module, name):
+    """Route every fiberpoisson module's binding of ``module.name`` through
+    a counter; returns the list of recorded calls."""
+    fn = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("fiberpoisson")
+                and getattr(mod, name, None) is fn):
+            monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 class TestPhiForm:
@@ -191,6 +210,47 @@ class TestVerifyDeformation:
             done += 1
 
 
+class TestFamilyMember:
+    def test_one_inverse_per_sample(self, monkeypatch):
+        calls = count_calls(monkeypatch, series, "matrix_invert")
+        assert verify_deformation_equation(wong_family(3)).passed
+        assert len(calls) == len(DEFAULT_T_SAMPLES)
+
+    def test_member_built_once(self):
+        fam = e1_family(4)
+        assert fam.member(Fraction(1, 2)) is fam.member(Fraction(1, 2))
+        assert fam.member(1) is fam.member(Fraction(1))
+        assert fam.member(0).fform_inverse is fam.member(0).fform_inverse
+
+    def test_none_exactly_at_degenerate_samples(self):
+        r = rng(42)
+        for _ in range(40):
+            data = rand_valid_data(r)
+            fam = build_family(data, rand_phi(r, data))
+            if fam.degenerate_samples:
+                break
+        assert fam.degenerate_samples
+        assert len(fam.degenerate_samples) < len(DEFAULT_T_SAMPLES)
+        for t in DEFAULT_T_SAMPLES:
+            assert (fam.member(t) is None) == (t in fam.degenerate_samples)
+        with pytest.raises(ValueError, match="singular at fiber degree 0"):
+            solve_homological(fam, fam.degenerate_samples[0])
+        rep = verify_deformation_equation(fam)
+        failed = {e.name for e in rep.entries if not e.passed}
+        assert failed == {"deformation-at-t=%s" % t for t in fam.degenerate_samples}
+
+    def test_member_matches_the_family_polynomials(self):
+        fam = wong_family(3)
+        t = Fraction(1)
+        m = fam.member(t)
+        b, r = fam.chart.base_dim, fam.chart.fiber_dim
+        for i in range(b):
+            for s in range(r):
+                assert (m.connection.gamma[i][s] - fam.gamma_t[i][s].eval(t)).is_zero()
+            for j in range(b):
+                assert (m.fform.component((i, j)) - fam.fform_t[i][j].eval(t)).is_zero()
+
+
 class TestNumericPullback:
     def test_zero_phi_machine_zero(self):
         data = e1_data(4)
@@ -257,6 +317,13 @@ class TestDataEquivalence:
             comps.append(acc)
         phi = PhiForm(ch, comps)
         assert data_equivalence_check(d1, d2, phi).passed
+
+    def test_one_v_sharp_per_base_direction(self, monkeypatch):
+        fam = wong_family(3)
+        d2 = fam.member(1)
+        calls = count_calls(monkeypatch, coupling, "v_sharp")
+        assert data_equivalence_check(fam.data, d2, fam.phi).passed
+        assert len(calls) == fam.chart.base_dim
 
     def test_constant_fiber_map(self):
         # conjugate so(3) data by a constant fiber rotation whose transpose

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fiberpoisson import ChartSpec, parse_series, ParseError
+from fiberpoisson.parse import MAX_NESTING
 
 
 def chart(b=2, r=2, n=3):
@@ -124,3 +125,24 @@ def test_zero_exponent_gives_one(text):
 def test_zero_exponent_inside_an_expression():
     got = parse_series("3*x1^0*xi1 - (2 + x2)^0 + 0^0*x2", chart())
     assert got.terms == parse_series("3*xi1 - 1 + x2", chart()).terms
+
+
+@pytest.mark.parametrize("text", ["(" * 3000 + "x1" + ")" * 3000, "-" * 3000 + "x1"],
+                         ids=["parentheses", "unary-minus"])
+def test_deep_nesting_is_a_parse_error(text):
+    # a recursion error here would escape as a traceback instead of exit 2
+    with pytest.raises(ParseError, match="nested deeper than"):
+        parse_series(text, chart())
+
+
+def test_moderate_nesting_parses():
+    depth = MAX_NESTING // 2
+    text = "(" * depth + "-" * (depth - 1) + "x1" + ")" * depth + " + 1"
+    assert parse_series(text, chart()).terms == parse_series("1 - x1", chart()).terms
+
+
+def test_nesting_bound_is_exact():
+    ok = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
+    assert parse_series(ok, chart()).render() == "x1"
+    with pytest.raises(ParseError, match="at position %d" % MAX_NESTING):
+        parse_series("(" + ok + ")", chart())
