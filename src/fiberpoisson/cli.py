@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import combinations, product
 
 from .series import ChartSpec
 from .parse import parse_series, ParseError
@@ -101,17 +102,7 @@ class Problem:
     def geometric_data(self):
         b, r = self.chart.base_dim, self.chart.fiber_dim
         gamma = self.array("connection", (b, r))
-        vmat = self.array("vertical", (r, r))
-        vcomps = {}
-        for s in range(r):
-            if not vmat[s][s].is_zero():
-                raise InputError("vertical matrix must have zero diagonal")
-            for t in range(s + 1, r):
-                if not (vmat[s][t] + vmat[t][s]).is_zero():
-                    raise InputError("vertical matrix must be antisymmetric")
-                if not vmat[s][t].is_zero():
-                    vcomps[(b + s, b + t)] = vmat[s][t]
-        vertical = Multivector(self.chart, 2, vcomps)
+        vertical = self.antisymmetric("vertical", r, "vertical matrix", b)
         fmat = self.array("fform", (b, b))
         fform = HForm.from_matrix(self.chart, fmat)
         seed = self.array("fform_inv_seed", (b, b), missing=None)
@@ -123,17 +114,21 @@ class Problem:
         return GeometricData(Connection(self.chart, gamma), vertical, fform, seed)
 
     def bivector(self):
-        n = self.chart.n_vars
-        M = self.array("pi", (n, n))
+        return self.antisymmetric("pi", self.chart.n_vars, "pi")
+
+    def antisymmetric(self, key, n, name, offset=0):
+        """The bivector with the entries of the antisymmetric n x n matrix at
+        ``key`` as its components on indices ``offset ..``."""
+        M = self.array(key, (n, n))
         comps = {}
         for i in range(n):
             if not M[i][i].is_zero():
-                raise InputError("pi must have zero diagonal")
+                raise InputError("%s must have zero diagonal" % name)
             for j in range(i + 1, n):
                 if not (M[i][j] + M[j][i]).is_zero():
-                    raise InputError("pi must be antisymmetric")
+                    raise InputError("%s must be antisymmetric" % name)
                 if not M[i][j].is_zero():
-                    comps[(i, j)] = M[i][j]
+                    comps[(offset + i, offset + j)] = M[i][j]
         return Multivector(self.chart, 2, comps)
 
     def algebroid(self, key="algebroid"):
@@ -257,19 +252,13 @@ def cmd_connection_change(problem, args):
     a = problem.algebroid()
     m = problem.mu()
     a2 = change_connection(a, m)
-    lines = []
-    for i in range(problem.chart.base_dim):
-        for s in range(problem.chart.fiber_dim):
-            for t in range(problem.chart.fiber_dim):
-                v = a2.theta[i][s][t]
-                if not v.is_zero():
-                    lines.append("theta'[%d][%d][%d] = %s" % (i + 1, s + 1, t + 1, v.render()))
-    for i in range(problem.chart.base_dim):
-        for j in range(i + 1, problem.chart.base_dim):
-            for s in range(problem.chart.fiber_dim):
-                v = a2.R[i][j][s]
-                if not v.is_zero():
-                    lines.append("R'[%d][%d][%d] = %s" % (i + 1, j + 1, s + 1, v.render()))
+    b, r = problem.chart.base_dim, problem.chart.fiber_dim
+    lines = ["theta'[%d][%d][%d] = %s" % (i + 1, s + 1, t + 1, a2.theta[i][s][t].render())
+             for i, s, t in product(range(b), range(r), range(r))
+             if not a2.theta[i][s][t].is_zero()]
+    lines += ["R'[%d][%d][%d] = %s" % (i + 1, j + 1, s + 1, a2.R[i][j][s].render())
+              for (i, j), s in product(combinations(range(b), 2), range(r))
+              if not a2.R[i][j][s].is_zero()]
     return verify_connection_equivalence(a, m), lines
 
 
@@ -332,17 +321,12 @@ def cmd_extract_algebroid(problem, args):
     if not checked.passed:
         return checked, []
     a = extract_algebroid(data)
-    lines = []
     r, b = problem.chart.fiber_dim, problem.chart.base_dim
-    for s in range(r):
-        for t in range(s + 1, r):
-            for n in range(r):
-                v = a.lam[s][t][n]
-                if not v.is_zero():
-                    lines.append("lambda[%d][%d][%d] = %s" % (s + 1, t + 1, n + 1, v.render()))
-    for i in range(b):
-        for j in range(i + 1, b):
-            lines.append("omega[%d][%d] = %s" % (i + 1, j + 1, a.omega[i][j].render()))
+    lines = ["lambda[%d][%d][%d] = %s" % (s + 1, t + 1, n + 1, a.lam[s][t][n].render())
+             for (s, t), n in product(combinations(range(r), 2), range(r))
+             if not a.lam[s][t][n].is_zero()]
+    lines += ["omega[%d][%d] = %s" % (i + 1, j + 1, a.omega[i][j].render())
+              for i, j in combinations(range(b), 2)]
     return check_admissible(a), lines
 
 
@@ -433,6 +417,9 @@ def main(argv=None):
     except ValueError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 3
     if not args.quiet:
         for line in lines:
             print(line)

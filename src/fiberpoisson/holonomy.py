@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .report import CheckReport
+from .series import FloatEvaluator
 from .algebroid import change_connection
 from .moser import rk4_step
 
@@ -55,43 +56,35 @@ class BasePath:
         return a, (b - a) * self.n_segments
 
 
-def _rhs_factory(a_data, theta):
-    chart = a_data.chart
-    b, r = chart.base_dim, chart.fiber_dim
-    pad = [0.0] * r
-
-    def rhs(xi, dsig, P):
-        z = list(xi) + pad
-        M = np.zeros((r, r))
-        for i in range(b):
-            di = dsig[i]
-            if di == 0.0:
-                continue
-            for s in range(r):
-                for t in range(r):
-                    v = theta[i][s][t].evaluate_float(z)
-                    if v:
-                        M[t][s] += di * v
-        return M @ P
-
-    return rhs
+# steps whose stage points are evaluated at once: bounds the arrays of a long grid
+BLOCK_STEPS = 16
 
 
-def _grid(path, steps):
+def _grid(path, steps, chart, series):
     """
-    The fixed RK4 grid along a path: (step, velocity, start, midpoint,
-    end) of every step, with the step budget split evenly across the
-    polyline segments.
+    The fixed RK4 grid along a path in blocks of at most BLOCK_STEPS steps, the
+    step budget split evenly across the segments: (step, velocity, values of
+    ``series`` at the block's points).  Step m of a block runs over rows 2m to 2m+2.
     """
+    evaluate = FloatEvaluator(series)
     nseg = path.n_segments
     per = max(1, -(-steps // nseg))
     h = 1.0 / (nseg * per)
     for k in range(nseg):
         start, vel = path.segment(k)
         seg = vel / nseg  # chord of this segment
-        for m in range(per):
-            yield (h, vel, start + (m / per) * seg, start + ((m + 0.5) / per) * seg,
-                   start + ((m + 1.0) / per) * seg)
+        for m0 in range(0, per, BLOCK_STEPS):
+            q = np.arange(2 * m0, 2 * min(per, m0 + BLOCK_STEPS) + 1, dtype=float)
+            z = np.zeros((len(q), chart.n_vars))
+            z[:, :path.dim] = start + (q / (2 * per))[:, None] * seg
+            yield h, vel, evaluate(z)
+
+
+def _generators(vel, theta_vals, r):
+    """M[t][s] = sum_i v_i theta[i][s][t] at each point, from the values
+    of one or more flattened theta: shape (points, thetas, r, r)."""
+    M = vel @ theta_vals.reshape(len(theta_vals), -1, len(vel), r * r)
+    return M.reshape(len(theta_vals), -1, r, r).swapaxes(2, 3)
 
 
 def parallel_transport(a_data, path, steps, theta=None, grid=False):
@@ -103,16 +96,18 @@ def parallel_transport(a_data, path, steps, theta=None, grid=False):
     The step budget is split evenly across polyline segments.
     """
     chart = a_data.chart
-    b, r = chart.base_dim, chart.fiber_dim
-    if path.dim != b:
+    r = chart.fiber_dim
+    if path.dim != chart.base_dim:
         raise ValueError("path dimension does not match the base")
     theta = a_data.theta if theta is None else theta
-    rhs = _rhs_factory(a_data, theta)
     P = np.eye(r)
     out = [P.copy()]
-    for h, vel, x_a, x_b, x_c in _grid(path, steps):
-        P = rk4_step(lambda x, y: rhs(x, vel, y), P, h, x_a, x_b, x_c)
-        out.append(P.copy())
+    flat = [x for row in theta for cell in row for x in cell]
+    for h, vel, vals in _grid(path, steps, chart, flat):
+        M = _generators(vel, vals, r)[:, 0]
+        for q in range(0, len(vals) - 1, 2):
+            P = rk4_step(lambda q, y: M[q] @ y, P, h, q, q + 1, q + 2)
+            out.append(P.copy())
     return out if grid else P
 
 
@@ -127,39 +122,27 @@ def holonomy_compare(a_data, m, path, steps):
     if path.dim != b:
         raise ValueError("path dimension does not match the base")
     a2 = change_connection(a_data, m)
-    rhs_p = _rhs_factory(a_data, a_data.theta)
-    rhs_pt = _rhs_factory(a_data, a2.theta)
-    lam = a_data.lam
-    mu = m.mu
-    pad = [0.0] * r
-
-    def ad_mu(xi, dsig):
-        z = list(xi) + pad
-        muval = [sum(dsig[i] * mu[i][n].evaluate_float(z) for i in range(b))
-                 for n in range(r)]
-        A = np.zeros((r, r))
-        for n in range(r):
-            if muval[n] == 0.0:
-                continue
-            for s in range(r):
-                for t in range(r):
-                    v = lam[n][s][t].evaluate_float(z)
-                    if v:
-                        A[t][s] += muval[n] * v
-        return A
-
-    def joint_rhs(xi, dsig, state):
-        P, Pt, T = state
-        Xi = np.linalg.solve(P, ad_mu(xi, dsig) @ P)
-        return np.stack((rhs_p(xi, dsig, P), rhs_pt(xi, dsig, Pt), -Xi @ T))
-
+    series = [x for cube in (a_data.theta, a2.theta, a_data.lam) for row in cube
+              for cell in row for x in cell] + [x for row in m.mu for x in row]
     # the stacked transports P, P~ and the comparison operator T
     state = np.stack((np.eye(r), np.eye(r), np.eye(r)))
     deviations = [0.0]
-    for h, vel, x_a, x_b, x_c in _grid(path, steps):
-        state = rk4_step(lambda x, y: joint_rhs(x, vel, y), state, h, x_a, x_b, x_c)
-        P, Pt, T = state
-        deviations.append(float(np.max(np.abs(Pt - P @ T))))
+    for h, vel, vals in _grid(path, steps, chart, series):
+        th, lam, mu = np.split(vals, [2 * b * r * r, (2 * b + r) * r * r], axis=1)
+        M = _generators(vel, th, r)
+        # ad mu(sigma')[t][s] = sum_n (sum_i v_i mu[i][n]) lam[n][s][t]
+        mu = vel @ mu.reshape(len(vals), b, r)
+        A = (mu[:, None] @ lam.reshape(len(vals), r, r * r)).reshape(-1, r, r).swapaxes(1, 2)
+
+        def joint_rhs(q, state):
+            P, Pt, T = state
+            Xi = np.linalg.solve(P, A[q] @ P)
+            return np.concatenate((M[q] @ state[:2], [-Xi @ T]))
+
+        for q in range(0, len(vals) - 1, 2):
+            state = rk4_step(joint_rhs, state, h, q, q + 1, q + 2)
+            P, Pt, T = state
+            deviations.append(float(np.max(np.abs(Pt - P @ T))))
     dev = max(deviations)
     report = CheckReport("holonomy-comparison")
     report.add("transport-comparison", "holonomy", None, True, "%.3e" % dev,

@@ -187,10 +187,6 @@ class Multivector(AntisymmetricTensor):
         out = {i: s.fiber_part(lo, hi) for i, s in self.comps.items()}
         return Multivector(self.chart, self.degree, out, self.valid_order)
 
-    def min_fiber_degree(self):
-        degs = [d for s in self.comps.values() for d in s.fiber_degrees()]
-        return min(degs) if degs else None
-
 
 def wedge(A, B):
     """Exterior product; graded-commutative, A^B = (-1)^(pq) B^A."""

@@ -24,6 +24,10 @@ _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<var>xi\d+|x\d+)|(?P<op>[-+*/^()]))"
 # Parentheses and unary minuses open at one time.  The parser recurses once
 # per level, so deeper input is refused before it exhausts the Python stack.
 MAX_NESTING = 100
+# Bounds on every intermediate polynomial, checked once per '^' or '*' before
+# the work: a variable's exponent, and a product's term count |a| * |b|.
+MAX_EXPONENT = 100
+MAX_TERMS = 10000
 
 
 class ParseError(ValueError):
@@ -57,15 +61,16 @@ def _tokenize(text):
 
 class _Poly:
     """Untruncated exponent-dict polynomial used only while parsing; its
-    coefficients are nonzero."""
+    coefficients are nonzero, and no variable's exponent exceeds ``deg``."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "deg")
 
-    def __init__(self, terms):
+    def __init__(self, terms, deg):
         self.terms = terms
+        self.deg = deg
 
     def __neg__(self):
-        return _Poly({e: -c for e, c in self.terms.items()})
+        return _Poly({e: -c for e, c in self.terms.items()}, self.deg)
 
     def __mul__(self, other):
         if len(self.terms) == 1:
@@ -74,7 +79,7 @@ class _Poly:
             # shifting exponents by one monomial is injective: no collisions
             ((e2, c2),) = other.terms.items()
             return _Poly({tuple(map(add, e1, e2)): c1 if c2 == 1 else c1 * c2
-                          for e1, c1 in self.terms.items()})
+                          for e1, c1 in self.terms.items()}, self.deg + other.deg)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -84,14 +89,7 @@ class _Poly:
                     out.pop(e, None)
                 else:
                     out[e] = s
-        return _Poly(out)
-
-    def __pow__(self, n):
-        # n >= 1; the parser reads exponent 0 as the constant 1
-        result = self
-        for _ in range(n - 1):
-            result = result * self
-        return result
+        return _Poly(out, self.deg + other.deg)
 
 
 class _Parser:
@@ -129,8 +127,11 @@ class _Parser:
             self.next()
             negate = val == "-"
         out = {}
+        deg = 0
         while True:
-            for e, c in self.term().terms.items():
+            term = self.term()
+            deg = max(deg, term.deg)
+            for e, c in term.terms.items():
                 s = out.get(e, 0) + (-c if negate else c)
                 if s == 0:
                     out.pop(e, None)
@@ -141,7 +142,7 @@ class _Parser:
                 self.next()
                 negate = val == "-"
             else:
-                return _Poly(out)
+                return _Poly(out, deg)
 
     def term(self):
         value = self.factor()
@@ -149,9 +150,17 @@ class _Parser:
             kind, val, pos = self.peek()
             if kind == "op" and val == "*":
                 self.next()
-                value = value * self.factor()
+                value = self.product(value, self.factor(), pos)
             else:
                 return value
+
+    def product(self, a, b, pos):
+        """a * b, refused when it could exceed MAX_TERMS or MAX_EXPONENT."""
+        if len(a.terms) * len(b.terms) > MAX_TERMS:
+            raise ParseError("product of more than %d terms" % MAX_TERMS, pos)
+        if a.deg + b.deg > MAX_EXPONENT:
+            raise ParseError("exponent above %d" % MAX_EXPONENT, pos)
+        return a * b
 
     def factor(self):
         value = self.atom()
@@ -162,9 +171,13 @@ class _Parser:
                 kind, val, pos = self.next()
                 if kind != "num":
                     raise ParseError("expected an integer exponent", pos)
-                exponent = int(val)
-                value = (value ** exponent if exponent
-                         else _Poly({(0,) * self.chart.n_vars: Fraction(1)}))
+                n = int(val)
+                if n > MAX_EXPONENT:
+                    raise ParseError("exponent above %d" % MAX_EXPONENT, pos)
+                base = value
+                value = base if n else _Poly({(0,) * self.chart.n_vars: Fraction(1)}, 0)
+                for _ in range(n - 1):
+                    value = self.product(value, base, pos)
             else:
                 return value
 
@@ -184,7 +197,7 @@ class _Parser:
                 if int(val3) == 0:
                     raise ParseError("zero denominator", pos3)
                 num /= int(val3)
-            return _Poly({(0,) * n: num} if num else {})
+            return _Poly({(0,) * n: num} if num else {}, 0)
         if kind == "var":
             if val.startswith("xi"):
                 k = int(val[2:]) - 1
@@ -198,7 +211,7 @@ class _Parser:
                 idx = self.chart.base_dim + k
             exps = [0] * n
             exps[idx] = 1
-            return _Poly({tuple(exps): Fraction(1)})
+            return _Poly({tuple(exps): Fraction(1)}, 1)
         if kind is None:
             raise ParseError("unexpected end of input", pos)
         raise ParseError("unexpected token %r" % val, pos)

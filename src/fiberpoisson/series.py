@@ -5,8 +5,8 @@ A chart carries base coordinates ``xi1 .. xi{2k}`` and fiber coordinates
 ``x1 .. x{r}``.  A :class:`FiberSeries` is a polynomial in the base
 variables and a power series in the fiber variables, truncated at a
 recorded total fiber degree.  Coefficients are exact rationals
-(:class:`fractions.Fraction`); nothing in this module touches floating
-point except the explicit ``evaluate_float`` helper.
+(:class:`fractions.Fraction`); floats appear only in :class:`FloatEvaluator`
+and its one-series call ``evaluate_float``.
 
 The truncation bookkeeping follows one rule throughout: every object
 knows up to which total fiber degree its stored terms are certified
@@ -17,6 +17,8 @@ sums and products certify the minimum of their operands' orders.
 
 from fractions import Fraction
 from operator import add, itemgetter
+
+import numpy as np
 
 
 class ChartMismatchError(ValueError):
@@ -111,7 +113,7 @@ class FiberSeries:
     carried through arithmetic as metadata.
     """
 
-    __slots__ = ("chart", "valid_order", "terms", "truncated", "_flt")
+    __slots__ = ("chart", "valid_order", "terms", "truncated")
 
     def __init__(self, chart, terms=None, valid_order=None, truncated=False):
         # valid_order may be negative: "no certified content"
@@ -143,7 +145,6 @@ class FiberSeries:
         self.valid_order = vo
         self.terms = clean
         self.truncated = bool(truncated or dropped)
-        self._flt = None
 
     @classmethod
     def _trusted(cls, chart, terms, valid_order, truncated):
@@ -155,7 +156,6 @@ class FiberSeries:
         out.valid_order = valid_order
         out.terms = terms
         out.truncated = truncated
-        out._flt = None
         return out
 
     # -- constructors -------------------------------------------------
@@ -376,18 +376,7 @@ class FiberSeries:
         return total
 
     def evaluate_float(self, point):
-        if self._flt is None:
-            self._flt = [(float(c), e) for e, c in sorted(self.terms.items())]
-        total = 0.0
-        for c, exps in self._flt:
-            v = c
-            for x, e in zip(point, exps):
-                if e == 1:
-                    v *= x
-                elif e:
-                    v *= x ** e
-            total += v
-        return total
+        return float(FloatEvaluator([self])([point])[0, 0])
 
     # -- rendering ------------------------------------------------------
 
@@ -423,6 +412,43 @@ class FiberSeries:
 
     def __repr__(self):
         return "<FiberSeries %s (order %d)>" % (self.render(), self.valid_order)
+
+
+class FloatEvaluator:
+    """
+    A list of series on one chart compiled for float evaluation: an
+    exponent matrix over the distinct monomials of all the series and a
+    coefficient matrix with one column per series.  Called on an
+    ``(m, n_vars)`` array of points it gives the ``(m, len(series))``
+    values.  Monomials are products of per-variable power tables, so no
+    points x monomials x variables array is formed.
+    """
+
+    def __init__(self, series):
+        charts = {s.chart for s in series}
+        if len(charts) > 1:
+            raise ChartMismatchError("series live on different charts")
+        self.n_vars = charts.pop().n_vars if charts else None
+        index = {}
+        terms = [(index.setdefault(e, len(index)), j, float(c))
+                 for j, s in enumerate(series) for e, c in s.terms.items()]
+        self.exponents = np.array(list(index), dtype=int).reshape(len(index), self.n_vars or 0)
+        self.tops = [max(col, default=0) for col in self.exponents.T.tolist()]
+        self.coefficients = np.zeros((len(index), len(series)))
+        for k, j, c in terms:
+            self.coefficients[k, j] = c
+
+    def __call__(self, points):
+        z = np.asarray(points, dtype=float)
+        if z.ndim != 2 or self.n_vars not in (None, z.shape[1]):
+            raise ValueError("points must be an array of shape (m, %s)" % self.n_vars)
+        mono = np.ones((len(z), len(self.exponents)))
+        for v, (e, top) in enumerate(zip(self.exponents.T, self.tops)):
+            powers = np.ones((len(z), top + 1))
+            for k in range(1, top + 1):
+                powers[:, k] = powers[:, k - 1] * z[:, v]
+            mono *= powers[:, e]
+        return mono @ self.coefficients
 
 
 # -- spec-facing functional aliases ------------------------------------

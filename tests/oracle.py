@@ -12,10 +12,13 @@ decomposable-field formula
 with the Lie bracket of vector fields coded componentwise and the wedge
 of a list of vector fields computed as an explicit signed permutation
 sum.  Nothing here shares code with the optimized implementation beyond
-the series ring itself.
+the series ring itself.  The numeric references at the end integrate the
+Moser flows and the holonomy transports one flow and one point at a time.
 """
 
 from itertools import permutations, product
+
+import numpy as np
 
 from fiberpoisson.series import FiberSeries
 from fiberpoisson.multivector import Multivector
@@ -163,3 +166,132 @@ def _collect(chart, degree, full, vo):
 
 def oracle_jacobiator(P):
     return oracle_schouten(P, P)
+
+
+# -- numeric references ---------------------------------------------------
+#
+# The scalar RK4 loops the numeric checks were first written with: one flow
+# and one stage point at a time, each series evaluated term by term.  They
+# share no code with the compiled evaluator or the batched integrators.
+
+
+def float_value(s, point):
+    """Float value of a series at a point, summed term by term."""
+    total = 0.0
+    for exps, c in sorted(s.terms.items()):
+        v = float(c)
+        for x, e in zip(point, exps):
+            if e:
+                v *= x ** e
+        total += v
+    return total
+
+
+def _tpoly_value(p, t, z):
+    acc, power = 0.0, 1.0
+    for c in p.coeffs:
+        acc += power * float_value(c, z)
+        power *= t
+    return acc
+
+
+def _rk4(f, y, h, t0, tm, t1):
+    k1 = f(t0, y)
+    k2 = f(tm, y + h / 2 * k1)
+    k3 = f(tm, y + h / 2 * k2)
+    k4 = f(t1, y + h * k3)
+    return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def family_rhs(fam, t, z):
+    """The horizontal deformation field of a homotopy family at (t, z)."""
+    b, r = fam.chart.base_dim, fam.chart.fiber_dim
+    F = np.array([[_tpoly_value(fam.fform_t[i][j], t, z) for j in range(b)]
+                  for i in range(b)])
+    phi = np.array([float_value(p, z) for p in fam.phi.phi])
+    X = np.linalg.solve(F.T, phi)
+    dz = np.zeros(b + r)
+    dz[:b] = X
+    for s in range(r):
+        for i in range(b):
+            dz[b + s] -= X[i] * _tpoly_value(fam.gamma_t[i][s], t, z)
+    return dz
+
+
+def moser_flow(fam, z0, steps, chart_bound=1e6):
+    """(endpoint, None) of the time-1 flow from z0, or (None, k) when it
+    leaves the chart at step k."""
+    z = np.array(z0, dtype=float)
+    h = 1.0 / steps
+    for k in range(steps):
+        t = k * h
+        z = _rk4(lambda s, y: family_rhs(fam, s, y), z, h, t, t + h / 2, t + h)
+        if not np.all(np.isfinite(z)) or np.max(np.abs(z)) > chart_bound:
+            return None, k
+    return z, None
+
+
+def _path_grid(path, steps):
+    nseg = path.n_segments
+    per = max(1, -(-steps // nseg))
+    h = 1.0 / (nseg * per)
+    for k in range(nseg):
+        start, vel = path.segment(k)
+        seg = vel / nseg
+        for m in range(per):
+            yield (h, vel, start + (m / per) * seg, start + ((m + 0.5) / per) * seg,
+                   start + ((m + 1.0) / per) * seg)
+
+
+def _generator(theta, chart, xi, vel):
+    b, r = chart.base_dim, chart.fiber_dim
+    z = list(xi) + [0.0] * r
+    M = np.zeros((r, r))
+    for i in range(b):
+        for s in range(r):
+            for t in range(r):
+                M[t][s] += vel[i] * float_value(theta[i][s][t], z)
+    return M
+
+
+def transport_grid(a, path, steps, theta=None):
+    """Every grid solution of the parallel-transport system."""
+    theta = a.theta if theta is None else theta
+    P = np.eye(a.chart.fiber_dim)
+    out = [P]
+    for h, vel, x_a, x_b, x_c in _path_grid(path, steps):
+        P = _rk4(lambda x, y: _generator(theta, a.chart, x, vel) @ y, P, h, x_a, x_b, x_c)
+        out.append(P)
+    return out
+
+
+def holonomy_deviation(a, a2, m, path, steps):
+    """max over the grid of |P~ - P T|, with P, P~ the transports of the
+    connections of ``a`` and ``a2`` and T the comparison operator."""
+    chart = a.chart
+    b, r = chart.base_dim, chart.fiber_dim
+
+    def ad_mu(xi, vel):
+        z = list(xi) + [0.0] * r
+        muval = [sum(vel[i] * float_value(m.mu[i][n], z) for i in range(b))
+                 for n in range(r)]
+        A = np.zeros((r, r))
+        for n in range(r):
+            for s in range(r):
+                for t in range(r):
+                    A[t][s] += muval[n] * float_value(a.lam[n][s][t], z)
+        return A
+
+    def joint_rhs(xi, vel, state):
+        P, Pt, T = state
+        Xi = np.linalg.solve(P, ad_mu(xi, vel) @ P)
+        return np.stack((_generator(a.theta, chart, xi, vel) @ P,
+                         _generator(a2.theta, chart, xi, vel) @ Pt, -Xi @ T))
+
+    state = np.stack((np.eye(r), np.eye(r), np.eye(r)))
+    dev = 0.0
+    for h, vel, x_a, x_b, x_c in _path_grid(path, steps):
+        state = _rk4(lambda x, y: joint_rhs(x, vel, y), state, h, x_a, x_b, x_c)
+        P, Pt, T = state
+        dev = max(dev, float(np.max(np.abs(Pt - P @ T))))
+    return dev

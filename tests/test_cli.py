@@ -3,10 +3,11 @@ import json
 import contextlib
 import pathlib
 import re
+import time
 
 import pytest
 
-from fiberpoisson import cli
+from fiberpoisson import cli, ChartSpec
 from fiberpoisson.cli import main
 from fiberpoisson.report import CheckReport, InternalInvariantError
 
@@ -449,3 +450,59 @@ class TestMalformedShapes:
         code, _, err = run(["verify-data", write(tmp_path, "p.json", doc)])
         assert code == 2
         assert "connection[0][0]: expression nested deeper than" in err
+
+
+class TestParserBounds:
+    """Exponents above parse.MAX_EXPONENT and products above parse.MAX_TERMS
+    are bad input, refused before the work is done."""
+
+    @pytest.mark.parametrize("text", ["1 + xi1^100000000", "(1+x1+xi1)^2000",
+                                      "((1+xi1)^64)^64"],
+                             ids=["huge-exponent", "trinomial-power", "nested-power"])
+    def test_exit_two_fast(self, text, tmp_path):
+        doc = json.loads((ROOT / "problems" / "e1.problem.json").read_text())
+        doc["connection"][0][0] = text
+        path = write(tmp_path, "p.json", doc)
+        t0 = time.perf_counter()
+        code, _, err = run(["verify-data", path])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert "connection[0][0]: " in err and "(at position" in err
+
+
+class TestCatchAll:
+    def test_unexpected_exception_exits_three(self, monkeypatch):
+        def boom(problem, args):
+            raise RuntimeError("boom")
+        monkeypatch.setitem(cli.COMMANDS, "verify-data", boom)
+        code, out, err = run(["verify-data", str(ROOT / "problems" / "e1.problem.json")])
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: RuntimeError: boom\n"
+
+    def test_keyboard_interrupt_propagates(self, monkeypatch):
+        def interrupted(problem, args):
+            raise KeyboardInterrupt
+        monkeypatch.setitem(cli.COMMANDS, "verify-data", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run(["verify-data", str(ROOT / "problems" / "e1.problem.json")])
+
+
+def test_numeric_commands_evaluate_no_single_series(monkeypatch, tmp_path):
+    # both numeric checks go through compiled evaluators, never the
+    # one-series evaluate_float
+    from fiberpoisson import FiberSeries
+    calls = []
+    original = FiberSeries.evaluate_float
+    monkeypatch.setattr(FiberSeries, "evaluate_float",
+                        lambda self, point: calls.append(point) or original(self, point))
+    points = write(tmp_path, "points.json", [[0.1, -0.2, 0.1, 0.2, -0.1, 0.05, 0.1]])
+    for argv in (["moser-flow", str(ROOT / "problems" / "e1.problem.json"), "--steps", "20"],
+                 ["moser-flow", str(ROOT / "tests" / "data" / "wong_family.problem.json"),
+                  "--points", points, "--steps", "5", "--tol", "1"],
+                 ["holonomy", str(ROOT / "problems" / "wong.problem.json"), "--steps", "50",
+                  "--tol", "1"]):
+        assert run(argv)[0] == 0
+    assert calls == []
+    FiberSeries.constant(ChartSpec(2, 1, 2), 3).evaluate_float([0.0, 0.0, 0.0])
+    assert len(calls) == 1

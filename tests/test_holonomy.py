@@ -7,7 +7,9 @@ import pytest
 from fiberpoisson import (BasePath, parallel_transport,
                           holonomy_compare, ConnectionChange, change_connection)
 
-from fixtures import S, so3_flat_algebroid, e1_algebroid
+from fixtures import S, so3_flat_algebroid, e1_algebroid, wong_algebroid
+
+import oracle
 
 
 def expm(A, terms=24):
@@ -152,6 +154,68 @@ class TestHolonomyCompare:
         path = BasePath([(0, 0), (1, Fraction(1, 2)), (Fraction(1, 2), 1)])
         P = parallel_transport(a, path, 2000)
         assert np.max(np.abs(P.T @ P - np.eye(3))) < 1e-10
+
+
+def wong_change(chart):
+    rows = [["xi3", "1", "xi1"], ["0", "xi4", "1/2"], ["1", "0", "xi2"], ["xi1*xi2", "0", "-1"]]
+    return ConnectionChange(chart, [[S(v, chart) for v in row] for row in rows])
+
+
+WONG_PATH = BasePath([(0, 0, 0, 0), (Fraction(1, 2), Fraction(1, 4), 1, Fraction(1, 2)),
+                      (1, Fraction(3, 4), Fraction(1, 2), Fraction(5, 4))])
+
+
+class TestGridFields:
+    """The transports with every field evaluated on the whole grid up front,
+    against the scalar reference that evaluates each stage point as it
+    comes."""
+
+    @pytest.mark.parametrize("steps", [7, 40, 300])
+    def test_grid_transport_matches_scalar(self, steps):
+        a = wong_algebroid(4)
+        a2 = change_connection(a, wong_change(a.chart))
+        got = parallel_transport(a, WONG_PATH, steps, theta=a2.theta, grid=True)
+        want = oracle.transport_grid(a, WONG_PATH, steps, theta=a2.theta)
+        assert len(got) == len(want)
+        assert max(np.max(np.abs(g - w)) for g, w in zip(got, want)) < 1e-12
+
+    @pytest.mark.parametrize("case", ["wong", "so3", "e1"])
+    def test_comparison_matches_scalar(self, case):
+        if case == "wong":
+            a = wong_algebroid(4)
+            m, path = wong_change(a.chart), WONG_PATH
+        elif case == "so3":
+            a = so3_with_connection()
+            m = ConnectionChange(a.chart, [[S("1", a.chart), S("xi2", a.chart),
+                                            S("-1/2", a.chart)],
+                                           [S("xi1^2", a.chart), S("0", a.chart),
+                                            S("2", a.chart)]])
+            path = BasePath([(0, 0), (1, Fraction(1, 2)), (Fraction(1, 2), 1)])
+        else:
+            a = e1_algebroid(3)
+            m = ConnectionChange(a.chart, [[S("xi1", a.chart)], [S("2", a.chart)]])
+            path = BasePath([(0, 0), (1, 0)])
+        got = holonomy_compare(a, m, path, 100).entries[0].detail
+        want = oracle.holonomy_deviation(a, change_connection(a, m), m, path, 100)
+        assert abs(got - want) < 1e-12
+
+    def test_abelian_e1_deviation_at_round_off(self):
+        a = e1_algebroid(3)
+        mu = ConnectionChange(a.chart, [[S("xi1", a.chart)], [S("2", a.chart)]])
+        rep = holonomy_compare(a, mu, BasePath([(0, 0), (1, 0)]), 200)
+        assert rep.entries[0].detail < 1e-14
+
+    def test_long_grid_is_evaluated_in_blocks(self):
+        # a step count that is not a multiple of the block size, split over
+        # segments, gives the same transport as the reference
+        from fiberpoisson import holonomy
+        a = so3_with_connection()
+        path = BasePath([(0, 0), (1, Fraction(1, 2)), (Fraction(1, 2), 1)])
+        steps = 2 * (3 * holonomy.BLOCK_STEPS + 5)
+        got = parallel_transport(a, path, steps, grid=True)
+        want = oracle.transport_grid(a, path, steps)
+        assert len(got) == steps + 1
+        assert max(np.max(np.abs(g - w)) for g, w in zip(got, want)) < 1e-12
 
 
 class TestBasePath:

@@ -2,6 +2,7 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fiberpoisson import (ChartSpec, FiberSeries, Multivector, HForm,
@@ -11,7 +12,9 @@ from fiberpoisson import (ChartSpec, FiberSeries, Multivector, HForm,
                           data_equivalence_check, build_geometric_data,
                           change_connection, ConnectionChange,
                           verify_coupling_conditions, DEFAULT_T_SAMPLES)
-from fiberpoisson import series, coupling
+from fiberpoisson import series, coupling, moser
+
+import oracle
 
 from fixtures import (S, zeros, std_omega, rng, e1_data,
                       so3_flat_algebroid, wong_algebroid, so3_vertical,
@@ -276,6 +279,21 @@ class TestNumericPullback:
                                      steps=40, chart_bound=1.0)
         assert not rep.entries[0].passed
         assert "escaped" in rep.entries[0].residual
+        assert rep.entries[0].residual == "flow escaped the chart at step 5"
+
+    def test_escape_reports_the_first_row_to_leave(self):
+        # at this bound the flow shifted by +fd_delta in xi3 leaves the chart
+        # one step before the point's own flow; the rest of the points are
+        # still checked
+        fam = wong_family(3)
+        pt = [0.3, -0.4, 0.9, 0.7, 0.5, -0.6, 0.4]
+        bound = 0.9995784
+        steps = [oracle.moser_flow(fam, row, 40, bound)[1] for row in fd_rows(pt)]
+        assert steps[0] == 5 and min(steps) == 4
+        rep = numeric_pullback_check(fam, [pt, [0.0] * 7], steps=40, chart_bound=bound)
+        assert rep.entries[0].residual == "flow escaped the chart at step 4"
+        assert not rep.entries[0].passed
+        assert rep.entries[1].detail is not None
 
     def test_fourth_order_convergence(self):
         fam = wong_family(4)
@@ -292,6 +310,44 @@ class TestNumericPullback:
         slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) \
             / sum((x - xbar) ** 2 for x in xs)
         assert 3.6 <= slope <= 4.4
+
+
+def fd_rows(z0, delta=1e-5):
+    """The point and its finite-difference neighbours, in the order of
+    numeric_pullback_check: z0, then z0 +- delta e_a for each a."""
+    rows = [list(z0)]
+    for a in range(len(z0)):
+        for sign in (1, -1):
+            z = list(z0)
+            z[a] += sign * delta
+            rows.append(z)
+    return rows
+
+
+class TestBatchedFlows:
+    """The 2n+1 flows of a point, integrated as one RK4 system, against the
+    scalar reference that integrates them one at a time."""
+
+    @pytest.mark.parametrize("family, point, steps", [
+        (lambda: wong_family(4), [0.3, -0.4, 0.9, 0.7, 0.5, -0.6, 0.4], 20),
+        (lambda: e1_family(6), [0.3, -0.2, 0.08], 50),
+    ], ids=["wong", "e1"])
+    def test_endpoints_match_scalar_flows(self, family, point, steps):
+        fam = family()
+        rows = fd_rows(point)
+        got = moser._flow(moser._FloatFamily(fam), rows, steps, 1e6)
+        for row, end in zip(rows, got):
+            want, escaped = oracle.moser_flow(fam, row, steps)
+            assert escaped is None
+            assert np.max(np.abs(end - want)) < 1e-12
+
+    def test_field_matches_scalar_field(self):
+        fam = wong_family(4)
+        rows = np.array(fd_rows([0.2, 0.1, -0.3, 0.4, 0.25, -0.15, 0.05], delta=0.1))
+        for t in (0.0, 0.3, 1.0):
+            got = moser._FloatFamily(fam).rhs(t, rows)
+            want = np.array([oracle.family_rhs(fam, t, z) for z in rows])
+            assert np.max(np.abs(got - want)) < 1e-14
 
 
 class TestDataEquivalence:

@@ -1,10 +1,12 @@
+import math
 import random
+from itertools import product
 from fractions import Fraction
 
 import pytest
 
 from fiberpoisson import ChartSpec, parse_series, ParseError
-from fiberpoisson.parse import MAX_NESTING
+from fiberpoisson.parse import MAX_NESTING, MAX_EXPONENT, MAX_TERMS
 
 
 def chart(b=2, r=2, n=3):
@@ -146,3 +148,29 @@ def test_nesting_bound_is_exact():
     assert parse_series(ok, chart()).render() == "x1"
     with pytest.raises(ParseError, match="at position %d" % MAX_NESTING):
         parse_series("(" + ok + ")", chart())
+
+
+def test_exponent_bound_is_exact():
+    assert parse_series("xi1^%d" % MAX_EXPONENT, chart()).terms == {
+        (MAX_EXPONENT, 0, 0, 0): Fraction(1)}
+    with pytest.raises(ParseError, match="exponent above %d" % MAX_EXPONENT):
+        parse_series("xi1^%d" % (MAX_EXPONENT + 1), chart())
+    # the bound holds for exponents a product builds up, and for numbers
+    half = MAX_EXPONENT // 2
+    assert parse_series("xi1^%d*xi1^%d" % (half, MAX_EXPONENT - half), chart())
+    for text in ["xi1^%d*xi1^%d" % (half, MAX_EXPONENT - half + 1),
+                 "(xi1^%d)^2*xi2" % (half + 1), "2^%d" % (MAX_EXPONENT + 1)]:
+        with pytest.raises(ParseError, match="exponent above"):
+            parse_series(text, chart())
+
+
+def test_product_term_bound_is_exact():
+    ch = chart()
+    monomials = ["xi1^%d*xi2^%d*x1^%d*x2^%d" % e for e in product(range(4), repeat=4)]
+    k = math.isqrt(MAX_TERMS)
+    a = "(" + " + ".join(monomials[:k]) + ")"
+    b = "(" + " + ".join(monomials[-k:]) + ")"
+    assert parse_series("%s*%s" % (a, b), ch)
+    b_more = "(" + " + ".join(monomials[-k - 1:]) + ")"
+    with pytest.raises(ParseError, match="product of more than %d terms" % MAX_TERMS):
+        parse_series("%s*%s" % (a, b_more), ch)

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fiberpoisson import ChartSpec, FiberSeries, matrix_invert, ChartMismatchError
-from fiberpoisson.series import mat_mul, mat_identity, mat_is_identity
+from fiberpoisson.series import mat_mul, mat_identity, mat_is_identity, FloatEvaluator
 
 from fixtures import S, rng, rand_series
 
@@ -209,6 +210,63 @@ class TestEvaluate:
         ch = ChartSpec(2, 1, 3)
         a = S("xi2 + x1^2", ch)
         assert abs(a.evaluate_float([0.0, 2.5, 0.5]) - 2.75) < 1e-14
+
+
+EVAL_CHART = ChartSpec(2, 2, 3)
+
+
+@st.composite
+def series_and_points(draw):
+    """A list of series on EVAL_CHART (zero series and constants included)
+    and rational points with small denominators."""
+    n = EVAL_CHART.n_vars
+    series = []
+    for _ in range(draw(st.integers(0, 4))):
+        terms = {}
+        for _ in range(draw(st.integers(0, 5))):
+            exps = tuple(draw(st.integers(0, 3)) for _ in range(n))
+            terms[exps] = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 5)))
+        series.append(FiberSeries(EVAL_CHART, terms))
+    coord = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 6))
+    points = draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=1, max_size=4))
+    return series, points
+
+
+class TestFloatEvaluator:
+    @settings(max_examples=150, deadline=None)
+    @given(series_and_points())
+    def test_matches_exact_evaluation(self, case):
+        series, points = case
+        floats = [[float(x) for x in p] for p in points]
+        got = FloatEvaluator(series)(floats)
+        assert got.shape == (len(points), len(series))
+        for row, p in zip(got, floats):
+            exact_point = [Fraction(x) for x in p]   # the point the floats denote
+            for value, s in zip(row, series):
+                # round-off is relative to the sum of the terms' magnitudes
+                scale = sum(abs(FiberSeries.monomial(EVAL_CHART, e, c).evaluate(exact_point))
+                            for e, c in s.terms.items())
+                assert abs(Fraction(value) - s.evaluate(exact_point)) <= 1e-14 * scale
+
+    def test_zero_constant_and_one_series_call(self):
+        a = S("3/2*xi1^2*x1 - x2 + 1/3", EVAL_CHART)
+        pts = [[0.5, -1.0, 2.0, 0.25], [0.0, 0.0, 0.0, 0.0]]
+        got = FloatEvaluator([FiberSeries.zero(EVAL_CHART),
+                              FiberSeries.constant(EVAL_CHART, Fraction(-7, 3)), a])(pts)
+        assert (got[:, 0] == 0.0).all()
+        assert (got[:, 1] == float(Fraction(-7, 3))).all()
+        assert list(got[:, 2]) == [a.evaluate_float(p) for p in pts]
+
+    def test_empty_list(self):
+        assert FloatEvaluator([])(np.zeros((3, 4))).shape == (3, 0)
+
+    def test_mixed_charts_rejected(self):
+        with pytest.raises(ChartMismatchError):
+            FloatEvaluator([S("x1", EVAL_CHART), S("x1", ChartSpec(2, 1, 3))])
+
+    def test_point_dimension_checked(self):
+        with pytest.raises(ValueError):
+            FloatEvaluator([S("x1", EVAL_CHART)])([[1.0, 2.0, 3.0]])
 
 
 class TestSubstitution:
