@@ -1,8 +1,6 @@
 """Exact-arithmetic toolkit for coupling Poisson tensors on fiber-bundle charts."""
 
-from .series import (ChartSpec, FiberSeries, ChartMismatchError,
-                     series_add, series_mul, series_scale, series_diff,
-                     matrix_invert)
+from .series import ChartSpec, FiberSeries, ChartMismatchError, matrix_invert
 from .parse import parse_series, ParseError
 from .multivector import (Multivector, HForm, wedge, interior, schouten,
                           jacobiator, lie_derivative)
@@ -22,8 +20,7 @@ from .holonomy import BasePath, parallel_transport, holonomy_compare
 from .report import CheckReport, CheckEntry, InternalInvariantError
 
 __all__ = [
-    "ChartSpec", "FiberSeries", "ChartMismatchError",
-    "series_add", "series_mul", "series_scale", "series_diff", "matrix_invert",
+    "ChartSpec", "FiberSeries", "ChartMismatchError", "matrix_invert",
     "parse_series", "ParseError",
     "Multivector", "HForm", "wedge", "interior", "schouten", "jacobiator",
     "lie_derivative",

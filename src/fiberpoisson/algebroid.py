@@ -20,10 +20,11 @@ enforces on randomized admissible inputs.
 
 from fractions import Fraction
 
-from .series import FiberSeries, mat_mul, mat_is_identity
+from .series import FiberSeries, mat_is_inverse
 from .multivector import Multivector, HForm
 from .connection import Connection
-from .coupling import GeometricData, assemble, v_sharp
+from .coupling import GeometricData, assemble
+from .moser import PhiForm, gauge_terms
 from .report import CheckReport, InternalInvariantError
 from . import linalg
 
@@ -70,8 +71,7 @@ class AlgebroidData:
                         raise ValueError("R must be antisymmetric in (i, j)")
                 if not (omega[i][j] + omega[j][i]).is_zero():
                     raise ValueError("omega must be antisymmetric")
-        if not (mat_is_identity(mat_mul(omega, omega_inv))
-                and mat_is_identity(mat_mul(omega_inv, omega))):
+        if not mat_is_inverse(omega, omega_inv):
             raise ValueError("omega_inv is not an exact inverse of omega")
         for i in range(b):
             for j in range(i + 1, b):
@@ -333,8 +333,6 @@ def verify_connection_equivalence(a, m):
     the fiber-linear 1-form built from mu; both relations are checked as
     exact residuals.
     """
-    from .moser import PhiForm, phi_bracket
-
     chart = a.chart
     b, r = chart.base_dim, chart.fiber_dim
     d1 = build_geometric_data(a)
@@ -342,13 +340,11 @@ def verify_connection_equivalence(a, m):
     phi = PhiForm(chart, [_fiber_pairing(chart, row) for row in m.mu])
 
     report = CheckReport("connection-change-equivalence")
-    corrections = [v_sharp(d1.vertical, p) for p in phi.phi]
+    corrections, dphi, quad = gauge_terms(d1, phi)
     report.add_residuals("connection-relation", "equiv-conn",
                          (d2.connection.gamma[i][s]
-                          - (d1.connection.gamma[i][s] - corrections[i].component((b + s,)))
+                          - (d1.connection.gamma[i][s] - corrections[i][s])
                           for i in range(b) for s in range(r)), None)
-    dphi = d1.connection.cov_ext_deriv(phi.hform())
-    quad = phi_bracket(phi, phi, d1.vertical)
     target = d1.fform - dphi - quad.scale(Fraction(1, 2))
     report.add_residuals("two-form-relation", "equiv-form", [d2.fform - target], None)
     return report

@@ -9,6 +9,7 @@ expression string in the input grammar (see ``parse``).  Exit codes:
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -32,9 +33,38 @@ from .linearize import linearize_data, extract_algebroid
 from .holonomy import BasePath, holonomy_compare
 from .report import CheckReport, InternalInvariantError
 
+MAX_VARS = 64  # chart variables: every monomial stores one exponent per variable
+
 
 class InputError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def _naming(key):
+    """Report a ValueError raised for the entries at ``key`` as an input
+    error that names the key; input errors pass through unchanged."""
+    try:
+        yield
+    except InputError:
+        raise
+    except ValueError as exc:
+        raise InputError("%s: %s" % (key, exc))
+
+
+def _rationals(values, where):
+    """A list of JSON numbers or strings such as "-3/4" as exact rationals;
+    anything else, a zero denominator included, is an input error naming
+    ``where``."""
+    if not isinstance(values, list):
+        raise InputError("%s: expected a list of numbers, got %r" % (where, values))
+    out = []
+    for k, v in enumerate(values):
+        try:
+            out.append(Fraction(str(v)))
+        except (ValueError, ZeroDivisionError):
+            raise InputError("%s[%d]: not a rational number: %r" % (where, k, v))
+    return out
 
 
 class Problem:
@@ -46,7 +76,9 @@ class Problem:
             trunc = int(order_override if order_override is not None
                         else c["trunc_order"])
             self.chart = ChartSpec(int(c["base_dim"]), int(c["fiber_dim"]), trunc)
-        except (KeyError, TypeError, ValueError) as exc:
+            if self.chart.n_vars > MAX_VARS:
+                raise ValueError("more than %d variables" % MAX_VARS)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError("bad chart section: %s" % exc)
         self.doc = doc
 
@@ -57,7 +89,7 @@ class Problem:
                 doc = json.load(fh)
         except OSError as exc:
             raise InputError("cannot read problem file: %s" % exc)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InputError("problem file is not valid JSON: %s" % exc)
         return cls(doc, order_override)
 
@@ -102,34 +134,21 @@ class Problem:
     def geometric_data(self):
         b, r = self.chart.base_dim, self.chart.fiber_dim
         gamma = self.array("connection", (b, r))
-        vertical = self.antisymmetric("vertical", r, "vertical matrix", b)
+        with _naming("vertical"):
+            vertical = Multivector.from_matrix(self.chart, self.array("vertical", (r, r)),
+                                               offset=b)
         fmat = self.array("fform", (b, b))
-        fform = HForm.from_matrix(self.chart, fmat)
-        seed = self.array("fform_inv_seed", (b, b), missing=None)
-        if seed is None:
-            try:
+        with _naming("fform"):
+            fform = HForm.from_matrix(self.chart, fmat)
+            seed = self.array("fform_inv_seed", (b, b), missing=None)
+            if seed is None:
                 seed = constant_block_inverse(fmat, seed_name="fform_inv_seed")
-            except ValueError as exc:
-                raise InputError("fform: %s" % exc)
         return GeometricData(Connection(self.chart, gamma), vertical, fform, seed)
 
     def bivector(self):
-        return self.antisymmetric("pi", self.chart.n_vars, "pi")
-
-    def antisymmetric(self, key, n, name, offset=0):
-        """The bivector with the entries of the antisymmetric n x n matrix at
-        ``key`` as its components on indices ``offset ..``."""
-        M = self.array(key, (n, n))
-        comps = {}
-        for i in range(n):
-            if not M[i][i].is_zero():
-                raise InputError("%s must have zero diagonal" % name)
-            for j in range(i + 1, n):
-                if not (M[i][j] + M[j][i]).is_zero():
-                    raise InputError("%s must be antisymmetric" % name)
-                if not M[i][j].is_zero():
-                    comps[(offset + i, offset + j)] = M[i][j]
-        return Multivector(self.chart, 2, comps)
+        n = self.chart.n_vars
+        with _naming("pi"):
+            return Multivector.from_matrix(self.chart, self.array("pi", (n, n)))
 
     def algebroid(self, key="algebroid"):
         if key not in self.doc:
@@ -160,10 +179,15 @@ class Problem:
         if "path" not in self.doc:
             raise InputError("problem file has no 'path' section")
         sec = self.doc["path"]
+        if not isinstance(sec, dict) or not isinstance(sec.get("points"), list):
+            raise InputError("bad path section: it needs a 'points' list")
+        closed = sec.get("closed", False)
+        if not isinstance(closed, bool):
+            raise InputError("path.closed must be true or false, got %r" % (closed,))
+        pts = [_rationals(p, "path.points[%d]" % k) for k, p in enumerate(sec["points"])]
         try:
-            pts = [[Fraction(str(v)) for v in p] for p in sec["points"]]
-            return BasePath(pts, bool(sec.get("closed", False)))
-        except (KeyError, ValueError, TypeError) as exc:
+            return BasePath(pts, closed)
+        except ValueError as exc:
             raise InputError("bad path section: %s" % exc)
 
     def float_points(self, override_file=None):
@@ -171,7 +195,7 @@ class Problem:
             try:
                 with open(override_file) as fh:
                     pts = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, json.JSONDecodeError, RecursionError) as exc:
                 raise InputError("cannot read points file: %s" % exc)
         else:
             pts = self.doc.get("points")
@@ -179,7 +203,7 @@ class Problem:
             raise InputError("no sample points given (problem 'points' or --points)")
         try:
             return [[float(v) for v in p] for p in pts]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError("sample points must be lists of numbers: %s" % exc)
 
 
@@ -225,12 +249,11 @@ def cmd_algebroid_check(problem, args):
     if "points" in problem.doc:
         # full-dimension points (shared with moser-flow) give their base coordinates
         b, n = problem.chart.base_dim, problem.chart.n_vars
-        try:
-            pts = [[Fraction(str(v)) for v in (p[:b] if len(p) == n else p)]
-                   for p in problem.doc["points"]]
-        except (TypeError, ValueError) as exc:
-            raise InputError("sample points must be lists of numbers: %s" % exc)
-        report.extend(coisotropy_check(a, pts))
+        pts = problem.doc["points"]
+        if not isinstance(pts, list):
+            raise InputError("sample points must be lists of numbers, got %r" % (pts,))
+        pts = [_rationals(p, "points[%d]" % k) for k, p in enumerate(pts)]
+        report.extend(coisotropy_check(a, [p[:b] if len(p) == n else p for p in pts]))
     return report, []
 
 
@@ -274,10 +297,7 @@ def cmd_cocycle(problem, args):
 def _t_samples(args):
     if args.t_samples is None:
         return DEFAULT_T_SAMPLES
-    try:
-        return tuple(Fraction(tok) for tok in args.t_samples.split(","))
-    except ValueError as exc:
-        raise InputError("bad --t-samples: %s" % exc)
+    return tuple(_rationals(args.t_samples.split(","), "--t-samples"))
 
 
 def cmd_moser_verify(problem, args):

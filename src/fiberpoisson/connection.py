@@ -9,8 +9,10 @@ Coordinate base fields commute, so the covariant exterior derivative
 reduces to the alternating sum of horizontal-lift derivatives.
 """
 
+from itertools import combinations
+
 from .series import FiberSeries, ChartMismatchError
-from .multivector import Multivector, HForm, schouten
+from .multivector import Multivector, HForm, schouten, wedge
 from .report import InternalInvariantError
 
 
@@ -53,6 +55,16 @@ class Connection:
                 comps[(chart.base_dim + s,)] = -g
         return Multivector(chart, 1, comps, self.valid_order())
 
+    def horizontal_bivector(self, M, valid_order):
+        """sum_{i<j} M[i][j] hor(d_i) ^ hor(d_j) for a base-dim square matrix
+        of series, certified at most to ``valid_order``."""
+        lifts = [self.hor_lift(i) for i in range(self.chart.base_dim)]
+        out = Multivector.zero(self.chart, 2, valid_order)
+        for i, j in combinations(range(self.chart.base_dim), 2):
+            if not M[i][j].is_zero():
+                out = out + wedge(lifts[i], lifts[j]).mul_series(M[i][j])
+        return out
+
     def hor_apply(self, i, f):
         """Apply the horizontal lift of d_i to a function, as a derivation."""
         chart = self.chart
@@ -77,7 +89,6 @@ class Connection:
         if k > chart.base_dim:
             return HForm.zero(chart, k, F.valid_order)
         out = {}
-        from itertools import combinations
         for idx in combinations(range(chart.base_dim), k):
             acc = None
             for j, ij in enumerate(idx):

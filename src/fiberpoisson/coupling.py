@@ -27,9 +27,9 @@ fixtures exercise every sign.
 
 import functools
 
-from .series import (FiberSeries, matrix_invert, mat_mul, mat_is_identity,
-                     mat_fiber_zero_part, mat_neg, mat_valid_order)
-from .multivector import Multivector, HForm, wedge, interior, schouten, jacobiator
+from .series import (FiberSeries, matrix_invert, mat_is_inverse, mat_fiber_zero_part,
+                     mat_neg, mat_valid_order)
+from .multivector import HForm, interior, schouten, jacobiator
 from .connection import Connection
 from .report import CheckReport
 from . import linalg
@@ -58,9 +58,7 @@ class GeometricData:
             raise ValueError("fform must be a 2-form")
         if chart.base_dim < 2:
             raise ValueError("a declared 2-form needs base_dim >= 2")
-        F0 = mat_fiber_zero_part(fform.matrix())
-        if not (mat_is_identity(mat_mul(fform_inv_seed, F0))
-                and mat_is_identity(mat_mul(F0, fform_inv_seed))):
+        if not mat_is_inverse(fform_inv_seed, mat_fiber_zero_part(fform.matrix())):
             raise ValueError("fform_inv_seed is not an exact inverse of the "
                              "fiber-constant part of the 2-form")
         self.chart = chart
@@ -100,6 +98,8 @@ def constant_block_inverse(M, valid_order=None, seed_name="a seed"):
     inverse is then no constant, and ``seed_name`` names where to supply
     it) or is singular.
     """
+    if not M:
+        return []
     chart = M[0][0].chart
     b = chart.base_dim
     const = []
@@ -122,18 +122,9 @@ def constant_block_inverse(M, valid_order=None, seed_name="a seed"):
 def assemble(data):
     """Coupling bivector of geometric data.  Raises ValueError when the
     2-form matrix is singular at fiber degree 0."""
-    chart = data.chart
     H = mat_neg(data.fform_inverse)
-    lifts = [data.connection.hor_lift(i) for i in range(chart.base_dim)]
-    vo = min(mat_valid_order(H), data.vertical.valid_order,
-             min(l.valid_order for l in lifts) if lifts else chart.trunc_order)
-    pi = Multivector.zero(chart, 2, vo)
-    for i in range(chart.base_dim):
-        for j in range(i + 1, chart.base_dim):
-            if H[i][j].is_zero():
-                continue
-            pi = pi + wedge(lifts[i], lifts[j]).mul_series(H[i][j])
-    pi = pi + data.vertical
+    vo = min(mat_valid_order(H), data.vertical.valid_order, data.connection.valid_order())
+    pi = data.connection.horizontal_bivector(H, vo) + data.vertical
     return CouplingTensor(pi, data, pi.valid_order)
 
 
@@ -148,9 +139,9 @@ def decompose(pi, fform0=None):
     base variables (the inverse is then computed by exact elimination).
     """
     chart = pi.chart
-    if pi.degree != 2:
-        raise ValueError("decompose expects a bivector")
     b = chart.base_dim
+    if pi.degree != 2 or b < 2:
+        raise ValueError("decompose expects a bivector on a chart with base_dim >= 2")
     Q = [[pi.component((i, j)) for j in range(b)] for i in range(b)]
     Q0 = mat_fiber_zero_part(Q)
     if fform0 is not None:
@@ -160,7 +151,7 @@ def decompose(pi, fform0=None):
             seed = constant_block_inverse(Q, pi.valid_order, "fform0")
         except ValueError as exc:
             raise ValueError("base block of the bivector: %s" % exc)
-    if not (mat_is_identity(mat_mul(seed, Q0)) and mat_is_identity(mat_mul(Q0, seed))):
+    if not mat_is_inverse(seed, Q0):
         raise ValueError("bivector is not horizontally nondegenerate "
                          "(certified inverse of the base block failed)")
     C = matrix_invert(Q, seed)
@@ -176,13 +167,7 @@ def decompose(pi, fform0=None):
     connection = Connection(chart, gamma)
     fmat = mat_neg(C)
     fform = HForm.from_matrix(chart, fmat, mat_valid_order(fmat))
-    lifts = [connection.hor_lift(i) for i in range(b)]
-    hor_part = Multivector.zero(chart, 2, pi.valid_order)
-    for i in range(b):
-        for j in range(i + 1, b):
-            if Q[i][j].is_zero():
-                continue
-            hor_part = hor_part + wedge(lifts[i], lifts[j]).mul_series(Q[i][j])
+    hor_part = connection.horizontal_bivector(Q, pi.valid_order)
     vertical = pi.truncate(hor_part.valid_order) - hor_part
     if not vertical.is_vertical():
         raise ValueError("bivector is not horizontally nondegenerate "

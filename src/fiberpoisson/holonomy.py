@@ -16,6 +16,7 @@ transports satisfy  P~(t) = P(t) T(t)  where T solves
 the sign pinned by the constant-generator exponential oracle.
 """
 
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +40,8 @@ class BasePath:
             if len(p) != dim:
                 raise ValueError("breakpoints of mixed dimension")
             pts.append(tuple(Fraction(v) for v in p))
+        if any(abs(v) > sys.float_info.max for p in pts for v in p):
+            raise ValueError("breakpoints must lie within the float range")
         if closed and pts[0] != pts[-1]:
             raise ValueError("closed path must end at its starting point")
         self.dim = dim

@@ -25,7 +25,8 @@ from itertools import accumulate, combinations, zip_longest
 
 import numpy as np
 
-from .series import FiberSeries, FloatEvaluator, mat_fiber_zero_part, mat_neg, mat_mul
+from .series import (FiberSeries, FloatEvaluator, mat_fiber_zero_part, mat_identity,
+                     mat_is_inverse, mat_mul, mat_neg, mat_valid_order)
 from .multivector import Multivector, HForm, wedge, schouten
 from .connection import Connection
 from .coupling import (GeometricData, assemble, verify_coupling_conditions, v_sharp,
@@ -89,6 +90,20 @@ def phi_bracket(phi1, phi2, V):
     vo = min([c.valid_order for c in comps.values()]
              + [min(V.valid_order, min(p.valid_order for p in phi1.phi + phi2.phi) - 1)])
     return HForm(chart, 2, comps, vo)
+
+
+def gauge_terms(data, phi):
+    """
+    The terms by which phi moves geometric data (Gamma, V, F) to
+    (Gamma - (V# dphi)^h, V, F - dGamma(phi) - 1/2 {phi ^ phi}_V): the
+    fiber components ``corrections[i][s]`` of V# dphi_i, then dGamma(phi)
+    and {phi ^ phi}_V.
+    """
+    b, r = data.chart.base_dim, data.chart.fiber_dim
+    corrections = [[w.component((b + s,)) for s in range(r)]
+                   for w in (v_sharp(data.vertical, p) for p in phi.phi)]
+    return (corrections, data.connection.cov_ext_deriv(phi.hform()),
+            phi_bracket(phi, phi, data.vertical))
 
 
 class TPoly:
@@ -208,14 +223,9 @@ def build_family(data, phi, t_samples=DEFAULT_T_SAMPLES):
         raise ValueError("base data fails the coupling conditions:\n"
                          + base_report.render())
     b, r = chart.base_dim, chart.fiber_dim
-    corrections = []
-    for i in range(b):
-        w = v_sharp(data.vertical, phi.phi[i])
-        corrections.append([w.component((b + s,)) for s in range(r)])
+    corrections, dphi, quad = gauge_terms(data, phi)
     gamma_t = [[TPoly(chart, [data.connection.gamma[i][s], -corrections[i][s]])
                 for s in range(r)] for i in range(b)]
-    dphi = data.connection.cov_ext_deriv(phi.hform())
-    quad = phi_bracket(phi, phi, data.vertical)
     F = data.fform.matrix()
     fform_t = [[TPoly(chart, [F[i][j], -dphi.component((i, j)),
                               quad.component((i, j)).scale(Fraction(-1, 2))])
@@ -334,13 +344,8 @@ def verify_deformation_equation(fam, t_samples=DEFAULT_T_SAMPLES):
                          {(b + s,): fam.corrections[i][s] for s in range(r)
                           if not fam.corrections[i][s].is_zero()})
              for i in range(b)]
-        vo = min([x.valid_order for row in H for x in row]
-                 + [fam.data.vertical.valid_order])
-        dpi = Multivector.zero(chart, 2, vo)
-        for i in range(b):
-            for j in range(i + 1, b):
-                if not dH[i][j].is_zero():
-                    dpi = dpi + wedge(lifts[i], lifts[j]).mul_series(dH[i][j])
+        vo = min(mat_valid_order(H), fam.data.vertical.valid_order)
+        dpi = member.connection.horizontal_bivector(dH, vo)
         for i in range(b):
             for j in range(b):
                 if H[i][j].is_zero() or W[i].is_zero():
@@ -483,13 +488,8 @@ def data_equivalence_check(d1, d2, phi, g=None, g_inv=None):
     if (g is None) != (g_inv is None):
         raise ValueError("g and g_inv must be supplied together")
     if g is None:
-        one = FiberSeries.constant(chart, 1)
-        zero = FiberSeries.zero(chart)
-        g = [[one if i == j else zero for j in range(r)] for i in range(r)]
-        g_inv = [[one if i == j else zero for j in range(r)] for i in range(r)]
-    gg = mat_mul(g, g_inv)
-    if not all((gg[i][j] - (1 if i == j else 0)).is_zero()
-               for i in range(r) for j in range(r)):
+        g = g_inv = mat_identity(chart, r)
+    if not mat_is_inverse(g, g_inv):
         raise ValueError("g_inv is not an exact inverse of g")
 
     report = CheckReport("data-equivalence")
@@ -513,10 +513,10 @@ def data_equivalence_check(d1, d2, phi, g=None, g_inv=None):
                          d1.vertical.valid_order)
 
     x = [FiberSeries.variable(chart, b + s) for s in range(r)]
+    corrections, dphi, quad = gauge_terms(d1, phi)
 
     def connection_residuals():
         for i in range(b):
-            corr = v_sharp(d1.vertical, phi.phi[i])
             for u in range(r):
                 acc = FiberSeries.zero(chart)
                 for t in range(r):
@@ -524,13 +524,10 @@ def data_equivalence_check(d1, d2, phi, g=None, g_inv=None):
                     for v in range(r):
                         inner = inner + g[t][v].diff(i) * x[v]
                     acc = acc + g_inv[u][t] * inner
-                yield acc - (d1.connection.gamma[i][u] - corr.component((b + u,)))
+                yield acc - (d1.connection.gamma[i][u] - corrections[i][u])
 
     report.add_residuals("connection-relation", "equiv-conn", connection_residuals(),
                          d1.valid_order())
-
-    dphi = d1.connection.cov_ext_deriv(phi.hform())
-    quad = phi_bracket(phi, phi, d1.vertical)
     report.add_residuals("two-form-relation", "equiv-form",
                          (subst(d2.fform.component((i, j))) - (
                              d1.fform.component((i, j)) - dphi.component((i, j))

@@ -4,10 +4,10 @@ and the Schouten-Nijenhuis calculus on a chart.
 
 Both kinds of tensor share one base class, ``AntisymmetricTensor``: it
 stores components only on strictly increasing index tuples and owns their
-validation, the signed ``component`` lookup, ``+``/``-``/``scale`` and
-``render``.  A ``Multivector`` indexes all base-then-fiber directions and
-renders them ``d1, d2, ...``; an ``HForm`` indexes base directions only
-and renders them ``dxi1, dxi2, ...``.
+validation, the signed ``component`` lookup, ``+``/``-``/``scale``,
+``render`` and ``from_matrix``.  A ``Multivector`` indexes all
+base-then-fiber directions and renders them ``d1, d2, ...``; an ``HForm``
+indexes base directions only and renders them ``dxi1, dxi2, ...``.
 
 The bracket is normalized so that ``schouten(X, f) = X(f)`` for a vector
 field X and a function f, and ``schouten(X, Y)`` is the Lie bracket of
@@ -99,6 +99,21 @@ class AntisymmetricTensor:
     @classmethod
     def zero(cls, chart, degree, valid_order=None):
         return cls(chart, degree, {}, valid_order)
+
+    @classmethod
+    def from_matrix(cls, chart, M, valid_order=None, offset=0):
+        """The degree-2 tensor whose components on the indices ``offset ..``
+        are the entries of the full antisymmetric matrix M of series."""
+        comps = {}
+        for i in range(len(M)):
+            if not M[i][i].is_zero():
+                raise ValueError("matrix must have zero diagonal")
+            for j in range(i + 1, len(M)):
+                if not (M[i][j] + M[j][i]).is_zero():
+                    raise ValueError("matrix must be antisymmetric")
+                if not M[i][j].is_zero():
+                    comps[(offset + i, offset + j)] = M[i][j]
+        return cls(chart, 2, comps, valid_order)
 
     def is_zero(self):
         return not self.comps
@@ -318,18 +333,3 @@ class HForm(AntisymmetricTensor):
             raise ValueError("matrix() is defined for 2-forms")
         n = self.chart.base_dim
         return [[self.component((i, j)) for j in range(n)] for i in range(n)]
-
-    @classmethod
-    def from_matrix(cls, chart, M, valid_order=None):
-        """Build a 2-form from a full antisymmetric matrix of series."""
-        n = chart.base_dim
-        comps = {}
-        for i in range(n):
-            if not M[i][i].is_zero():
-                raise ValueError("2-form matrix must have zero diagonal")
-            for j in range(i + 1, n):
-                if not (M[i][j] + M[j][i]).is_zero():
-                    raise ValueError("2-form matrix must be antisymmetric")
-                if not M[i][j].is_zero():
-                    comps[(i, j)] = M[i][j]
-        return cls(chart, 2, comps, valid_order)

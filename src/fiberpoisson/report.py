@@ -66,9 +66,8 @@ class CheckReport:
         self.entries = list(entries) if entries else []
 
     def add(self, *args, **kwargs):
-        entry = args[0] if args and isinstance(args[0], CheckEntry) else CheckEntry(*args, **kwargs)
-        self.entries.append(entry)
-        return entry
+        self.entries.append(CheckEntry(*args, **kwargs))
+        return self.entries[-1]
 
     def add_residuals(self, name, tag, residuals, empty_order, required=True):
         """

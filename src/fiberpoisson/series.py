@@ -66,9 +66,6 @@ class ChartSpec:
     def n_vars(self):
         return self.base_dim + self.fiber_dim
 
-    def is_base(self, idx):
-        return 0 <= idx < self.base_dim
-
     def var_name(self, idx):
         if idx < 0 or idx >= self.n_vars:
             raise IndexError("variable index out of range")
@@ -278,26 +275,17 @@ class FiberSeries:
         out = {e: c * v for e, v in self.terms.items()}
         return FiberSeries._trusted(self.chart, out, self.valid_order, self.truncated)
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = FiberSeries.constant(self.chart, 1, self.valid_order)
-        for _ in range(n):
-            result = result * self
-        return result
-
     def diff(self, idx):
         """Exact partial derivative in direction ``idx`` (0-based, base then fiber)."""
         chart = self.chart
         if idx < 0 or idx >= chart.n_vars:
             raise IndexError("variable index out of range")
-        fiber = not chart.is_base(idx)
         out = {}
         for exps, c in self.terms.items():
             k = exps[idx]
             if k:
                 out[exps[:idx] + (k - 1,) + exps[idx + 1:]] = c if k == 1 else c * k
-        if not fiber:
+        if idx < chart.base_dim:
             return FiberSeries._trusted(chart, out, self.valid_order, self.truncated)
         vo = self.valid_order - 1
         return FiberSeries._trusted(chart, out, vo, self.truncated or vo < 0)
@@ -430,8 +418,11 @@ class FloatEvaluator:
             raise ChartMismatchError("series live on different charts")
         self.n_vars = charts.pop().n_vars if charts else None
         index = {}
-        terms = [(index.setdefault(e, len(index)), j, float(c))
-                 for j, s in enumerate(series) for e, c in s.terms.items()]
+        try:
+            terms = [(index.setdefault(e, len(index)), j, float(c))
+                     for j, s in enumerate(series) for e, c in s.terms.items()]
+        except OverflowError:
+            raise ValueError("a series coefficient lies outside the float range")
         self.exponents = np.array(list(index), dtype=int).reshape(len(index), self.n_vars or 0)
         self.tops = [max(col, default=0) for col in self.exponents.T.tolist()]
         self.coefficients = np.zeros((len(index), len(series)))
@@ -451,36 +442,11 @@ class FloatEvaluator:
         return mono @ self.coefficients
 
 
-# -- spec-facing functional aliases ------------------------------------
-
-def series_add(a, b):
-    return a + b
-
-
-def series_mul(a, b):
-    return a * b
-
-
-def series_scale(a, c):
-    return a.scale(c)
-
-
-def series_diff(a, idx):
-    return a.diff(idx)
-
-
 # -- matrices of series ------------------------------------------------
 
-def mat_zero(chart, n, m=None, valid_order=None):
-    m = n if m is None else m
-    return [[FiberSeries.zero(chart, valid_order) for _ in range(m)] for _ in range(n)]
-
-
 def mat_identity(chart, n, valid_order=None):
-    out = mat_zero(chart, n, n, valid_order)
-    for i in range(n):
-        out[i][i] = FiberSeries.constant(chart, 1, valid_order)
-    return out
+    return [[FiberSeries.constant(chart, 1, valid_order) if i == j
+             else FiberSeries.zero(chart, valid_order) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(A, B):
@@ -495,10 +461,6 @@ def mat_mul(A, B):
             row.append(acc)
         out.append(row)
     return out
-
-
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def mat_neg(A):
@@ -517,6 +479,11 @@ def mat_is_identity(A):
             if not d.is_zero():
                 return False
     return True
+
+
+def mat_is_inverse(A, B):
+    """True iff B is an exact two-sided inverse of the square matrix A."""
+    return mat_is_identity(mat_mul(A, B)) and mat_is_identity(mat_mul(B, A))
 
 
 def mat_valid_order(A):
@@ -543,10 +510,10 @@ def matrix_invert(M, M0_inv):
             if a.chart != chart:
                 raise ChartMismatchError("matrix entries live on different charts")
     M0 = mat_fiber_zero_part(M)
-    if not mat_is_identity(mat_mul(M0_inv, M0)) or not mat_is_identity(mat_mul(M0, M0_inv)):
+    if not mat_is_inverse(M0_inv, M0):
         raise ValueError("M0_inv is not an exact inverse of the fiber-degree-0 part")
     vo = min(mat_valid_order(M), mat_valid_order(M0_inv))
-    dM = mat_sub(M, M0)
+    dM = [[a - a0 for a, a0 in zip(ra, r0)] for ra, r0 in zip(M, M0)]
     K = mat_neg(mat_mul(M0_inv, dM))
     G = [[a.truncate(vo) for a in row] for row in M0_inv]
     P = G

@@ -413,8 +413,8 @@ class TestConstantBlockInverseCallers:
 
 
 class TestMalformedShapes:
-    """A value of the wrong shape or type is bad input (exit 2), never a
-    traceback."""
+    """A value of the wrong shape, type or symmetry is bad input (exit 2),
+    never a traceback."""
 
     @pytest.mark.parametrize("command, key, value, message", [
         ("verify-data", "fform", 5, "'fform' must be a list of shape 2x2"),
@@ -427,6 +427,11 @@ class TestMalformedShapes:
         ("moser-flow", "points", [5], "sample points must be lists of numbers"),
         ("algebroid-check", "algebroid", 5, "'algebroid' section must be an object"),
         ("algebroid-check", "points", 5, "sample points must be lists of numbers"),
+        ("algebroid-check", "points", [[0.3, "1/0", 0.08]], "points[0][1]: not a rational"),
+        ("verify-data", "vertical", [["1"]], "vertical: matrix must have zero diagonal"),
+        ("verify-data", "fform", [["0", "1"], ["1", "0"]], "fform: matrix must be antisymmetric"),
+        ("check-jacobi", "pi", [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
+         "pi: matrix must be antisymmetric"),
     ])
     def test_exit_two(self, command, key, value, message, tmp_path):
         doc = json.loads((ROOT / "problems" / "e1.problem.json").read_text())
@@ -450,6 +455,40 @@ class TestMalformedShapes:
         code, _, err = run(["verify-data", write(tmp_path, "p.json", doc)])
         assert code == 2
         assert "connection[0][0]: expression nested deeper than" in err
+
+
+class TestRationalEntries:
+    """Rational entries outside expression strings (path points, base
+    points, --t-samples) go through one reader: a bad one, a zero
+    denominator included, exits 2 naming the key or flag."""
+
+    def test_t_samples_zero_denominator(self):
+        code, _, err = run(["moser-verify", str(ROOT / "problems" / "e1.problem.json"),
+                            "--t-samples", "0,1/0"])
+        assert code == 2
+        assert err.startswith("input error: --t-samples[1]: ")
+
+    def test_path_point_zero_denominator(self, tmp_path):
+        doc = json.loads((ROOT / "problems" / "wong.problem.json").read_text())
+        doc["path"]["points"][1][1] = "1/0"
+        code, _, err = run(["holonomy", write(tmp_path, "p.json", doc), "--steps", "20"])
+        assert code == 2
+        assert err.startswith("input error: path.points[1][1]: ")
+
+    @pytest.mark.parametrize("closed", ["false", 0, None])
+    def test_closed_must_be_a_boolean(self, closed, tmp_path):
+        doc = json.loads((ROOT / "problems" / "wong.problem.json").read_text())
+        doc["path"]["closed"] = closed
+        code, _, err = run(["holonomy", write(tmp_path, "p.json", doc), "--steps", "20"])
+        assert code == 2
+        assert err.startswith("input error: path.closed must be true or false")
+
+    def test_closed_false_accepted(self, tmp_path):
+        doc = json.loads((ROOT / "problems" / "wong.problem.json").read_text())
+        doc["path"]["closed"] = False
+        code, _, _ = run(["holonomy", write(tmp_path, "p.json", doc), "--steps", "20",
+                          "--tol", "1"])
+        assert code == 0
 
 
 class TestParserBounds:

@@ -174,3 +174,16 @@ def test_product_term_bound_is_exact():
     b_more = "(" + " + ".join(monomials[-k - 1:]) + ")"
     with pytest.raises(ParseError, match="product of more than %d terms" % MAX_TERMS):
         parse_series("%s*%s" % (a, b_more), ch)
+
+
+@pytest.mark.parametrize("text, rendered, truncated", [
+    ("x1^5 - x1^5", "0", False),
+    ("x1^2*x1^3", "0", True),
+    ("(1 + x1)^5 - x1^5", "1 + 5*x1 + 10*x1^2 + 10*x1^3 + 5*x1^4", False),
+])
+def test_truncated_flag_after_exact_expansion(text, rendered, truncated):
+    # an entry is expanded exactly before truncation: a term above the chart
+    # order that cancels sets no flag, one that survives does
+    s = parse_series(text, ChartSpec(2, 1, 4))
+    assert s.render() == rendered
+    assert s.truncated is truncated
