@@ -19,8 +19,9 @@ enforces on randomized admissible inputs.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
-from .series import FiberSeries, mat_is_inverse
+from .series import FiberSeries, dot, mat_is_inverse
 from .multivector import Multivector, HForm
 from .connection import Connection
 from .coupling import GeometricData, assemble
@@ -89,18 +90,13 @@ class AlgebroidData:
 
     @staticmethod
     def _check_fiber_jacobi(chart, lam, r):
-        for a in range(r):
-            for b_ in range(a + 1, r):
-                for c in range(b_ + 1, r):
-                    for t in range(r):
-                        acc = FiberSeries.zero(chart)
-                        for m in range(r):
-                            acc = acc + lam[a][b_][m] * lam[m][c][t] \
-                                      + lam[b_][c][m] * lam[m][a][t] \
-                                      + lam[c][a][m] * lam[m][b_][t]
-                        if not acc.is_zero():
-                            raise ValueError("fiberwise structure functions violate "
-                                             "the Jacobi identity")
+        for a, b_, c in combinations(range(r), 3):
+            cyclic = ((a, b_, c), (b_, c, a), (c, a, b_))
+            for t in range(r):
+                if not dot([lam[u][v][m] for u, v, _ in cyclic for m in range(r)],
+                           [lam[m][w][t] for _, _, w in cyclic for m in range(r)]).is_zero():
+                    raise ValueError("fiberwise structure functions violate "
+                                     "the Jacobi identity")
 
 
 def check_admissible(a):
@@ -123,57 +119,47 @@ def check_admissible(a):
 def _bracket_preservation(a):
     """Residuals of: the connection preserves the fiberwise bracket."""
     b, r = a.chart.base_dim, a.chart.fiber_dim
+    lam, theta, ns = a.lam, a.theta, range(r)
     for i in range(b):
         for s1 in range(r):
             for s2 in range(r):
                 for t in range(r):
-                    res = a.lam[s1][s2][t].diff(i)
-                    for n in range(r):
-                        res = res - a.lam[s1][s2][n] * a.theta[i][n][t] \
-                                  + a.theta[i][s1][n] * a.lam[n][s2][t] \
-                                  + a.theta[i][s2][n] * a.lam[s1][n][t]
-                    yield res
+                    yield lam[s1][s2][t].diff(i) + dot(
+                        [*(-lam[s1][s2][n] for n in ns), *theta[i][s1], *theta[i][s2]],
+                        [theta[i][n][t] for n in ns] + [lam[n][s2][t] for n in ns]
+                        + [lam[s1][n][t] for n in ns])
 
 
 def _curvature_defect(a):
     """Residuals of: the curvature of the connection is the adjoint action of R."""
     b, r = a.chart.base_dim, a.chart.fiber_dim
-    for i in range(b):
-        for j in range(i + 1, b):
-            for s in range(r):
-                for t in range(r):
-                    res = -a.theta[j][s][t].diff(i) + a.theta[i][s][t].diff(j)
-                    for n in range(r):
-                        res = res + a.theta[j][s][n] * a.theta[i][n][t] \
-                                  - a.theta[i][s][n] * a.theta[j][n][t] \
-                                  - a.R[i][j][n] * a.lam[n][s][t]
-                    yield res
+    theta, ns = a.theta, range(r)
+    for i, j in combinations(range(b), 2):
+        for s in range(r):
+            for t in range(r):
+                yield -theta[j][s][t].diff(i) + theta[i][s][t].diff(j) + dot(
+                    [*theta[j][s], *(-x for x in theta[i][s]), *(-x for x in a.R[i][j])],
+                    [theta[i][n][t] for n in ns] + [theta[j][n][t] for n in ns]
+                    + [a.lam[n][s][t] for n in ns])
 
 
 def _covariant_closedness(a, C):
     """Residuals of the covariant closedness of a frame-valued base 2-form
     ``C[i][j][t]`` under the linear connection of ``a``: the Bianchi
     identity when C is R."""
-    chart = a.chart
-    b, r = chart.base_dim, chart.fiber_dim
-    for i in range(b):
-        for j in range(i + 1, b):
-            for k in range(j + 1, b):
-                for t in range(r):
-                    res = FiberSeries.zero(chart)
-                    for (u, v, w) in ((i, j, k), (j, k, i), (k, i, j)):
-                        res = res + C[v][w][t].diff(u)
-                        for n in range(r):
-                            res = res - C[v][w][n] * a.theta[u][n][t]
-                    yield res
+    b, r = a.chart.base_dim, a.chart.fiber_dim
+    for i, j, k in combinations(range(b), 3):
+        cyclic = ((i, j, k), (j, k, i), (k, i, j))
+        for t in range(r):
+            yield FiberSeries.sum([C[v][w][t].diff(u) for u, v, w in cyclic]) - dot(
+                [C[v][w][n] for _, v, w in cyclic for n in range(r)],
+                [a.theta[u][n][t] for u, _, _ in cyclic for n in range(r)])
 
 
 def _fiber_pairing(chart, coeffs):
     """The fiber-linear function sum_t coeffs[t] * x_t of a frame vector."""
-    acc = FiberSeries.zero(chart)
-    for t, c in enumerate(coeffs):
-        acc = acc + c * FiberSeries.variable(chart, chart.base_dim + t)
-    return acc
+    x = [FiberSeries.variable(chart, chart.base_dim + t) for t in range(chart.fiber_dim)]
+    return dot(coeffs, x) if x else FiberSeries.zero(chart)
 
 
 def build_geometric_data(a):
@@ -256,49 +242,29 @@ class ConnectionChange:
 
 def _nabla_mu(a, m):
     """Covariant exterior derivative of mu as a frame-valued 2-form."""
-    chart = a.chart
-    b, r = chart.base_dim, chart.fiber_dim
-    out = [[[None] * r for _ in range(b)] for _ in range(b)]
-    for i in range(b):
-        for j in range(b):
-            for t in range(r):
-                res = m.mu[j][t].diff(i) - m.mu[i][t].diff(j)
-                for s in range(r):
-                    res = res - m.mu[j][s] * a.theta[i][s][t] \
-                              + m.mu[i][s] * a.theta[j][s][t]
-                out[i][j][t] = res
-    return out
+    b, r = a.chart.base_dim, a.chart.fiber_dim
+    mu, ns = m.mu, range(r)
+    return [[[mu[j][t].diff(i) - mu[i][t].diff(j)
+              + dot([*(-x for x in mu[j]), *mu[i]],
+                    [a.theta[i][s][t] for s in ns] + [a.theta[j][s][t] for s in ns])
+              for t in ns] for j in range(b)] for i in range(b)]
 
 
 def _mu_mu_half(a, m):
     """Half the square bracket of mu: [mu_i, mu_j] componentwise."""
-    chart = a.chart
-    b, r = chart.base_dim, chart.fiber_dim
-    out = [[[None] * r for _ in range(b)] for _ in range(b)]
-    for i in range(b):
-        for j in range(b):
-            for t in range(r):
-                res = FiberSeries.zero(chart)
-                for n in range(r):
-                    for n2 in range(r):
-                        res = res + m.mu[i][n] * m.mu[j][n2] * a.lam[n][n2][t]
-                out[i][j][t] = res
-    return out
+    b, r = a.chart.base_dim, a.chart.fiber_dim
+    mu, pairs = m.mu, [(n, n2) for n in range(r) for n2 in range(r)]
+    return [[[dot([mu[i][n] * mu[j][n2] for n, n2 in pairs],
+                  [a.lam[n][n2][t] for n, n2 in pairs])
+              for t in range(r)] for j in range(b)] for i in range(b)]
 
 
 def _changed_theta(a, m):
     """Linear-connection coefficients after the change of splitting by mu:
     theta[i][s][t] - sum_n mu[i][n] lam[n][s][t]."""
     b, r = a.chart.base_dim, a.chart.fiber_dim
-    theta2 = [[[None] * r for _ in range(r)] for _ in range(b)]
-    for i in range(b):
-        for s in range(r):
-            for t in range(r):
-                res = a.theta[i][s][t]
-                for n in range(r):
-                    res = res - m.mu[i][n] * a.lam[n][s][t]
-                theta2[i][s][t] = res
-    return theta2
+    return [[[a.theta[i][s][t] - dot(m.mu[i], [a.lam[n][s][t] for n in range(r)])
+              for t in range(r)] for s in range(r)] for i in range(b)]
 
 
 def change_connection(a, m):
@@ -384,8 +350,7 @@ def relative_cocycle(a, a2, m):
     report = CheckReport("relative-cocycle")
     # center-valuedness: the bracket of C_{ij} with every frame element vanishes
     report.add_residuals("center-valued", "cocycle-center",
-                         (sum((C[i][j][t] * a.lam[t][s][n] for t in range(r)),
-                              FiberSeries.zero(chart))
+                         (dot(C[i][j], [a.lam[t][s][n] for t in range(r)])
                           for i in range(b) for j in range(i + 1, b)
                           for s in range(r) for n in range(r)),
                          chart.trunc_order)

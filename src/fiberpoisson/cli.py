@@ -202,9 +202,13 @@ class Problem:
         if not pts:
             raise InputError("no sample points given (problem 'points' or --points)")
         try:
-            return [[float(v) for v in p] for p in pts]
+            pts = [[float(v) for v in p] for p in pts]
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError("sample points must be lists of numbers: %s" % exc)
+        for k, p in enumerate(pts):
+            if not all(map(math.isfinite, p)):
+                raise InputError("sample point %d is not finite: %r" % (k, p))
+        return pts
 
 
 # -- commands -----------------------------------------------------------

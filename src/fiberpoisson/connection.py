@@ -90,14 +90,9 @@ class Connection:
             return HForm.zero(chart, k, F.valid_order)
         out = {}
         for idx in combinations(range(chart.base_dim), k):
-            acc = None
-            for j, ij in enumerate(idx):
-                rest = idx[:j] + idx[j + 1:]
-                term = self.hor_apply(ij, F.component(rest))
-                if j % 2:
-                    term = -term
-                acc = term if acc is None else acc + term
-            if acc is not None and not acc.is_zero():
+            acc = FiberSeries.sum([self.hor_apply(ij, F.component(idx[:j] + idx[j + 1:]))
+                                   .scale(-1 if j % 2 else 1) for j, ij in enumerate(idx)])
+            if not acc.is_zero():
                 out[idx] = acc
         vo = min((s.valid_order for s in out.values()), default=F.valid_order - 1)
         return HForm(chart, k, out, vo)

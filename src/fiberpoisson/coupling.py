@@ -27,8 +27,8 @@ fixtures exercise every sign.
 
 import functools
 
-from .series import (FiberSeries, matrix_invert, mat_is_inverse, mat_fiber_zero_part,
-                     mat_neg, mat_valid_order)
+from .series import (FiberSeries, dot, mat_is_inverse, mat_fiber_zero_part, mat_neg,
+                     mat_valid_order, _neumann_inverse)
 from .multivector import HForm, interior, schouten, jacobiator
 from .connection import Connection
 from .report import CheckReport
@@ -69,9 +69,9 @@ class GeometricData:
 
     @functools.cached_property
     def fform_inverse(self):
-        """Neumann inverse of the 2-form matrix, certified by the seed;
-        computed once per data set."""
-        return matrix_invert(self.fform.matrix(), self.fform_inv_seed)
+        """Neumann inverse of the 2-form matrix, certified by the seed that
+        the constructor checked; computed once per data set."""
+        return _neumann_inverse(self.fform.matrix(), self.fform_inv_seed)
 
     def valid_order(self):
         return min(self.connection.valid_order(), self.vertical.valid_order,
@@ -101,16 +101,15 @@ def constant_block_inverse(M, valid_order=None, seed_name="a seed"):
     if not M:
         return []
     chart = M[0][0].chart
-    b = chart.base_dim
     const = []
     for row in M:
         crow = []
         for s in row:
-            s0 = s.fiber_part(0, 0)
-            if any(sum(e[:b]) for e in s0.terms):
+            c = s.constant_term()
+            if not (s.fiber_part(0, 0) - c).is_zero():
                 raise ValueError("fiber-constant part depends on the base variables; "
                                  "supply %s to certify its inverse" % seed_name)
-            crow.append(s0.constant_term())
+            crow.append(c)
         const.append(crow)
     try:
         inv = linalg.invert(const)
@@ -154,16 +153,9 @@ def decompose(pi, fform0=None):
     if not mat_is_inverse(seed, Q0):
         raise ValueError("bivector is not horizontally nondegenerate "
                          "(certified inverse of the base block failed)")
-    C = matrix_invert(Q, seed)
-    gamma = []
-    for j in range(b):
-        row = []
-        for s in range(chart.fiber_dim):
-            acc = FiberSeries.zero(chart, pi.valid_order)
-            for i in range(b):
-                acc = acc + C[j][i] * pi.component((i, b + s))
-            row.append(-acc)
-        gamma.append(row)
+    C = _neumann_inverse(Q, seed)
+    gamma = [[-dot(C[j], [pi.component((i, b + s)) for i in range(b)])
+              for s in range(chart.fiber_dim)] for j in range(b)]
     connection = Connection(chart, gamma)
     fmat = mat_neg(C)
     fform = HForm.from_matrix(chart, fmat, mat_valid_order(fmat))

@@ -25,7 +25,7 @@ from itertools import accumulate, combinations, zip_longest
 
 import numpy as np
 
-from .series import (FiberSeries, FloatEvaluator, mat_fiber_zero_part, mat_identity,
+from .series import (FiberSeries, FloatEvaluator, dot, mat_fiber_zero_part, mat_identity,
                      mat_is_inverse, mat_mul, mat_neg, mat_valid_order)
 from .multivector import Multivector, HForm, wedge, schouten
 from .connection import Connection
@@ -143,12 +143,8 @@ class TPoly:
 
     def eval(self, t):
         t = Fraction(t)
-        acc = FiberSeries.zero(self.chart)
-        power = Fraction(1)
-        for c in self.coeffs:
-            acc = acc + c.scale(power)
-            power *= t
-        return acc
+        return FiberSeries.sum([FiberSeries.zero(self.chart)]
+                               + [c.scale(t ** k) for k, c in enumerate(self.coeffs)])
 
 
 class HomotopyFamily:
@@ -257,17 +253,11 @@ def solve_homological(fam, t):
     member = _nondegenerate_member(fam, t)
     F = member.fform.matrix()
     G = member.fform_inverse
-    X = []
-    for s in range(b):
-        acc = FiberSeries.zero(chart, G[0][0].valid_order)
-        for j in range(b):
-            acc = acc + fam.phi.phi[j] * G[j][s]
-        X.append(acc)
+    phi = fam.phi.phi
+    X = [dot(phi, [G[j][s] for j in range(b)]).truncate(G[0][0].valid_order)
+         for s in range(b)]
     for j in range(b):
-        res = -fam.phi.phi[j].truncate(X[0].valid_order)
-        for s in range(b):
-            res = res + X[s] * F[s][j]
-        if not res.is_zero():
+        if not (dot(X, [F[s][j] for s in range(b)]) - phi[j].truncate(X[0].valid_order)).is_zero():
             raise InternalInvariantError("homological solve residual is nonzero")
     for s in range(b):
         if not X[s].fiber_part(0, 0).is_zero():
@@ -288,9 +278,7 @@ def horizontal_field(fam, t, X):
         if not X[i].is_zero():
             comps[(i,)] = X[i]
     for s in range(r):
-        acc = FiberSeries.zero(chart, vo)
-        for i in range(b):
-            acc = acc - X[i] * conn.gamma[i][s]
+        acc = -dot(X, [conn.gamma[i][s] for i in range(b)])
         if not acc.is_zero():
             comps[(b + s,)] = acc
     vo2 = min([c.valid_order for c in comps.values()] + [vo])
@@ -338,7 +326,8 @@ def verify_deformation_equation(fam, t_samples=DEFAULT_T_SAMPLES):
             continue
         H = mat_neg(member.fform_inverse)
         dF = [[fam.fform_t[i][j].dt().eval(t) for j in range(b)] for i in range(b)]
-        dH = mat_mul(mat_mul(H, dF), H)
+        # horizontal_bivector reads only the entries i < j
+        dH = mat_mul(mat_mul(H, dF), H, upper=True)
         lifts = [member.connection.hor_lift(i) for i in range(b)]
         W = [Multivector(chart, 1,
                          {(b + s,): fam.corrections[i][s] for s in range(r)

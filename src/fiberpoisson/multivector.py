@@ -25,7 +25,7 @@ one (a conservative rule; fiber differentiation may lose one order and
 we do not track which components actually used one).
 """
 
-from .series import FiberSeries, ChartMismatchError, _check_same_chart
+from .series import FiberSeries, ChartMismatchError, _check_same_chart, dot
 
 
 def merge_sign(I, J):
@@ -203,6 +203,15 @@ class Multivector(AntisymmetricTensor):
         return Multivector(self.chart, self.degree, out, self.valid_order)
 
 
+def _collect(terms):
+    """{K: sum of sign * x * y} over the (K, sign, x, y) in ``terms``, one
+    fused sum per index tuple K."""
+    groups = {}
+    for K, sign, x, y in terms:
+        groups.setdefault(K, []).append((x, y, sign))
+    return {K: dot(*zip(*g)) for K, g in groups.items()}
+
+
 def wedge(A, B):
     """Exterior product; graded-commutative, A^B = (-1)^(pq) B^A."""
     _check_same_chart(A, B)
@@ -210,15 +219,9 @@ def wedge(A, B):
     vo = min(A.valid_order, B.valid_order)
     if degree > A.chart.n_vars:
         return Multivector.zero(A.chart, degree, vo)
-    out = {}
-    for I, a in A.comps.items():
-        for J, b in B.comps.items():
-            K, sign = _merge(I, J)
-            if K is None:
-                continue
-            term = (a * b).scale(sign)
-            out[K] = out[K] + term if K in out else term
-    return Multivector(A.chart, degree, out, vo)
+    merged = ((_merge(I, J), a, b) for I, a in A.comps.items() for J, b in B.comps.items())
+    return Multivector(A.chart, degree, _collect((K, sign, a, b) for (K, sign), a, b in merged
+                                                 if K is not None), vo)
 
 
 def interior(alpha, T):
@@ -234,15 +237,8 @@ def interior(alpha, T):
     if len(alpha) != chart.n_vars:
         raise ValueError("1-form needs %d components" % chart.n_vars)
     vo = min([T.valid_order] + [a.valid_order for a in alpha])
-    out = {}
-    for I, c in T.comps.items():
-        for k, idx in enumerate(I):
-            a = alpha[idx]
-            if a.is_zero():
-                continue
-            J = I[:k] + I[k + 1:]
-            term = (a * c).scale(-1 if k % 2 else 1)
-            out[J] = out[J] + term if J in out else term
+    out = _collect((I[:k] + I[k + 1:], -1 if k % 2 else 1, alpha[idx], c)
+                   for I, c in T.comps.items() for k, idx in enumerate(I))
     return Multivector(chart, T.degree - 1, out, vo)
 
 
@@ -255,48 +251,49 @@ def schouten(A, B):
     degrees (1,0) and (1,1).
     """
     _check_same_chart(A, B)
-    chart = A.chart
-    p, q = A.degree, B.degree
-    vo = min(A.valid_order, B.valid_order) - 1
-    if p == 0 and q == 0:
-        return Multivector.zero(chart, 0, vo)
-    degree = p + q - 1
-    out = {}
-
-    def put(K, sign, series):
-        term = series.scale(sign)
-        if term.is_zero():
-            return
-        out[K] = out[K] + term if K in out else term
-
-    for I, a in A.comps.items():
-        for J, b in B.comps.items():
-            for k, ik in enumerate(I):
-                db = b.diff(ik)
-                if db.is_zero():
-                    continue
-                K, sign = _merge(I[:k] + I[k + 1:], J)
-                if K is None:
-                    continue
-                s = -1 if (p + k + 1) % 2 else 1
-                put(K, s * sign, a * db)
-            for m, jm in enumerate(J):
-                da = a.diff(jm)
-                if da.is_zero():
-                    continue
-                K, sign = _merge(I, J[:m] + J[m + 1:])
-                if K is None:
-                    continue
-                s = -1 if (m + 1) % 2 else 1
-                put(K, s * sign, b * da)
-    return Multivector(chart, degree, out, vo)
+    return _bracket(A, B, ((I, J, 1) for I in A.comps for J in B.comps))
 
 
 def jacobiator(P):
     """[[P, P]] for a bivector P; zero (at certified order) iff P is Poisson."""
     if P.degree != 2:
         raise ValueError("jacobiator expects a bivector")
-    return schouten(P, P)
+    # the bracket of two bivectors is symmetric, monomial pair by monomial
+    # pair: sum over I <= J and count each pair I < J twice
+    idx = sorted(P.comps)
+    return _bracket(P, P, ((I, J, 1 if I == J else 2)
+                           for n, I in enumerate(idx) for J in idx[n:]))
+
+
+def _bracket(A, B, pairs):
+    """sum of weight * [[a d_I, b d_J]] over the (I, J, weight) in ``pairs``,
+    each derivative of a component taken once."""
+    p, q = A.degree, B.degree
+    vo = min(A.valid_order, B.valid_order) - 1
+    if p == 0 and q == 0:
+        return Multivector.zero(A.chart, 0, vo)
+    diffs = {}
+
+    def diff(T, I, i):
+        key = (T is A, I, i)
+        if key not in diffs:
+            diffs[key] = T.comps[I].diff(i)
+        return diffs[key]
+
+    def terms():
+        for I, J, weight in pairs:
+            for k, ik in enumerate(I):
+                K, sign = _merge(I[:k] + I[k + 1:], J)
+                if K is not None:
+                    s = -1 if (p + k + 1) % 2 else 1
+                    yield K, weight * s * sign, A.comps[I], diff(B, J, ik)
+            for m, jm in enumerate(J):
+                K, sign = _merge(I, J[:m] + J[m + 1:])
+                if K is not None:
+                    s = -1 if (m + 1) % 2 else 1
+                    yield K, weight * s * sign, B.comps[J], diff(A, I, jm)
+
+    return Multivector(A.chart, p + q - 1, _collect(terms()), vo)
 
 
 def lie_derivative(X, T):

@@ -8,16 +8,18 @@ Text grammar for entering coefficient functions.
     var      := 'xi' uint | 'x' uint        (1-indexed)
 
 Whitespace is insignificant.  Parsing is exact: rationals are never
-rounded.  A literal term whose total fiber degree exceeds the chart's
-truncation order is dropped and the ``truncated`` flag is set on the
-result.
+rounded.  An expression is expanded exactly in the series ring, on a
+chart whose order no parsed term reaches (``MAX_EXPONENT`` bounds every
+term's total degree), and truncated once to the chart order; a term of
+the expansion above that order is dropped and the ``truncated`` flag is
+set on the result.
 """
 
+import functools
 import re
 from fractions import Fraction
-from operator import add
 
-from .series import FiberSeries
+from .series import ChartSpec, FiberSeries
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<var>xi\d+|x\d+)|(?P<op>[-+*/^()]))")
 
@@ -25,7 +27,7 @@ _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<var>xi\d+|x\d+)|(?P<op>[-+*/^()]))"
 # per level, so deeper input is refused before it exhausts the Python stack.
 MAX_NESTING = 100
 # Bounds on every intermediate polynomial, checked once per '^' or '*' before
-# the work: a variable's exponent, and a product's term count |a| * |b|.
+# the work: a term's total degree, and a product's term count |a| * |b|.
 MAX_EXPONENT = 100
 MAX_TERMS = 10000
 
@@ -40,73 +42,34 @@ class ParseError(ValueError):
 
 def _tokenize(text):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError("unexpected character %r" % stripped[0],
-                             len(text) - len(stripped))
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "var":
-            tokens.append(("var", m.group("var"), m.start("var")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+    end = 0
+    for m in iter(_TOKEN.scanner(text).match, None):
+        tokens.append((m.lastgroup, m[m.lastindex], m.start(m.lastindex)))
+        end = m.end()
+    stripped = text[end:].lstrip()
+    if stripped:
+        raise ParseError("unexpected character %r" % stripped[0], len(text) - len(stripped))
     return tokens
 
 
-class _Poly:
-    """Untruncated exponent-dict polynomial used only while parsing; its
-    coefficients are nonzero, and no variable's exponent exceeds ``deg``."""
-
-    __slots__ = ("terms", "deg")
-
-    def __init__(self, terms, deg):
-        self.terms = terms
-        self.deg = deg
-
-    def __neg__(self):
-        return _Poly({e: -c for e, c in self.terms.items()}, self.deg)
-
-    def __mul__(self, other):
-        if len(self.terms) == 1:
-            self, other = other, self
-        if len(other.terms) == 1:
-            # shifting exponents by one monomial is injective: no collisions
-            ((e2, c2),) = other.terms.items()
-            return _Poly({tuple(map(add, e1, e2)): c1 if c2 == 1 else c1 * c2
-                          for e1, c1 in self.terms.items()}, self.deg + other.deg)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return _Poly(out, self.deg + other.deg)
-
-
 class _Parser:
+    """Recursive descent over the token list.  A value is a pair (series,
+    deg): the series lives on ``self.chart``, of order at least
+    MAX_EXPONENT, and deg bounds the total degree of its terms."""
+
     def __init__(self, text, chart):
-        self.text = text
-        self.chart = chart
-        self.tokens = _tokenize(text)
+        self.chart, self.variables = _parse_chart(chart)
+        # the end sentinel is consumed only on the way to a ParseError
+        self.tokens = _tokenize(text) + [(None, None, len(text))]
         self.i = 0
         self.depth = 0
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
+        return self.tokens[self.i]
 
     def next(self):
-        tok = self.peek()
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1]
 
     def expect_op(self, op):
         kind, val, pos = self.next()
@@ -118,7 +81,7 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind is not None:
             raise ParseError("unexpected trailing input %r" % val, pos)
-        return value
+        return value[0]
 
     def expr(self):
         kind, val, pos = self.peek()
@@ -126,23 +89,18 @@ class _Parser:
         if kind == "op" and val in "+-":
             self.next()
             negate = val == "-"
-        out = {}
+        parts = []
         deg = 0
         while True:
-            term = self.term()
-            deg = max(deg, term.deg)
-            for e, c in term.terms.items():
-                s = out.get(e, 0) + (-c if negate else c)
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+            term, tdeg = self.term()
+            deg = max(deg, tdeg)
+            parts.append(-term if negate else term)
             kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
                 negate = val == "-"
             else:
-                return _Poly(out, deg)
+                return FiberSeries.sum(parts), deg
 
     def term(self):
         value = self.factor()
@@ -156,11 +114,12 @@ class _Parser:
 
     def product(self, a, b, pos):
         """a * b, refused when it could exceed MAX_TERMS or MAX_EXPONENT."""
-        if len(a.terms) * len(b.terms) > MAX_TERMS:
+        (sa, da), (sb, db) = a, b
+        if len(sa) * len(sb) > MAX_TERMS:
             raise ParseError("product of more than %d terms" % MAX_TERMS, pos)
-        if a.deg + b.deg > MAX_EXPONENT:
+        if da + db > MAX_EXPONENT:
             raise ParseError("exponent above %d" % MAX_EXPONENT, pos)
-        return a * b
+        return sa * sb, da + db
 
     def factor(self):
         value = self.atom()
@@ -175,7 +134,7 @@ class _Parser:
                 if n > MAX_EXPONENT:
                     raise ParseError("exponent above %d" % MAX_EXPONENT, pos)
                 base = value
-                value = base if n else _Poly({(0,) * self.chart.n_vars: Fraction(1)}, 0)
+                value = base if n else (FiberSeries.constant(self.chart, 1), 0)
                 for _ in range(n - 1):
                     value = self.product(value, base, pos)
             else:
@@ -183,11 +142,10 @@ class _Parser:
 
     def atom(self):
         kind, val, pos = self.next()
-        n = self.chart.n_vars
         if kind == "op" and val in "-(":
             return self.nested(val, pos)
         if kind == "num":
-            num = Fraction(int(val))
+            num = int(val)
             kind2, val2, _ = self.peek()
             if kind2 == "op" and val2 == "/":
                 self.next()
@@ -196,22 +154,14 @@ class _Parser:
                     raise ParseError("expected an integer denominator", pos3)
                 if int(val3) == 0:
                     raise ParseError("zero denominator", pos3)
-                num /= int(val3)
-            return _Poly({(0,) * n: num} if num else {}, 0)
+                num = Fraction(num, int(val3))
+            return FiberSeries.constant(self.chart, num), 0
         if kind == "var":
-            if val.startswith("xi"):
-                k = int(val[2:]) - 1
-                if not 0 <= k < self.chart.base_dim:
-                    raise ParseError("unknown variable %r" % val, pos)
-                idx = k
-            else:
-                k = int(val[1:]) - 1
-                if not 0 <= k < self.chart.fiber_dim:
-                    raise ParseError("unknown variable %r" % val, pos)
-                idx = self.chart.base_dim + k
-            exps = [0] * n
-            exps[idx] = 1
-            return _Poly({tuple(exps): Fraction(1)}, 1)
+            base = val.startswith("xi")
+            k = int(val[2 if base else 1:]) - 1
+            if not 0 <= k < (self.chart.base_dim if base else self.chart.fiber_dim):
+                raise ParseError("unknown variable %r" % val, pos)
+            return self.variables[k if base else self.chart.base_dim + k], 1
         if kind is None:
             raise ParseError("unexpected end of input", pos)
         raise ParseError("unexpected token %r" % val, pos)
@@ -222,7 +172,8 @@ class _Parser:
             raise ParseError("expression nested deeper than %d levels" % MAX_NESTING, pos)
         self.depth += 1
         if op == "-":
-            value = -self.atom()
+            value, deg = self.atom()
+            value = -value, deg
         else:
             value = self.expr()
             self.expect_op(")")
@@ -230,7 +181,14 @@ class _Parser:
         return value
 
 
+@functools.lru_cache(maxsize=64)
+def _parse_chart(chart):
+    """The chart a parse expands on (the same variables, at an order no
+    parsed term reaches) and its variables, made once per chart."""
+    pchart = ChartSpec(chart.base_dim, chart.fiber_dim, max(chart.trunc_order, MAX_EXPONENT))
+    return pchart, tuple(FiberSeries.variable(pchart, idx) for idx in range(pchart.n_vars))
+
+
 def parse_series(text, chart):
     """Parse an expression into a :class:`FiberSeries` at the chart order."""
-    poly = _Parser(text, chart).parse()
-    return FiberSeries(chart, poly.terms, chart.trunc_order)
+    return _Parser(text, chart).parse().on_chart(chart)

@@ -4,32 +4,51 @@ Exact truncated series arithmetic on a fiber-bundle chart.
 A chart carries base coordinates ``xi1 .. xi{2k}`` and fiber coordinates
 ``x1 .. x{r}``.  A :class:`FiberSeries` is a polynomial in the base
 variables and a power series in the fiber variables, truncated at a
-recorded total fiber degree.  Coefficients are exact rationals
-(:class:`fractions.Fraction`); floats appear only in :class:`FloatEvaluator`
-and its one-series call ``evaluate_float``.
+recorded total fiber degree.  Coefficients are exact rationals; floats
+appear only in :class:`FloatEvaluator` and its one-series call
+``evaluate_float``.
 
 The truncation bookkeeping follows one rule throughout: every object
 knows up to which total fiber degree its stored terms are certified
 (``valid_order``).  Base-variable degrees are never truncated.
 Differentiating in a fiber variable lowers the certified order by one;
 sums and products certify the minimum of their operands' orders.
+
+A series stores packed monomials (Monagan and Pearce, *Sparse polynomial
+arithmetic*, 2007) mapped to nonzero integer numerators over one positive
+denominator, no factor common to all of them, so equal series are stored
+alike.  The exponents e_0 .. e_{n-1} (base first) pack into the integer
+sum_v e_v << 16 v + (fiber degree) << 16 n: one 16-bit field per variable
+and the fiber degree in the unbounded top field.  A product's key is the
+sum of its factors' keys, and keys ordered as integers are ordered by
+fiber degree first.  No exponent may exceed MAX_FIELD = 2^16 - 1: such a
+monomial is refused, and a product whose operands could carry one field
+into the next raises ValueError (checked once per product against a
+per-series exponent bound); a field never wraps.  Only this module reads
+packed keys: ``FiberSeries.terms`` views them as exponent tuples with
+:class:`fractions.Fraction` values.
 """
 
+import functools
+import operator
+from collections.abc import Mapping
 from fractions import Fraction
-from operator import add, itemgetter
+from math import gcd, lcm, prod
 
 import numpy as np
+
+FIELD_BITS = 16
+MAX_FIELD = (1 << FIELD_BITS) - 1
 
 
 class ChartMismatchError(ValueError):
     """Operands live on different charts."""
 
 
-def _as_fraction(c):
-    if isinstance(c, Fraction):
+def _rational(c):
+    """c itself if it is an exact rational (an int or a Fraction)."""
+    if isinstance(c, (int, Fraction)):
         return c
-    if isinstance(c, int):
-        return Fraction(c)
     raise TypeError("expected an exact rational, got %r" % (c,))
 
 
@@ -91,69 +110,150 @@ class ChartSpec:
 
 
 def _check_same_chart(a, b):
-    if a.chart != b.chart:
+    if a.chart is not b.chart and a.chart != b.chart:
         raise ChartMismatchError("series live on different charts: %r vs %r"
                                  % (a.chart, b.chart))
 
 
+# -- packed monomials ----------------------------------------------------
+
+def _top(chart, order):
+    """The least key of fiber degree above ``order``."""
+    return (order + 1) << (FIELD_BITS * chart.n_vars)
+
+
+def _pack(chart, exps):
+    if len(exps) != chart.n_vars:
+        raise ValueError("exponent tuple of wrong length: %r" % (exps,))
+    key = 0
+    for v, e in enumerate(exps):
+        e = operator.index(e)
+        if not 0 <= e <= MAX_FIELD:
+            raise ValueError("exponent %d outside 0..%d" % (e, MAX_FIELD))
+        key |= e << (FIELD_BITS * v)
+    return key | (sum(exps[chart.base_dim:]) << (FIELD_BITS * chart.n_vars))
+
+
+def _unpack(chart, key):
+    return tuple((key >> (FIELD_BITS * v)) & MAX_FIELD for v in range(chart.n_vars))
+
+
+def _product_bound(a, b):
+    """An exponent bound for a * b; ValueError when a field could overflow.
+    The stored bounds may be loose, so past MAX_FIELD compare the exact
+    maxima per field."""
+    bound = a._bound + b._bound
+    if bound > MAX_FIELD:
+        bound = max(max(((k >> (FIELD_BITS * v)) & MAX_FIELD for k in a._num), default=0)
+                    + max(((k >> (FIELD_BITS * v)) & MAX_FIELD for k in b._num), default=0)
+                    for v in range(a.chart.n_vars))
+        if bound > MAX_FIELD:
+            raise ValueError("a product's exponent would exceed %d" % MAX_FIELD)
+    return bound
+
+
+def _mul_into(out, lhs, rhs, top):
+    """Add the products of the (key, numerator) pairs of ``lhs`` with the
+    sorted pairs ``rhs`` into ``out``, keeping keys below ``top``; zero
+    sums stay in ``out``."""
+    get = out.get
+    for k1, c1 in lhs:
+        lim = top - k1
+        for k2, c2 in rhs:
+            if k2 >= lim:
+                break
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+
+
+def _nonzero(out):
+    return {k: c for k, c in out.items() if c} if 0 in out.values() else out
+
+
+class _Terms(Mapping):
+    """Read-only view of a series' terms: exponent tuples (base exponents
+    first) to nonzero Fractions."""
+
+    __slots__ = ("_series",)
+
+    def __init__(self, series):
+        self._series = series
+
+    def __len__(self):
+        return len(self._series._num)
+
+    def __iter__(self):
+        return (_unpack(self._series.chart, k) for k in self._series._num)
+
+    def __getitem__(self, exps):
+        s = self._series
+        try:
+            key = _pack(s.chart, exps)
+        except (TypeError, ValueError):
+            raise KeyError(exps)
+        return Fraction(s._num[key], s._den)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
 class FiberSeries:
     """
-    Exact-rational coefficient function on a chart.
-
-    Terms are stored as a map from exponent tuples (base exponents
-    first, then fiber exponents) to nonzero rationals.  Monomials whose
-    total fiber degree exceeds ``valid_order`` are never stored.
-
+    Exact-rational coefficient function on a chart.  ``terms`` views its
+    terms as exponent tuples (base exponents first) mapped to nonzero
+    rationals; no term of fiber degree above ``valid_order`` is stored.
     ``truncated`` records that certified content was discarded while
     building this object (a literal term beyond the chart order, or a
-    fiber derivative that exhausted the certified order).  The flag is
-    carried through arithmetic as metadata.
+    fiber derivative that exhausted the certified order); arithmetic
+    carries the flag as metadata.
     """
 
-    __slots__ = ("chart", "valid_order", "terms", "truncated")
+    __slots__ = ("chart", "valid_order", "truncated", "_num", "_den", "_bound")
 
     def __init__(self, chart, terms=None, valid_order=None, truncated=False):
         # valid_order may be negative: "no certified content"
         vo = chart.trunc_order if valid_order is None else min(valid_order, chart.trunc_order)
+        top = _top(chart, vo)
         clean = {}
         dropped = False
+        bound = 0
         if terms:
-            n = chart.n_vars
             for exps, coeff in terms.items():
-                coeff = _as_fraction(coeff)
+                coeff = _rational(coeff)
                 if coeff == 0:
                     continue
-                if len(exps) != n:
-                    raise ValueError("exponent tuple of wrong length: %r" % (exps,))
-                if chart.fiber_degree(exps) > vo:
+                key = _pack(chart, exps)
+                if key >= top:
                     dropped = True
                     continue
-                exps = tuple(exps)
-                prev = clean.get(exps)
-                if prev is None:
-                    clean[exps] = coeff
-                else:
-                    s = prev + coeff
-                    if s == 0:
-                        del clean[exps]
-                    else:
-                        clean[exps] = s
-        self.chart = chart
-        self.valid_order = vo
-        self.terms = clean
-        self.truncated = bool(truncated or dropped)
+                clean[key] = clean.get(key, 0) + coeff
+                bound = max(bound, max(exps, default=0))
+        clean = _nonzero(clean)
+        # reduced fractions over their least common denominator share no factor
+        den = lcm(*(c.denominator for c in clean.values()))
+        self.chart, self.valid_order, self.truncated = chart, vo, bool(truncated or dropped)
+        self._num = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
+        self._den, self._bound = den, bound
 
     @classmethod
-    def _trusted(cls, chart, terms, valid_order, truncated):
-        """Wrap an internal result without re-validation: ``terms`` must
-        already map tuples to nonzero Fractions of fiber degree at most
-        ``valid_order <= chart.trunc_order``."""
+    def _reduced(cls, chart, num, den, valid_order, truncated, bound):
+        """Wrap an internal result without re-validation, cancelling the
+        common factor of ``den`` and the numerators: ``num`` must map keys
+        of fiber degree at most ``valid_order <= chart.trunc_order`` to
+        nonzero integers."""
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {k: c // g for k, c in num.items()}
         out = cls.__new__(cls)
-        out.chart = chart
-        out.valid_order = valid_order
-        out.terms = terms
-        out.truncated = truncated
+        out.chart, out.valid_order, out.truncated = chart, valid_order, truncated
+        out._num, out._den, out._bound = num, den, bound
         return out
+
+    @property
+    def terms(self):
+        return _Terms(self)
 
     # -- constructors -------------------------------------------------
 
@@ -163,8 +263,12 @@ class FiberSeries:
 
     @classmethod
     def constant(cls, chart, value, valid_order=None):
-        exps = (0,) * chart.n_vars
-        return cls(chart, {exps: _as_fraction(value)}, valid_order)
+        value = _rational(value)
+        vo = chart.trunc_order if valid_order is None else min(valid_order, chart.trunc_order)
+        if vo < 0:
+            return cls(chart, {(0,) * chart.n_vars: value}, vo)
+        num = {0: value.numerator} if value else {}
+        return cls._reduced(chart, num, value.denominator, vo, False, 0)
 
     @classmethod
     def variable(cls, chart, idx, valid_order=None):
@@ -174,65 +278,84 @@ class FiberSeries:
 
     @classmethod
     def monomial(cls, chart, exps, coeff, valid_order=None):
-        return cls(chart, {tuple(exps): _as_fraction(coeff)}, valid_order)
+        return cls(chart, {tuple(exps): _rational(coeff)}, valid_order)
+
+    @classmethod
+    def sum(cls, parts):
+        """The sum of a nonempty sequence of series on one chart, added
+        into one dict over the least common denominator of the parts."""
+        first = parts[0]
+        vo, truncated, bound = first.valid_order, False, 0
+        for s in parts:
+            _check_same_chart(first, s)
+            if s.valid_order < vo:
+                vo = s.valid_order
+            if s._bound > bound:
+                bound = s._bound
+            truncated = truncated or s.truncated
+        parts = [s if s.valid_order == vo else s.truncate(vo) for s in parts]
+        den = lcm(*[s._den for s in parts])
+        # the longest part seeds the dict, the others are added into it
+        sizes = [len(s._num) for s in parts]
+        h = sizes.index(max(sizes))
+        head = parts[h]
+        f = den // head._den
+        out = head._num.copy() if f == 1 else {k: c * f for k, c in head._num.items()}
+        get = out.get
+        for i, s in enumerate(parts):
+            if i != h:
+                f = den // s._den
+                for k, c in s._num.items():
+                    out[k] = get(k, 0) + c * f
+        return cls._reduced(first.chart, _nonzero(out), den, vo, truncated, bound)
 
     # -- basic queries ------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self._num
 
     def is_fiber_independent(self):
-        b = self.chart.base_dim
-        return all(sum(e[b:]) == 0 for e in self.terms)
+        top = _top(self.chart, 0)
+        return all(k < top for k in self._num)
 
     def fiber_degrees(self):
-        b = self.chart.base_dim
-        return {sum(e[b:]) for e in self.terms}
+        shift = FIELD_BITS * self.chart.n_vars
+        return {k >> shift for k in self._num}
 
     def constant_term(self):
-        return self.terms.get((0,) * self.chart.n_vars, Fraction(0))
+        return Fraction(self._num.get(0, 0), self._den)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
+
+    def __len__(self):
+        """The number of stored terms."""
+        return len(self._num)
 
     def __eq__(self, other):
         if not isinstance(other, FiberSeries):
             return NotImplemented
-        return (self.chart == other.chart and self.terms == other.terms
-                and self.valid_order == other.valid_order)
+        return (self.chart == other.chart and self._den == other._den
+                and self._num == other._num and self.valid_order == other.valid_order)
 
     def __hash__(self):
-        return hash((self.chart, self.valid_order, frozenset(self.terms.items())))
+        return hash((self.chart, self.valid_order, self._den, frozenset(self._num.items())))
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = FiberSeries.constant(self.chart, other, self.valid_order)
-        _check_same_chart(self, other)
-        vo = min(self.valid_order, other.valid_order)
-        out = self.truncate(vo).terms.copy()
-        for exps, c in other.truncate(vo).terms.items():
-            s = out.get(exps)
-            if s is None:
-                out[exps] = c
-            else:
-                s += c
-                if s:
-                    out[exps] = s
-                else:
-                    del out[exps]
-        return FiberSeries._trusted(self.chart, out, vo, self.truncated or other.truncated)
+        return FiberSeries.sum((self, other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = {e: -c for e, c in self.terms.items()}
-        return FiberSeries._trusted(self.chart, out, self.valid_order, self.truncated)
+        out = {k: -c for k, c in self._num.items()}
+        return FiberSeries._reduced(self.chart, out, self._den, self.valid_order,
+                                    self.truncated, self._bound)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = FiberSeries.constant(self.chart, other, self.valid_order)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -243,80 +366,91 @@ class FiberSeries:
             return self.scale(other)
         _check_same_chart(self, other)
         vo = min(self.valid_order, other.valid_order)
-        b = self.chart.base_dim
-        # other's terms in ascending fiber degree: the inner loop stops at
-        # the first term that would overshoot the certified order
-        rhs = sorted(((sum(e[b:]), e, c) for e, c in other.terms.items()),
-                     key=itemgetter(0))
-        out = {}
-        for e1, c1 in self.terms.items():
-            budget = vo - sum(e1[b:])
-            for d2, e2, c2 in rhs:
-                if d2 > budget:
-                    break
-                exps = tuple(map(add, e1, e2))
-                s = out.get(exps)
-                if s is None:
-                    out[exps] = c1 * c2
-                else:
-                    s += c1 * c2
-                    if s:
-                        out[exps] = s
-                    else:
-                        del out[exps]
-        return FiberSeries._trusted(self.chart, out, vo, self.truncated or other.truncated)
+        bound = self._bound + other._bound
+        if bound > MAX_FIELD:
+            bound = _product_bound(self, other)
+        top = (vo + 1) << (FIELD_BITS * (self.chart.base_dim + self.chart.fiber_dim))
+        a, b = self._num, other._num
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # shifting by one monomial is injective: no collisions, no zeros
+            ((k2, c2),) = b.items()
+            lim = top - k2
+            out = {k1 + k2: c1 * c2 for k1, c1 in a.items() if k1 < lim}
+        else:
+            # rows stop at the first right term beyond the certified order
+            out = {}
+            _mul_into(out, a.items(), sorted(b.items()), top)
+            out = _nonzero(out)
+        return FiberSeries._reduced(self.chart, out, self._den * other._den, vo,
+                                    self.truncated or other.truncated, bound)
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = _as_fraction(c)
+        c = _rational(c)
         if c == 0:
             return FiberSeries.zero(self.chart, self.valid_order)
-        out = {e: c * v for e, v in self.terms.items()}
-        return FiberSeries._trusted(self.chart, out, self.valid_order, self.truncated)
+        p = c.numerator
+        out = {k: p * v for k, v in self._num.items()}
+        return FiberSeries._reduced(self.chart, out, self._den * c.denominator,
+                                    self.valid_order, self.truncated, self._bound)
 
     def diff(self, idx):
         """Exact partial derivative in direction ``idx`` (0-based, base then fiber)."""
         chart = self.chart
         if idx < 0 or idx >= chart.n_vars:
             raise IndexError("variable index out of range")
-        out = {}
-        for exps, c in self.terms.items():
-            k = exps[idx]
-            if k:
-                out[exps[:idx] + (k - 1,) + exps[idx + 1:]] = c if k == 1 else c * k
-        if idx < chart.base_dim:
-            return FiberSeries._trusted(chart, out, self.valid_order, self.truncated)
-        vo = self.valid_order - 1
-        return FiberSeries._trusted(chart, out, vo, self.truncated or vo < 0)
+        pos = FIELD_BITS * idx
+        unit = 1 << pos
+        vo = self.valid_order
+        truncated = self.truncated
+        if idx >= chart.base_dim:
+            unit += 1 << (FIELD_BITS * chart.n_vars)
+            vo -= 1
+            truncated = truncated or vo < 0
+        out = {k - unit: c * e for k, c in self._num.items() if (e := (k >> pos) & MAX_FIELD)}
+        return FiberSeries._reduced(chart, out, self._den, vo, truncated, self._bound)
 
     def truncate(self, order):
         """Drop fiber degrees above ``order`` and lower the certified order (no flag)."""
         vo = min(self.valid_order, order)
         if vo == self.valid_order:
             return self
-        fd = self.chart.fiber_degree
-        out = {e: c for e, c in self.terms.items() if fd(e) <= vo}
-        return FiberSeries._trusted(self.chart, out, vo, self.truncated)
+        top = _top(self.chart, vo)
+        out = {k: c for k, c in self._num.items() if k < top}
+        return FiberSeries._reduced(self.chart, out, self._den, vo, self.truncated, self._bound)
+
+    def on_chart(self, chart):
+        """This series on ``chart``, a chart with the same variables: terms
+        above its order are dropped and set the ``truncated`` flag."""
+        if chart.n_vars != self.chart.n_vars or chart.base_dim != self.chart.base_dim:
+            raise ChartMismatchError("%r and %r have different variables" % (self.chart, chart))
+        vo = min(self.valid_order, chart.trunc_order)
+        top = _top(chart, vo)
+        out = {k: c for k, c in self._num.items() if k < top}
+        return FiberSeries._reduced(chart, out, self._den, vo,
+                                    self.truncated or len(out) < len(self._num), self._bound)
 
     # -- structural helpers -------------------------------------------
 
     def fiber_part(self, lo, hi):
         """Terms whose total fiber degree lies in [lo, hi]; certified order kept."""
-        fd = self.chart.fiber_degree
-        out = {e: c for e, c in self.terms.items() if lo <= fd(e) <= hi}
-        return FiberSeries(self.chart, out, self.valid_order, self.truncated)
+        low, top = _top(self.chart, lo - 1), _top(self.chart, hi)
+        out = {k: c for k, c in self._num.items() if low <= k < top}
+        return FiberSeries._reduced(self.chart, out, self._den, self.valid_order,
+                                    self.truncated, self._bound)
 
     def xi_coefficient(self, fiber_exps):
         """Coefficient of the fiber monomial ``x^fiber_exps`` as a base polynomial."""
-        b = self.chart.base_dim
-        fiber_exps = tuple(fiber_exps)
-        zeros = (0,) * self.chart.fiber_dim
-        out = {}
-        for exps, c in self.terms.items():
-            if exps[b:] == fiber_exps:
-                out[exps[:b] + zeros] = c
-        return FiberSeries(self.chart, out, self.valid_order, self.truncated)
+        chart = self.chart
+        pos = FIELD_BITS * chart.base_dim
+        want = _pack(chart, (0,) * chart.base_dim + tuple(fiber_exps)) >> pos
+        mask = (1 << pos) - 1
+        out = {k & mask: c for k, c in self._num.items() if k >> pos == want}
+        return FiberSeries._reduced(chart, out, self._den, self.valid_order,
+                                    self.truncated, self._bound)
 
     def substitute_fiber(self, gmat):
         """
@@ -325,73 +459,59 @@ class FiberSeries:
         The map is fiber-linear, so total fiber degree is preserved and the
         certified order is unchanged.
         """
-        chart = self.chart
-        r = chart.fiber_dim
-        b = chart.base_dim
-        for row in gmat:
-            for g in row:
-                if not g.is_fiber_independent():
-                    raise ValueError("fiber substitution matrix must be fiber independent")
-        images = [FiberSeries.zero(chart, self.valid_order) for _ in range(r)]
-        for s in range(r):
-            for t in range(r):
-                g = gmat[s][t]
-                if g:
-                    images[s] = images[s] + g.truncate(self.valid_order) * FiberSeries.variable(chart, b + t, self.valid_order)
-        result = FiberSeries.zero(chart, self.valid_order)
+        chart, vo = self.chart, self.valid_order
+        b, r = chart.base_dim, chart.fiber_dim
+        if not all(g.is_fiber_independent() for row in gmat for g in row):
+            raise ValueError("fiber substitution matrix must be fiber independent")
+        x = [FiberSeries.variable(chart, b + t, vo) for t in range(r)]
+        zero = FiberSeries.zero(chart, vo)
+        images = [FiberSeries.sum([zero] + [g.truncate(vo) * x[t] for t, g in enumerate(row) if g])
+                  for row in gmat]
+        parts = [zero]
         for exps, c in self.terms.items():
-            term = FiberSeries.monomial(chart, exps[:b] + (0,) * r, c, self.valid_order)
+            term = FiberSeries.monomial(chart, exps[:b] + (0,) * r, c, vo)
             for s in range(r):
                 for _ in range(exps[b + s]):
                     term = term * images[s]
-            result = result + term
-        return result
+            parts.append(term)
+        return FiberSeries.sum(parts)
 
     # -- evaluation ----------------------------------------------------
 
     def evaluate(self, point):
         """Exact evaluation at a point given as a sequence of n_vars rationals."""
-        point = [_as_fraction(v) for v in point]
+        point = [_rational(v) for v in point]
         if len(point) != self.chart.n_vars:
             raise ValueError("point has wrong dimension")
-        total = Fraction(0)
-        for exps, c in self.terms.items():
-            v = c
-            for x, e in zip(point, exps):
-                if e:
-                    v *= x ** e
-            total += v
-        return total
+        return Fraction(sum(c * prod(x ** e for x, e in zip(point, exps) if e)
+                            for exps, c in zip(self.terms, self._num.values())), self._den)
 
     def evaluate_float(self, point):
         return float(FloatEvaluator([self])([point])[0, 0])
 
     # -- rendering ------------------------------------------------------
 
-    def _sort_key(self, exps):
-        return (sum(exps), exps)
-
     def render(self):
         """Canonical text form: graded-lex term order, xi variables before x."""
-        if not self.terms:
+        if not self._num:
             return "0"
         parts = []
-        for exps in sorted(self.terms, key=self._sort_key):
-            coeff = self.terms[exps]
+        for exps, c in sorted(zip(self.terms, self._num.values()),
+                              key=lambda t: (sum(t[0]), t[0])):
             factors = []
             for idx, e in enumerate(exps):
                 if e == 0:
                     continue
                 name = self.chart.var_name(idx)
                 factors.append(name if e == 1 else "%s^%d" % (name, e))
-            mag = abs(coeff)
+            mag = Fraction(abs(c), self._den)
             if not factors:
                 body = str(mag)
             elif mag == 1:
                 body = "*".join(factors)
             else:
                 body = str(mag) + "*" + "*".join(factors)
-            parts.append(("-" if coeff < 0 else "+", body))
+            parts.append(("-" if c < 0 else "+", body))
         sign, body = parts[0]
         text = ("-" if sign == "-" else "") + body
         for sign, body in parts[1:]:
@@ -416,14 +536,16 @@ class FloatEvaluator:
         charts = {s.chart for s in series}
         if len(charts) > 1:
             raise ChartMismatchError("series live on different charts")
-        self.n_vars = charts.pop().n_vars if charts else None
+        chart = charts.pop() if charts else None
+        self.n_vars = chart.n_vars if chart else None
         index = {}
         try:
-            terms = [(index.setdefault(e, len(index)), j, float(c))
-                     for j, s in enumerate(series) for e, c in s.terms.items()]
+            terms = [(index.setdefault(k, len(index)), j, c / s._den)
+                     for j, s in enumerate(series) for k, c in s._num.items()]
         except OverflowError:
             raise ValueError("a series coefficient lies outside the float range")
-        self.exponents = np.array(list(index), dtype=int).reshape(len(index), self.n_vars or 0)
+        self.exponents = np.array([_unpack(chart, k) for k in index],
+                                  dtype=int).reshape(len(index), self.n_vars or 0)
         self.tops = [max(col, default=0) for col in self.exponents.T.tolist()]
         self.coefficients = np.zeros((len(index), len(series)))
         for k, j, c in terms:
@@ -449,18 +571,36 @@ def mat_identity(chart, n, valid_order=None):
              else FiberSeries.zero(chart, valid_order) for j in range(n)] for i in range(n)]
 
 
-def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = A[i][0] * B[0][j]
-            for s in range(1, k):
-                acc = acc + A[i][s] * B[s][j]
-            row.append(acc)
-        out.append(row)
-    return out
+def dot(xs, ys, weights=None):
+    """sum_s weights[s] * xs[s] * ys[s] for nonempty sequences of series on
+    one chart and integer weights (default 1), accumulated into one dict
+    over one denominator."""
+    operands = [*xs, *ys]
+    chart = xs[0].chart
+    for s in operands:
+        _check_same_chart(xs[0], s)
+    vo = min(s.valid_order for s in operands)
+    top = _top(chart, vo)
+    pairs = [(x, y, w) for x, y, w in zip(xs, ys, weights or [1] * len(xs), strict=True)
+             if x._num and y._num and w]
+    den = lcm(*(x._den * y._den for x, y, _ in pairs))
+    out = {}
+    bound = 0
+    for x, y, w in pairs:
+        bound = max(bound, _product_bound(x, y))
+        f = den // (x._den * y._den) * w
+        lhs = x._num.items() if f == 1 else [(k, c * f) for k, c in x._num.items()]
+        _mul_into(out, lhs, sorted(y._num.items()), top)
+    return FiberSeries._reduced(chart, _nonzero(out), den, vo,
+                                any(s.truncated for s in operands), bound)
+
+
+def mat_mul(A, B, upper=False):
+    """The product A B; with ``upper`` only its entries i < j are formed and
+    the others are None."""
+    cols = [list(col) for col in zip(*B, strict=True)]
+    return [[dot(row, col) if not upper or i < j else None for j, col in enumerate(cols)]
+            for i, row in enumerate(A)]
 
 
 def mat_neg(A):
@@ -509,9 +649,15 @@ def matrix_invert(M, M0_inv):
         for a in row:
             if a.chart != chart:
                 raise ChartMismatchError("matrix entries live on different charts")
-    M0 = mat_fiber_zero_part(M)
-    if not mat_is_inverse(M0_inv, M0):
+    if not mat_is_inverse(M0_inv, mat_fiber_zero_part(M)):
         raise ValueError("M0_inv is not an exact inverse of the fiber-degree-0 part")
+    return _neumann_inverse(M, M0_inv)
+
+
+def _neumann_inverse(M, M0_inv):
+    """The Neumann expansion of ``matrix_invert``, for a caller that has
+    already checked ``M0_inv`` against the fiber-degree-0 part of M."""
+    M0 = mat_fiber_zero_part(M)
     vo = min(mat_valid_order(M), mat_valid_order(M0_inv))
     dM = [[a - a0 for a, a0 in zip(ra, r0)] for ra, r0 in zip(M, M0)]
     K = mat_neg(mat_mul(M0_inv, dM))

@@ -3,6 +3,7 @@ import json
 import contextlib
 import pathlib
 import re
+import sys
 import time
 
 import pytest
@@ -432,6 +433,10 @@ class TestMalformedShapes:
         ("verify-data", "fform", [["0", "1"], ["1", "0"]], "fform: matrix must be antisymmetric"),
         ("check-jacobi", "pi", [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
          "pi: matrix must be antisymmetric"),
+        ("moser-flow", "points", [[float("nan"), 0.1, 0.1]], "sample point 0 is not finite"),
+        ("moser-flow", "points", [[0.1, 0.1, 0.1], [float("inf"), 0.1, 0.1]],
+         "sample point 1 is not finite"),
+        ("moser-flow", "points", [[0.1, "-inf", 0.1]], "sample point 0 is not finite"),
     ])
     def test_exit_two(self, command, key, value, message, tmp_path):
         doc = json.loads((ROOT / "problems" / "e1.problem.json").read_text())
@@ -507,6 +512,34 @@ class TestParserBounds:
         assert time.perf_counter() - t0 < 1.0
         assert code == 2
         assert "connection[0][0]: " in err and "(at position" in err
+
+
+class TestExactRing:
+    def test_exponent_overflow_exits_two(self, tmp_path):
+        # the Neumann inverse of this 2-form holds xi1^(99 m) x1^m at fiber
+        # degree m: past the ring's 16-bit exponent field from m = 662 on
+        doc = e1_problem()
+        doc["fform"] = [["0", "1 + xi1^99*x1"], ["-1 - xi1^99*x1", "0"]]
+        path = write(tmp_path, "p.json", doc)
+        assert run(["assemble", path, "--order", "600"])[0] == 0
+        code, out, err = run(["assemble", path, "--order", "700"])
+        assert (code, out) == (2, "")
+        assert err == "input error: a product's exponent would exceed 65535\n"
+
+    def test_each_neumann_seed_checked_once(self, monkeypatch):
+        # one check per data set built (the base data and five samples); the
+        # Neumann expansions reuse those checks
+        from fiberpoisson import series
+        calls = []
+        original = series.mat_is_inverse
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("fiberpoisson")
+                    and getattr(mod, "mat_is_inverse", None) is original):
+                monkeypatch.setattr(mod, "mat_is_inverse",
+                                    lambda A, B: calls.append(1) or original(A, B))
+        path = str(ROOT / "tests" / "data" / "wong_family.problem.json")
+        assert run(["moser-verify", path])[0] == 0
+        assert len(calls) == 6
 
 
 class TestCatchAll:

@@ -177,6 +177,16 @@ class TestGradedIdentities:
             assert total.is_zero()
 
 
+    def test_jacobiator_is_the_full_self_bracket(self):
+        # jacobiator sums over pairs I <= J only, counting I < J twice
+        r = rng(9)
+        for ch in (chart(2, 1, 3), chart(2, 2, 3)):
+            for _ in range(10):
+                P = rand_multivector(r, ch, 2, terms=3)
+                assert jacobiator(P).render() == schouten(P, P).render()
+                assert jacobiator(P).valid_order == schouten(P, P).valid_order
+
+
 class TestOracleAgreement:
     def test_component_lookup_matches_permutation_expansion(self):
         r = rng(9)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fiberpoisson import ChartSpec, FiberSeries, matrix_invert, ChartMismatchError
-from fiberpoisson.series import mat_mul, mat_identity, mat_is_identity, FloatEvaluator
+from fiberpoisson.series import (mat_mul, mat_identity, mat_is_identity, FloatEvaluator, dot,
+                                 MAX_FIELD)
 
 from fixtures import S, rng, rand_series
 
@@ -197,6 +198,125 @@ class TestSympyDifferential:
         assert t.terms == self.truncated_terms(ea, xs, vo)
         assert (t.valid_order, t.truncated) == (vo, a.truncated)
         self.check_clean(t)
+
+
+@st.composite
+def mixed_denominator_series(draw):
+    """Like mixed_series, with coefficients over products of distinct prime
+    powers, so operands rarely share a denominator."""
+    n = DIFF_CHART.n_vars
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        exps = tuple(draw(st.integers(0, 2)) for _ in range(n))
+        den = 1
+        for p in draw(st.lists(st.sampled_from([2, 3, 4, 5, 7, 9, 11, 25]), max_size=3)):
+            den *= p
+        terms[exps] = Fraction(draw(st.integers(-60, 60)), den)
+    vo = draw(st.integers(-1, DIFF_CHART.trunc_order))
+    return FiberSeries(DIFF_CHART, terms, vo)
+
+
+class TestSympyMixedDenominators:
+    """The sympy cross-check on operands whose coefficients have unrelated
+    denominators: one denominator per series must cancel exactly."""
+
+    sym = TestSympyDifferential
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_denominator_series(), mixed_denominator_series(), mixed_denominator_series(),
+           st.integers(-3, 3))
+    def test_ring_operations(self, a, b, c, w):
+        ea, xs = self.sym.expand(a)
+        eb, _ = self.sym.expand(b)
+        ec, _ = self.sym.expand(c)
+        vo = min(a.valid_order, b.valid_order)
+        for r, expr in ((a * b, ea * eb), (a + b, ea + eb), (a - b, ea - eb)):
+            assert r.terms == self.sym.truncated_terms(expr, xs, vo)
+            self.sym.check_clean(r)
+        vo = min(vo, c.valid_order)
+        r = dot([a, b], [c, a], [w, 1])
+        assert r.terms == self.sym.truncated_terms(w * ea * ec + eb * ea, xs, vo)
+        assert r.valid_order == vo
+        self.sym.check_clean(r)
+        r = a.scale(Fraction(w, 7))
+        assert r.terms == self.sym.truncated_terms(ea * w / 7, xs, a.valid_order)
+        self.sym.check_clean(r)
+        # one n-ary sum, a part repeated: the longest part seeds the dict
+        r = FiberSeries.sum([a, b, c, a])
+        assert r.terms == self.sym.truncated_terms(2 * ea + eb + ec, xs, vo)
+        assert r.valid_order == vo
+        self.sym.check_clean(r)
+
+
+class TestExactRing:
+    """The packed representation: exponent fields, the terms view, and one
+    stored form per value."""
+
+    def test_monomial_beyond_the_field_width_is_refused(self):
+        ch = ChartSpec(2, 1, 3)
+        assert FiberSeries.monomial(ch, (MAX_FIELD, 0, 0), 1).terms == {(MAX_FIELD, 0, 0): 1}
+        for exps in [(MAX_FIELD + 1, 0, 0), (0, 0, -1)]:
+            with pytest.raises(ValueError):
+                FiberSeries.monomial(ch, exps, 1)
+
+    def test_product_overflow_raises_and_never_wraps(self):
+        ch = ChartSpec(2, 1, 3)
+        a = FiberSeries.monomial(ch, (30000, 1, 0), 1)
+        exact = a * FiberSeries.monomial(ch, (MAX_FIELD - 30000, 0, 1), 1)
+        assert exact.terms == {(MAX_FIELD, 1, 1): 1}
+        over = FiberSeries.monomial(ch, (MAX_FIELD - 29999, 0, 0), 1)
+        for product in (lambda: a * over, lambda: dot([a], [over]),
+                        lambda: mat_mul([[a]], [[over]])):
+            with pytest.raises(ValueError, match="exceed %d" % MAX_FIELD):
+                product()
+
+    def test_shape_mismatch_raises(self):
+        ch = ChartSpec(2, 1, 3)
+        one, x = FiberSeries.constant(ch, 1), S("x1", ch)
+        with pytest.raises(ValueError):
+            dot([one, x], [x])
+        with pytest.raises(ValueError):
+            dot([one], [x], [1, 2])
+        with pytest.raises(ValueError):
+            mat_mul([[one, x]], [[x, one], [one]])
+        with pytest.raises(ValueError):
+            mat_mul([[one, x, one]], [[x], [one]])
+
+    def test_loose_bound_does_not_refuse(self):
+        # truncation leaves the exponent bound loose; the exact fields decide
+        ch = ChartSpec(2, 1, 3)
+        s = (FiberSeries.monomial(ch, (40000, 0, 1), 1) + 1).truncate(0)
+        assert (s * s).render() == "1"
+
+    def test_terms_view(self):
+        ch = ChartSpec(2, 1, 3)
+        s = S("3/2*xi1^2*x1 - x1 + 1/3", ch)
+        view = s.terms
+        want = {(2, 0, 1): Fraction(3, 2), (0, 0, 1): Fraction(-1), (0, 0, 0): Fraction(1, 3)}
+        assert len(view) == 3 and view == want and want == view
+        assert dict(view) == want and sorted(view) == sorted(want)
+        assert all(type(e) is tuple and type(c) is Fraction for e, c in view.items())
+        assert view[(0, 0, 0)] == Fraction(1, 3) and view.get((1, 1, 1)) is None
+        assert (5, 0, 0) not in view and "x" not in view
+        with pytest.raises(TypeError):
+            view[(1, 0, 0)] = Fraction(1)
+        copied = dict(view)
+        copied.clear()
+        assert s.terms == want and not hasattr(view, "pop")
+
+    def test_equal_values_compare_and_hash_equal(self):
+        ch = ChartSpec(2, 2, 3)
+        a = S("1/6*x1 + 2/3*xi2", ch)
+        b = S("3/5 - 9/10*x2", ch)
+        c = S("10/3 + 5/7*xi1*x1", ch)
+        left, right = (a * b) * c, a * (b * c)
+        assert left == right and hash(left) == hash(right)
+        assert left.render() == right.render()
+        half = S("1/2*x1 + 1/2*xi1", ch)
+        assert half.scale(2) == S("x1 + xi1", ch) == half + half
+        assert hash(half.scale(2)) == hash(half + half)
+        assert half - half == FiberSeries.zero(ch)
+        assert hash(half - half) == hash(FiberSeries.zero(ch))
 
 
 class TestEvaluate:
