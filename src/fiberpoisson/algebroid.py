@@ -18,6 +18,7 @@ induced data to pass the coupling conditions, which the test suite
 enforces on randomized admissible inputs.
 """
 
+import functools
 from fractions import Fraction
 from itertools import combinations
 
@@ -87,6 +88,11 @@ class AlgebroidData:
         self.R = R
         self.omega = omega
         self.omega_inv = omega_inv
+
+    @functools.cached_property
+    def admissibility(self):
+        """The ``check_admissible`` report; computed once per data set."""
+        return check_admissible(self)
 
     @staticmethod
     def _check_fiber_jacobi(chart, lam, r):
@@ -165,9 +171,8 @@ def _fiber_pairing(chart, coeffs):
 def build_geometric_data(a):
     """Geometric data induced by algebroid data: homogeneous connection,
     fiberwise linear vertical bivector, fiber-affine base 2-form."""
-    adm = check_admissible(a)
-    if not adm.passed:
-        raise ValueError("algebroid data is not admissible:\n" + adm.render())
+    if not a.admissibility.passed:
+        raise ValueError("algebroid data is not admissible:\n" + a.admissibility.render())
     chart = a.chart
     b, r = chart.base_dim, chart.fiber_dim
     gamma = [[_fiber_pairing(chart, a.theta[i][s]) for s in range(r)] for i in range(b)]
@@ -276,8 +281,7 @@ def change_connection(a, m):
     """
     chart = a.chart
     b, r = chart.base_dim, chart.fiber_dim
-    adm = check_admissible(a)
-    if not adm.passed:
+    if not a.admissibility.passed:
         raise ValueError("change_connection requires admissible input")
     theta2 = _changed_theta(a, m)
     dmu = _nabla_mu(a, m)
@@ -285,24 +289,23 @@ def change_connection(a, m):
     R2 = [[[a.R[i][j][t] + dmu[i][j][t] + sq[i][j][t] for t in range(r)]
            for j in range(b)] for i in range(b)]
     out = AlgebroidData(chart, a.lam, theta2, R2, a.omega, a.omega_inv)
-    adm2 = check_admissible(out)
-    if not adm2.passed:
-        raise InternalInvariantError(
-            "transformed connection data failed admissibility:\n" + adm2.render())
+    if not out.admissibility.passed:
+        raise InternalInvariantError("transformed connection data failed admissibility:\n"
+                                     + out.admissibility.render())
     return out
 
 
-def verify_connection_equivalence(a, m):
+def verify_connection_equivalence(a, a2, m):
     """
-    The induced geometric data of ``a`` and of ``change_connection(a, m)``
-    are equivalent over the zero section with the identity fiber map and
-    the fiber-linear 1-form built from mu; both relations are checked as
-    exact residuals.
+    The induced geometric data of ``a`` and of ``a2``, the output of
+    ``change_connection(a, m)``, are equivalent over the zero section with
+    the identity fiber map and the fiber-linear 1-form built from mu; both
+    relations are checked as exact residuals.
     """
     chart = a.chart
     b, r = chart.base_dim, chart.fiber_dim
     d1 = build_geometric_data(a)
-    d2 = build_geometric_data(change_connection(a, m))
+    d2 = build_geometric_data(a2)
     phi = PhiForm(chart, [_fiber_pairing(chart, row) for row in m.mu])
 
     report = CheckReport("connection-change-equivalence")
@@ -321,13 +324,16 @@ def relative_cocycle(a, a2, m):
     The center-valued 2-form measuring the failure of (a2 minus a) to be
     a pure change of splitting by mu.
 
-    Preconditions: shared structure functions and base form, and the two
-    linear connections differ exactly by the adjoint action of mu.
-    Returns the frame-component array C[i][j][t] together with a report
-    asserting that C is center-valued and covariantly closed.
+    Preconditions: ``a`` is admissible, the two share structure functions
+    and base form, and their linear connections differ exactly by the
+    adjoint action of mu.  Returns the frame-component array C[i][j][t]
+    together with a report asserting that C is center-valued and
+    covariantly closed, which fails when ``a2`` is not admissible.
     """
     chart = a.chart
     b, r = chart.base_dim, chart.fiber_dim
+    if not a.admissibility.passed:
+        raise ValueError("relative_cocycle requires admissible reference data")
     for s1 in range(r):
         for s2 in range(r):
             for n in range(r):

@@ -21,8 +21,7 @@ from .series import ChartSpec
 from .parse import parse_series, ParseError
 from .multivector import Multivector, HForm, jacobiator
 from .connection import Connection
-from .coupling import (GeometricData, assemble, decompose, verify_coupling_conditions,
-                       constant_block_inverse)
+from .coupling import GeometricData, assemble, decompose, constant_block_inverse
 from .algebroid import (AlgebroidData, ConnectionChange, check_admissible,
                         build_coupling, change_connection,
                         verify_connection_equivalence, relative_cocycle,
@@ -67,15 +66,23 @@ def _rationals(values, where):
     return out
 
 
+def _chart_int(chart, key):
+    """A chart field: a JSON integer, or an integral float such as 4.0."""
+    value = chart[key]
+    if type(value) is int or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError("%s must be an integer, got %r" % (key, value))
+
+
 class Problem:
     def __init__(self, doc, order_override=None):
         if not isinstance(doc, dict) or "chart" not in doc:
             raise InputError("problem file has no 'chart' section")
         c = doc["chart"]
         try:
-            trunc = int(order_override if order_override is not None
-                        else c["trunc_order"])
-            self.chart = ChartSpec(int(c["base_dim"]), int(c["fiber_dim"]), trunc)
+            trunc = (int(order_override) if order_override is not None
+                     else _chart_int(c, "trunc_order"))
+            self.chart = ChartSpec(_chart_int(c, "base_dim"), _chart_int(c, "fiber_dim"), trunc)
             if self.chart.n_vars > MAX_VARS:
                 raise ValueError("more than %d variables" % MAX_VARS)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -222,7 +229,7 @@ def cmd_check_jacobi(problem, args):
 
 
 def cmd_verify_data(problem, args):
-    return verify_coupling_conditions(problem.geometric_data()), []
+    return problem.geometric_data().conditions, []
 
 
 def cmd_assemble(problem, args):
@@ -263,11 +270,9 @@ def cmd_algebroid_check(problem, args):
 
 def cmd_algebroid_build(problem, args):
     a = problem.algebroid()
-    adm = check_admissible(a)
-    report = CheckReport("algebroid-build")
-    report.extend(adm)
+    report = CheckReport("algebroid-build", a.admissibility.entries)
     lines = []
-    if adm.passed:
+    if a.admissibility.passed:
         tensor = build_coupling(a)
         report.add_residuals("built-tensor-jacobiator", "jacobi",
                              [jacobiator(tensor.pi)], None)
@@ -286,7 +291,7 @@ def cmd_connection_change(problem, args):
     lines += ["R'[%d][%d][%d] = %s" % (i + 1, j + 1, s + 1, a2.R[i][j][s].render())
               for (i, j), s in product(combinations(range(b), 2), range(r))
               if not a2.R[i][j][s].is_zero()]
-    return verify_connection_equivalence(a, m), lines
+    return verify_connection_equivalence(a, a2, m), lines
 
 
 def cmd_cocycle(problem, args):
@@ -325,9 +330,8 @@ def cmd_moser_flow(problem, args):
 
 def cmd_linearize(problem, args):
     data = problem.geometric_data()
-    checked = verify_coupling_conditions(data)
-    if not checked.passed:
-        return checked, []
+    if not data.conditions.passed:
+        return data.conditions, []
     out = linearize_data(data)
     lines = ["vertical: %s" % out.vertical.render(),
              "fform: %s" % out.fform.render()]
@@ -335,15 +339,13 @@ def cmd_linearize(problem, args):
         for s, g in enumerate(row):
             if not g.is_zero():
                 lines.append("gamma[%d][%d] = %s" % (i + 1, s + 1, g.render()))
-    report = verify_coupling_conditions(out)
-    return report, lines
+    return out.conditions, lines
 
 
 def cmd_extract_algebroid(problem, args):
     data = problem.geometric_data()
-    checked = verify_coupling_conditions(data)
-    if not checked.passed:
-        return checked, []
+    if not data.conditions.passed:
+        return data.conditions, []
     a = extract_algebroid(data)
     r, b = problem.chart.fiber_dim, problem.chart.base_dim
     lines = ["lambda[%d][%d][%d] = %s" % (s + 1, t + 1, n + 1, a.lam[s][t][n].render())
@@ -351,7 +353,7 @@ def cmd_extract_algebroid(problem, args):
              if not a.lam[s][t][n].is_zero()]
     lines += ["omega[%d][%d] = %s" % (i + 1, j + 1, a.omega[i][j].render())
               for i, j in combinations(range(b), 2)]
-    return check_admissible(a), lines
+    return a.admissibility, lines
 
 
 def cmd_holonomy(problem, args):

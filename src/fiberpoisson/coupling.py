@@ -73,6 +73,11 @@ class GeometricData:
         the constructor checked; computed once per data set."""
         return _neumann_inverse(self.fform.matrix(), self.fform_inv_seed)
 
+    @functools.cached_property
+    def conditions(self):
+        """The ``verify_coupling_conditions`` report; computed once per data set."""
+        return verify_coupling_conditions(self)
+
     def valid_order(self):
         return min(self.connection.valid_order(), self.vertical.valid_order,
                    self.fform.valid_order)
@@ -208,7 +213,7 @@ def verify_coupling_conditions(data):
 def coupling_criterion_test(data):
     """Both sides of the coupling criterion: the four conditions hold iff
     the assembled bivector has vanishing Jacobiator (at certified order)."""
-    conditions = verify_coupling_conditions(data)
+    conditions = data.conditions
     tensor = assemble(data)
     jac = jacobiator(tensor.pi)
     report = CheckReport("coupling-criterion-biconditional")

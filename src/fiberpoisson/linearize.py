@@ -12,29 +12,21 @@ inverts the algebroid-to-data construction exactly.
 
 from .multivector import HForm
 from .connection import Connection
-from .coupling import GeometricData, assemble, verify_coupling_conditions
-from .algebroid import AlgebroidData, check_admissible
+from .coupling import GeometricData, assemble
+from .algebroid import AlgebroidData
 from .report import CheckReport, InternalInvariantError
 
 
-def _check_section_compatible(data):
+def _check_input(data):
+    """Zero-section compatibility, then the coupling conditions."""
     if not data.connection.is_zero_on_section():
         raise ValueError("connection does not vanish on the zero section "
                          "(horizontal spaces not tangent to the leaf)")
     if not data.vertical.fiber_part(0, 0).is_zero():
         raise ValueError("vertical part has nonzero rank on the zero section")
-
-
-def _output_fault(data, message):
-    """
-    The error for output that failed its check: a ValueError when the input
-    already fails the coupling conditions, else an internal fault.  Only a
-    failed output pays for checking the input.
-    """
-    checked = verify_coupling_conditions(data)
-    if not checked.passed:
-        return ValueError("input data fails the coupling conditions:\n" + checked.render())
-    return InternalInvariantError(message)
+    if not data.conditions.passed:
+        raise ValueError("input data fails the coupling conditions:\n"
+                         + data.conditions.render())
 
 
 def linearize_data(data):
@@ -44,9 +36,9 @@ def linearize_data(data):
     The output keeps the fiber-linear parts of the connection and the
     vertical bivector and the fiber-affine part of the 2-form; for a
     chart order >= 2 it is verified to satisfy the coupling conditions.
-    Raises ValueError if it fails them because the input does.
+    Raises ValueError if the input fails them.
     """
-    _check_section_compatible(data)
+    _check_input(data)
     chart = data.chart
     gamma = [[g.fiber_part(1, 1) for g in row] for row in data.connection.gamma]
     vertical = data.vertical.fiber_part(1, 1)
@@ -55,11 +47,9 @@ def linearize_data(data):
                   data.fform.valid_order)
     out = GeometricData(Connection(chart, gamma), vertical, fform,
                         data.fform_inv_seed)
-    if chart.trunc_order >= 2:
-        rep = verify_coupling_conditions(out)
-        if not rep.passed:
-            raise _output_fault(data, "linearized data fails the coupling "
-                                      "conditions:\n" + rep.render())
+    if chart.trunc_order >= 2 and not out.conditions.passed:
+        raise InternalInvariantError("linearized data fails the coupling "
+                                     "conditions:\n" + out.conditions.render())
     return out
 
 
@@ -70,11 +60,11 @@ def extract_algebroid(data):
     Inverse of the build convention: structure functions from the
     vertical part, linear-connection coefficients from the connection,
     curvature from minus the fiber-linear part of the 2-form, base form
-    from its fiber-constant part.  The result is validated admissible,
-    which for compatible verified data is forced; ValueError if it is not
-    because the input fails the coupling conditions.
+    from its fiber-constant part.  ValueError if the input fails the
+    coupling conditions; the result is validated admissible, which for
+    compatible verified data is forced.
     """
-    _check_section_compatible(data)
+    _check_input(data)
     chart = data.chart
     b, r = chart.base_dim, chart.fiber_dim
 
@@ -92,10 +82,9 @@ def extract_algebroid(data):
     R = [[[-data.fform.component((i, j)).xi_coefficient(unit(s))
            for s in range(r)] for j in range(b)] for i in range(b)]
     out = AlgebroidData(chart, lam, theta, R, omega, data.fform_inv_seed)
-    adm = check_admissible(out)
-    if not adm.passed:
-        raise _output_fault(data, "extracted algebroid data is not admissible:\n"
-                            + adm.render())
+    if not out.admissibility.passed:
+        raise InternalInvariantError("extracted algebroid data is not admissible:\n"
+                                     + out.admissibility.render())
     return out
 
 

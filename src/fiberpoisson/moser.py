@@ -29,8 +29,7 @@ from .series import (FiberSeries, FloatEvaluator, dot, mat_fiber_zero_part, mat_
                      mat_is_inverse, mat_mul, mat_neg, mat_valid_order)
 from .multivector import Multivector, HForm, wedge, schouten
 from .connection import Connection
-from .coupling import (GeometricData, assemble, verify_coupling_conditions, v_sharp,
-                       constant_block_inverse)
+from .coupling import GeometricData, assemble, v_sharp, constant_block_inverse
 from .report import CheckReport, InternalInvariantError
 
 DEFAULT_T_SAMPLES = (Fraction(0), Fraction(1, 4), Fraction(1, 2),
@@ -214,10 +213,9 @@ def build_family(data, phi, t_samples=DEFAULT_T_SAMPLES):
     chart = data.chart
     if phi.chart != chart:
         raise ValueError("phi lives on a different chart")
-    base_report = verify_coupling_conditions(data)
-    if not base_report.passed:
+    if not data.conditions.passed:
         raise ValueError("base data fails the coupling conditions:\n"
-                         + base_report.render())
+                         + data.conditions.render())
     b, r = chart.base_dim, chart.fiber_dim
     corrections, dphi, quad = gauge_terms(data, phi)
     gamma_t = [[TPoly(chart, [data.connection.gamma[i][s], -corrections[i][s]])
@@ -234,11 +232,10 @@ def build_family(data, phi, t_samples=DEFAULT_T_SAMPLES):
         if member is None:
             family.degenerate_samples.append(t)
             continue
-        rep = verify_coupling_conditions(member)
-        if not rep.passed:
+        if not member.conditions.passed:
             raise InternalInvariantError(
                 "family member at t=%s fails the coupling conditions:\n" % t
-                + rep.render())
+                + member.conditions.render())
     return family
 
 

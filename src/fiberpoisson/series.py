@@ -29,7 +29,6 @@ packed keys: ``FiberSeries.terms`` views them as exponent tuples with
 :class:`fractions.Fraction` values.
 """
 
-import functools
 import operator
 from collections.abc import Mapping
 from fractions import Fraction

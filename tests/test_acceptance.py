@@ -248,7 +248,7 @@ def test_08_connection_change_equivalence():
     for _ in range(20):
         a = rand_admissible(r)
         m = rand_mu(r, a.chart)
-        assert verify_connection_equivalence(a, m).passed
+        assert verify_connection_equivalence(a, change_connection(a, m), m).passed
         a2 = change_connection(a, m)
         C, rep = relative_cocycle(a, a2, m)
         assert rep.passed

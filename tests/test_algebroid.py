@@ -242,27 +242,27 @@ class TestConnectionEquivalence:
     def test_mu_zero(self):
         a = so3_flat_algebroid()
         m = ConnectionChange(a.chart, zeros(a.chart, 2, 3))
-        assert verify_connection_equivalence(a, m).passed
+        assert verify_connection_equivalence(a, change_connection(a, m), m).passed
 
     def test_abelian_base_dependent(self):
         a = e1_algebroid()
         ch = a.chart
         m = ConnectionChange(ch, [[S("xi2^2 - xi1", ch)], [S("3*xi1*xi2", ch)]])
-        assert verify_connection_equivalence(a, m).passed
+        assert verify_connection_equivalence(a, change_connection(a, m), m).passed
 
     def test_so3_constant(self):
         a = so3_flat_algebroid()
         ch = a.chart
         m = ConnectionChange(ch, [[S("2", ch), S("-1", ch), S("1/2", ch)],
                                   [S("1", ch), S("0", ch), S("1", ch)]])
-        assert verify_connection_equivalence(a, m).passed
+        assert verify_connection_equivalence(a, change_connection(a, m), m).passed
 
     def test_randomized(self):
         r = rng(34)
         for _ in range(6):
             a = rand_admissible(r)
             m = rand_mu(r, a.chart)
-            assert verify_connection_equivalence(a, m).passed
+            assert verify_connection_equivalence(a, change_connection(a, m), m).passed
 
 
 class TestRelativeCocycle:
@@ -314,6 +314,37 @@ class TestRelativeCocycle:
         a2 = change_connection(a, mu1)
         with pytest.raises(ValueError):
             relative_cocycle(a, a2, m)
+
+    def test_inadmissible_reference_rejected(self):
+        # R = xi3 dxi1^dxi2 breaks the Bianchi identity of the reference data
+        ch = ChartSpec(4, 1, 3)
+        omega, omega_inv = std_omega(ch)
+        R = zeros(ch, 4, 4, 1)
+        R[0][1][0] = S("xi3", ch)
+        R[1][0][0] = -R[0][1][0]
+        a = AlgebroidData(ch, zeros(ch, 1, 1, 1), zeros(ch, 4, 1, 1), R, omega, omega_inv)
+        assert [e.tag for e in a.admissibility.entries if not e.passed] == ["adm-3"]
+        m = ConnectionChange(ch, zeros(ch, 4, 1))
+        with pytest.raises(ValueError, match="relative_cocycle requires admissible"):
+            relative_cocycle(a, a, m)
+
+    def test_inadmissible_changed_data_fails_the_report(self):
+        # the same term added to the changed Wong data: a2 fails its curvature
+        # and Bianchi identities, which the report shows as a cocycle that is
+        # neither central nor closed
+        a = wong_algebroid()
+        ch = a.chart
+        m = ConnectionChange(ch, [[S("xi2", ch), S("0", ch), S("1", ch)],
+                                  [S("0", ch)] * 3, [S("0", ch)] * 3, [S("0", ch)] * 3])
+        changed = change_connection(a, m)
+        R2 = [[list(cell) for cell in row] for row in changed.R]
+        R2[0][1][0] = R2[0][1][0] + S("xi3", ch)
+        R2[1][0][0] = -R2[0][1][0]
+        a2 = AlgebroidData(ch, a.lam, changed.theta, R2, a.omega, a.omega_inv)
+        assert [e.tag for e in a2.admissibility.entries if not e.passed] == ["adm-2", "adm-3"]
+        C, rep = relative_cocycle(a, a2, m)
+        assert [e.tag for e in rep.entries if not e.passed] == ["cocycle-center",
+                                                                "cocycle-closed"]
 
 
 class TestFiberwiseJacobiEquivalence:

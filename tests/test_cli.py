@@ -8,9 +8,11 @@ import time
 
 import pytest
 
-from fiberpoisson import cli, ChartSpec
+from fiberpoisson import cli, ChartSpec, algebroid, coupling
 from fiberpoisson.cli import main
 from fiberpoisson.report import CheckReport, InternalInvariantError
+
+from test_moser import count_calls
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 BROKEN_BIANCHI = str(ROOT / "problems" / "broken_bianchi.problem.json")
@@ -202,6 +204,30 @@ class TestAlgebroidCommands:
         assert code == 0
         assert "cocycle (fiber pairing): 0" in out
 
+    def test_cocycle_inadmissible_reference_exits_two(self, tmp_path):
+        doc = broken_bianchi_problem()
+        doc["algebroid2"] = doc["algebroid"]
+        doc["mu"] = [["0"]] * 4
+        code, out, err = run(["cocycle", write(tmp_path, "c.json", doc)])
+        assert (code, out) == (2, "")
+        assert "relative_cocycle requires admissible reference data" in err
+
+    def test_cocycle_inadmissible_changed_data_exits_one(self, tmp_path):
+        # the Wong pair with a term added to algebroid2 that breaks its
+        # curvature and Bianchi identities
+        doc = json.loads((ROOT / "problems" / "wong.problem.json").read_text())
+        problem = cli.Problem(doc)
+        a2 = algebroid.change_connection(problem.algebroid(), problem.mu())
+        rendered = [[[x.render() for x in cell] for cell in row] for row in a2.R]
+        rendered[0][1][0] = "%s + xi3" % rendered[0][1][0]
+        rendered[1][0][0] = "%s - xi3" % rendered[1][0][0]
+        doc["algebroid2"] = {"lambda": doc["algebroid"]["lambda"], "R": rendered,
+                             "theta": [[[x.render() for x in cell] for cell in row]
+                                       for row in a2.theta]}
+        code, out, _ = run(["cocycle", write(tmp_path, "w.json", doc)])
+        assert code == 1
+        assert "[FAIL] covariantly-closed" in out
+
 
 class TestMoserCommands:
     def moser_problem(self):
@@ -325,6 +351,32 @@ class TestErrorPaths:
                                                     "trunc_order": 2}})
         code, _, err = run(["verify-data", path])
         assert code == 2
+
+    def test_integral_float_chart_fields_accepted(self, tmp_path):
+        doc = e1_problem()
+        doc["chart"] = {"base_dim": 2.0, "fiber_dim": 1.0, "trunc_order": 4.0}
+        assert run(["verify-data", write(tmp_path, "c.json", doc)]) \
+            == run(["verify-data", write(tmp_path, "i.json", e1_problem())])
+
+
+class TestOneVerdictPerObject:
+    """Each data set is verified once: commands and library functions read
+    the verdict the data object caches."""
+
+    @pytest.mark.parametrize("command, path, admissibility, conditions, changes", [
+        ("connection-change", "problems/wong.problem.json", 2, 0, 1),
+        ("algebroid-build", "problems/wong.problem.json", 1, 0, 0),
+        ("extract-algebroid", "problems/e1.problem.json", 1, 1, 0),
+        ("linearize", "problems/e1.problem.json", 0, 2, 0),
+        ("moser-verify", "tests/data/wong_family.problem.json", 0, 6, 0),
+    ])
+    def test_calls_per_command(self, command, path, admissibility, conditions, changes,
+                               monkeypatch):
+        counts = [count_calls(monkeypatch, algebroid, "check_admissible"),
+                  count_calls(monkeypatch, coupling, "verify_coupling_conditions"),
+                  count_calls(monkeypatch, algebroid, "change_connection")]
+        assert run([command, str(ROOT / path), "--quiet"])[0] == 0
+        assert [len(c) for c in counts] == [admissibility, conditions, changes]
 
 
 class TestParserReuse:

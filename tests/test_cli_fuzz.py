@@ -18,7 +18,8 @@ question of the roadmap (item B), not an input fault.
 
 ``test_found_faults_exit_two`` pins the inputs that once ended in an
 uncaught exception (exit 3), each found by this fuzz or by probing next to
-what it found.
+what it found, and the chart fields that were once truncated to integers
+(1.5 read as 1) instead of rejected.
 """
 
 import contextlib
@@ -196,8 +197,14 @@ HUGE = 10 ** 400  # beyond the float range
     ("holonomy", _mutated("wong.problem.json",
                           lambda d: d["path"]["points"][1].__setitem__(0, HUGE)),
      "breakpoints must lie within the float range"),
+    *[("verify-data", _mutated("e1.problem.json", lambda d, f=field: d["chart"].update(f)),
+       "bad chart section: %s must be an integer" % next(iter(field)))
+      for field in ({"fiber_dim": 1.5}, {"base_dim": 2.9}, {"trunc_order": 6.7},
+                    {"fiber_dim": True}, {"trunc_order": "6"})],
 ], ids=["infinite-chart-field", "huge-base-dim", "no-base-no-seed", "decompose-no-base",
-        "huge-sample-point", "huge-coefficient-in-a-numeric-check", "huge-breakpoint"])
+        "huge-sample-point", "huge-coefficient-in-a-numeric-check", "huge-breakpoint",
+        "fractional-fiber-dim", "fractional-base-dim", "fractional-trunc-order",
+        "boolean-fiber-dim", "string-trunc-order"])
 def test_found_faults_exit_two(command, doc, message, tmp_path):
     problem = tmp_path / "p.json"
     problem.write_text(json.dumps(doc))

@@ -156,16 +156,17 @@ class TestInputFaults:
             fn(data)
 
     def test_linearize_output_failure_of_verified_input_is_internal(self, monkeypatch):
-        from fiberpoisson import InternalInvariantError, linearize
+        from fiberpoisson import InternalInvariantError, coupling
         data = e1_data(4)
-        real = linearize.verify_coupling_conditions
-        monkeypatch.setattr(linearize, "verify_coupling_conditions",
+        real = coupling.verify_coupling_conditions
+        monkeypatch.setattr(coupling, "verify_coupling_conditions",
                             lambda d: real(d) if d is data else self.failing_report())
         with pytest.raises(InternalInvariantError):
             linearize_data(data)
 
     def test_extract_output_failure_of_verified_input_is_internal(self, monkeypatch):
-        from fiberpoisson import InternalInvariantError, linearize
-        monkeypatch.setattr(linearize, "check_admissible", lambda a: self.failing_report())
+        from fiberpoisson import InternalInvariantError, algebroid
+        data = e1_data(4)
+        monkeypatch.setattr(algebroid, "check_admissible", lambda a: self.failing_report())
         with pytest.raises(InternalInvariantError):
-            extract_algebroid(e1_data(4))
+            extract_algebroid(data)
