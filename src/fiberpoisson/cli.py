@@ -80,8 +80,11 @@ class Problem:
             raise InputError("problem file has no 'chart' section")
         c = doc["chart"]
         try:
-            trunc = (int(order_override) if order_override is not None
-                     else _chart_int(c, "trunc_order"))
+            # the file's order is checked even when --order overrides it
+            if order_override is None or "trunc_order" in c:
+                trunc = _chart_int(c, "trunc_order")
+            if order_override is not None:
+                trunc = int(order_override)
             self.chart = ChartSpec(_chart_int(c, "base_dim"), _chart_int(c, "fiber_dim"), trunc)
             if self.chart.n_vars > MAX_VARS:
                 raise ValueError("more than %d variables" % MAX_VARS)

@@ -14,6 +14,15 @@ transports satisfy  P~(t) = P(t) T(t)  where T solves
     dT/dt = -Xi(t) T,   Xi(t) = P(t)^-1 (ad mu(sigma'(t))) P(t),
 
 the sign pinned by the constant-generator exponential oracle.
+
+Every system here is linear, so an RK4 step is a matrix: y_{n+1} = S_n y_n,
+with S_n a polynomial in the generators at the step's four stages, and the
+inputs of stages 2 to 4 are C_k y_n.  The grid is walked in blocks: the step
+matrices of a block are built at once with batched products, and the state
+advances by one matrix product per step.  The comparison operator's
+generators -Xi need the stage values C_k P of P, so a block transports
+(P, P~) first, forms Xi at all its stage points with one batched solve, and
+then builds and applies the step matrices of T.
 """
 
 import sys
@@ -24,7 +33,6 @@ import numpy as np
 from .report import CheckReport
 from .series import FloatEvaluator
 from .algebroid import change_connection
-from .moser import rk4_step
 
 
 class BasePath:
@@ -90,6 +98,35 @@ def _generators(vel, theta_vals, r):
     return M.reshape(len(theta_vals), -1, r, r).swapaxes(2, 3)
 
 
+def _step_matrices(h, g1, g2, g3, g4):
+    """
+    Classical RK4 for y' = G y as matrices, for arrays (..., r, r) of the
+    generators at the four stages of each step: the step matrices S, with
+    y -> S y, and the stage maps (C2, C3, C4), the inputs of stages 2 to 4
+    being C_k y.
+    """
+    eye = np.eye(g1.shape[-1])
+    c2 = eye + h / 2 * g1
+    k2 = g2 @ c2
+    c3 = eye + h / 2 * k2
+    k3 = g3 @ c3
+    c4 = eye + h * k3
+    return eye + h / 6 * (g1 + 2 * k2 + 2 * k3 + g4 @ c4), (c2, c3, c4)
+
+
+def _stages(rows):
+    """The values at a block's 2K+1 grid rows at the four stages of its K steps."""
+    return rows[:-1:2], rows[1::2], rows[1::2], rows[2::2]
+
+
+def _advance(steps, y):
+    """y and its images under the step matrices in turn, stacked."""
+    out = [y]
+    for S in steps:
+        out.append(S @ out[-1])
+    return np.stack(out)
+
+
 def parallel_transport(a_data, path, steps, theta=None, grid=False):
     """
     Fundamental solution of the transport system at t=1 (an r x r float
@@ -103,22 +140,20 @@ def parallel_transport(a_data, path, steps, theta=None, grid=False):
     if path.dim != chart.base_dim:
         raise ValueError("path dimension does not match the base")
     theta = a_data.theta if theta is None else theta
-    P = np.eye(r)
-    out = [P.copy()]
+    out = [np.eye(r)]
     flat = [x for row in theta for cell in row for x in cell]
     for h, vel, vals in _grid(path, steps, chart, flat):
-        M = _generators(vel, vals, r)[:, 0]
-        for q in range(0, len(vals) - 1, 2):
-            P = rk4_step(lambda q, y: M[q] @ y, P, h, q, q + 1, q + 2)
-            out.append(P.copy())
-    return out if grid else P
+        S, _ = _step_matrices(h, *_stages(_generators(vel, vals, r)[:, 0]))
+        out.extend(_advance(S, out[-1])[1:])
+    return out if grid else out[-1]
 
 
 def holonomy_compare(a_data, m, path, steps):
     """
     Transport both connections and integrate the comparison evolution
     operator on a shared grid; report the maximal deviation
-    max_t ||P~(t) - P(t) T(t)|| over the grid.
+    max_t ||P~(t) - P(t) T(t)|| over the grid.  A transport or deviation
+    that is not finite fails the report at the first such step.
     """
     chart = a_data.chart
     b, r = chart.base_dim, chart.fiber_dim
@@ -127,27 +162,34 @@ def holonomy_compare(a_data, m, path, steps):
     a2 = change_connection(a_data, m)
     series = [x for cube in (a_data.theta, a2.theta, a_data.lam) for row in cube
               for cell in row for x in cell] + [x for row in m.mu for x in row]
-    # the stacked transports P, P~ and the comparison operator T
-    state = np.stack((np.eye(r), np.eye(r), np.eye(r)))
-    deviations = [0.0]
-    for h, vel, vals in _grid(path, steps, chart, series):
-        th, lam, mu = np.split(vals, [2 * b * r * r, (2 * b + r) * r * r], axis=1)
-        M = _generators(vel, th, r)
-        # ad mu(sigma')[t][s] = sum_n (sum_i v_i mu[i][n]) lam[n][s][t]
-        mu = vel @ mu.reshape(len(vals), b, r)
-        A = (mu[:, None] @ lam.reshape(len(vals), r, r * r)).reshape(-1, r, r).swapaxes(1, 2)
-
-        def joint_rhs(q, state):
-            P, Pt, T = state
-            Xi = np.linalg.solve(P, A[q] @ P)
-            return np.concatenate((M[q] @ state[:2], [-Xi @ T]))
-
-        for q in range(0, len(vals) - 1, 2):
-            state = rk4_step(joint_rhs, state, h, q, q + 1, q + 2)
-            P, Pt, T = state
-            deviations.append(float(np.max(np.abs(Pt - P @ T))))
-    dev = max(deviations)
     report = CheckReport("holonomy-comparison")
+    # the stacked transports P, P~, and the comparison operator T
+    pair, T = np.stack((np.eye(r), np.eye(r))), np.eye(r)
+    dev, done = 0.0, 0
+    with np.errstate(all="ignore"):
+        for h, vel, vals in _grid(path, steps, chart, series):
+            th, lam, mu = np.split(vals, [2 * b * r * r, (2 * b + r) * r * r], axis=1)
+            # ad mu(sigma')[t][s] = sum_n (sum_i v_i mu[i][n]) lam[n][s][t]
+            mu = vel @ mu.reshape(len(vals), b, r)
+            A = (mu[:, None] @ lam.reshape(len(vals), r, r * r)).reshape(-1, r, r).swapaxes(1, 2)
+            S, C = _step_matrices(h, *_stages(_generators(vel, th, r)))
+            pairs = _advance(S, pair)
+            # P at the four stages of each step, and Xi = P^-1 A P there
+            P0 = pairs[:-1, 0]
+            Pst = np.stack((P0,) + tuple(c[:, 0] @ P0 for c in C), axis=1)
+            Xi = np.linalg.solve(Pst, np.stack(_stages(A), axis=1) @ Pst)
+            ST, _ = _step_matrices(h, *np.moveaxis(-Xi, 1, 0))
+            Ts = _advance(ST, T)
+            P, Pt = pairs[1:, 0], pairs[1:, 1]
+            gap = np.abs(Pt - P @ Ts[1:])
+            block = np.max(gap)
+            if not np.isfinite(block):
+                bad = np.flatnonzero(~np.isfinite(gap).all(axis=(1, 2)))[0]
+                report.add("transport-comparison", "holonomy", None, False,
+                           "transport not finite at step %d" % (done + bad))
+                return report
+            dev = max(dev, float(block))
+            pair, T, done = pairs[-1], Ts[-1], done + len(S)
     report.add("transport-comparison", "holonomy", None, True, "%.3e" % dev,
                detail=dev)
     return report

@@ -5,6 +5,7 @@ import pathlib
 import re
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -323,6 +324,21 @@ class TestHolonomyCommand:
         assert code == 0
         assert "holonomy-comparison: PASS" in out
 
+    @pytest.mark.parametrize("steps", ["100", "1000"])
+    def test_non_finite_transport_fails(self, steps, tmp_path):
+        # the fields overflow along the path: the deviation is NaN, which must
+        # fail the comparison rather than drop out of the maximum
+        doc = json.loads((ROOT / "problems" / "wong.problem.json").read_text())
+        doc["path"] = {"points": [["0"] * 4, ["1e200"] * 4]}
+        path = write(tmp_path, "far.json", doc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(["holonomy", path, "--steps", steps, "--tol", "1"])
+        assert code == 1
+        assert "holonomy-comparison: FAIL" in out
+        assert "residual: transport not finite at step 0" in out
+        assert err == "" and caught == []
+
 
 class TestErrorPaths:
     def test_missing_file(self):
@@ -351,6 +367,21 @@ class TestErrorPaths:
                                                     "trunc_order": 2}})
         code, _, err = run(["verify-data", path])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [[], ["--order", "4"]])
+    def test_malformed_trunc_order_exits_two_under_order_override(self, argv, tmp_path):
+        doc = json.loads((ROOT / "problems" / "e1.problem.json").read_text())
+        doc["chart"]["trunc_order"] = "six"
+        code, _, err = run(["verify-data", write(tmp_path, "six.json", doc)] + argv)
+        assert code == 2
+        assert "bad chart section: trunc_order must be an integer, got 'six'" in err
+
+    def test_order_override_without_trunc_order(self, tmp_path):
+        doc = json.loads((ROOT / "problems" / "e1.problem.json").read_text())
+        del doc["chart"]["trunc_order"]
+        path = write(tmp_path, "none.json", doc)
+        assert run(["verify-data", path])[0] == 2
+        assert run(["verify-data", path, "--order", "4"])[0] == 0
 
     def test_integral_float_chart_fields_accepted(self, tmp_path):
         doc = e1_problem()

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fiberpoisson import (BasePath, parallel_transport,
+from fiberpoisson import (BasePath, parallel_transport, holonomy,
                           holonomy_compare, ConnectionChange, change_connection)
 
 from fixtures import S, so3_flat_algebroid, e1_algebroid, wong_algebroid
@@ -34,6 +34,11 @@ def so3_with_connection(seed=61):
     mu0 = ConnectionChange(ch, [[S("2*xi1", ch), S("-xi2", ch), S("1", ch)],
                                 [S("1", ch), S("xi1", ch), S("0", ch)]])
     return change_connection(a0, mu0)
+
+
+def so3_change(chart):
+    rows = [["1", "xi2", "-1/2"], ["xi1^2", "0", "2"]]
+    return ConnectionChange(chart, [[S(v, chart) for v in row] for row in rows])
 
 
 def transport_generator(a, path_vel, point):
@@ -121,20 +126,14 @@ class TestHolonomyCompare:
 
     def test_nonflat_base_connection(self):
         a = so3_with_connection()
-        mu = ConnectionChange(a.chart, [[S("1", a.chart), S("xi2", a.chart),
-                                         S("-1/2", a.chart)],
-                                        [S("xi1^2", a.chart), S("0", a.chart),
-                                         S("2", a.chart)]])
+        mu = so3_change(a.chart)
         path = BasePath([(0, 0), (1, Fraction(1, 2)), (Fraction(1, 2), 1)])
         rep = holonomy_compare(a, mu, path, 1000)
         assert rep.entries[0].detail < 1e-8
 
     def test_fourth_order_convergence(self):
         a = so3_with_connection()
-        mu = ConnectionChange(a.chart, [[S("1", a.chart), S("xi2", a.chart),
-                                         S("-1/2", a.chart)],
-                                        [S("xi1^2", a.chart), S("0", a.chart),
-                                         S("2", a.chart)]])
+        mu = so3_change(a.chart)
         path = BasePath([(0, 0), (1, Fraction(1, 2)), (Fraction(1, 2), 1)])
         devs = []
         steps = [8, 16, 32, 64]
@@ -186,10 +185,7 @@ class TestGridFields:
             m, path = wong_change(a.chart), WONG_PATH
         elif case == "so3":
             a = so3_with_connection()
-            m = ConnectionChange(a.chart, [[S("1", a.chart), S("xi2", a.chart),
-                                            S("-1/2", a.chart)],
-                                           [S("xi1^2", a.chart), S("0", a.chart),
-                                            S("2", a.chart)]])
+            m = so3_change(a.chart)
             path = BasePath([(0, 0), (1, Fraction(1, 2)), (Fraction(1, 2), 1)])
         else:
             a = e1_algebroid(3)
@@ -198,6 +194,24 @@ class TestGridFields:
         got = holonomy_compare(a, m, path, 100).entries[0].detail
         want = oracle.holonomy_deviation(a, change_connection(a, m), m, path, 100)
         assert abs(got - want) < 1e-12
+
+    def test_first_non_finite_step_is_named(self):
+        # ad mu(sigma') = v xi1^4 lambda with lambda = 0 is zero until v xi1^4
+        # overflows at a grid row of a later block; from there it is NaN
+        # (inf * 0), and so is the comparison of every step using that row
+        a = e1_algebroid(3)
+        m = ConnectionChange(a.chart, [[S("xi1^4", a.chart)], [S("0", a.chart)]])
+        end = 1e62
+        path = BasePath([(0, 0), (10 ** 62, 0)])
+        with np.errstate(over="ignore"):
+            row = int(np.argmax(np.isinf(end * (np.arange(201) / 200 * end) ** 4)))
+        step = (row - 1) // 2  # step m runs over rows 2m to 2m+2
+        assert step > holonomy.BLOCK_STEPS
+        rep = holonomy_compare(a, m, path, 100)
+        assert not rep.passed
+        assert rep.entries[0].residual == "transport not finite at step %d" % step
+        ok = holonomy_compare(a, m, BasePath([(0, 0), (10 ** 61, 0)]), 100)
+        assert ok.entries[0].detail == 0.0
 
     def test_abelian_e1_deviation_at_round_off(self):
         a = e1_algebroid(3)
@@ -208,7 +222,6 @@ class TestGridFields:
     def test_long_grid_is_evaluated_in_blocks(self):
         # a step count that is not a multiple of the block size, split over
         # segments, gives the same transport as the reference
-        from fiberpoisson import holonomy
         a = so3_with_connection()
         path = BasePath([(0, 0), (1, Fraction(1, 2)), (Fraction(1, 2), 1)])
         steps = 2 * (3 * holonomy.BLOCK_STEPS + 5)
@@ -216,6 +229,43 @@ class TestGridFields:
         want = oracle.transport_grid(a, path, steps)
         assert len(got) == steps + 1
         assert max(np.max(np.abs(g - w)) for g, w in zip(got, want)) < 1e-12
+
+    def test_long_comparison_is_evaluated_in_blocks(self):
+        # partial blocks on every segment of the comparison grid
+        a = so3_with_connection()
+        m = so3_change(a.chart)
+        path = BasePath([(0, 0), (1, Fraction(1, 2)), (Fraction(1, 2), 1)])
+        steps = 2 * (3 * holonomy.BLOCK_STEPS + 5)
+        got = holonomy_compare(a, m, path, steps).entries[0].detail
+        want = oracle.holonomy_deviation(a, change_connection(a, m), m, path, steps)
+        assert abs(got - want) < 1e-12
+
+
+class TestStepMatrices:
+    """The RK4 step matrices of a linear system against the generic step."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_matches_generic_rk4_step(self, r):
+        from fiberpoisson.moser import rk4_step
+        rng = np.random.default_rng(10 + r)
+        K, h = 7, 0.1
+        # a generator that differs at every grid row: no two rows commute
+        G = rng.standard_normal((2 * K + 1, r, r))
+        S, C = holonomy._step_matrices(h, *holonomy._stages(G))
+        assert S.shape == (K, r, r) and all(c.shape == (K, r, r) for c in C)
+        for k in range(K):
+            y = rng.standard_normal((r, 3))
+            inputs = []
+
+            def f(q, x):
+                inputs.append(x)
+                return G[q] @ x
+
+            want = rk4_step(f, y, h, 2 * k, 2 * k + 1, 2 * k + 2)
+            assert np.max(np.abs(S[k] @ y - want)) < 1e-14
+            assert np.max(np.abs(inputs[0] - y)) == 0.0
+            for c, x in zip(C, inputs[1:]):
+                assert np.max(np.abs(c[k] @ y - x)) < 1e-14
 
 
 class TestBasePath:
