@@ -315,9 +315,8 @@ def _t_samples(args):
 def cmd_moser_verify(problem, args):
     data = problem.geometric_data()
     phi = problem.phi()
-    samples = _t_samples(args)
-    fam = build_family(data, phi, samples)
-    report = verify_deformation_equation(fam, samples)
+    fam = build_family(data, phi, _t_samples(args))
+    report = verify_deformation_equation(fam)
     lines = ["degenerate samples: %s" % (", ".join(str(t) for t in fam.degenerate_samples)
                                          or "none")]
     return report, lines

@@ -9,19 +9,21 @@ on the zero section is
     Gamma_t = Gamma - t (V# dphi)^h,
     F_t     = F - t dGamma(phi) - (t^2/2) {phi ^ phi}_V,
 
-polynomial in the homotopy parameter t.  The deformation field X_t
-solves X_t | F_t = phi; its horizontal lift drags the assembled tensor
-along the family.  Part 1 of the verification is the reduction of that
-statement to the exact identity
+polynomial in the homotopy parameter t.  A family holds these three
+gauge terms and the rational samples at which it was built; each member
+(Gamma_t, V, F_t) is evaluated from them and verified once.  The
+deformation field X_t solves X_t | F_t = phi; its horizontal lift drags
+the assembled tensor along the family.  Part 1 of the verification is
+the reduction of that statement to the exact identity
 
     dGamma_t(phi) = dGamma(phi) + t {phi ^ phi}_V,
 
 checked identically in t; Part 2 checks the full deformation equation
-at sampled rational times.
+at the family's own samples.
 """
 
 from fractions import Fraction
-from itertools import accumulate, combinations, zip_longest
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -105,65 +107,36 @@ def gauge_terms(data, phi):
             phi_bracket(phi, phi, data.vertical))
 
 
-class TPoly:
-    """Polynomial in the homotopy parameter with series coefficients."""
-
-    __slots__ = ("chart", "coeffs")
-
-    def __init__(self, chart, coeffs):
-        while coeffs and coeffs[-1].is_zero():
-            coeffs = coeffs[:-1]
-        self.chart = chart
-        self.coeffs = list(coeffs)
-
-    @classmethod
-    def const(cls, s):
-        return cls(s.chart, [s])
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, other):
-        zero = FiberSeries.zero(self.chart)
-        return TPoly(self.chart, [a + b for a, b in zip_longest(self.coeffs, other.coeffs,
-                                                                fillvalue=zero)])
-
-    def __neg__(self):
-        return TPoly(self.chart, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def mul_series(self, s):
-        return TPoly(self.chart, [c * s for c in self.coeffs])
-
-    def dt(self):
-        return TPoly(self.chart, [c.scale(k) for k, c in enumerate(self.coeffs)][1:])
-
-    def eval(self, t):
-        t = Fraction(t)
-        return FiberSeries.sum([FiberSeries.zero(self.chart)]
-                               + [c.scale(t ** k) for k, c in enumerate(self.coeffs)])
+def _combination(coeffs, weights):
+    """
+    sum_k weights[k] coeffs[k]: an entry of F_t, Gamma_t or dF_t/dt at one
+    t, from the series coefficients of its powers of t and their rational
+    weights there.  Trailing zero coefficients are skipped, so an absent
+    higher term of the family does not lower the certified order.
+    """
+    chart = coeffs[0].chart
+    while coeffs and coeffs[-1].is_zero():
+        coeffs = coeffs[:-1]
+    return FiberSeries.sum([FiberSeries.zero(chart)]
+                           + [c.scale(w) for c, w in zip(coeffs, weights)])
 
 
 class HomotopyFamily:
     """
-    Precomputed family: the connection coefficients and 2-form matrix as
-    t-polynomials, plus the vertical correction fields.  ``member(t)`` is
-    the geometric data at a sample, built once per sample.
+    The family of data (Gamma, V, F) moved by phi, held as its gauge terms
+    (``corrections``, ``dphi`` and ``quad``, see ``gauge_terms``) with the
+    rational ``t_samples`` at which ``build_family`` verified its members.
+    ``member(t)`` is the geometric data at a sample, built once per sample.
     """
 
-    def __init__(self, data, phi, gamma_t, fform_t, corrections, dphi, quad,
-                 degenerate_samples):
+    def __init__(self, data, phi, t_samples):
         self.data = data
         self.phi = phi
         self.chart = data.chart
-        self.gamma_t = gamma_t          # [i][s] TPoly, degree <= 1
-        self.fform_t = fform_t          # [i][j] TPoly, degree <= 2, antisymmetric
-        self.corrections = corrections  # [i][s]: the t-coefficient of -gamma_t
-        self.dphi = dphi
-        self.quad = quad
-        self.degenerate_samples = degenerate_samples
+        self.corrections, self.dphi, self.quad = gauge_terms(data, phi)
+        self.t_samples = tuple(Fraction(t) for t in t_samples)
+        self.degenerate_samples = []
+        self._base0 = mat_fiber_zero_part(data.fform.matrix())
         self._members = {}
 
     def member(self, t):
@@ -178,10 +151,13 @@ class HomotopyFamily:
         return self._members[t]
 
     def _build_member(self, t):
-        F = [[f.eval(t) for f in row] for row in self.fform_t]
+        # F_t = F - t dphi - t^2/2 quad and Gamma_t = Gamma - t corrections
+        weights = (1, -t, -t * t / 2)
+        F = [[_combination([f, self.dphi.component((i, j)), self.quad.component((i, j))],
+                           weights)
+              for j, f in enumerate(row)] for i, row in enumerate(self.data.fform.matrix())]
         F0 = mat_fiber_zero_part(F)
-        base0 = mat_fiber_zero_part(self.data.fform.matrix())
-        if all((a - b).is_zero() for ra, rb in zip(F0, base0) for a, b in zip(ra, rb)):
+        if all((a - b).is_zero() for ra, rb in zip(F0, self._base0) for a, b in zip(ra, rb)):
             # an unchanged block keeps the data's seed, which may be base-dependent
             seed = self.data.fform_inv_seed
         else:
@@ -189,7 +165,9 @@ class HomotopyFamily:
                 seed = constant_block_inverse(F0)
             except ValueError:
                 return None
-        conn = Connection(self.chart, [[g.eval(t) for g in row] for row in self.gamma_t])
+        gamma = [[_combination([g, c], weights[:2]) for g, c in zip(row, corr)]
+                 for row, corr in zip(self.data.connection.gamma, self.corrections)]
+        conn = Connection(self.chart, gamma)
         return GeometricData(conn, self.data.vertical, HForm.from_matrix(self.chart, F), seed)
 
 
@@ -208,26 +186,16 @@ def build_family(data, phi, t_samples=DEFAULT_T_SAMPLES):
     Preconditions: the data passes the coupling conditions.  At every
     requested rational sample the triple is verified again; failures of
     nondegeneracy are recorded (not fatal), while a genuine condition
-    failure at a sample is an internal error.
+    failure at a sample is an internal error.  The family keeps the
+    samples: they are the ones ``verify_deformation_equation`` checks.
     """
-    chart = data.chart
-    if phi.chart != chart:
+    if phi.chart != data.chart:
         raise ValueError("phi lives on a different chart")
     if not data.conditions.passed:
         raise ValueError("base data fails the coupling conditions:\n"
                          + data.conditions.render())
-    b, r = chart.base_dim, chart.fiber_dim
-    corrections, dphi, quad = gauge_terms(data, phi)
-    gamma_t = [[TPoly(chart, [data.connection.gamma[i][s], -corrections[i][s]])
-                for s in range(r)] for i in range(b)]
-    F = data.fform.matrix()
-    fform_t = [[TPoly(chart, [F[i][j], -dphi.component((i, j)),
-                              quad.component((i, j)).scale(Fraction(-1, 2))])
-                for j in range(b)] for i in range(b)]
-    family = HomotopyFamily(data, phi, gamma_t, fform_t, corrections, dphi, quad,
-                            degenerate_samples=[])
-    for t in t_samples:
-        t = Fraction(t)
+    family = HomotopyFamily(data, phi, t_samples)
+    for t in family.t_samples:
         member = family.member(t)
         if member is None:
             family.degenerate_samples.append(t)
@@ -283,53 +251,61 @@ def horizontal_field(fam, t, X):
 
 
 def _reduced_identity(fam, i, j):
-    """The (i, j) component of dGamma_t(phi) - dGamma(phi) - t {phi^phi}_V
-    as a polynomial in t."""
+    """The t^0 and t^1 coefficients of the (i, j) component of
+    dGamma_t(phi) - dGamma(phi) - t {phi^phi}_V."""
     chart = fam.chart
+    b, r = chart.base_dim, chart.fiber_dim
     phi = fam.phi.phi
-    acc = TPoly.const(phi[j].diff(i) - phi[i].diff(j))
-    for s in range(chart.fiber_dim):
-        acc = acc - fam.gamma_t[i][s].mul_series(phi[j].diff(chart.base_dim + s))
-        acc = acc + fam.gamma_t[j][s].mul_series(phi[i].diff(chart.base_dim + s))
-    acc = acc - TPoly.const(fam.dphi.component((i, j)))
-    return acc - TPoly(chart, [FiberSeries.zero(chart), fam.quad.component((i, j))])
+    gamma = fam.data.connection.gamma
+    # one dot per coefficient, so every operand's certified order counts: the
+    # fiber derivatives of phi_j, then of phi_i, pair with rows i, then j of
+    # Gamma and of the corrections, and the other terms with the constant 1
+    one = FiberSeries.constant(chart, 1)
+    dfib = [phi[j].diff(b + s) for s in range(r)] + [phi[i].diff(b + s) for s in range(r)]
+    signs = [1] * r + [-1] * r
+    c0 = dot([*gamma[i], *gamma[j], one, one, one],
+             dfib + [phi[j].diff(i), phi[i].diff(j), fam.dphi.component((i, j))],
+             [-w for w in signs] + [1, -1, -1])
+    c1 = dot([*fam.corrections[i], *fam.corrections[j], one],
+             dfib + [fam.quad.component((i, j))], signs + [-1])
+    return c0, c1
 
 
-def verify_deformation_equation(fam, t_samples=DEFAULT_T_SAMPLES):
+def verify_deformation_equation(fam):
     """
     Two-part verification of the deformation equation.
 
     Part 1 (identically in t): the reduced identity
     dGamma_t(phi) - dGamma(phi) - t {phi^phi}_V = 0 as a polynomial in t
-    with exact series coefficients.  Part 2 (per rational sample):
+    with exact series coefficients.  Part 2 (at each of the family's
+    samples, whose members ``build_family`` verified):
     [[X_t^h, Pi_t]] + dPi_t/dt = 0 at certified order, with the
     t-derivative computed exactly from the inverse-derivative identity.
     """
     chart = fam.chart
-    b, r = chart.base_dim, chart.fiber_dim
+    b = chart.base_dim
     report = CheckReport("deformation-equation")
 
     report.add_residuals("reduced-identity-in-t", "part-1",
                          (c for i in range(b) for j in range(i + 1, b)
-                          for c in _reduced_identity(fam, i, j).coeffs),
+                          for c in _reduced_identity(fam, i, j)),
                          chart.trunc_order - 1)
 
-    for t in t_samples:
-        t = Fraction(t)
+    W = [Multivector(chart, 1, {(b + s,): c for s, c in enumerate(corr) if not c.is_zero()})
+         for corr in fam.corrections]
+    for t in fam.t_samples:
         member = fam.member(t)
         if member is None:
             report.add("deformation-at-t=%s" % t, "part-2", None, False,
                        "2-form degenerate at this sample")
             continue
         H = mat_neg(member.fform_inverse)
-        dF = [[fam.fform_t[i][j].dt().eval(t) for j in range(b)] for i in range(b)]
+        weights = (-1, -t)  # dF_t/dt = -dphi - t quad
+        dF = [[_combination([fam.dphi.component((i, j)), fam.quad.component((i, j))], weights)
+               for j in range(b)] for i in range(b)]
         # horizontal_bivector reads only the entries i < j
         dH = mat_mul(mat_mul(H, dF), H, upper=True)
         lifts = [member.connection.hor_lift(i) for i in range(b)]
-        W = [Multivector(chart, 1,
-                         {(b + s,): fam.corrections[i][s] for s in range(r)
-                          if not fam.corrections[i][s].is_zero()})
-             for i in range(b)]
         vo = min(mat_valid_order(H), fam.data.vertical.valid_order)
         dpi = member.connection.horizontal_bivector(dH, vo)
         for i in range(b):
@@ -365,34 +341,34 @@ def rk4_step(f, y, h, t0, tm, t1):
 class _FloatFamily:
     """
     The family's coefficient functions compiled into one evaluator: the
-    t-coefficients of F_t above the diagonal and of Gamma_t, phi and the
-    vertical components, so a value at t is one contraction with
-    (1, t, t^2).  Calls take an (m, n) array of points.
+    entries above the diagonal of F, dGamma(phi) and {phi ^ phi}_V, those
+    of Gamma and of the corrections, phi and the vertical components, so
+    F_t and Gamma_t at t are contractions with (1, -t, -t^2/2) and (1, -t).
+    Calls take an (m, n) array of points.
     """
 
     def __init__(self, fam):
         self.b, self.r = b, r = fam.chart.base_dim, fam.chart.fiber_dim
         self.upper = tuple(zip(*combinations(range(b), 2)))
-        pad = [FiberSeries.zero(fam.chart)] * 3
-        fform = [fam.fform_t[i][j].coeffs + pad for i, j in zip(*self.upper)]
-        gamma = [g.coeffs + pad for row in fam.gamma_t for g in row]
+        fform = [f.component(ij) for f in (fam.data.fform, fam.dphi, fam.quad)
+                 for ij in zip(*self.upper)]
+        gamma = [c for rows in (fam.data.connection.gamma, fam.corrections)
+                 for row in rows for c in row]
         self.evaluate = FloatEvaluator(
-            [c[k] for k in range(3) for c in fform] + [c[k] for k in range(2) for c in gamma]
-            + fam.phi.phi + [fam.data.vertical.component((b + u, b + v))
-                             for u in range(r) for v in range(r)])
-        self.cuts = list(accumulate([3 * len(fform), 2 * len(gamma), b]))
+            fform + gamma + fam.phi.phi + [fam.data.vertical.component((b + u, b + v))
+                                           for u in range(r) for v in range(r)])
+        self.cuts = list(accumulate([len(fform), len(gamma), b]))
 
     def __call__(self, t, Z):
         """F_t (m, b, b), Gamma_t (m, b, r), phi (m, b) and the vertical
         block (m, r, r) at time t and the rows of Z."""
         m, b, r = len(Z), self.b, self.r
-        powers = np.array([1.0, t, t * t])
         fu, gam, phi, vert = np.split(self.evaluate(Z), self.cuts, axis=1)
-        fu = powers @ fu.reshape(m, 3, -1)
+        fu = np.array([1.0, -t, -t * t / 2]) @ fu.reshape(m, 3, -1)
         F = np.zeros((m, b, b))
         F[:, self.upper[0], self.upper[1]] = fu
         F[:, self.upper[1], self.upper[0]] = -fu
-        gam = (powers[:2] @ gam.reshape(m, 2, b * r)).reshape(m, b, r)
+        gam = (np.array([1.0, -t]) @ gam.reshape(m, 2, b * r)).reshape(m, b, r)
         return F, gam, phi, vert.reshape(m, r, r)
 
     def rhs(self, t, Z):

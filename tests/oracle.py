@@ -16,6 +16,7 @@ the series ring itself.  The numeric references at the end integrate the
 Moser flows and the holonomy transports one flow and one point at a time.
 """
 
+import math
 from itertools import permutations, product
 
 import numpy as np
@@ -187,14 +188,6 @@ def float_value(s, point):
     return total
 
 
-def _tpoly_value(p, t, z):
-    acc, power = 0.0, 1.0
-    for c in p.coeffs:
-        acc += power * float_value(c, z)
-        power *= t
-    return acc
-
-
 def _rk4(f, y, h, t0, tm, t1):
     k1 = f(t0, y)
     k2 = f(tm, y + h / 2 * k1)
@@ -204,17 +197,28 @@ def _rk4(f, y, h, t0, tm, t1):
 
 
 def family_rhs(fam, t, z):
-    """The horizontal deformation field of a homotopy family at (t, z)."""
+    """The horizontal deformation field of a homotopy family at (t, z), with
+    F_t = F - t dphi - t^2/2 quad and Gamma_t = Gamma - t corrections
+    evaluated term by term."""
     b, r = fam.chart.base_dim, fam.chart.fiber_dim
-    F = np.array([[_tpoly_value(fam.fform_t[i][j], t, z) for j in range(b)]
-                  for i in range(b)])
+
+    def fform_t(i, j):
+        return (float_value(fam.data.fform.component((i, j)), z)
+                - t * float_value(fam.dphi.component((i, j)), z)
+                - t * t / 2 * float_value(fam.quad.component((i, j)), z))
+
+    def gamma_t(i, s):
+        return (float_value(fam.data.connection.gamma[i][s], z)
+                - t * float_value(fam.corrections[i][s], z))
+
+    F = np.array([[fform_t(i, j) for j in range(b)] for i in range(b)])
     phi = np.array([float_value(p, z) for p in fam.phi.phi])
     X = np.linalg.solve(F.T, phi)
     dz = np.zeros(b + r)
     dz[:b] = X
     for s in range(r):
         for i in range(b):
-            dz[b + s] -= X[i] * _tpoly_value(fam.gamma_t[i][s], t, z)
+            dz[b + s] -= X[i] * gamma_t(i, s)
     return dz
 
 
@@ -267,7 +271,8 @@ def transport_grid(a, path, steps, theta=None):
 
 def holonomy_deviation(a, a2, m, path, steps):
     """max over the grid of |P~ - P T|, with P, P~ the transports of the
-    connections of ``a`` and ``a2`` and T the comparison operator."""
+    connections of ``a`` and ``a2`` and T the comparison operator; raises
+    FloatingPointError at the first step whose deviation is not finite."""
     chart = a.chart
     b, r = chart.base_dim, chart.fiber_dim
 
@@ -290,8 +295,12 @@ def holonomy_deviation(a, a2, m, path, steps):
 
     state = np.stack((np.eye(r), np.eye(r), np.eye(r)))
     dev = 0.0
-    for h, vel, x_a, x_b, x_c in _path_grid(path, steps):
-        state = _rk4(lambda x, y: joint_rhs(x, vel, y), state, h, x_a, x_b, x_c)
-        P, Pt, T = state
-        dev = max(dev, float(np.max(np.abs(Pt - P @ T))))
+    for k, (h, vel, x_a, x_b, x_c) in enumerate(_path_grid(path, steps)):
+        with np.errstate(all="ignore"):
+            state = _rk4(lambda x, y: joint_rhs(x, vel, y), state, h, x_a, x_b, x_c)
+            P, Pt, T = state
+            gap = float(np.max(np.abs(Pt - P @ T)))
+        if not math.isfinite(gap):
+            raise FloatingPointError("deviation not finite at step %d" % k)
+        dev = max(dev, gap)
     return dev

@@ -251,6 +251,14 @@ class TestMoserCommands:
         assert code == 0
         assert "deformation-at-t=1/3" in out
 
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("path", ["tests/data/wong_family.problem.json",
+                                      "problems/e1.problem.json"])
+    def test_moser_verify_at_low_orders(self, path, order):
+        code, out, _ = run(["moser-verify", str(ROOT / path), "--order", str(order)])
+        assert code == 0, out
+        assert "[FAIL]" not in out
+
     def test_moser_flow(self, tmp_path):
         path = write(tmp_path, "m.json", self.moser_problem())
         code, out, _ = run(["moser-flow", path, "--steps", "100"])

@@ -213,6 +213,17 @@ class TestGridFields:
         ok = holonomy_compare(a, m, BasePath([(0, 0), (10 ** 61, 0)]), 100)
         assert ok.entries[0].detail == 0.0
 
+    def test_reference_raises_on_a_non_finite_deviation(self):
+        # the constant so(3) change of test_so3_constant_generators, along a
+        # path a thousand times longer: the transports overflow
+        a = so3_flat_algebroid(3)
+        m = ConnectionChange(a.chart, [[S("2", a.chart), S("-1", a.chart), S("1/2", a.chart)],
+                                       [S("0", a.chart)] * 3])
+        path = BasePath([(0, 0), (1000, 0)])
+        assert not holonomy_compare(a, m, path, 100).passed
+        with pytest.raises(FloatingPointError, match="deviation not finite at step"):
+            oracle.holonomy_deviation(a, change_connection(a, m), m, path, 100)
+
     def test_abelian_e1_deviation_at_round_off(self):
         a = e1_algebroid(3)
         mu = ConnectionChange(a.chart, [[S("xi1", a.chart)], [S("2", a.chart)]])

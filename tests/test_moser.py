@@ -29,11 +29,12 @@ def e1_family(n=6, phi1="x1*xi2", samples=(Fraction(0), Fraction(1))):
     return build_family(data, phi, samples)
 
 
-def wong_family(n=4, comps=("3*x1*xi4", "-3*x1*xi3", "2*x2*xi2", "-2*x2*xi1")):
+def wong_family(n=4, comps=("3*x1*xi4", "-3*x1*xi3", "2*x2*xi2", "-2*x2*xi1"),
+                samples=(Fraction(0), Fraction(1))):
     a = wong_algebroid(n)
     data = build_geometric_data(a)
     phi = PhiForm(data.chart, [S(c, data.chart) for c in comps])
-    return build_family(data, phi, (Fraction(0), Fraction(1)))
+    return build_family(data, phi, samples)
 
 
 def count_calls(monkeypatch, module, name):
@@ -113,17 +114,16 @@ class TestBuildFamily:
         data = e1_data(4)
         phi = PhiForm(data.chart, [S("0", data.chart)] * 2)
         fam = build_family(data, phi)
-        for i in range(2):
-            for j in range(2):
-                assert len(fam.fform_t[i][j].coeffs) <= 1
+        assert fam.dphi.is_zero() and fam.quad.is_zero()
         assert fam.degenerate_samples == []
 
     def test_e1_two_term_family(self):
         fam = e1_family(6)
         # V = 0 kills the connection correction and the quadratic term
-        assert all(len(g.coeffs) <= 1 for row in fam.gamma_t for g in row)
-        assert len(fam.fform_t[0][1].coeffs) == 2
-        assert fam.fform_t[0][1].eval(Fraction(1)).render() == "1"
+        assert all(c.is_zero() for row in fam.corrections for c in row)
+        assert not fam.dphi.component((0, 1)).is_zero()
+        assert fam.quad.is_zero()
+        assert fam.member(1).fform.component((0, 1)).render() == "1"
 
     def test_so3_three_term_family(self):
         a = so3_flat_algebroid(4)
@@ -131,8 +131,8 @@ class TestBuildFamily:
         ch = data.chart
         phi = PhiForm(ch, [S("x1*x2", ch), S("x3^2", ch)])
         fam = build_family(data, phi, (Fraction(0), Fraction(1, 2), Fraction(1)))
-        assert any(len(g.coeffs) == 2 for row in fam.gamma_t for g in row)
-        assert any(len(f.coeffs) == 3 for row in fam.fform_t for f in row)
+        assert any(not c.is_zero() for row in fam.corrections for c in row)
+        assert not fam.quad.is_zero()
 
     def test_invalid_base_data_rejected(self):
         ch = ChartSpec(2, 1, 3)
@@ -188,7 +188,7 @@ class TestVerifyDeformation:
         assert verify_deformation_equation(fam).passed
 
     def test_e1(self):
-        assert verify_deformation_equation(e1_family(5)).passed
+        assert verify_deformation_equation(e1_family(5, samples=DEFAULT_T_SAMPLES)).passed
 
     def test_so3_vertical_family(self):
         a = so3_flat_algebroid(4)
@@ -199,7 +199,7 @@ class TestVerifyDeformation:
         assert verify_deformation_equation(fam).passed
 
     def test_wong(self):
-        assert verify_deformation_equation(wong_family(3)).passed
+        assert verify_deformation_equation(wong_family(3, samples=DEFAULT_T_SAMPLES)).passed
 
     def test_randomized_families(self):
         r = rng(42)
@@ -216,8 +216,23 @@ class TestVerifyDeformation:
 class TestFamilyMember:
     def test_one_inverse_per_sample(self, monkeypatch):
         calls = count_calls(monkeypatch, series, "_neumann_inverse")
-        assert verify_deformation_equation(wong_family(3)).passed
+        assert verify_deformation_equation(wong_family(3, samples=DEFAULT_T_SAMPLES)).passed
         assert len(calls) == len(DEFAULT_T_SAMPLES)
+
+    def test_checks_exactly_the_family_samples(self, monkeypatch):
+        samples = (Fraction(0), Fraction(1, 3), Fraction(1))
+        fam = wong_family(3, samples=samples)
+        conditions = count_calls(monkeypatch, coupling, "verify_coupling_conditions")
+        built = []
+        build = moser.HomotopyFamily._build_member
+        monkeypatch.setattr(moser.HomotopyFamily, "_build_member",
+                            lambda fam, t: built.append(t) or build(fam, t))
+        rep = verify_deformation_equation(fam)
+        assert rep.passed
+        assert [e.name for e in rep.entries if e.tag == "part-2"] == [
+            "deformation-at-t=%s" % t for t in samples]
+        # every member was built and verified by build_family
+        assert conditions == [] and built == []
 
     def test_member_built_once(self):
         fam = e1_family(4)
@@ -243,15 +258,24 @@ class TestFamilyMember:
         assert failed == {"deformation-at-t=%s" % t for t in fam.degenerate_samples}
 
     def test_member_matches_the_family_polynomials(self):
+        # Gamma_t = Gamma - t corrections, F_t = F - t dphi - t^2/2 quad
         fam = wong_family(3)
         t = Fraction(1)
         m = fam.member(t)
         b, r = fam.chart.base_dim, fam.chart.fiber_dim
         for i in range(b):
             for s in range(r):
-                assert (m.connection.gamma[i][s] - fam.gamma_t[i][s].eval(t)).is_zero()
+                want = fam.data.connection.gamma[i][s] - fam.corrections[i][s].scale(t)
+                assert (m.connection.gamma[i][s] - want).is_zero()
             for j in range(b):
-                assert (m.fform.component((i, j)) - fam.fform_t[i][j].eval(t)).is_zero()
+                want = (fam.data.fform.component((i, j)) - fam.dphi.component((i, j)).scale(t)
+                        - fam.quad.component((i, j)).scale(t * t / 2))
+                assert (m.fform.component((i, j)) - want).is_zero()
+
+    def test_e1_member_keeps_the_chart_order(self):
+        # the absent quadratic term of e1 (V = 0) must not lower F_t's order
+        fam = e1_family(6, samples=DEFAULT_T_SAMPLES)
+        assert {fam.member(t).fform.valid_order for t in fam.t_samples} == {6}
 
 
 class TestNumericPullback:
