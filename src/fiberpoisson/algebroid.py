@@ -22,7 +22,7 @@ import functools
 from fractions import Fraction
 from itertools import combinations
 
-from .series import FiberSeries, dot, mat_is_inverse
+from .series import FiberSeries, block_inverse, dot
 from .multivector import Multivector, HForm
 from .connection import Connection
 from .coupling import GeometricData, assemble
@@ -73,8 +73,7 @@ class AlgebroidData:
                         raise ValueError("R must be antisymmetric in (i, j)")
                 if not (omega[i][j] + omega[j][i]).is_zero():
                     raise ValueError("omega must be antisymmetric")
-        if not mat_is_inverse(omega, omega_inv):
-            raise ValueError("omega_inv is not an exact inverse of omega")
+        block_inverse(omega, omega_inv, "omega_inv")
         for i in range(b):
             for j in range(i + 1, b):
                 for k in range(j + 1, b):
@@ -190,8 +189,7 @@ def build_geometric_data(a):
             if not acc.is_zero():
                 fcomps[(i, j)] = acc
     fform = HForm(chart, 2, fcomps)
-    return GeometricData(Connection(chart, gamma), vertical, fform,
-                         [list(row) for row in a.omega_inv])
+    return GeometricData(Connection(chart, gamma), vertical, fform, a.omega_inv)
 
 
 def build_coupling(a):

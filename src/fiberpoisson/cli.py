@@ -21,7 +21,7 @@ from .series import ChartSpec
 from .parse import parse_series, ParseError
 from .multivector import Multivector, HForm, jacobiator
 from .connection import Connection
-from .coupling import GeometricData, assemble, decompose, constant_block_inverse
+from .coupling import GeometricData, assemble, decompose
 from .algebroid import (AlgebroidData, ConnectionChange, check_admissible,
                         build_coupling, change_connection,
                         verify_connection_equivalence, relative_cocycle,
@@ -149,11 +149,9 @@ class Problem:
                                                offset=b)
         fmat = self.array("fform", (b, b))
         with _naming("fform"):
-            fform = HForm.from_matrix(self.chart, fmat)
-            seed = self.array("fform_inv_seed", (b, b), missing=None)
-            if seed is None:
-                seed = constant_block_inverse(fmat, seed_name="fform_inv_seed")
-        return GeometricData(Connection(self.chart, gamma), vertical, fform, seed)
+            return GeometricData(Connection(self.chart, gamma), vertical,
+                                 HForm.from_matrix(self.chart, fmat),
+                                 self.array("fform_inv_seed", (b, b), missing=None))
 
     def bivector(self):
         n = self.chart.n_vars

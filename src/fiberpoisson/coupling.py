@@ -27,12 +27,11 @@ fixtures exercise every sign.
 
 import functools
 
-from .series import (FiberSeries, dot, mat_is_inverse, mat_fiber_zero_part, mat_neg,
-                     mat_valid_order, _neumann_inverse)
+from .series import (block_inverse, dot, mat_fiber_zero_part, mat_neg, mat_valid_order,
+                     _neumann_inverse)
 from .multivector import HForm, interior, schouten, jacobiator
 from .connection import Connection
 from .report import CheckReport
-from . import linalg
 
 
 class GeometricData:
@@ -42,11 +41,11 @@ class GeometricData:
     the full inverse that the seed certifies.
 
     Invariants checked at construction: the vertical bivector has no
-    base-direction components; the seed is an exact two-sided inverse of
-    the fiber-degree-0 part of the 2-form matrix.
+    base-direction components; ``block_inverse`` certifies the seed, or
+    computes it when that fiber-constant part is constant in the base.
     """
 
-    def __init__(self, connection, vertical, fform, fform_inv_seed):
+    def __init__(self, connection, vertical, fform, fform_inv_seed=None):
         chart = connection.chart
         if vertical.chart != chart or fform.chart != chart:
             raise ValueError("geometric data parts live on different charts")
@@ -58,14 +57,11 @@ class GeometricData:
             raise ValueError("fform must be a 2-form")
         if chart.base_dim < 2:
             raise ValueError("a declared 2-form needs base_dim >= 2")
-        if not mat_is_inverse(fform_inv_seed, mat_fiber_zero_part(fform.matrix())):
-            raise ValueError("fform_inv_seed is not an exact inverse of the "
-                             "fiber-constant part of the 2-form")
+        self.fform_inv_seed = block_inverse(fform.matrix(), fform_inv_seed, "fform_inv_seed")
         self.chart = chart
         self.connection = connection
         self.vertical = vertical
         self.fform = fform
-        self.fform_inv_seed = [list(row) for row in fform_inv_seed]
 
     @functools.cached_property
     def fform_inverse(self):
@@ -94,35 +90,6 @@ class CouplingTensor:
         return self.pi.component((a, b))
 
 
-def constant_block_inverse(M, valid_order=None, seed_name="a seed"):
-    """
-    Exact inverse of the fiber-degree-0 part of a square series matrix, as
-    constant series: the certified seed that ``matrix_invert`` needs.
-
-    Raises ValueError when that part depends on the base variables (its
-    inverse is then no constant, and ``seed_name`` names where to supply
-    it) or is singular.
-    """
-    if not M:
-        return []
-    chart = M[0][0].chart
-    const = []
-    for row in M:
-        crow = []
-        for s in row:
-            c = s.constant_term()
-            if not (s.fiber_part(0, 0) - c).is_zero():
-                raise ValueError("fiber-constant part depends on the base variables; "
-                                 "supply %s to certify its inverse" % seed_name)
-            crow.append(c)
-        const.append(crow)
-    try:
-        inv = linalg.invert(const)
-    except ValueError:
-        raise ValueError("fiber-constant part is singular")
-    return [[FiberSeries.constant(chart, c, valid_order) for c in row] for row in inv]
-
-
 def assemble(data):
     """Coupling bivector of geometric data.  Raises ValueError when the
     2-form matrix is singular at fiber degree 0."""
@@ -147,17 +114,11 @@ def decompose(pi, fform0=None):
     if pi.degree != 2 or b < 2:
         raise ValueError("decompose expects a bivector on a chart with base_dim >= 2")
     Q = [[pi.component((i, j)) for j in range(b)] for i in range(b)]
-    Q0 = mat_fiber_zero_part(Q)
-    if fform0 is not None:
-        seed = mat_neg([list(row) for row in fform0])
-    else:
-        try:
-            seed = constant_block_inverse(Q, pi.valid_order, "fform0")
-        except ValueError as exc:
-            raise ValueError("base block of the bivector: %s" % exc)
-    if not mat_is_inverse(seed, Q0):
-        raise ValueError("bivector is not horizontally nondegenerate "
-                         "(certified inverse of the base block failed)")
+    try:
+        seed = block_inverse(Q, None if fform0 is None else mat_neg(fform0), "fform0",
+                             pi.valid_order)
+    except ValueError as exc:
+        raise ValueError("base block of the bivector: %s" % exc)
     C = _neumann_inverse(Q, seed)
     gamma = [[-dot(C[j], [pi.component((i, b + s)) for i in range(b)])
               for s in range(chart.fiber_dim)] for j in range(b)]
@@ -169,8 +130,7 @@ def decompose(pi, fform0=None):
     if not vertical.is_vertical():
         raise ValueError("bivector is not horizontally nondegenerate "
                          "(remainder after removing the horizontal part is not vertical)")
-    seed0 = mat_neg(Q0)
-    return GeometricData(connection, vertical, fform, seed0)
+    return GeometricData(connection, vertical, fform, mat_neg(mat_fiber_zero_part(Q)))
 
 
 def v_sharp(vertical, f):

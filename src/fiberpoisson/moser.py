@@ -27,11 +27,11 @@ from itertools import accumulate, combinations
 
 import numpy as np
 
-from .series import (FiberSeries, FloatEvaluator, dot, mat_fiber_zero_part, mat_identity,
-                     mat_is_inverse, mat_mul, mat_neg, mat_valid_order)
+from .series import (FiberSeries, FloatEvaluator, block_inverse, dot, mat_fiber_zero_part,
+                     mat_identity, mat_mul, mat_neg, mat_valid_order)
 from .multivector import Multivector, HForm, wedge, schouten
 from .connection import Connection
-from .coupling import GeometricData, assemble, v_sharp, constant_block_inverse
+from .coupling import GeometricData, assemble, v_sharp
 from .report import CheckReport, InternalInvariantError
 
 DEFAULT_T_SAMPLES = (Fraction(0), Fraction(1, 4), Fraction(1, 2),
@@ -126,7 +126,8 @@ class HomotopyFamily:
     The family of data (Gamma, V, F) moved by phi, held as its gauge terms
     (``corrections``, ``dphi`` and ``quad``, see ``gauge_terms``) with the
     rational ``t_samples`` at which ``build_family`` verified its members.
-    ``member(t)`` is the geometric data at a sample, built once per sample.
+    ``member(t)`` is the geometric data at a sample, built once with the
+    family.
     """
 
     def __init__(self, data, phi, t_samples):
@@ -137,18 +138,19 @@ class HomotopyFamily:
         self.t_samples = tuple(Fraction(t) for t in t_samples)
         self.degenerate_samples = []
         self._base0 = mat_fiber_zero_part(data.fform.matrix())
-        self._members = {}
+        self._members = {t: self._build_member(t) for t in self.t_samples}
 
     def member(self, t):
         """
         The geometric data (Gamma_t, V, F_t) at sample t, or None where the
         fiber-constant block of F_t is singular or its inverse cannot be
-        certified.  Built once per sample.
+        certified.  A t that is not one of ``t_samples`` raises ValueError:
+        no member there was verified.
         """
-        t = Fraction(t)
-        if t not in self._members:
-            self._members[t] = self._build_member(t)
-        return self._members[t]
+        try:
+            return self._members[Fraction(t)]
+        except KeyError:
+            raise ValueError("t=%s is not one of the family's samples" % t)
 
     def _build_member(self, t):
         # F_t = F - t dphi - t^2/2 quad and Gamma_t = Gamma - t corrections
@@ -156,19 +158,17 @@ class HomotopyFamily:
         F = [[_combination([f, self.dphi.component((i, j)), self.quad.component((i, j))],
                            weights)
               for j, f in enumerate(row)] for i, row in enumerate(self.data.fform.matrix())]
-        F0 = mat_fiber_zero_part(F)
-        if all((a - b).is_zero() for ra, rb in zip(F0, self._base0) for a, b in zip(ra, rb)):
-            # an unchanged block keeps the data's seed, which may be base-dependent
-            seed = self.data.fform_inv_seed
-        else:
-            try:
-                seed = constant_block_inverse(F0)
-            except ValueError:
-                return None
+        # an unchanged block keeps the data's seed, which may be base-dependent
+        unchanged = all((a - b).is_zero() for ra, rb in zip(mat_fiber_zero_part(F), self._base0)
+                        for a, b in zip(ra, rb))
         gamma = [[_combination([g, c], weights[:2]) for g, c in zip(row, corr)]
                  for row, corr in zip(self.data.connection.gamma, self.corrections)]
-        conn = Connection(self.chart, gamma)
-        return GeometricData(conn, self.data.vertical, HForm.from_matrix(self.chart, F), seed)
+        try:
+            return GeometricData(Connection(self.chart, gamma), self.data.vertical,
+                                 HForm.from_matrix(self.chart, F),
+                                 self.data.fform_inv_seed if unchanged else None)
+        except ValueError:
+            return None
 
 
 def _nondegenerate_member(fam, t):
@@ -451,8 +451,7 @@ def data_equivalence_check(d1, d2, phi, g=None, g_inv=None):
         raise ValueError("g and g_inv must be supplied together")
     if g is None:
         g = g_inv = mat_identity(chart, r)
-    if not mat_is_inverse(g, g_inv):
-        raise ValueError("g_inv is not an exact inverse of g")
+    block_inverse(g, g_inv, "g_inv")
 
     report = CheckReport("data-equivalence")
 

@@ -36,6 +36,8 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
+from . import linalg
+
 FIELD_BITS = 16
 MAX_FIELD = (1 << FIELD_BITS) - 1
 
@@ -629,33 +631,61 @@ def mat_valid_order(A):
     return min(a.valid_order for row in A for a in row)
 
 
-def matrix_invert(M, M0_inv):
+def block_inverse(M, M0_inv=None, seed_name="M0_inv", valid_order=None):
+    """
+    The certified seed of a Neumann inverse of the square series matrix
+    ``M``: an exact two-sided inverse of its fiber-degree-0 block M0,
+    verified by multiplication.  A given ``M0_inv`` is returned once it
+    passes; without one, M0 must be constant in the base variables and its
+    inverse is computed by exact elimination, as constant series certified
+    to ``valid_order`` (default the chart's).
+
+    Raises ValueError naming ``seed_name`` when the seed is no inverse,
+    when M0 is singular, or when M0 depends on the base variables and no
+    seed is given.
+    """
+    M0 = mat_fiber_zero_part(M)
+    if M0_inv is None:
+        if not all((a - a.constant_term()).is_zero() for row in M0 for a in row):
+            raise ValueError("fiber-constant part depends on the base variables; "
+                             "supply %s to certify its inverse" % seed_name)
+        try:
+            inv = linalg.invert([[a.constant_term() for a in row] for row in M0])
+        except ValueError:
+            raise ValueError("fiber-constant part is singular: it has no %s" % seed_name)
+        M0_inv = [[FiberSeries.constant(M[0][0].chart, c, valid_order) for c in row]
+                  for row in inv]
+    if not mat_is_inverse(M0_inv, M0):
+        raise ValueError("%s does not certify the inverse of the fiber-constant part"
+                         % seed_name)
+    return [list(row) for row in M0_inv]
+
+
+def matrix_invert(M, M0_inv=None):
     """
     Invert a square series matrix by Neumann expansion.
 
-    ``M0_inv`` must be an exact two-sided inverse of the fiber-degree-0
-    part of ``M`` (verified by multiplication).  Writing
+    ``M0_inv`` is the exact inverse of the fiber-degree-0 part of ``M``
+    that ``block_inverse`` checks, or computes when it is omitted.  Writing
     ``M = M0 + dM`` with ``dM`` of fiber degree >= 1, the inverse is
     ``G = sum_m (-M0_inv dM)^m M0_inv``, which terminates at the
     truncation order.  The result satisfies ``M G = G M = identity``
     exactly up to the common certified order.
     """
     n = len(M)
-    if any(len(row) != n for row in M) or len(M0_inv) != n:
+    if any(len(row) != n for row in M) or (M0_inv is not None and len(M0_inv) != n):
         raise ValueError("matrix_invert expects square matrices of matching size")
     chart = M[0][0].chart
     for row in M:
         for a in row:
             if a.chart != chart:
                 raise ChartMismatchError("matrix entries live on different charts")
-    if not mat_is_inverse(M0_inv, mat_fiber_zero_part(M)):
-        raise ValueError("M0_inv is not an exact inverse of the fiber-degree-0 part")
-    return _neumann_inverse(M, M0_inv)
+    return _neumann_inverse(M, block_inverse(M, M0_inv))
 
 
 def _neumann_inverse(M, M0_inv):
-    """The Neumann expansion of ``matrix_invert``, for a caller that has
-    already checked ``M0_inv`` against the fiber-degree-0 part of M."""
+    """The Neumann expansion of ``matrix_invert``, for a seed that
+    ``block_inverse`` has already checked."""
     M0 = mat_fiber_zero_part(M)
     vo = min(mat_valid_order(M), mat_valid_order(M0_inv))
     dM = [[a - a0 for a, a0 in zip(ra, r0)] for ra, r0 in zip(M, M0)]

@@ -479,7 +479,13 @@ class TestNumericFlags:
 
 
 class TestConstantBlockInverseCallers:
-    """Without a seed the CLI inverts the fiber-constant block itself."""
+    """Without a seed, ``block_inverse`` inverts the fiber-constant block."""
+
+    def test_geometric_data_computes_the_file_seed(self):
+        data = cli.Problem.load(str(ROOT / "problems" / "e1.problem.json")).geometric_data()
+        computed = coupling.GeometricData(data.connection, data.vertical, data.fform, None)
+        for seed in (data.fform_inv_seed, computed.fform_inv_seed):
+            assert [[s.render() for s in row] for row in seed] == [["0", "-1"], ["1", "0"]]
 
     @pytest.mark.parametrize("fform, code, message", [
         ([["0", "1 - x1"], ["-1 + x1", "0"]], 0, ""),

@@ -208,30 +208,3 @@ class TestVSharp:
         assert h.comps[(3,)].render() == "1"
         assert (2,) not in h.comps
 
-
-class TestConstantBlockInverse:
-    def test_exact_inverse_of_the_fiber_constant_part(self):
-        from fiberpoisson.coupling import constant_block_inverse
-        ch = ChartSpec(2, 1, 4)
-        M = [[S("0", ch), S("1 - x1", ch)], [S("-1 + x1", ch), S("2 + xi1*x1", ch)]]
-        inv = constant_block_inverse(M, 3)
-        assert [[s.render() for s in row] for row in inv] == [["2", "-1"], ["1", "0"]]
-        assert all(s.valid_order == 3 and s.is_fiber_independent()
-                   for row in inv for s in row)
-
-    def test_rejects_base_dependent_block(self):
-        from fiberpoisson.coupling import constant_block_inverse
-        ch = ChartSpec(2, 1, 4)
-        M = [[S("0", ch), S("1 + xi1", ch)], [S("-1 - xi1", ch), S("0", ch)]]
-        with pytest.raises(ValueError, match="depends on the base variables; supply a seed"):
-            constant_block_inverse(M)
-
-    def test_rejects_singular_block(self):
-        from fiberpoisson.coupling import constant_block_inverse
-        ch = ChartSpec(2, 1, 4)
-        M = [[S("0", ch), S("x1", ch)], [S("-x1", ch), S("0", ch)]]
-        with pytest.raises(ValueError, match="singular"):
-            constant_block_inverse(M)
-        M = [[S("1", ch), S("2 + x1", ch)], [S("2", ch), S("4", ch)]]
-        with pytest.raises(ValueError, match="singular"):
-            constant_block_inverse(M)

@@ -154,8 +154,8 @@ class TestSolveHomological:
         assert all(x.is_zero() for x in X)
 
     def test_e1_cramer_oracle(self):
-        fam = e1_family(6)
         t = Fraction(1, 2)
+        fam = e1_family(6, samples=(Fraction(0), t, Fraction(1)))
         X = solve_homological(fam, t)
         ch = fam.chart
         # Cramer on the 2x2 system: X^2 = phi_1 / F_21 with
@@ -169,6 +169,14 @@ class TestSolveHomological:
         expect = -(S("x1*xi2", ch) * inv)
         assert X[0].is_zero()
         assert (X[1] - expect.truncate(X[1].valid_order)).is_zero()
+
+    def test_unverified_time_rejected(self):
+        # e1_family(6) verified its members at 0 and 1 only
+        fam = e1_family(6)
+        with pytest.raises(ValueError, match="t=1/3 is not one of the family's samples"):
+            solve_homological(fam, Fraction(1, 3))
+        with pytest.raises(ValueError, match="not one of the family's samples"):
+            horizontal_field(fam, Fraction(1, 2), [S("0", fam.chart)] * 2)
 
     def test_t_zero_against_base_matrix(self):
         fam = e1_family(5)
@@ -235,7 +243,7 @@ class TestFamilyMember:
         assert conditions == [] and built == []
 
     def test_member_built_once(self):
-        fam = e1_family(4)
+        fam = e1_family(4, samples=(Fraction(0), Fraction(1, 2), Fraction(1)))
         assert fam.member(Fraction(1, 2)) is fam.member(Fraction(1, 2))
         assert fam.member(1) is fam.member(Fraction(1))
         assert fam.member(0).fform_inverse is fam.member(0).fform_inverse

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fiberpoisson import ChartSpec, FiberSeries, matrix_invert, ChartMismatchError
 from fiberpoisson.series import (mat_mul, mat_identity, mat_is_identity, FloatEvaluator, dot,
-                                 MAX_FIELD)
+                                 MAX_FIELD, block_inverse)
 
 from fixtures import S, rng, rand_series
 
@@ -450,3 +450,37 @@ class TestMatrixInvert:
             G = matrix_invert(M, seed)
             assert mat_is_identity(mat_mul(M, G))
             assert mat_is_identity(mat_mul(G, M))
+            # without a seed the constant block is inverted by elimination
+            assert matrix_invert(M) == G
+
+
+class TestBlockInverse:
+    def test_exact_inverse_of_the_fiber_constant_part(self):
+        ch = ChartSpec(2, 1, 4)
+        M = [[S("0", ch), S("1 - x1", ch)], [S("-1 + x1", ch), S("2 + xi1*x1", ch)]]
+        inv = block_inverse(M, valid_order=3)
+        assert [[s.render() for s in row] for row in inv] == [["2", "-1"], ["1", "0"]]
+        assert all(s.valid_order == 3 and s.is_fiber_independent()
+                   for row in inv for s in row)
+        # a given seed is checked and returned as a copy
+        again = block_inverse(M, inv)
+        assert again == inv and again is not inv
+        with pytest.raises(ValueError, match="^seed does not certify the inverse"):
+            block_inverse(M, inv[::-1], "seed")
+
+    def test_rejects_base_dependent_block(self):
+        ch = ChartSpec(2, 1, 4)
+        M = [[S("0", ch), S("1 + xi1", ch)], [S("-1 - xi1", ch), S("0", ch)]]
+        with pytest.raises(ValueError, match="depends on the base variables; supply a seed"):
+            block_inverse(M, seed_name="a seed")
+        with pytest.raises(ValueError, match="supply M0_inv to certify"):
+            matrix_invert(M)
+
+    def test_rejects_singular_block(self):
+        ch = ChartSpec(2, 1, 4)
+        M = [[S("0", ch), S("x1", ch)], [S("-x1", ch), S("0", ch)]]
+        with pytest.raises(ValueError, match="singular: it has no M0_inv"):
+            block_inverse(M)
+        M = [[S("1", ch), S("2 + x1", ch)], [S("2", ch), S("4", ch)]]
+        with pytest.raises(ValueError, match="singular"):
+            block_inverse(M)
