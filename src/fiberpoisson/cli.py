@@ -74,6 +74,11 @@ def _chart_int(chart, key):
     raise ValueError("%s must be an integer, got %r" % (key, value))
 
 
+def _fits(value, dims):
+    return not dims or (isinstance(value, list) and len(value) == dims[0]
+                        and all(_fits(v, dims[1:]) for v in value))
+
+
 class Problem:
     def __init__(self, doc, order_override=None):
         if not isinstance(doc, dict) or "chart" not in doc:
@@ -126,20 +131,17 @@ class Problem:
             if missing is None:
                 return None
             raise InputError(missing % key)
-
-        def fits(value, dims):
-            return not dims or (isinstance(value, list) and len(value) == dims[0]
-                                and all(fits(v, dims[1:]) for v in value))
-
-        def parse(value, dims, where):
-            if not dims:
-                return self._expr(value, where)
-            return [parse(v, dims[1:], "%s[%d]" % (where, k)) for k, v in enumerate(value)]
-
-        if not fits(doc[key], shape):
+        if not _fits(doc[key], shape):
             raise InputError("%r must be a list of shape %s"
                              % (key, "x".join(str(d) for d in shape)))
-        return parse(doc[key], shape, key)
+        return self._entries(doc[key], shape, key)
+
+    def _entries(self, value, dims, where):
+        # not a recursive closure, whose reference cycle would keep the
+        # problem and its document alive until a full garbage collection
+        if not dims:
+            return self._expr(value, where)
+        return [self._entries(v, dims[1:], "%s[%d]" % (where, k)) for k, v in enumerate(value)]
 
     def geometric_data(self):
         b, r = self.chart.base_dim, self.chart.fiber_dim

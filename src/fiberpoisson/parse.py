@@ -8,20 +8,23 @@ Text grammar for entering coefficient functions.
     var      := 'xi' uint | 'x' uint        (1-indexed)
 
 Whitespace is insignificant.  Parsing is exact: rationals are never
-rounded.  An expression is expanded exactly in the series ring, on a
-chart whose order no parsed term reaches (``MAX_EXPONENT`` bounds every
-term's total degree), and truncated once to the chart order; a term of
-the expansion above that order is dropped and the ``truncated`` flag is
-set on the result.
+rounded.  A term without parentheses is read straight into one packed
+monomial: the key units of its variables add, its numerators and
+denominators multiply.  Parenthesised parts are expanded in the series
+ring.  An expression's terms are summed into one series on a chart whose
+order no parsed term reaches (``MAX_EXPONENT`` bounds every term's total
+degree), which is truncated once to the chart order; a term of the
+expansion above that order is dropped and the ``truncated`` flag is set
+on the result.
 """
 
 import functools
 import re
-from fractions import Fraction
+from math import lcm
 
-from .series import ChartSpec, FiberSeries
+from .series import ChartSpec, FiberSeries, key_unit
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<var>xi\d+|x\d+)|(?P<op>[-+*/^()]))")
+_TOKEN = re.compile(r"(?P<num>\d+)|(?P<var>xi\d+|x\d+)|(?P<op>[-+*/^()])|(?P<bad>\S)")
 
 # Parentheses and unary minuses open at one time.  The parser recurses once
 # per level, so deeper input is refused before it exhausts the Python stack.
@@ -30,6 +33,10 @@ MAX_NESTING = 100
 # the work: a term's total degree, and a product's term count |a| * |b|.
 MAX_EXPONENT = 100
 MAX_TERMS = 10000
+# A longer digit run is never converted: as a number it is refused, as an
+# exponent it is above MAX_EXPONENT and as a variable index it names no
+# variable.  The bound is CPython's default int_max_str_digits.
+MAX_DIGITS = 4300
 
 
 class ParseError(ValueError):
@@ -41,127 +48,129 @@ class ParseError(ValueError):
 
 
 def _tokenize(text):
-    tokens = []
-    end = 0
-    for m in iter(_TOKEN.scanner(text).match, None):
-        tokens.append((m.lastgroup, m[m.lastindex], m.start(m.lastindex)))
-        end = m.end()
-    stripped = text[end:].lstrip()
-    if stripped:
-        raise ParseError("unexpected character %r" % stripped[0], len(text) - len(stripped))
+    tokens = [(m.lastgroup, m[0], m.start()) for m in _TOKEN.finditer(text)]
+    for kind, val, pos in tokens:
+        if kind == "bad":
+            raise ParseError("unexpected character %r" % val, pos)
     return tokens
 
 
+def _number(val, pos):
+    if len(val) > MAX_DIGITS:
+        raise ParseError("number longer than %d digits" % MAX_DIGITS, pos)
+    return int(val)
+
+
 class _Parser:
-    """Recursive descent over the token list.  A value is a pair (series,
-    deg): the series lives on ``self.chart``, of order at least
-    MAX_EXPONENT, and deg bounds the total degree of its terms."""
+    """Recursive descent over the token list, whose operators are told by
+    their text alone.  A factor or term is a tuple (key, num, den, deg): the
+    monomial num/den * x^key of total degree at most deg, its key packed on
+    ``self.chart`` (of order at least MAX_EXPONENT).  Where parentheses
+    enter, num is a series on that chart, with key 0 and den 1."""
 
     def __init__(self, text, chart):
-        self.chart, self.variables = _parse_chart(chart)
+        self.chart, self.units = _parse_chart(chart)
         # the end sentinel is consumed only on the way to a ParseError
         self.tokens = _tokenize(text) + [(None, None, len(text))]
         self.i = 0
         self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.i]
-
     def next(self):
         self.i += 1
         return self.tokens[self.i - 1]
 
-    def expect_op(self, op):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise ParseError("expected %r" % op, pos)
-
     def parse(self):
-        value = self.expr()
-        kind, val, pos = self.peek()
+        series, deg = self.expr()
+        kind, val, pos = self.tokens[self.i]
         if kind is not None:
             raise ParseError("unexpected trailing input %r" % val, pos)
-        return value[0]
+        return series
 
     def expr(self):
-        kind, val, pos = self.peek()
+        """(series, deg): the monomials summed over one denominator, then the rest."""
         negate = False
-        if kind == "op" and val in "+-":
-            self.next()
-            negate = val == "-"
-        parts = []
-        deg = 0
+        if self.tokens[self.i][1] in ("+", "-"):
+            negate = self.next()[1] == "-"
+        monomials, parts, deg = [], [], 0
         while True:
-            term, tdeg = self.term()
-            deg = max(deg, tdeg)
-            parts.append(-term if negate else term)
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                negate = val == "-"
+            key, num, den, tdeg = self.term()
+            num = -num if negate else num
+            if isinstance(num, FiberSeries):
+                parts.append(num)
             else:
-                return FiberSeries.sum(parts), deg
+                monomials.append((key, num, den))
+            deg = max(deg, tdeg)
+            if self.tokens[self.i][1] not in ("+", "-"):
+                break
+            negate = self.next()[1] == "-"
+        if monomials:
+            den = lcm(*{d for _, _, d in monomials})
+            pairs = ((key, num * (den // d)) for key, num, d in monomials)
+            parts.append(FiberSeries.from_keys(self.chart, pairs, den, deg))
+        return (parts[0] if len(parts) == 1 else FiberSeries.sum(parts)), deg
 
     def term(self):
         value = self.factor()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                value = self.product(value, self.factor(), pos)
-            else:
-                return value
+        while self.tokens[self.i][1] == "*":
+            kind, val, pos = self.next()
+            value = self.product(value, self.factor(), pos)
+        return value
 
     def product(self, a, b, pos):
-        """a * b, refused when it could exceed MAX_TERMS or MAX_EXPONENT."""
-        (sa, da), (sb, db) = a, b
-        if len(sa) * len(sb) > MAX_TERMS:
-            raise ParseError("product of more than %d terms" % MAX_TERMS, pos)
-        if da + db > MAX_EXPONENT:
+        """a * b, refused when it could exceed MAX_TERMS or MAX_EXPONENT.
+        Monomials multiply by adding keys; next to a series, a monomial is
+        expanded into one first."""
+        if isinstance(a[1], FiberSeries) or isinstance(b[1], FiberSeries):
+            a, b = self.expand(a), self.expand(b)
+            if len(a[1]) * len(b[1]) > MAX_TERMS:
+                raise ParseError("product of more than %d terms" % MAX_TERMS, pos)
+        if a[3] + b[3] > MAX_EXPONENT:
             raise ParseError("exponent above %d" % MAX_EXPONENT, pos)
-        return sa * sb, da + db
+        return a[0] + b[0], a[1] * b[1], a[2] * b[2], a[3] + b[3]
+
+    def expand(self, value):
+        key, num, den, deg = value
+        if isinstance(num, FiberSeries):
+            return value
+        return 0, FiberSeries.from_keys(self.chart, [(key, num)], den, deg), 1, deg
 
     def factor(self):
         value = self.atom()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val == "^":
-                self.next()
-                kind, val, pos = self.next()
-                if kind != "num":
-                    raise ParseError("expected an integer exponent", pos)
-                n = int(val)
-                if n > MAX_EXPONENT:
-                    raise ParseError("exponent above %d" % MAX_EXPONENT, pos)
-                base = value
-                value = base if n else (FiberSeries.constant(self.chart, 1), 0)
-                for _ in range(n - 1):
-                    value = self.product(value, base, pos)
-            else:
-                return value
+        while self.tokens[self.i][1] == "^":
+            self.i += 1
+            kind, val, pos = self.next()
+            if kind != "num":
+                raise ParseError("expected an integer exponent", pos)
+            n = int(val) if len(val) <= MAX_DIGITS else MAX_EXPONENT + 1
+            if n > MAX_EXPONENT:
+                raise ParseError("exponent above %d" % MAX_EXPONENT, pos)
+            base, value = value, (value if n else (0, 1, 1, 0))
+            for _ in range(n - 1):
+                value = self.product(value, base, pos)
+        return value
 
     def atom(self):
         kind, val, pos = self.next()
-        if kind == "op" and val in "-(":
-            return self.nested(val, pos)
         if kind == "num":
-            num = int(val)
-            kind2, val2, _ = self.peek()
-            if kind2 == "op" and val2 == "/":
-                self.next()
-                kind3, val3, pos3 = self.next()
-                if kind3 != "num":
-                    raise ParseError("expected an integer denominator", pos3)
-                if int(val3) == 0:
-                    raise ParseError("zero denominator", pos3)
-                num = Fraction(num, int(val3))
-            return FiberSeries.constant(self.chart, num), 0
+            num, den = _number(val, pos), 1
+            if self.tokens[self.i][1] == "/":
+                self.i += 1
+                kind, val, pos = self.next()
+                if kind != "num":
+                    raise ParseError("expected an integer denominator", pos)
+                den = _number(val, pos)
+                if den == 0:
+                    raise ParseError("zero denominator", pos)
+            return 0, num, den, 0
         if kind == "var":
-            base = val.startswith("xi")
-            k = int(val[2 if base else 1:]) - 1
+            base = val[1] == "i"
+            digits = val[2 if base else 1:]
+            k = int(digits) - 1 if len(digits) <= MAX_DIGITS else -1
             if not 0 <= k < (self.chart.base_dim if base else self.chart.fiber_dim):
                 raise ParseError("unknown variable %r" % val, pos)
-            return self.variables[k if base else self.chart.base_dim + k], 1
+            return self.units[k if base else self.chart.base_dim + k], 1, 1, 1
+        if val in ("-", "("):
+            return self.nested(val, pos)
         if kind is None:
             raise ParseError("unexpected end of input", pos)
         raise ParseError("unexpected token %r" % val, pos)
@@ -172,11 +181,14 @@ class _Parser:
             raise ParseError("expression nested deeper than %d levels" % MAX_NESTING, pos)
         self.depth += 1
         if op == "-":
-            value, deg = self.atom()
-            value = -value, deg
+            key, num, den, deg = self.atom()
+            value = key, -num, den, deg
         else:
-            value = self.expr()
-            self.expect_op(")")
+            series, deg = self.expr()
+            value = 0, series, 1, deg
+            kind, val, pos = self.next()
+            if val != ")":
+                raise ParseError("expected %r" % ")", pos)
         self.depth -= 1
         return value
 
@@ -184,9 +196,9 @@ class _Parser:
 @functools.lru_cache(maxsize=64)
 def _parse_chart(chart):
     """The chart a parse expands on (the same variables, at an order no
-    parsed term reaches) and its variables, made once per chart."""
+    parsed term reaches) and its variables' key units, made once per chart."""
     pchart = ChartSpec(chart.base_dim, chart.fiber_dim, max(chart.trunc_order, MAX_EXPONENT))
-    return pchart, tuple(FiberSeries.variable(pchart, idx) for idx in range(pchart.n_vars))
+    return pchart, tuple(key_unit(pchart, idx) for idx in range(pchart.n_vars))
 
 
 def parse_series(text, chart):

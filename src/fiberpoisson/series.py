@@ -135,6 +135,11 @@ def _pack(chart, exps):
     return key | (sum(exps[chart.base_dim:]) << (FIELD_BITS * chart.n_vars))
 
 
+def key_unit(chart, idx):
+    """The key of variable ``idx``: a monomial's key is the sum of its variables' units."""
+    return (1 << (FIELD_BITS * idx)) + ((idx >= chart.base_dim) << (FIELD_BITS * chart.n_vars))
+
+
 def _unpack(chart, key):
     return tuple((key >> (FIELD_BITS * v)) & MAX_FIELD for v in range(chart.n_vars))
 
@@ -282,6 +287,16 @@ class FiberSeries:
         return cls(chart, {tuple(exps): _rational(coeff)}, valid_order)
 
     @classmethod
+    def from_keys(cls, chart, pairs, den, bound):
+        """The sum of num/den * x^key over (key, num) pairs, keys of fiber
+        degree at most the chart order and exponents at most ``bound``."""
+        out = {}
+        get = out.get
+        for k, c in pairs:
+            out[k] = get(k, 0) + c
+        return cls._reduced(chart, _nonzero(out), den, chart.trunc_order, False, bound)
+
+    @classmethod
     def sum(cls, parts):
         """The sum of a nonempty sequence of series on one chart, added
         into one dict over the least common denominator of the parts."""
@@ -404,11 +419,10 @@ class FiberSeries:
         if idx < 0 or idx >= chart.n_vars:
             raise IndexError("variable index out of range")
         pos = FIELD_BITS * idx
-        unit = 1 << pos
+        unit = key_unit(chart, idx)
         vo = self.valid_order
         truncated = self.truncated
         if idx >= chart.base_dim:
-            unit += 1 << (FIELD_BITS * chart.n_vars)
             vo -= 1
             truncated = truncated or vo < 0
         out = {k - unit: c * e for k, c in self._num.items() if (e := (k >> pos) & MAX_FIELD)}

@@ -14,15 +14,20 @@ of a list of vector fields computed as an explicit signed permutation
 sum.  Nothing here shares code with the optimized implementation beyond
 the series ring itself.  The numeric references at the end integrate the
 Moser flows and the holonomy transports one flow and one point at a time.
+The reference parser expands every factor, number and variable included,
+in the series ring, one ring product per '*'.
 """
 
 import math
+import re
+from fractions import Fraction
 from itertools import permutations, product
 
 import numpy as np
 
-from fiberpoisson.series import FiberSeries
+from fiberpoisson.series import ChartSpec, FiberSeries
 from fiberpoisson.multivector import Multivector
+from fiberpoisson.parse import MAX_EXPONENT, MAX_NESTING, MAX_TERMS, ParseError
 
 
 def perm_sign(perm):
@@ -304,3 +309,140 @@ def holonomy_deviation(a, a2, m, path, steps):
             raise FloatingPointError("deviation not finite at step %d" % k)
         dev = max(dev, gap)
     return dev
+
+
+# -- reference parser ----------------------------------------------------------
+
+_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<var>xi\d+|x\d+)|(?P<op>[-+*/^()]))")
+
+
+class _ReferenceParser:
+    """Recursive descent over the grammar of ``fiberpoisson.parse``.  A
+    value is a pair (series, deg) on a chart of order at least
+    MAX_EXPONENT; every factor is a series and every '*' a ring product,
+    checked against MAX_TERMS and MAX_EXPONENT before the work."""
+
+    def __init__(self, text, chart):
+        self.chart = ChartSpec(chart.base_dim, chart.fiber_dim,
+                               max(chart.trunc_order, MAX_EXPONENT))
+        tokens, end = [], 0
+        for m in iter(_TOKEN.scanner(text).match, None):
+            tokens.append((m.lastgroup, m[m.lastindex], m.start(m.lastindex)))
+            end = m.end()
+        rest = text[end:].lstrip()
+        if rest:
+            raise ParseError("unexpected character %r" % rest[0], len(text) - len(rest))
+        self.tokens = tokens + [(None, None, len(text))]
+        self.i = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        self.i += 1
+        return self.tokens[self.i - 1]
+
+    def parse(self):
+        value = self.expr()
+        kind, val, pos = self.peek()
+        if kind is not None:
+            raise ParseError("unexpected trailing input %r" % val, pos)
+        return value[0]
+
+    def expr(self):
+        kind, val, pos = self.peek()
+        negate = False
+        if kind == "op" and val in "+-":
+            self.next()
+            negate = val == "-"
+        total, deg = FiberSeries.zero(self.chart), 0
+        while True:
+            term, tdeg = self.term()
+            deg = max(deg, tdeg)
+            total = total - term if negate else total + term
+            kind, val, pos = self.peek()
+            if kind == "op" and val in "+-":
+                self.next()
+                negate = val == "-"
+            else:
+                return total, deg
+
+    def term(self):
+        value = self.factor()
+        while True:
+            kind, val, pos = self.peek()
+            if kind == "op" and val == "*":
+                self.next()
+                value = self.product(value, self.factor(), pos)
+            else:
+                return value
+
+    def product(self, a, b, pos):
+        (sa, da), (sb, db) = a, b
+        if len(sa.terms) * len(sb.terms) > MAX_TERMS:
+            raise ParseError("product of more than %d terms" % MAX_TERMS, pos)
+        if da + db > MAX_EXPONENT:
+            raise ParseError("exponent above %d" % MAX_EXPONENT, pos)
+        return sa * sb, da + db
+
+    def factor(self):
+        value = self.atom()
+        while True:
+            kind, val, pos = self.peek()
+            if not (kind == "op" and val == "^"):
+                return value
+            self.next()
+            kind, val, pos = self.next()
+            if kind != "num":
+                raise ParseError("expected an integer exponent", pos)
+            n = int(val)
+            if n > MAX_EXPONENT:
+                raise ParseError("exponent above %d" % MAX_EXPONENT, pos)
+            base = value
+            value = base if n else (FiberSeries.constant(self.chart, 1), 0)
+            for _ in range(n - 1):
+                value = self.product(value, base, pos)
+
+    def atom(self):
+        kind, val, pos = self.next()
+        if kind == "op" and val in "-(":
+            if self.depth == MAX_NESTING:
+                raise ParseError("expression nested deeper than %d levels" % MAX_NESTING, pos)
+            self.depth += 1
+            if val == "-":
+                value, deg = self.atom()
+                value = -value, deg
+            else:
+                value = self.expr()
+                kind, val, pos = self.next()
+                if kind != "op" or val != ")":
+                    raise ParseError("expected %r" % ")", pos)
+            self.depth -= 1
+            return value
+        if kind == "num":
+            num = int(val)
+            kind2, val2, _ = self.peek()
+            if kind2 == "op" and val2 == "/":
+                self.next()
+                kind3, val3, pos3 = self.next()
+                if kind3 != "num":
+                    raise ParseError("expected an integer denominator", pos3)
+                if int(val3) == 0:
+                    raise ParseError("zero denominator", pos3)
+                num = Fraction(num, int(val3))
+            return FiberSeries.constant(self.chart, num), 0
+        if kind == "var":
+            base = val.startswith("xi")
+            k = int(val[2 if base else 1:]) - 1
+            if not 0 <= k < (self.chart.base_dim if base else self.chart.fiber_dim):
+                raise ParseError("unknown variable %r" % val, pos)
+            return FiberSeries.variable(self.chart, k if base else self.chart.base_dim + k), 1
+        if kind is None:
+            raise ParseError("unexpected end of input", pos)
+        raise ParseError("unexpected token %r" % val, pos)
+
+
+def reference_parse(text, chart):
+    """``parse_series`` through the ring: expand exactly, then truncate."""
+    return _ReferenceParser(text, chart).parse().on_chart(chart)

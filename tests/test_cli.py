@@ -1,11 +1,13 @@
 import io
 import json
 import contextlib
+import gc
 import pathlib
 import re
 import sys
 import time
 import warnings
+import weakref
 
 import pytest
 
@@ -228,6 +230,20 @@ class TestAlgebroidCommands:
         code, out, _ = run(["cocycle", write(tmp_path, "w.json", doc)])
         assert code == 1
         assert "[FAIL] covariantly-closed" in out
+
+
+def test_reading_entries_leaves_no_reference_cycle():
+    # a cycle would keep each problem and its document alive until a full
+    # garbage collection, which runs rarely in a process that parses a lot
+    problem = cli.Problem(e1_problem())
+    gc.disable()
+    try:
+        problem.geometric_data()
+        ref = weakref.ref(problem)
+        del problem
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 class TestMoserCommands:

@@ -4,9 +4,11 @@ from itertools import product
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fiberpoisson import ChartSpec, parse_series, ParseError
-from fiberpoisson.parse import MAX_NESTING, MAX_EXPONENT, MAX_TERMS
+from fiberpoisson.parse import MAX_DIGITS, MAX_NESTING, MAX_EXPONENT, MAX_TERMS
+from oracle import reference_parse
 
 
 def chart(b=2, r=2, n=3):
@@ -111,6 +113,46 @@ def test_zero_denominator():
         parse_series("1/0", chart())
 
 
+@pytest.mark.parametrize("text, message, pos", [
+    ("x1^10^11", "exponent above 100", 6),
+    ("x1^60*x1^60", "exponent above 100", 5),
+    ("(x1)^60*x1^60", "exponent above 100", 7),
+    ("x1*", "unexpected end of input", 3),
+    ("2 3", "unexpected trailing input '3'", 2),
+    ("1/0", "zero denominator", 2),
+    ("1/x1", "expected an integer denominator", 2),
+    ("x1^x2", "expected an integer exponent", 3),
+    ("x9", "unknown variable 'x9'", 0),
+    ("xi3", "unknown variable 'xi3'", 0),
+    ("x1 +  @", "unexpected character '@'", 6),
+])
+def test_term_error_message_and_position(text, message, pos):
+    with pytest.raises(ParseError) as err:
+        parse_series(text, chart())
+    assert str(err.value) == "%s (at position %d)" % (message, pos)
+    assert err.value.pos == pos
+
+
+@pytest.mark.parametrize("text, message, pos", [
+    ("9" * 5000, "number longer than %d digits" % MAX_DIGITS, 0),
+    ("x1 + 1/" + "7" * 5000, "number longer than %d digits" % MAX_DIGITS, 7),
+    ("x1^" + "1" * 5000, "exponent above %d" % MAX_EXPONENT, 3),
+    ("(x1)^" + "0" * 5000, "exponent above %d" % MAX_EXPONENT, 5),
+    ("2 - x" + "1" * 5000, "unknown variable %r" % ("x" + "1" * 5000), 4),
+], ids=["number", "denominator", "exponent", "nested-exponent", "variable"])
+def test_long_digit_run_is_a_parse_error(text, message, pos):
+    # int() of such a run raises a bare ValueError past int_max_str_digits
+    with pytest.raises(ParseError) as err:
+        parse_series(text, chart())
+    assert str(err.value) == "%s (at position %d)" % (message, pos)
+
+
+def test_digit_runs_up_to_the_bound_are_read():
+    run = "0" * (MAX_DIGITS - 1)
+    got = parse_series("x%s2^%s3 + 1/%s2" % (run, run, run), chart())
+    assert got == parse_series("x2^3 + 1/2", chart())
+
+
 def test_missing_paren():
     with pytest.raises(ParseError):
         parse_series("(1 + x1", chart())
@@ -187,3 +229,91 @@ def test_truncated_flag_after_exact_expansion(text, rendered, truncated):
     s = parse_series(text, ChartSpec(2, 1, 4))
     assert s.render() == rendered
     assert s.truncated is truncated
+
+
+# -- differential test against the reference parse through the ring ---------
+
+CHARTS = [ChartSpec(2, 2, 3), ChartSpec(2, 2, 1), ChartSpec(2, 2, 0), ChartSpec(4, 2, 4)]
+NAMES = ["xi1", "xi2", "x1", "x2"]
+
+
+@st.composite
+def _powers(draw, base):
+    exps = draw(st.lists(st.integers(0, 4), max_size=2))
+    return base + "".join(draw(st.sampled_from(["^", " ^", "^ "])) + str(e) for e in exps)
+
+
+_numbers = st.one_of(st.integers(0, 12).map(str),
+                     st.tuples(st.integers(0, 9), st.integers(1, 8)).map("%d/%d".__mod__))
+
+
+def _factor(expr):
+    simple = st.one_of(_numbers, st.sampled_from(NAMES))
+    nested = st.one_of(expr.map("(%s)".__mod__), simple.map("-%s".__mod__))
+    return st.one_of(simple, simple, nested).flatmap(_powers)
+
+
+def _term(expr):
+    return st.lists(_factor(expr), min_size=1, max_size=4).map("*".join)
+
+
+def _expr(term):
+    signed = st.tuples(st.sampled_from([" + ", " - ", "+", "-"]), term).map("".join)
+    return st.tuples(st.sampled_from(["", "-", "+"]), term, st.lists(signed, max_size=4)).map(
+        lambda p: p[0] + p[1] + "".join(p[2]))
+
+
+# parenthesis-free expressions first, then mixed ones nested at most twice
+_flat = _expr(_term(st.nothing()))
+_mixed = _expr(_term(_expr(_term(_expr(_term(st.nothing()))))))
+
+
+@st.composite
+def expressions(draw):
+    text = draw(st.one_of(_flat, _mixed))
+    if draw(st.booleans()):
+        # a term above every chart order that cancels: no flag may be set
+        high = draw(st.sampled_from(["x1^5*xi2", "3/2*x1^2*x2^3", "(1 + x1)^5", "-x2^6"]))
+        text = "%s + %s - %s" % (text, high, high) if draw(st.booleans()) else \
+            "%s - %s + %s" % (high, text, high)
+    return text
+
+
+def _outcome(parse, text, ch):
+    try:
+        s = parse(text, ch)
+    except ParseError as err:
+        return str(err), err.pos
+    return s, s.truncated
+
+
+_settings = settings(max_examples=200, derandomize=True, deadline=None, database=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+@_settings
+@given(expressions(), st.sampled_from(CHARTS))
+def test_parse_agrees_with_the_ring_reference(text, ch):
+    got = _outcome(parse_series, text, ch)
+    assert got == _outcome(reference_parse, text, ch), text
+
+
+@_settings
+@given(expressions(), st.sampled_from(CHARTS), st.data())
+def test_one_edit_gives_the_reference_outcome(text, ch, data):
+    # an edit mostly makes the text malformed: the same message and position
+    # as the reference, and where it does not, the same series and flag
+    at = data.draw(st.integers(0, len(text)))
+    char = data.draw(st.sampled_from("0123456789xi+-*/^() @"))
+    edit = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+    tail = text[at:] if edit == "insert" else text[at + 1:]
+    edited = text[:at] + ("" if edit == "delete" else char) + tail
+    assert _outcome(parse_series, edited, ch) == _outcome(reference_parse, edited, ch), edited
+
+
+@pytest.mark.parametrize("text", ["1/2^3", "0^0", "x1^2^3", "-x1^2", "1 + -x1^2", "2*-x1^2",
+                                  "- -x1", "x01*xi02", "(x1)^3^0*x2", "0*x1^60*x1^40",
+                                  "x1^10^10", "x1^10^10*2", "x1^50*(x2)^50", "x1^50*x2^51"])
+def test_agrees_with_the_ring_reference_on_corner_cases(text):
+    for ch in CHARTS:
+        assert _outcome(parse_series, text, ch) == _outcome(reference_parse, text, ch)
