@@ -9,10 +9,10 @@ Coordinate base fields commute, so the covariant exterior derivative
 reduces to the alternating sum of horizontal-lift derivatives.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
-from .series import FiberSeries, ChartMismatchError
-from .multivector import Multivector, HForm, schouten, wedge
+from .series import FiberSeries, ChartMismatchError, dot
+from .multivector import Multivector, HForm, _collect, schouten, wedge
 from .report import InternalInvariantError
 
 
@@ -55,24 +55,29 @@ class Connection:
                 comps[(chart.base_dim + s,)] = -g
         return Multivector(chart, 1, comps, self.valid_order())
 
-    def horizontal_bivector(self, M, valid_order):
+    def horizontal_bivector(self, M, valid_order, moves=None):
         """sum_{i<j} M[i][j] hor(d_i) ^ hor(d_j) for a base-dim square matrix
-        of series, certified at most to ``valid_order``."""
-        lifts = [self.hor_lift(i) for i in range(self.chart.base_dim)]
-        out = Multivector.zero(self.chart, 2, valid_order)
-        for i, j in combinations(range(self.chart.base_dim), 2):
-            if not M[i][j].is_zero():
-                out = out + wedge(lifts[i], lifts[j]).mul_series(M[i][j])
-        return out
+        of series, certified at most to ``valid_order``; given vector fields
+        ``moves``, sum_{i,j} M[i][j] moves[i] ^ hor(d_j), the change of the
+        first sum for an antisymmetric M when each hor(d_i) moves by moves[i]."""
+        b = self.chart.base_dim
+        lifts = [self.hor_lift(i) for i in range(b)]
+        left, pairs = ((lifts, combinations(range(b), 2)) if moves is None
+                       else (moves, product(range(b), repeat=2)))
+        # one sum per component; the tensor certifies the least order of its terms
+        wedges = [(wedge(left[i], lifts[j]), M[i][j]) for i, j in pairs
+                  if M[i][j] and not left[i].is_zero()]
+        return Multivector(self.chart, 2, _collect((K, 1, m, c) for w, m in wedges
+                                                   for K, c in w.comps.items()), valid_order)
 
     def hor_apply(self, i, f):
         """Apply the horizontal lift of d_i to a function, as a derivation."""
-        chart = self.chart
-        out = f.diff(i)
-        for s, g in enumerate(self.gamma[i]):
-            if not g.is_zero():
-                out = out - g * f.diff(chart.base_dim + s)
-        return out
+        b = self.chart.base_dim
+        # zero coefficients are left out: their fiber derivatives would cap the order
+        gs = [(g, f.diff(b + s)) for s, g in enumerate(self.gamma[i]) if g]
+        return dot([f.diff(i)] + [d for _, d in gs],
+                   [FiberSeries.constant(self.chart, 1)] + [g for g, _ in gs],
+                   [1] + [-1] * len(gs))
 
     def cov_ext_deriv(self, F):
         """

@@ -29,13 +29,15 @@ import numpy as np
 
 from .series import (FiberSeries, FloatEvaluator, block_inverse, dot, mat_fiber_zero_part,
                      mat_identity, mat_mul, mat_neg, mat_valid_order)
-from .multivector import Multivector, HForm, wedge, schouten
+from .multivector import Multivector, HForm, interior, schouten
 from .connection import Connection
 from .coupling import GeometricData, assemble, v_sharp
 from .report import CheckReport, InternalInvariantError
 
 DEFAULT_T_SAMPLES = (Fraction(0), Fraction(1, 4), Fraction(1, 2),
                      Fraction(3, 4), Fraction(1))
+# the shift of the finite-difference flows that give the flow's Jacobian
+FD_DELTA = 1e-5
 
 
 class PhiForm:
@@ -73,23 +75,17 @@ def phi_bracket(phi1, phi2, V):
         raise ValueError("phi_bracket needs a vertical bivector")
     if phi1.chart != chart or phi2.chart != chart:
         raise ValueError("phi lives on a different chart")
-    b = chart.base_dim
-
-    def pair(f, g):
-        acc = FiberSeries.zero(chart, min(V.valid_order, f.valid_order - 1,
-                                          g.valid_order - 1))
-        for (s, t), v in V.comps.items():
-            acc = acc + v * (f.diff(s) * g.diff(t) - f.diff(t) * g.diff(s))
-        return acc
-
+    b, n = chart.base_dim, chart.n_vars
     comps = {}
-    for i in range(b):
-        for j in range(i + 1, b):
-            val = pair(phi1.phi[i], phi2.phi[j]) - pair(phi1.phi[j], phi2.phi[i])
-            if not val.is_zero():
-                comps[(i, j)] = val
-    vo = min([c.valid_order for c in comps.values()]
-             + [min(V.valid_order, min(p.valid_order for p in phi1.phi + phi2.phi) - 1)])
+    if not V.is_zero():
+        # V(dphi1_i, dphi2_j) = sum_t (V# dphi1_i)^t d_t phi2_j over the fiber directions t
+        sharp = [[w.component((t,)) for t in range(b, n)]
+                 for w in (interior([p.diff(a) for a in range(n)], V) for p in phi1.phi)]
+        dphi2 = [[p.diff(t) for t in range(b, n)] for p in phi2.phi]
+        signs = [1] * (n - b) + [-1] * (n - b)
+        comps = {(i, j): dot(sharp[i] + sharp[j], dphi2[j] + dphi2[i], signs)
+                 for i, j in combinations(range(b), 2)}
+    vo = min(V.valid_order, min(p.valid_order for p in phi1.phi + phi2.phi) - 1)
     return HForm(chart, 2, comps, vo)
 
 
@@ -135,7 +131,7 @@ class HomotopyFamily:
         self.phi = phi
         self.chart = data.chart
         self.corrections, self.dphi, self.quad = gauge_terms(data, phi)
-        self.t_samples = tuple(Fraction(t) for t in t_samples)
+        self.t_samples = tuple(dict.fromkeys(Fraction(t) for t in t_samples))
         self.degenerate_samples = []
         self._base0 = mat_fiber_zero_part(data.fform.matrix())
         self._members = {t: self._build_member(t) for t in self.t_samples}
@@ -234,20 +230,14 @@ def solve_homological(fam, t):
 def horizontal_field(fam, t, X):
     """The horizontal lift of a base coefficient field along the family
     connection at time t."""
-    chart = fam.chart
-    b, r = chart.base_dim, chart.fiber_dim
-    conn = _nondegenerate_member(fam, t).connection
-    comps = {}
-    vo = min(x.valid_order for x in X) if X else chart.trunc_order
-    for i in range(b):
-        if not X[i].is_zero():
-            comps[(i,)] = X[i]
+    b, r = fam.chart.base_dim, fam.chart.fiber_dim
+    gamma = _nondegenerate_member(fam, t).connection.gamma
+    comps = {(i,): x for i, x in enumerate(X) if x}
     for s in range(r):
-        acc = -dot(X, [conn.gamma[i][s] for i in range(b)])
-        if not acc.is_zero():
-            comps[(b + s,)] = acc
-    vo2 = min([c.valid_order for c in comps.values()] + [vo])
-    return Multivector(chart, 1, comps, vo2)
+        # a zero component is left out: it would cap the certified order
+        if v := dot(X, [gamma[i][s] for i in range(b)], [-1] * b):
+            comps[(b + s,)] = v
+    return Multivector(fam.chart, 1, comps, min(x.valid_order for x in X))
 
 
 def _reduced_identity(fam, i, j):
@@ -305,14 +295,9 @@ def verify_deformation_equation(fam):
                for j in range(b)] for i in range(b)]
         # horizontal_bivector reads only the entries i < j
         dH = mat_mul(mat_mul(H, dF), H, upper=True)
-        lifts = [member.connection.hor_lift(i) for i in range(b)]
         vo = min(mat_valid_order(H), fam.data.vertical.valid_order)
-        dpi = member.connection.horizontal_bivector(dH, vo)
-        for i in range(b):
-            for j in range(b):
-                if H[i][j].is_zero() or W[i].is_zero():
-                    continue
-                dpi = dpi + wedge(W[i], lifts[j]).mul_series(H[i][j])
+        dpi = (member.connection.horizontal_bivector(dH, vo)
+               + member.connection.horizontal_bivector(H, vo, moves=W))
         pi_t = assemble(member).pi
         X = solve_homological(fam, t)
         Xh = horizontal_field(fam, t, X)
@@ -399,8 +384,7 @@ def _pi_matrix(ff, t, z):
     return np.block([[H, mixed], [-mixed.T, vert + gam.T @ H @ gam]])
 
 
-def numeric_pullback_check(fam, sample_points, steps, fd_delta=1e-5,
-                           chart_bound=1e6, tol=None):
+def numeric_pullback_check(fam, sample_points, steps, chart_bound=1e6, tol=None):
     """
     Integrate the time-dependent horizontal field from t=0 to 1 with
     classical fixed-step RK4 (a point's flow and its 2n finite-difference
@@ -415,16 +399,16 @@ def numeric_pullback_check(fam, sample_points, steps, fd_delta=1e-5,
         z0 = [float(v) for v in z0]
         if len(z0) != n:
             raise ValueError("sample points must have dimension %d" % n)
-        # row 0 is the point, rows 2a+1 and 2a+2 are shifted by +-fd_delta in z_a
+        # row 0 is the point, rows 2a+1 and 2a+2 are shifted by +-FD_DELTA in z_a
         Z0 = np.tile(z0, (2 * n + 1, 1))
-        Z0[1::2] += fd_delta * np.eye(n)
-        Z0[2::2] -= fd_delta * np.eye(n)
+        Z0[1::2] += FD_DELTA * np.eye(n)
+        Z0[2::2] -= FD_DELTA * np.eye(n)
         try:
             Z1 = _flow(ff, Z0, steps, chart_bound)
         except FloatingPointError as exc:
             report.add("point-%s" % _fmt_point(z0), "flow", None, False, str(exc))
             continue
-        J = ((Z1[1::2] - Z1[2::2]) / (2 * fd_delta)).T
+        J = ((Z1[1::2] - Z1[2::2]) / (2 * FD_DELTA)).T
         pi0 = _pi_matrix(ff, 0.0, z0)
         pi1 = _pi_matrix(ff, 1.0, Z1[0])
         K = np.linalg.inv(J)
@@ -458,17 +442,17 @@ def data_equivalence_check(d1, d2, phi, g=None, g_inv=None):
     def subst(s):
         return s.substitute_fiber(g)
 
+    one = FiberSeries.constant(chart, 1)
+
     def vertical_residuals():
-        for u in range(r):
-            for v in range(u + 1, r):
-                acc = FiberSeries.zero(chart)
-                for al in range(r):
-                    for be in range(r):
-                        w = d2.vertical.component((b + al, b + be))
-                        if w.is_zero():
-                            continue
-                        acc = acc + g_inv[u][al] * g_inv[v][be] * subst(w)
-                yield acc - d1.vertical.component((b + u, b + v))
+        # each stored component of V2 once, with its antisymmetric partner; zero
+        # components are left out, as they would cap the certified order
+        moved = [(al - b, be - b, subst(w)) for (al, be), w in d2.vertical.comps.items()]
+        for u, v in combinations(range(r), 2):
+            yield dot([g_inv[u][al] * g_inv[v][be] for al, be, _ in moved]
+                      + [g_inv[u][be] * g_inv[v][al] for al, be, _ in moved] + [one],
+                      [w for _, _, w in moved] * 2 + [d1.vertical.component((b + u, b + v))],
+                      [1] * len(moved) + [-1] * len(moved) + [-1])
 
     report.add_residuals("vertical-relation", "equiv-vert", vertical_residuals(),
                          d1.vertical.valid_order)
@@ -478,14 +462,13 @@ def data_equivalence_check(d1, d2, phi, g=None, g_inv=None):
 
     def connection_residuals():
         for i in range(b):
+            moved = [subst(c) for c in d2.connection.gamma[i]]
+            # g_inv (d_i g) x: the base derivative of the fiber map, moved back
+            dg = mat_mul(g_inv, [[c.diff(i) for c in row] for row in g])
             for u in range(r):
-                acc = FiberSeries.zero(chart)
-                for t in range(r):
-                    inner = subst(d2.connection.gamma[i][t])
-                    for v in range(r):
-                        inner = inner + g[t][v].diff(i) * x[v]
-                    acc = acc + g_inv[u][t] * inner
-                yield acc - (d1.connection.gamma[i][u] - corrections[i][u])
+                yield dot(g_inv[u] + dg[u] + [one, one],
+                          moved + x + [d1.connection.gamma[i][u], corrections[i][u]],
+                          [1] * (2 * r) + [-1, 1])
 
     report.add_residuals("connection-relation", "equiv-conn", connection_residuals(),
                          d1.valid_order())

@@ -190,11 +190,6 @@ class Multivector(AntisymmetricTensor):
         b = self.chart.base_dim
         return all(all(i >= b for i in idx) for idx in self.comps)
 
-    def mul_series(self, f):
-        return Multivector(self.chart, self.degree,
-                           {i: s * f for i, s in self.comps.items()},
-                           min(self.valid_order, f.valid_order))
-
     def truncate(self, order):
         return Multivector(self.chart, self.degree, self.comps, min(self.valid_order, order))
 
@@ -314,14 +309,9 @@ class HForm(AntisymmetricTensor):
 
     def interior_base(self, u):
         """Contraction with the base coordinate field d_u in the first slot."""
-        out = {}
-        for I, c in self.comps.items():
-            for k, idx in enumerate(I):
-                if idx != u:
-                    continue
-                J = I[:k] + I[k + 1:]
-                term = c.scale(-1 if k % 2 else 1)
-                out[J] = out[J] + term if J in out else term
+        # distinct tuples that hold u stay distinct without it: no two terms add
+        out = {I[:k] + I[k + 1:]: c.scale(-1 if k % 2 else 1)
+               for I, c in self.comps.items() for k, idx in enumerate(I) if idx == u}
         return HForm(self.chart, self.degree - 1, out, self.valid_order)
 
     def matrix(self):

@@ -3,11 +3,13 @@ Text grammar for entering coefficient functions.
 
     expr     := ('+'|'-')? term (('+'|'-') term)*
     term     := factor ('*' factor)*
-    factor   := rational | var | factor '^' uint | '(' expr ')'
+    factor   := '-' factor | power
+    power    := rational | var | power '^' uint | '(' expr ')'
     rational := uint ('/' uint)?
     var      := 'xi' uint | 'x' uint        (1-indexed)
 
-Whitespace is insignificant.  Parsing is exact: rationals are never
+Whitespace is insignificant, and a unary minus binds looser than '^'
+(``2*-x1^2`` is -2 x1^2).  Parsing is exact: rationals are never
 rounded.  A term without parentheses is read straight into one packed
 monomial: the key units of its variables add, its numerators and
 denominators multiply.  Parenthesised parts are expanded in the series
@@ -20,6 +22,7 @@ on the result.
 
 import functools
 import re
+from fractions import Fraction
 from math import lcm
 
 from .series import ChartSpec, FiberSeries, key_unit
@@ -37,6 +40,10 @@ MAX_TERMS = 10000
 # exponent it is above MAX_EXPONENT and as a variable index it names no
 # variable.  The bound is CPython's default int_max_str_digits.
 MAX_DIGITS = 4300
+# A power is refused before the work when its exponent times the bit length of
+# the base's largest numerator or denominator exceeds that of a MAX_DIGITS-digit
+# number: MAX_EXPONENT does not bound a number's powers, whose degree is 0.
+MAX_POWER_BITS = (10 ** MAX_DIGITS - 1).bit_length()
 
 
 class ParseError(ValueError):
@@ -53,6 +60,13 @@ def _tokenize(text):
         if kind == "bad":
             raise ParseError("unexpected character %r" % val, pos)
     return tokens
+
+
+def _bits(num, den):
+    """The bit length of the largest numerator or denominator, in lowest
+    terms, of num/den or of the coefficients of a series num (over den 1)."""
+    values = num.terms.values() if isinstance(num, FiberSeries) else [Fraction(num, den)]
+    return max((max(abs(c.numerator), c.denominator).bit_length() for c in values), default=0)
 
 
 def _number(val, pos):
@@ -144,6 +158,10 @@ class _Parser:
             n = int(val) if len(val) <= MAX_DIGITS else MAX_EXPONENT + 1
             if n > MAX_EXPONENT:
                 raise ParseError("exponent above %d" % MAX_EXPONENT, pos)
+            # the powers of a variable are bounded by MAX_EXPONENT alone
+            if (value[1] != 1 or value[2] != 1) and n * _bits(value[1], value[2]) > MAX_POWER_BITS:
+                raise ParseError("power of more than %d digits" % MAX_DIGITS,
+                                 self.tokens[self.i - 2][2])
             base, value = value, (value if n else (0, 1, 1, 0))
             for _ in range(n - 1):
                 value = self.product(value, base, pos)
@@ -176,12 +194,13 @@ class _Parser:
         raise ParseError("unexpected token %r" % val, pos)
 
     def nested(self, op, pos):
-        """A negated atom or a parenthesised expression, one level deeper."""
+        """A negated factor (its powers taken first) or a parenthesised
+        expression, one level deeper."""
         if self.depth == MAX_NESTING:
             raise ParseError("expression nested deeper than %d levels" % MAX_NESTING, pos)
         self.depth += 1
         if op == "-":
-            key, num, den, deg = self.atom()
+            key, num, den, deg = self.factor()
             value = key, -num, den, deg
         else:
             series, deg = self.expr()

@@ -21,12 +21,13 @@ alike.  The exponents e_0 .. e_{n-1} (base first) pack into the integer
 sum_v e_v << 16 v + (fiber degree) << 16 n: one 16-bit field per variable
 and the fiber degree in the unbounded top field.  A product's key is the
 sum of its factors' keys, and keys ordered as integers are ordered by
-fiber degree first.  No exponent may exceed MAX_FIELD = 2^16 - 1: such a
-monomial is refused, and a product whose operands could carry one field
-into the next raises ValueError (checked once per product against a
-per-series exponent bound); a field never wraps.  Only this module reads
-packed keys: ``FiberSeries.terms`` views them as exponent tuples with
-:class:`fractions.Fraction` values.
+fiber degree first.  Every exact product is :func:`dot`, one dict over one
+denominator per sum of products; ``a * b`` is its one-pair case.  No
+exponent may exceed MAX_FIELD = 2^16 - 1: such a monomial is refused, and a
+product whose operands could carry one field into the next raises
+ValueError (checked once per pair against a per-series exponent bound); a
+field never wraps.  Only this module reads packed keys: ``FiberSeries.terms``
+views them as exponent tuples with :class:`fractions.Fraction` values.
 """
 
 import operator
@@ -380,27 +381,7 @@ class FiberSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        _check_same_chart(self, other)
-        vo = min(self.valid_order, other.valid_order)
-        bound = self._bound + other._bound
-        if bound > MAX_FIELD:
-            bound = _product_bound(self, other)
-        top = (vo + 1) << (FIELD_BITS * (self.chart.base_dim + self.chart.fiber_dim))
-        a, b = self._num, other._num
-        if len(a) == 1:
-            a, b = b, a
-        if len(b) == 1:
-            # shifting by one monomial is injective: no collisions, no zeros
-            ((k2, c2),) = b.items()
-            lim = top - k2
-            out = {k1 + k2: c1 * c2 for k1, c1 in a.items() if k1 < lim}
-        else:
-            # rows stop at the first right term beyond the certified order
-            out = {}
-            _mul_into(out, a.items(), sorted(b.items()), top)
-            out = _nonzero(out)
-        return FiberSeries._reduced(self.chart, out, self._den * other._den, vo,
-                                    self.truncated or other.truncated, bound)
+        return dot((self,), (other,))
 
     __rmul__ = __mul__
 
@@ -480,16 +461,13 @@ class FiberSeries:
             raise ValueError("fiber substitution matrix must be fiber independent")
         x = [FiberSeries.variable(chart, b + t, vo) for t in range(r)]
         zero = FiberSeries.zero(chart, vo)
-        images = [FiberSeries.sum([zero] + [g.truncate(vo) * x[t] for t, g in enumerate(row) if g])
-                  for row in gmat]
-        parts = [zero]
-        for exps, c in self.terms.items():
-            term = FiberSeries.monomial(chart, exps[:b] + (0,) * r, c, vo)
-            for s in range(r):
-                for _ in range(exps[b + s]):
-                    term = term * images[s]
-            parts.append(term)
-        return FiberSeries.sum(parts)
+        # zero entries are left out: they would cap the certified order
+        images = [dot([zero] + [g for g in row if g],
+                      [zero] + [x[t] for t, g in enumerate(row) if g]) for row in gmat]
+        return FiberSeries.sum([zero] + [
+            prod([im for im, e in zip(images, exps[b:]) for _ in range(e)],
+                 start=FiberSeries.monomial(chart, exps[:b] + (0,) * r, c, vo))
+            for exps, c in self.terms.items()])
 
     # -- evaluation ----------------------------------------------------
 
@@ -589,7 +567,8 @@ def mat_identity(chart, n, valid_order=None):
 def dot(xs, ys, weights=None):
     """sum_s weights[s] * xs[s] * ys[s] for nonempty sequences of series on
     one chart and integer weights (default 1), accumulated into one dict
-    over one denominator."""
+    over one denominator: the ring's only product.  It certifies the least
+    order of all its operands, zero ones included."""
     operands = [*xs, *ys]
     chart = xs[0].chart
     for s in operands:
@@ -627,13 +606,8 @@ def mat_fiber_zero_part(A):
 
 
 def mat_is_identity(A):
-    n = len(A)
-    for i in range(n):
-        for j in range(n):
-            d = A[i][j] - (1 if i == j else 0)
-            if not d.is_zero():
-                return False
-    return True
+    return all((a - (1 if i == j else 0)).is_zero()
+               for i, row in enumerate(A) for j, a in enumerate(row))
 
 
 def mat_is_inverse(A, B):

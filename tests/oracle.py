@@ -27,7 +27,8 @@ import numpy as np
 
 from fiberpoisson.series import ChartSpec, FiberSeries
 from fiberpoisson.multivector import Multivector
-from fiberpoisson.parse import MAX_EXPONENT, MAX_NESTING, MAX_TERMS, ParseError
+from fiberpoisson.parse import (MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, MAX_POWER_BITS, MAX_TERMS,
+                               ParseError)
 
 
 def perm_sign(perm):
@@ -387,9 +388,14 @@ class _ReferenceParser:
         return sa * sb, da + db
 
     def factor(self):
+        kind, val, pos = self.peek()
+        if kind == "op" and val == "-":
+            self.next()
+            value, deg = self.nested(pos, self.factor)
+            return -value, deg
         value = self.atom()
         while True:
-            kind, val, pos = self.peek()
+            kind, val, caret = self.peek()
             if not (kind == "op" and val == "^"):
                 return value
             self.next()
@@ -399,26 +405,30 @@ class _ReferenceParser:
             n = int(val)
             if n > MAX_EXPONENT:
                 raise ParseError("exponent above %d" % MAX_EXPONENT, pos)
+            bits = max((max(abs(c.numerator), c.denominator).bit_length()
+                        for c in value[0].terms.values()), default=0)
+            if n * bits > MAX_POWER_BITS:
+                raise ParseError("power of more than %d digits" % MAX_DIGITS, caret)
             base = value
             value = base if n else (FiberSeries.constant(self.chart, 1), 0)
             for _ in range(n - 1):
                 value = self.product(value, base, pos)
 
+    def nested(self, pos, read):
+        if self.depth == MAX_NESTING:
+            raise ParseError("expression nested deeper than %d levels" % MAX_NESTING, pos)
+        self.depth += 1
+        value = read()
+        self.depth -= 1
+        return value
+
     def atom(self):
         kind, val, pos = self.next()
-        if kind == "op" and val in "-(":
-            if self.depth == MAX_NESTING:
-                raise ParseError("expression nested deeper than %d levels" % MAX_NESTING, pos)
-            self.depth += 1
-            if val == "-":
-                value, deg = self.atom()
-                value = -value, deg
-            else:
-                value = self.expr()
-                kind, val, pos = self.next()
-                if kind != "op" or val != ")":
-                    raise ParseError("expected %r" % ")", pos)
-            self.depth -= 1
+        if kind == "op" and val == "(":
+            value = self.nested(pos, self.expr)
+            kind, val, pos = self.next()
+            if kind != "op" or val != ")":
+                raise ParseError("expected %r" % ")", pos)
             return value
         if kind == "num":
             num = int(val)

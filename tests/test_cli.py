@@ -267,6 +267,13 @@ class TestMoserCommands:
         assert code == 0
         assert "deformation-at-t=1/3" in out
 
+    def test_moser_verify_checks_each_sample_once(self):
+        code, out, _ = run(["moser-verify", str(ROOT / "problems/e1.problem.json"),
+                            "--t-samples", "0,0,1/2,0.5"])
+        assert code == 0
+        assert re.findall(r"deformation-at-t=\S+", out) == ["deformation-at-t=0",
+                                                             "deformation-at-t=1/2"]
+
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     @pytest.mark.parametrize("path", ["tests/data/wong_family.problem.json",
                                       "problems/e1.problem.json"])

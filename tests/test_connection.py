@@ -164,3 +164,13 @@ class TestHomogeneity:
         for i in range(2):
             out = conn.hor_apply(i, f)
             assert out.fiber_degrees() <= {1}
+
+    def test_zero_coefficient_does_not_cap_the_order(self):
+        # a zero coefficient certified only to order 0 adds no term, so it
+        # leaves the lift's certified order at that of its other operands
+        ch = ChartSpec(2, 2, 3)
+        gamma = [[FiberSeries.zero(ch, 0), S("xi1*x2", ch)], [S("x1", ch), S("x2", ch)]]
+        f = S("xi1*x1^2 + x2^2", ch)
+        out = Connection(ch, gamma).hor_apply(0, f)
+        assert out.valid_order == 2
+        assert out.render() == "x1^2 - 2*xi1*x2^2"

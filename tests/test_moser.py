@@ -71,6 +71,7 @@ class TestPhiBracket:
         phi = PhiForm(ch, [S("x1", ch), S("x2", ch)])
         out = phi_bracket(phi, phi, Multivector.zero(ch, 2))
         assert out.is_zero()
+        assert out.valid_order == 2
 
     def test_brute_force_expansion(self):
         # expand V(dphi_i, dphi_j) - V(dphi_j, dphi_i) over the full
@@ -89,6 +90,7 @@ class TestPhiBracket:
             phi2 = PhiForm(ch, [rand_series(r, ch, xdeg=2, terms=2, min_xdeg=1)
                                 for _ in range(2)])
             got = phi_bracket(phi1, phi2, V)
+            assert got.valid_order == 2
             for i in range(2):
                 for j in range(2):
                     expect = FiberSeries.zero(ch)
@@ -104,6 +106,7 @@ class TestPhiBracket:
         V = so3_vertical(ch)
         phi = PhiForm(ch, [S("x1", ch), S("x2", ch)])
         out = phi_bracket(phi, phi, V)
+        assert out.valid_order == 2
         comp = out.component((0, 1))
         assert not comp.is_zero()
         assert comp.fiber_degrees() == {1}
@@ -242,6 +245,10 @@ class TestFamilyMember:
         # every member was built and verified by build_family
         assert conditions == [] and built == []
 
+    def test_each_sample_kept_once_in_order(self):
+        fam = e1_family(4, samples=(1, Fraction(1, 2), 1, 0, "1/2", 0))
+        assert fam.t_samples == (1, Fraction(1, 2), 0)
+
     def test_member_built_once(self):
         fam = e1_family(4, samples=(Fraction(0), Fraction(1, 2), Fraction(1)))
         assert fam.member(Fraction(1, 2)) is fam.member(Fraction(1, 2))
@@ -314,7 +321,7 @@ class TestNumericPullback:
         assert rep.entries[0].residual == "flow escaped the chart at step 5"
 
     def test_escape_reports_the_first_row_to_leave(self):
-        # at this bound the flow shifted by +fd_delta in xi3 leaves the chart
+        # at this bound the flow shifted by +FD_DELTA in xi3 leaves the chart
         # one step before the point's own flow; the rest of the points are
         # still checked
         fam = wong_family(3)
@@ -344,7 +351,7 @@ class TestNumericPullback:
         assert 3.6 <= slope <= 4.4
 
 
-def fd_rows(z0, delta=1e-5):
+def fd_rows(z0, delta=moser.FD_DELTA):
     """The point and its finite-difference neighbours, in the order of
     numeric_pullback_check: z0, then z0 +- delta e_a for each a."""
     rows = [list(z0)]
@@ -382,11 +389,20 @@ class TestBatchedFlows:
             assert np.max(np.abs(got - want)) < 1e-14
 
 
+def entry_orders(report):
+    """(name, certified order) of each entry; the pinned values below are
+    those of the loops that data_equivalence_check ran before series.dot."""
+    return [(e.name, e.certified_order) for e in report.entries]
+
+
 class TestDataEquivalence:
     def test_identity(self):
         data = e1_data(4)
         phi = PhiForm(data.chart, [S("0", data.chart)] * 2)
-        assert data_equivalence_check(data, data, phi).passed
+        rep = data_equivalence_check(data, data, phi)
+        assert rep.passed
+        assert entry_orders(rep) == [("vertical-relation", 4), ("connection-relation", 3),
+                                     ("two-form-relation", 3)]
 
     def test_cross_module_connection_change(self):
         r = rng(43)
@@ -404,14 +420,20 @@ class TestDataEquivalence:
                 acc = acc + m.mu[i][s] * x[s]
             comps.append(acc)
         phi = PhiForm(ch, comps)
-        assert data_equivalence_check(d1, d2, phi).passed
+        rep = data_equivalence_check(d1, d2, phi)
+        assert rep.passed
+        assert entry_orders(rep) == [("vertical-relation", 3), ("connection-relation", 2),
+                                     ("two-form-relation", 2)]
 
     def test_one_v_sharp_per_base_direction(self, monkeypatch):
         fam = wong_family(3)
         d2 = fam.member(1)
         calls = count_calls(monkeypatch, coupling, "v_sharp")
-        assert data_equivalence_check(fam.data, d2, fam.phi).passed
+        rep = data_equivalence_check(fam.data, d2, fam.phi)
+        assert rep.passed
         assert len(calls) == fam.chart.base_dim
+        assert entry_orders(rep) == [("vertical-relation", 3), ("connection-relation", 2),
+                                     ("two-form-relation", 2)]
 
     def test_constant_fiber_map(self):
         # conjugate so(3) data by a constant fiber rotation whose transpose
@@ -444,7 +466,10 @@ class TestDataEquivalence:
         a2 = AlgebroidData(ch, a1.lam, theta2, R2, a.omega, a.omega_inv)
         d2 = build_geometric_data(a2)
         phi = PhiForm(ch, [z, z])
-        assert data_equivalence_check(d1, d2, phi, A, A_inv).passed
+        rep = data_equivalence_check(d1, d2, phi, A, A_inv)
+        assert rep.passed
+        assert entry_orders(rep) == [("vertical-relation", 4), ("connection-relation", 3),
+                                     ("two-form-relation", 3)]
 
 
 def sum_series(ch, items):

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import time
 from itertools import product
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fiberpoisson import ChartSpec, parse_series, ParseError
-from fiberpoisson.parse import MAX_DIGITS, MAX_NESTING, MAX_EXPONENT, MAX_TERMS
+from fiberpoisson.parse import MAX_DIGITS, MAX_NESTING, MAX_EXPONENT, MAX_POWER_BITS, MAX_TERMS
 from oracle import reference_parse
 
 
@@ -311,9 +313,60 @@ def test_one_edit_gives_the_reference_outcome(text, ch, data):
     assert _outcome(parse_series, edited, ch) == _outcome(reference_parse, edited, ch), edited
 
 
+def _sympy_reading(text, ch):
+    """The terms of ``text`` read by sympy with '^' as '**', truncated to the
+    chart order.  The grammar's powers associate to the left and their
+    exponents are integers, so a chain base^a^b is written base**(a*b)."""
+    sympy = pytest.importorskip("sympy")
+    py = re.sub(r"(\^\s*\d+\s*)+", lambda m: "**(%s)" % "*".join(re.findall(r"\d+", m[0])),
+                text)
+    py = re.sub(r"(xi|x)(\d+)", lambda m: "%s%d" % (m[1], int(m[2])), py)
+    names = ["xi%d" % (i + 1) for i in range(ch.base_dim)] + \
+        ["x%d" % (i + 1) for i in range(ch.fiber_dim)]
+    xs = sympy.symbols(names)
+    poly = sympy.Poly(sympy.expand(sympy.sympify(py, locals=dict(zip(names, xs)))), *xs)
+    return {m: Fraction(int(c.p), int(c.q)) for m, c in poly.terms()
+            if c != 0 and sum(m[ch.base_dim:]) <= ch.trunc_order}
+
+
 @pytest.mark.parametrize("text", ["1/2^3", "0^0", "x1^2^3", "-x1^2", "1 + -x1^2", "2*-x1^2",
                                   "- -x1", "x01*xi02", "(x1)^3^0*x2", "0*x1^60*x1^40",
-                                  "x1^10^10", "x1^10^10*2", "x1^50*(x2)^50", "x1^50*x2^51"])
+                                  "x1^10^10", "x1^10^10*2", "x1^50*(x2)^50", "x1^50*x2^51",
+                                  "-(x1 - 2)^2*-xi1^3", "9^100^100^100"])
 def test_agrees_with_the_ring_reference_on_corner_cases(text):
+    # and with sympy's reading wherever the text parses
     for ch in CHARTS:
-        assert _outcome(parse_series, text, ch) == _outcome(reference_parse, text, ch)
+        got = _outcome(parse_series, text, ch)
+        assert got == _outcome(reference_parse, text, ch)
+        if not isinstance(got[0], str):
+            assert got[0].terms == _sympy_reading(text, ch), (text, ch)
+
+
+@pytest.mark.parametrize("text, rendered", [
+    ("1 + -x1^2", "1 - x1^2"), ("2*-x1^2", "-2*x1^2"), ("-x1^2", "-x1^2"),
+    ("(-x1)^2", "x1^2"), ("x2*-(1 + x1)^2", "-x2 - 2*x1*x2 - x1^2*x2"), ("- -x1^3", "x1^3"),
+])
+def test_unary_minus_binds_looser_than_a_power(text, rendered):
+    assert parse_series(text, ChartSpec(2, 2, 3)).render() == rendered
+
+
+@pytest.mark.parametrize("text, pos", [("9^100^100^100", 5), ("(9^100)^100^100", 7),
+                                       ("x1 + (1/3 + x2)^100^100", 19)])
+def test_power_of_too_many_digits_is_refused_before_the_work(text, pos):
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_series(text, chart())
+    assert time.perf_counter() - start < 0.1
+    assert str(err.value) == "power of more than %d digits (at position %d)" % (MAX_DIGITS, pos)
+
+
+def test_power_digit_bound_is_exact():
+    # 2^142 has MAX_POWER_BITS // 100 + 1 bits: its 99th power is read, its
+    # 100th refused; small bases keep every exponent up to MAX_EXPONENT
+    assert (2 ** 142).bit_length() * 99 <= MAX_POWER_BITS < (2 ** 142).bit_length() * 100
+    got = parse_series("(2^71*2^71)^99", chart())
+    assert got.terms == {(0, 0, 0, 0): Fraction(2 ** (142 * 99))}
+    with pytest.raises(ParseError, match="power of more than"):
+        parse_series("(2^71*2^71)^100", chart())
+    assert parse_series("2^100", chart()).terms == {(0, 0, 0, 0): Fraction(2 ** 100)}
+    assert parse_series("x1^100", ChartSpec(2, 2, 100)).render() == "x1^100"

@@ -270,6 +270,30 @@ class TestExactRing:
             with pytest.raises(ValueError, match="exceed %d" % MAX_FIELD):
                 product()
 
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_series(), mixed_denominator_series(), st.integers(MAX_FIELD - 3, MAX_FIELD),
+           st.integers(0, 3))
+    def test_product_is_the_one_pair_dot(self, a, b, high, low):
+        # a * b is dot([a], [b]): the same terms, certified order and flag,
+        # and the same field overflow, which high + low + b's own exponents
+        # of xi1 provoke past MAX_FIELD
+        def outcome(product):
+            try:
+                r = product()
+            except ValueError as err:
+                return str(err)
+            return r.terms, r.valid_order, r.truncated
+
+        ch = a.chart
+        hi = a + FiberSeries.monomial(ch, (high, 0, 0, 0), 1, a.valid_order)
+        lo = b + FiberSeries.monomial(ch, (low, 1, 0, 0), 1, b.valid_order)
+        for x, y in ((a, b), (b, a), (hi, lo), (lo, hi)):
+            got = outcome(lambda: x * y)
+            assert got == outcome(lambda: dot([x], [y]))
+            if not isinstance(got, str):
+                assert got[1:] == (min(x.valid_order, y.valid_order),
+                                   x.truncated or y.truncated)
+
     def test_shape_mismatch_raises(self):
         ch = ChartSpec(2, 1, 3)
         one, x = FiberSeries.constant(ch, 1), S("x1", ch)
@@ -396,6 +420,16 @@ class TestSubstitution:
         g = [[S("0", ch), S("1", ch)], [S("-1", ch), S("0", ch)]]
         out = a.substitute_fiber(g)
         assert out.render() == "-x1*x2"
+
+
+    def test_zero_entry_does_not_cap_the_order(self):
+        # a zero entry certified only to order 0 adds no term to its image
+        ch = ChartSpec(2, 2, 3)
+        a = S("x1*x2 + xi1*x2^3", ch)
+        g = [[S("1", ch), FiberSeries.zero(ch, 0)], [S("xi2", ch), S("1", ch)]]
+        out = a.substitute_fiber(g)
+        assert out.valid_order == 3
+        assert out == S("x1*(xi2*x1 + x2) + xi1*(xi2*x1 + x2)^3", ch)
 
 
 class TestMatrixInvert:
