@@ -243,31 +243,20 @@ class ConnectionChange:
         self.mu = [list(row) for row in mu]
 
 
-def _nabla_mu(a, m):
-    """Covariant exterior derivative of mu as a frame-valued 2-form."""
+def _change_of_splitting(a, m):
+    """(theta2, R2) after the change of splitting by mu.  theta2[i][s][t] is
+    theta[i][s][t] - sum_n mu[i][n] lam[n][s][t]; R2, R plus the covariant exterior
+    derivative of mu plus [mu_i, mu_j], is R[i][j][t] + d_i mu[j][t] - d_j mu[i][t]
+    + sum_s (mu[i][s] theta[j][s][t] - mu[j][s] theta2[i][s][t]), the bracket in theta2."""
     b, r = a.chart.base_dim, a.chart.fiber_dim
     mu, ns = m.mu, range(r)
-    return [[[mu[j][t].diff(i) - mu[i][t].diff(j)
-              + dot([*(-x for x in mu[j]), *mu[i]],
-                    [a.theta[i][s][t] for s in ns] + [a.theta[j][s][t] for s in ns])
-              for t in ns] for j in range(b)] for i in range(b)]
-
-
-def _mu_mu_half(a, m):
-    """Half the square bracket of mu: [mu_i, mu_j] componentwise."""
-    b, r = a.chart.base_dim, a.chart.fiber_dim
-    mu, pairs = m.mu, [(n, n2) for n in range(r) for n2 in range(r)]
-    return [[[dot([mu[i][n] * mu[j][n2] for n, n2 in pairs],
-                  [a.lam[n][n2][t] for n, n2 in pairs])
-              for t in range(r)] for j in range(b)] for i in range(b)]
-
-
-def _changed_theta(a, m):
-    """Linear-connection coefficients after the change of splitting by mu:
-    theta[i][s][t] - sum_n mu[i][n] lam[n][s][t]."""
-    b, r = a.chart.base_dim, a.chart.fiber_dim
-    return [[[a.theta[i][s][t] - dot(m.mu[i], [a.lam[n][s][t] for n in range(r)])
-              for t in range(r)] for s in range(r)] for i in range(b)]
+    theta2 = [[[a.theta[i][s][t] - dot(mu[i], [a.lam[n][s][t] for n in ns])
+                for t in ns] for s in ns] for i in range(b)]
+    R2 = [[[a.R[i][j][t] + mu[j][t].diff(i) - mu[i][t].diff(j)
+            + dot([*mu[i], *(-x for x in mu[j])],
+                  [a.theta[j][s][t] for s in ns] + [theta2[i][s][t] for s in ns])
+            for t in ns] for j in range(b)] for i in range(b)]
+    return theta2, R2
 
 
 def change_connection(a, m):
@@ -277,16 +266,10 @@ def change_connection(a, m):
     The output must be admissible again; a failure here is an internal
     sign fault, not a data error.
     """
-    chart = a.chart
-    b, r = chart.base_dim, chart.fiber_dim
     if not a.admissibility.passed:
         raise ValueError("change_connection requires admissible input")
-    theta2 = _changed_theta(a, m)
-    dmu = _nabla_mu(a, m)
-    sq = _mu_mu_half(a, m)
-    R2 = [[[a.R[i][j][t] + dmu[i][j][t] + sq[i][j][t] for t in range(r)]
-           for j in range(b)] for i in range(b)]
-    out = AlgebroidData(chart, a.lam, theta2, R2, a.omega, a.omega_inv)
+    theta2, R2 = _change_of_splitting(a, m)
+    out = AlgebroidData(a.chart, a.lam, theta2, R2, a.omega, a.omega_inv)
     if not out.admissibility.passed:
         raise InternalInvariantError("transformed connection data failed admissibility:\n"
                                      + out.admissibility.render())
@@ -332,24 +315,17 @@ def relative_cocycle(a, a2, m):
     b, r = chart.base_dim, chart.fiber_dim
     if not a.admissibility.passed:
         raise ValueError("relative_cocycle requires admissible reference data")
-    for s1 in range(r):
-        for s2 in range(r):
-            for n in range(r):
-                if not (a.lam[s1][s2][n] - a2.lam[s1][s2][n]).is_zero():
-                    raise ValueError("relative cocycle requires shared structure functions")
-    for i in range(b):
-        for j in range(b):
-            if not (a.omega[i][j] - a2.omega[i][j]).is_zero():
-                raise ValueError("relative cocycle requires a shared base form")
-    theta2 = _changed_theta(a, m)
+    if not all((a.lam[s1][s2][n] - a2.lam[s1][s2][n]).is_zero()
+               for s1 in range(r) for s2 in range(r) for n in range(r)):
+        raise ValueError("relative cocycle requires shared structure functions")
+    if not all((a.omega[i][j] - a2.omega[i][j]).is_zero() for i in range(b) for j in range(b)):
+        raise ValueError("relative cocycle requires a shared base form")
+    theta2, R2 = _change_of_splitting(a, m)
     if not all((a2.theta[i][s][t] - theta2[i][s][t]).is_zero()
                for i in range(b) for s in range(r) for t in range(r)):
         raise ValueError("the two connections do not differ by the "
                          "adjoint action of mu")
-    dmu = _nabla_mu(a, m)
-    sq = _mu_mu_half(a, m)
-    C = [[[a2.R[i][j][t] - a.R[i][j][t] - dmu[i][j][t] - sq[i][j][t]
-           for t in range(r)] for j in range(b)] for i in range(b)]
+    C = [[[a2.R[i][j][t] - R2[i][j][t] for t in range(r)] for j in range(b)] for i in range(b)]
 
     report = CheckReport("relative-cocycle")
     # center-valuedness: the bracket of C_{ij} with every frame element vanishes

@@ -29,7 +29,7 @@ import numpy as np
 
 from .series import (FiberSeries, FloatEvaluator, block_inverse, dot, mat_fiber_zero_part,
                      mat_identity, mat_mul, mat_neg, mat_valid_order)
-from .multivector import Multivector, HForm, interior, schouten
+from .multivector import Multivector, HForm, schouten
 from .connection import Connection
 from .coupling import GeometricData, assemble, v_sharp
 from .report import CheckReport, InternalInvariantError
@@ -75,18 +75,27 @@ def phi_bracket(phi1, phi2, V):
         raise ValueError("phi_bracket needs a vertical bivector")
     if phi1.chart != chart or phi2.chart != chart:
         raise ValueError("phi lives on a different chart")
-    b, n = chart.base_dim, chart.n_vars
+    return _pairing(V, _fiber_sharps(V, phi1), phi1, phi2)
+
+
+def _fiber_sharps(V, phi):
+    """The fiber components (V# dphi_i)^t of the components phi_i."""
+    b, n = V.chart.base_dim, V.chart.n_vars
+    return [[w.component((t,)) for t in range(b, n)] for w in (v_sharp(V, p) for p in phi.phi)]
+
+
+def _pairing(V, sharp, phi1, phi2):
+    """{phi1 ^ phi2}_V from the fiber components ``sharp`` of V# dphi1."""
+    b, n = V.chart.base_dim, V.chart.n_vars
     comps = {}
     if not V.is_zero():
         # V(dphi1_i, dphi2_j) = sum_t (V# dphi1_i)^t d_t phi2_j over the fiber directions t
-        sharp = [[w.component((t,)) for t in range(b, n)]
-                 for w in (interior([p.diff(a) for a in range(n)], V) for p in phi1.phi)]
         dphi2 = [[p.diff(t) for t in range(b, n)] for p in phi2.phi]
         signs = [1] * (n - b) + [-1] * (n - b)
         comps = {(i, j): dot(sharp[i] + sharp[j], dphi2[j] + dphi2[i], signs)
                  for i, j in combinations(range(b), 2)}
     vo = min(V.valid_order, min(p.valid_order for p in phi1.phi + phi2.phi) - 1)
-    return HForm(chart, 2, comps, vo)
+    return HForm(V.chart, 2, comps, vo)
 
 
 def gauge_terms(data, phi):
@@ -94,13 +103,11 @@ def gauge_terms(data, phi):
     The terms by which phi moves geometric data (Gamma, V, F) to
     (Gamma - (V# dphi)^h, V, F - dGamma(phi) - 1/2 {phi ^ phi}_V): the
     fiber components ``corrections[i][s]`` of V# dphi_i, then dGamma(phi)
-    and {phi ^ phi}_V.
+    and {phi ^ phi}_V, which pairs the same components.
     """
-    b, r = data.chart.base_dim, data.chart.fiber_dim
-    corrections = [[w.component((b + s,)) for s in range(r)]
-                   for w in (v_sharp(data.vertical, p) for p in phi.phi)]
+    corrections = _fiber_sharps(data.vertical, phi)
     return (corrections, data.connection.cov_ext_deriv(phi.hform()),
-            phi_bracket(phi, phi, data.vertical))
+            _pairing(data.vertical, corrections, phi, phi))
 
 
 def _combination(coeffs, weights):

@@ -13,19 +13,15 @@ Whitespace is insignificant, and a unary minus binds looser than '^'
 rounded.  A term without parentheses is read straight into one packed
 monomial: the key units of its variables add, its numerators and
 denominators multiply.  Parenthesised parts are expanded in the series
-ring.  An expression's terms are summed into one series on a chart whose
-order no parsed term reaches (``MAX_EXPONENT`` bounds every term's total
-degree), which is truncated once to the chart order; a term of the
-expansion above that order is dropped and the ``truncated`` flag is set
-on the result.
+ring.  Both happen on the caller's chart, so a term above its order drops
+as it arises, and the bounds below count only the terms that are kept;
+fiber degree is additive, so no term at or below the order changes.
 """
 
-import functools
 import re
-from fractions import Fraction
 from math import lcm
 
-from .series import ChartSpec, FiberSeries, key_unit
+from .series import FiberSeries, key_units
 
 _TOKEN = re.compile(r"(?P<num>\d+)|(?P<var>xi\d+|x\d+)|(?P<op>[-+*/^()])|(?P<bad>\S)")
 
@@ -42,7 +38,8 @@ MAX_TERMS = 10000
 MAX_DIGITS = 4300
 # A power is refused before the work when its exponent times the bit length of
 # the base's largest numerator or denominator exceeds that of a MAX_DIGITS-digit
-# number: MAX_EXPONENT does not bound a number's powers, whose degree is 0.
+# number, and a written product when its factors' numerators, or denominators,
+# add up to more bits: MAX_EXPONENT does not bound numbers, whose degree is 0.
 MAX_POWER_BITS = (10 ** MAX_DIGITS - 1).bit_length()
 
 
@@ -62,11 +59,11 @@ def _tokenize(text):
     return tokens
 
 
-def _bits(num, den):
-    """The bit length of the largest numerator or denominator, in lowest
-    terms, of num/den or of the coefficients of a series num (over den 1)."""
-    values = num.terms.values() if isinstance(num, FiberSeries) else [Fraction(num, den)]
-    return max((max(abs(c.numerator), c.denominator).bit_length() for c in values), default=0)
+def _bits(series):
+    """The bit lengths of the largest numerator and denominator of a series' coefficients."""
+    values = series.terms.values()
+    return (max((c.numerator.bit_length() for c in values), default=0),
+            max((c.denominator.bit_length() for c in values), default=0))
 
 
 def _number(val, pos):
@@ -79,11 +76,11 @@ class _Parser:
     """Recursive descent over the token list, whose operators are told by
     their text alone.  A factor or term is a tuple (key, num, den, deg): the
     monomial num/den * x^key of total degree at most deg, its key packed on
-    ``self.chart`` (of order at least MAX_EXPONENT).  Where parentheses
-    enter, num is a series on that chart, with key 0 and den 1."""
+    ``self.chart`` (a key may lie above the chart order until it is summed).
+    Where parentheses enter, num is a series on that chart, key 0 and den 1."""
 
     def __init__(self, text, chart):
-        self.chart, self.units = _parse_chart(chart)
+        self.chart, self.units = chart, key_units(chart)
         # the end sentinel is consumed only on the way to a ParseError
         self.tokens = _tokenize(text) + [(None, None, len(text))]
         self.i = 0
@@ -127,7 +124,17 @@ class _Parser:
         value = self.factor()
         while self.tokens[self.i][1] == "*":
             kind, val, pos = self.next()
-            value = self.product(value, self.factor(), pos)
+            rhs = self.factor()
+            # a series' coefficients, and a monomial's number past the bound as
+            # it stands, are measured in lowest terms at the chart order
+            if isinstance(value[1], FiberSeries) or isinstance(rhs[1], FiberSeries) or \
+                    value[1].bit_length() + rhs[1].bit_length() > MAX_POWER_BITS or \
+                    value[2].bit_length() + rhs[2].bit_length() > MAX_POWER_BITS:
+                value, rhs = self.expand(value), self.expand(rhs)
+                (na, da), (nb, db) = _bits(value[1]), _bits(rhs[1])
+                if na + nb > MAX_POWER_BITS or da + db > MAX_POWER_BITS:
+                    raise ParseError("product of more than %d digits" % MAX_DIGITS, pos)
+            value = self.product(value, rhs, pos)
         return value
 
     def product(self, a, b, pos):
@@ -159,12 +166,18 @@ class _Parser:
             if n > MAX_EXPONENT:
                 raise ParseError("exponent above %d" % MAX_EXPONENT, pos)
             # the powers of a variable are bounded by MAX_EXPONENT alone
-            if (value[1] != 1 or value[2] != 1) and n * _bits(value[1], value[2]) > MAX_POWER_BITS:
+            if (value[1] != 1 or value[2] != 1) and \
+                    n * max(_bits(self.expand(value)[1])) > MAX_POWER_BITS:
                 raise ParseError("power of more than %d digits" % MAX_DIGITS,
                                  self.tokens[self.i - 2][2])
-            base, value = value, (value if n else (0, 1, 1, 0))
-            for _ in range(n - 1):
-                value = self.product(value, base, pos)
+            if isinstance(value[1], FiberSeries):
+                base, value = value, (value if n else (0, 1, 1, 0))
+                for _ in range(n - 1):
+                    value = self.product(value, base, pos)
+            elif value[3] * n > MAX_EXPONENT:
+                raise ParseError("exponent above %d" % MAX_EXPONENT, pos)
+            else:
+                value = value[0] * n, value[1] ** n, value[2] ** n, value[3] * n
         return value
 
     def atom(self):
@@ -212,14 +225,6 @@ class _Parser:
         return value
 
 
-@functools.lru_cache(maxsize=64)
-def _parse_chart(chart):
-    """The chart a parse expands on (the same variables, at an order no
-    parsed term reaches) and its variables' key units, made once per chart."""
-    pchart = ChartSpec(chart.base_dim, chart.fiber_dim, max(chart.trunc_order, MAX_EXPONENT))
-    return pchart, tuple(key_unit(pchart, idx) for idx in range(pchart.n_vars))
-
-
 def parse_series(text, chart):
     """Parse an expression into a :class:`FiberSeries` at the chart order."""
-    return _Parser(text, chart).parse().on_chart(chart)
+    return _Parser(text, chart).parse()

@@ -10,7 +10,8 @@ appear only in :class:`FloatEvaluator` and its one-series call
 
 The truncation bookkeeping follows one rule throughout: every object
 knows up to which total fiber degree its stored terms are certified
-(``valid_order``).  Base-variable degrees are never truncated.
+(``valid_order``), the only record of truncation: a term above it is
+dropped where it arises.  Base-variable degrees are never truncated.
 Differentiating in a fiber variable lowers the certified order by one;
 sums and products certify the minimum of their operands' orders.
 
@@ -30,6 +31,7 @@ field never wraps.  Only this module reads packed keys: ``FiberSeries.terms``
 views them as exponent tuples with :class:`fractions.Fraction` values.
 """
 
+import functools
 import operator
 from collections.abc import Mapping
 from fractions import Fraction
@@ -136,9 +138,11 @@ def _pack(chart, exps):
     return key | (sum(exps[chart.base_dim:]) << (FIELD_BITS * chart.n_vars))
 
 
-def key_unit(chart, idx):
-    """The key of variable ``idx``: a monomial's key is the sum of its variables' units."""
-    return (1 << (FIELD_BITS * idx)) + ((idx >= chart.base_dim) << (FIELD_BITS * chart.n_vars))
+@functools.lru_cache(maxsize=64)
+def key_units(chart):
+    """The keys of the chart's variables: a monomial's key is the sum of its variables' units."""
+    return tuple((1 << (FIELD_BITS * v)) + ((v >= chart.base_dim) << (FIELD_BITS * chart.n_vars))
+                 for v in range(chart.n_vars))
 
 
 def _unpack(chart, key):
@@ -208,21 +212,17 @@ class FiberSeries:
     """
     Exact-rational coefficient function on a chart.  ``terms`` views its
     terms as exponent tuples (base exponents first) mapped to nonzero
-    rationals; no term of fiber degree above ``valid_order`` is stored.
-    ``truncated`` records that certified content was discarded while
-    building this object (a literal term beyond the chart order, or a
-    fiber derivative that exhausted the certified order); arithmetic
-    carries the flag as metadata.
+    rationals; no term of fiber degree above ``valid_order`` is stored,
+    and a given term above it is dropped.
     """
 
-    __slots__ = ("chart", "valid_order", "truncated", "_num", "_den", "_bound")
+    __slots__ = ("chart", "valid_order", "_num", "_den", "_bound")
 
-    def __init__(self, chart, terms=None, valid_order=None, truncated=False):
+    def __init__(self, chart, terms=None, valid_order=None):
         # valid_order may be negative: "no certified content"
         vo = chart.trunc_order if valid_order is None else min(valid_order, chart.trunc_order)
         top = _top(chart, vo)
         clean = {}
-        dropped = False
         bound = 0
         if terms:
             for exps, coeff in terms.items():
@@ -230,20 +230,18 @@ class FiberSeries:
                 if coeff == 0:
                     continue
                 key = _pack(chart, exps)
-                if key >= top:
-                    dropped = True
-                    continue
-                clean[key] = clean.get(key, 0) + coeff
-                bound = max(bound, max(exps, default=0))
+                if key < top:
+                    clean[key] = clean.get(key, 0) + coeff
+                    bound = max(bound, max(exps, default=0))
         clean = _nonzero(clean)
         # reduced fractions over their least common denominator share no factor
         den = lcm(*(c.denominator for c in clean.values()))
-        self.chart, self.valid_order, self.truncated = chart, vo, bool(truncated or dropped)
+        self.chart, self.valid_order = chart, vo
         self._num = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
         self._den, self._bound = den, bound
 
     @classmethod
-    def _reduced(cls, chart, num, den, valid_order, truncated, bound):
+    def _reduced(cls, chart, num, den, valid_order, bound):
         """Wrap an internal result without re-validation, cancelling the
         common factor of ``den`` and the numerators: ``num`` must map keys
         of fiber degree at most ``valid_order <= chart.trunc_order`` to
@@ -254,7 +252,7 @@ class FiberSeries:
                 den //= g
                 num = {k: c // g for k, c in num.items()}
         out = cls.__new__(cls)
-        out.chart, out.valid_order, out.truncated = chart, valid_order, truncated
+        out.chart, out.valid_order = chart, valid_order
         out._num, out._den, out._bound = num, den, bound
         return out
 
@@ -272,10 +270,8 @@ class FiberSeries:
     def constant(cls, chart, value, valid_order=None):
         value = _rational(value)
         vo = chart.trunc_order if valid_order is None else min(valid_order, chart.trunc_order)
-        if vo < 0:
-            return cls(chart, {(0,) * chart.n_vars: value}, vo)
-        num = {0: value.numerator} if value else {}
-        return cls._reduced(chart, num, value.denominator, vo, False, 0)
+        num = {0: value.numerator} if value and vo >= 0 else {}
+        return cls._reduced(chart, num, value.denominator, vo, 0)
 
     @classmethod
     def variable(cls, chart, idx, valid_order=None):
@@ -289,27 +285,28 @@ class FiberSeries:
 
     @classmethod
     def from_keys(cls, chart, pairs, den, bound):
-        """The sum of num/den * x^key over (key, num) pairs, keys of fiber
-        degree at most the chart order and exponents at most ``bound``."""
+        """The sum of num/den * x^key over (key, num) pairs with exponents at
+        most ``bound``; keys above the chart order are dropped."""
+        top = _top(chart, chart.trunc_order)
         out = {}
         get = out.get
         for k, c in pairs:
-            out[k] = get(k, 0) + c
-        return cls._reduced(chart, _nonzero(out), den, chart.trunc_order, False, bound)
+            if k < top:
+                out[k] = get(k, 0) + c
+        return cls._reduced(chart, _nonzero(out), den, chart.trunc_order, bound)
 
     @classmethod
     def sum(cls, parts):
         """The sum of a nonempty sequence of series on one chart, added
         into one dict over the least common denominator of the parts."""
         first = parts[0]
-        vo, truncated, bound = first.valid_order, False, 0
+        vo, bound = first.valid_order, 0
         for s in parts:
             _check_same_chart(first, s)
             if s.valid_order < vo:
                 vo = s.valid_order
             if s._bound > bound:
                 bound = s._bound
-            truncated = truncated or s.truncated
         parts = [s if s.valid_order == vo else s.truncate(vo) for s in parts]
         den = lcm(*[s._den for s in parts])
         # the longest part seeds the dict, the others are added into it
@@ -324,7 +321,7 @@ class FiberSeries:
                 f = den // s._den
                 for k, c in s._num.items():
                     out[k] = get(k, 0) + c * f
-        return cls._reduced(first.chart, _nonzero(out), den, vo, truncated, bound)
+        return cls._reduced(first.chart, _nonzero(out), den, vo, bound)
 
     # -- basic queries ------------------------------------------------
 
@@ -369,8 +366,7 @@ class FiberSeries:
 
     def __neg__(self):
         out = {k: -c for k, c in self._num.items()}
-        return FiberSeries._reduced(self.chart, out, self._den, self.valid_order,
-                                    self.truncated, self._bound)
+        return FiberSeries._reduced(self.chart, out, self._den, self.valid_order, self._bound)
 
     def __sub__(self, other):
         return self + (-other)
@@ -392,42 +388,26 @@ class FiberSeries:
         p = c.numerator
         out = {k: p * v for k, v in self._num.items()}
         return FiberSeries._reduced(self.chart, out, self._den * c.denominator,
-                                    self.valid_order, self.truncated, self._bound)
+                                    self.valid_order, self._bound)
 
     def diff(self, idx):
         """Exact partial derivative in direction ``idx`` (0-based, base then fiber)."""
         chart = self.chart
         if idx < 0 or idx >= chart.n_vars:
             raise IndexError("variable index out of range")
-        pos = FIELD_BITS * idx
-        unit = key_unit(chart, idx)
-        vo = self.valid_order
-        truncated = self.truncated
-        if idx >= chart.base_dim:
-            vo -= 1
-            truncated = truncated or vo < 0
+        pos, unit = FIELD_BITS * idx, key_units(chart)[idx]
+        vo = self.valid_order - (idx >= chart.base_dim)
         out = {k - unit: c * e for k, c in self._num.items() if (e := (k >> pos) & MAX_FIELD)}
-        return FiberSeries._reduced(chart, out, self._den, vo, truncated, self._bound)
+        return FiberSeries._reduced(chart, out, self._den, vo, self._bound)
 
     def truncate(self, order):
-        """Drop fiber degrees above ``order`` and lower the certified order (no flag)."""
+        """Drop fiber degrees above ``order`` and lower the certified order."""
         vo = min(self.valid_order, order)
         if vo == self.valid_order:
             return self
         top = _top(self.chart, vo)
         out = {k: c for k, c in self._num.items() if k < top}
-        return FiberSeries._reduced(self.chart, out, self._den, vo, self.truncated, self._bound)
-
-    def on_chart(self, chart):
-        """This series on ``chart``, a chart with the same variables: terms
-        above its order are dropped and set the ``truncated`` flag."""
-        if chart.n_vars != self.chart.n_vars or chart.base_dim != self.chart.base_dim:
-            raise ChartMismatchError("%r and %r have different variables" % (self.chart, chart))
-        vo = min(self.valid_order, chart.trunc_order)
-        top = _top(chart, vo)
-        out = {k: c for k, c in self._num.items() if k < top}
-        return FiberSeries._reduced(chart, out, self._den, vo,
-                                    self.truncated or len(out) < len(self._num), self._bound)
+        return FiberSeries._reduced(self.chart, out, self._den, vo, self._bound)
 
     # -- structural helpers -------------------------------------------
 
@@ -435,8 +415,7 @@ class FiberSeries:
         """Terms whose total fiber degree lies in [lo, hi]; certified order kept."""
         low, top = _top(self.chart, lo - 1), _top(self.chart, hi)
         out = {k: c for k, c in self._num.items() if low <= k < top}
-        return FiberSeries._reduced(self.chart, out, self._den, self.valid_order,
-                                    self.truncated, self._bound)
+        return FiberSeries._reduced(self.chart, out, self._den, self.valid_order, self._bound)
 
     def xi_coefficient(self, fiber_exps):
         """Coefficient of the fiber monomial ``x^fiber_exps`` as a base polynomial."""
@@ -445,8 +424,7 @@ class FiberSeries:
         want = _pack(chart, (0,) * chart.base_dim + tuple(fiber_exps)) >> pos
         mask = (1 << pos) - 1
         out = {k & mask: c for k, c in self._num.items() if k >> pos == want}
-        return FiberSeries._reduced(chart, out, self._den, self.valid_order,
-                                    self.truncated, self._bound)
+        return FiberSeries._reduced(chart, out, self._den, self.valid_order, self._bound)
 
     def substitute_fiber(self, gmat):
         """
@@ -585,8 +563,7 @@ def dot(xs, ys, weights=None):
         f = den // (x._den * y._den) * w
         lhs = x._num.items() if f == 1 else [(k, c * f) for k, c in x._num.items()]
         _mul_into(out, lhs, sorted(y._num.items()), top)
-    return FiberSeries._reduced(chart, _nonzero(out), den, vo,
-                                any(s.truncated for s in operands), bound)
+    return FiberSeries._reduced(chart, _nonzero(out), den, vo, bound)
 
 
 def mat_mul(A, B, upper=False):

@@ -320,10 +320,14 @@ _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<var>xi\d+|x\d+)|(?P<op>[-+*/^()]))"
 class _ReferenceParser:
     """Recursive descent over the grammar of ``fiberpoisson.parse``.  A
     value is a pair (series, deg) on a chart of order at least
-    MAX_EXPONENT; every factor is a series and every '*' a ring product,
-    checked against MAX_TERMS and MAX_EXPONENT before the work."""
+    MAX_EXPONENT, so no term is dropped before the end; every factor is a
+    series and every '*' a ring product, checked before the work against
+    MAX_POWER_BITS (a written '*' only), MAX_TERMS and MAX_EXPONENT.  The
+    bounds on numbers and on term counts see the operands truncated at the
+    caller's order."""
 
     def __init__(self, text, chart):
+        self.order = chart.trunc_order
         self.chart = ChartSpec(chart.base_dim, chart.fiber_dim,
                                max(chart.trunc_order, MAX_EXPONENT))
         tokens, end = [], 0
@@ -375,13 +379,24 @@ class _ReferenceParser:
             kind, val, pos = self.peek()
             if kind == "op" and val == "*":
                 self.next()
-                value = self.product(value, self.factor(), pos)
+                factor = self.factor()
+                (na, da), (nb, db) = self.bits(value[0]), self.bits(factor[0])
+                if na + nb > MAX_POWER_BITS or da + db > MAX_POWER_BITS:
+                    raise ParseError("product of more than %d digits" % MAX_DIGITS, pos)
+                value = self.product(value, factor, pos)
             else:
                 return value
 
+    def bits(self, series):
+        """The bit lengths of the largest numerator and of the largest
+        denominator of the kept coefficients."""
+        kept = series.truncate(self.order).terms.values()
+        return (max((c.numerator.bit_length() for c in kept), default=0),
+                max((c.denominator.bit_length() for c in kept), default=0))
+
     def product(self, a, b, pos):
         (sa, da), (sb, db) = a, b
-        if len(sa.terms) * len(sb.terms) > MAX_TERMS:
+        if len(sa.truncate(self.order).terms) * len(sb.truncate(self.order).terms) > MAX_TERMS:
             raise ParseError("product of more than %d terms" % MAX_TERMS, pos)
         if da + db > MAX_EXPONENT:
             raise ParseError("exponent above %d" % MAX_EXPONENT, pos)
@@ -405,9 +420,7 @@ class _ReferenceParser:
             n = int(val)
             if n > MAX_EXPONENT:
                 raise ParseError("exponent above %d" % MAX_EXPONENT, pos)
-            bits = max((max(abs(c.numerator), c.denominator).bit_length()
-                        for c in value[0].terms.values()), default=0)
-            if n * bits > MAX_POWER_BITS:
+            if n * max(self.bits(value[0])) > MAX_POWER_BITS:
                 raise ParseError("power of more than %d digits" % MAX_DIGITS, caret)
             base = value
             value = base if n else (FiberSeries.constant(self.chart, 1), 0)
@@ -455,4 +468,4 @@ class _ReferenceParser:
 
 def reference_parse(text, chart):
     """``parse_series`` through the ring: expand exactly, then truncate."""
-    return _ReferenceParser(text, chart).parse().on_chart(chart)
+    return FiberSeries(chart, dict(_ReferenceParser(text, chart).parse().terms))

@@ -12,7 +12,7 @@ from fiberpoisson import (ChartSpec, FiberSeries, Multivector, HForm,
                           data_equivalence_check, build_geometric_data,
                           change_connection, ConnectionChange,
                           verify_coupling_conditions, DEFAULT_T_SAMPLES)
-from fiberpoisson import series, coupling, moser
+from fiberpoisson import series, coupling, moser, multivector
 
 import oracle
 
@@ -434,6 +434,16 @@ class TestDataEquivalence:
         assert len(calls) == fam.chart.base_dim
         assert entry_orders(rep) == [("vertical-relation", 3), ("connection-relation", 2),
                                      ("two-form-relation", 2)]
+
+    def test_gauge_terms_contract_once_per_base_direction(self, monkeypatch):
+        # {phi ^ phi}_V pairs the fiber components of V# dphi_i that the
+        # corrections already hold
+        fam = wong_family(3)
+        calls = count_calls(monkeypatch, multivector, "interior")
+        corrections, dphi, quad = moser.gauge_terms(fam.data, fam.phi)
+        assert len(calls) == fam.chart.base_dim == 4
+        bracket = phi_bracket(fam.phi, fam.phi, fam.data.vertical)
+        assert quad.comps == bracket.comps and quad.valid_order == bracket.valid_order
 
     def test_constant_fiber_map(self):
         # conjugate so(3) data by a constant fiber rotation whose transpose

@@ -28,13 +28,11 @@ def test_literal_terms():
 def test_zero():
     s = parse_series("0", chart())
     assert s.terms == {}
-    assert not s.truncated
 
 
 def test_over_order_literal_flagged():
     s = parse_series("x1*x1*x1*x1", ChartSpec(2, 1, 3))
     assert s.is_zero()
-    assert s.truncated
 
 
 def test_parentheses_and_powers():
@@ -209,8 +207,11 @@ def test_exponent_bound_is_exact():
 
 
 def test_product_term_bound_is_exact():
+    # the bound counts the terms a product's operands keep at the chart order
     ch = chart()
-    monomials = ["xi1^%d*xi2^%d*x1^%d*x2^%d" % e for e in product(range(4), repeat=4)]
+    monomials = ["xi1^%d*xi2^%d*x1^%d*x2^%d" % e
+                 for e in product(range(5), range(5), range(4), range(4))
+                 if e[2] + e[3] <= ch.trunc_order]
     k = math.isqrt(MAX_TERMS)
     a = "(" + " + ".join(monomials[:k]) + ")"
     b = "(" + " + ".join(monomials[-k:]) + ")"
@@ -218,19 +219,22 @@ def test_product_term_bound_is_exact():
     b_more = "(" + " + ".join(monomials[-k - 1:]) + ")"
     with pytest.raises(ParseError, match="product of more than %d terms" % MAX_TERMS):
         parse_series("%s*%s" % (a, b_more), ch)
+    # terms above the order drop before the count: k + 40 written, k kept
+    a_high = "(" + " + ".join(monomials[:k] + ["x1^%d*xi1^%d" % (ch.trunc_order + 1, e)
+                                               for e in range(40)]) + ")"
+    assert parse_series("%s*%s" % (a_high, b), ch) == parse_series("%s*%s" % (a, b), ch)
 
 
-@pytest.mark.parametrize("text, rendered, truncated", [
-    ("x1^5 - x1^5", "0", False),
-    ("x1^2*x1^3", "0", True),
-    ("(1 + x1)^5 - x1^5", "1 + 5*x1 + 10*x1^2 + 10*x1^3 + 5*x1^4", False),
-])
-def test_truncated_flag_after_exact_expansion(text, rendered, truncated):
-    # an entry is expanded exactly before truncation: a term above the chart
-    # order that cancels sets no flag, one that survives does
+@pytest.mark.parametrize("text, rendered", [
+    ("x1^5 - x1^5", "0"),
+    ("x1^2*x1^3", "0"),
+    ("(1 + x1)^5 - x1^5", "1 + 5*x1 + 10*x1^2 + 10*x1^3 + 5*x1^4"),
+], ids=["cancelling", "product", "expansion"])
+def test_terms_above_the_order_drop_in_exact_expansion(text, rendered):
+    # a term above the chart order is dropped where it arises: no term at
+    # or below the order changes
     s = parse_series(text, ChartSpec(2, 1, 4))
     assert s.render() == rendered
-    assert s.truncated is truncated
 
 
 # -- differential test against the reference parse through the ring ---------
@@ -274,7 +278,7 @@ _mixed = _expr(_term(_expr(_term(_expr(_term(st.nothing()))))))
 def expressions(draw):
     text = draw(st.one_of(_flat, _mixed))
     if draw(st.booleans()):
-        # a term above every chart order that cancels: no flag may be set
+        # a term above every chart order that cancels
         high = draw(st.sampled_from(["x1^5*xi2", "3/2*x1^2*x2^3", "(1 + x1)^5", "-x2^6"]))
         text = "%s + %s - %s" % (text, high, high) if draw(st.booleans()) else \
             "%s - %s + %s" % (high, text, high)
@@ -286,7 +290,7 @@ def _outcome(parse, text, ch):
         s = parse(text, ch)
     except ParseError as err:
         return str(err), err.pos
-    return s, s.truncated
+    return s
 
 
 _settings = settings(max_examples=200, derandomize=True, deadline=None, database=None,
@@ -304,7 +308,7 @@ def test_parse_agrees_with_the_ring_reference(text, ch):
 @given(expressions(), st.sampled_from(CHARTS), st.data())
 def test_one_edit_gives_the_reference_outcome(text, ch, data):
     # an edit mostly makes the text malformed: the same message and position
-    # as the reference, and where it does not, the same series and flag
+    # as the reference, and where it does not, the same series
     at = data.draw(st.integers(0, len(text)))
     char = data.draw(st.sampled_from("0123456789xi+-*/^() @"))
     edit = data.draw(st.sampled_from(["insert", "delete", "replace"]))
@@ -332,14 +336,19 @@ def _sympy_reading(text, ch):
 @pytest.mark.parametrize("text", ["1/2^3", "0^0", "x1^2^3", "-x1^2", "1 + -x1^2", "2*-x1^2",
                                   "- -x1", "x01*xi02", "(x1)^3^0*x2", "0*x1^60*x1^40",
                                   "x1^10^10", "x1^10^10*2", "x1^50*(x2)^50", "x1^50*x2^51",
-                                  "-(x1 - 2)^2*-xi1^3", "9^100^100^100"])
+                                  "-(x1 - 2)^2*-xi1^3", "9^100^100^100", "(1 + x1 + xi1)^12"])
 def test_agrees_with_the_ring_reference_on_corner_cases(text):
     # and with sympy's reading wherever the text parses
     for ch in CHARTS:
         got = _outcome(parse_series, text, ch)
         assert got == _outcome(reference_parse, text, ch)
-        if not isinstance(got[0], str):
-            assert got[0].terms == _sympy_reading(text, ch), (text, ch)
+        if not isinstance(got, tuple):
+            assert got.terms == _sympy_reading(text, ch), (text, ch)
+
+
+def test_power_of_five_variables_agrees_with_the_ring_reference():
+    text, ch = "(1 + x1 + x2 + xi1 + xi2)^12", ChartSpec(2, 2, 3)
+    assert parse_series(text, ch) == reference_parse(text, ch)
 
 
 @pytest.mark.parametrize("text, rendered", [
@@ -370,3 +379,49 @@ def test_power_digit_bound_is_exact():
         parse_series("(2^71*2^71)^100", chart())
     assert parse_series("2^100", chart()).terms == {(0, 0, 0, 0): Fraction(2 ** 100)}
     assert parse_series("x1^100", ChartSpec(2, 2, 100)).render() == "x1^100"
+
+
+@pytest.mark.parametrize("text, pos", [("*".join(["(9^100)^45"] * 300), 10),
+                                       ("*".join(["9^100"] * 300), 45 * 6 - 1)])
+def test_product_of_too_many_digits_is_refused_before_the_work(text, pos):
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_series(text, chart())
+    assert time.perf_counter() - start < 0.1
+    assert str(err.value) == "product of more than %d digits (at position %d)" % (MAX_DIGITS, pos)
+    assert _outcome(reference_parse, text, chart()) == (str(err.value), pos)
+    assert parse_series("9^100*9^100", chart()).terms == {(0, 0, 0, 0): Fraction(9 ** 200)}
+
+
+def test_product_digit_bound_is_exact():
+    # the bit lengths of the factors' numbers add: 7143 + 7142 bits are read,
+    # one bit more is refused, at the '*'
+    assert (2 ** 7142).bit_length() + (2 ** 7141).bit_length() == MAX_POWER_BITS
+    got = parse_series("%d*%d" % (2 ** 7142, 2 ** 7141), chart())
+    assert got.terms == {(0, 0, 0, 0): Fraction(2 ** 14283)}
+    text = "x1*%d/3*%d" % (2 ** 7142, 2 ** 7142)
+    with pytest.raises(ParseError, match="product of more than") as err:
+        parse_series(text, chart())
+    assert err.value.pos == text.rindex("*")
+    assert _outcome(reference_parse, text, chart()) == (str(err.value), err.value.pos)
+    # denominators add the same way, apart from numerators
+    assert parse_series("1/%d*3/%d" % (2 ** 7142, 2 ** 7141), chart())
+    with pytest.raises(ParseError, match="product of more than"):
+        parse_series("1/%d*3/%d" % (2 ** 7142, 2 ** 7142), chart())
+    # a factor counts the bits it keeps at the chart order: none for 0 or a
+    # monomial above the order
+    big = "9" * MAX_DIGITS
+    assert len(bin(int(big))) - 2 == MAX_POWER_BITS
+    for text in ["x1^4*" + big, "0*" + big, "x1*" + big, "(1 + x1^4)*" + big]:
+        for ch in CHARTS:
+            assert _outcome(parse_series, text, ch) == _outcome(reference_parse, text, ch)
+    assert parse_series("x1^4*" + big, chart()).is_zero()
+
+
+def test_product_digit_bound_reads_numbers_in_lowest_terms():
+    # 2^100 and (1/2)^100 cancel in every pair, so no product grows
+    text = "*".join(["2^100", "1/2^100"] * 200)
+    assert parse_series(text, chart()).render() == "1"
+    assert parse_series(text, chart()) == reference_parse(text, chart())
+    text = "*".join(["%d/%d" % (2 ** 7000, 2 ** 6999)] * 3)
+    assert parse_series(text, chart()).render() == "8"

@@ -82,7 +82,6 @@ class TestDiff:
         d = a.diff(2)
         assert d.is_zero()
         assert d.valid_order == -1
-        assert d.truncated
 
     def test_mixed_partials_commute(self):
         r = rng(7)
@@ -156,7 +155,7 @@ class TestSympyDifferential:
         return expr, xs
 
     @classmethod
-    def truncated_terms(cls, expr, xs, order):
+    def terms_to_order(cls, expr, xs, order):
         sympy = pytest.importorskip("sympy")
         b = DIFF_CHART.base_dim
         poly = sympy.Poly(sympy.expand(expr), *xs)
@@ -167,7 +166,7 @@ class TestSympyDifferential:
     def check_clean(r):
         # an internal result passes the validating constructor unchanged
         again = FiberSeries(r.chart, r.terms, r.valid_order)
-        assert again.terms == r.terms and not again.truncated
+        assert again.terms == r.terms
         assert all(type(c) is Fraction for c in r.terms.values())
 
     @settings(max_examples=150, deadline=None)
@@ -176,10 +175,9 @@ class TestSympyDifferential:
         ea, xs = self.expand(a)
         eb, _ = self.expand(b)
         vo = min(a.valid_order, b.valid_order)
-        flag = a.truncated or b.truncated
         for r, expr in ((a * b, ea * eb), (a + b, ea + eb), (a - b, ea - eb)):
-            assert r.terms == self.truncated_terms(expr, xs, vo)
-            assert (r.valid_order, r.truncated) == (vo, flag)
+            assert r.terms == self.terms_to_order(expr, xs, vo)
+            assert r.valid_order == vo
             self.check_clean(r)
 
     @settings(max_examples=100, deadline=None)
@@ -190,13 +188,13 @@ class TestSympyDifferential:
         d = a.diff(idx)
         fiber = idx >= DIFF_CHART.base_dim
         vo = a.valid_order - 1 if fiber else a.valid_order
-        assert d.terms == self.truncated_terms(sympy.diff(ea, xs[idx]), xs, vo)
-        assert (d.valid_order, d.truncated) == (vo, a.truncated or (fiber and vo < 0))
+        assert d.terms == self.terms_to_order(sympy.diff(ea, xs[idx]), xs, vo)
+        assert d.valid_order == vo
         self.check_clean(d)
         t = a.truncate(order)
         vo = min(a.valid_order, order)
-        assert t.terms == self.truncated_terms(ea, xs, vo)
-        assert (t.valid_order, t.truncated) == (vo, a.truncated)
+        assert t.terms == self.terms_to_order(ea, xs, vo)
+        assert t.valid_order == vo
         self.check_clean(t)
 
 
@@ -231,19 +229,19 @@ class TestSympyMixedDenominators:
         ec, _ = self.sym.expand(c)
         vo = min(a.valid_order, b.valid_order)
         for r, expr in ((a * b, ea * eb), (a + b, ea + eb), (a - b, ea - eb)):
-            assert r.terms == self.sym.truncated_terms(expr, xs, vo)
+            assert r.terms == self.sym.terms_to_order(expr, xs, vo)
             self.sym.check_clean(r)
         vo = min(vo, c.valid_order)
         r = dot([a, b], [c, a], [w, 1])
-        assert r.terms == self.sym.truncated_terms(w * ea * ec + eb * ea, xs, vo)
+        assert r.terms == self.sym.terms_to_order(w * ea * ec + eb * ea, xs, vo)
         assert r.valid_order == vo
         self.sym.check_clean(r)
         r = a.scale(Fraction(w, 7))
-        assert r.terms == self.sym.truncated_terms(ea * w / 7, xs, a.valid_order)
+        assert r.terms == self.sym.terms_to_order(ea * w / 7, xs, a.valid_order)
         self.sym.check_clean(r)
         # one n-ary sum, a part repeated: the longest part seeds the dict
         r = FiberSeries.sum([a, b, c, a])
-        assert r.terms == self.sym.truncated_terms(2 * ea + eb + ec, xs, vo)
+        assert r.terms == self.sym.terms_to_order(2 * ea + eb + ec, xs, vo)
         assert r.valid_order == vo
         self.sym.check_clean(r)
 
@@ -274,7 +272,7 @@ class TestExactRing:
     @given(mixed_series(), mixed_denominator_series(), st.integers(MAX_FIELD - 3, MAX_FIELD),
            st.integers(0, 3))
     def test_product_is_the_one_pair_dot(self, a, b, high, low):
-        # a * b is dot([a], [b]): the same terms, certified order and flag,
+        # a * b is dot([a], [b]): the same terms and certified order,
         # and the same field overflow, which high + low + b's own exponents
         # of xi1 provoke past MAX_FIELD
         def outcome(product):
@@ -282,7 +280,7 @@ class TestExactRing:
                 r = product()
             except ValueError as err:
                 return str(err)
-            return r.terms, r.valid_order, r.truncated
+            return r.terms, r.valid_order
 
         ch = a.chart
         hi = a + FiberSeries.monomial(ch, (high, 0, 0, 0), 1, a.valid_order)
@@ -291,8 +289,7 @@ class TestExactRing:
             got = outcome(lambda: x * y)
             assert got == outcome(lambda: dot([x], [y]))
             if not isinstance(got, str):
-                assert got[1:] == (min(x.valid_order, y.valid_order),
-                                   x.truncated or y.truncated)
+                assert got[1] == min(x.valid_order, y.valid_order)
 
     def test_shape_mismatch_raises(self):
         ch = ChartSpec(2, 1, 3)
