@@ -36,10 +36,6 @@ class Connection:
         orders = [g.valid_order for row in self.gamma for g in row]
         return min(orders) if orders else self.chart.trunc_order
 
-    def is_homogeneous(self):
-        """True iff every coefficient is fiber-linear with base-polynomial factors."""
-        return all(g.fiber_degrees() <= {1} for row in self.gamma for g in row)
-
     def is_zero_on_section(self):
         """True iff every coefficient vanishes at x = 0."""
         return all(g.fiber_part(0, 0).is_zero() for row in self.gamma for g in row)
@@ -50,9 +46,7 @@ class Connection:
         if not 0 <= i < chart.base_dim:
             raise IndexError("base index out of range")
         comps = {(i,): FiberSeries.constant(chart, 1)}
-        for s, g in enumerate(self.gamma[i]):
-            if not g.is_zero():
-                comps[(chart.base_dim + s,)] = -g
+        comps.update(((chart.base_dim + s,), -g) for s, g in enumerate(self.gamma[i]))
         return Multivector(chart, 1, comps, self.valid_order())
 
     def horizontal_bivector(self, M, valid_order, moves=None):

@@ -307,13 +307,6 @@ class HForm(AntisymmetricTensor):
     _index_range = "base_dim"
     _prefix = "dxi"
 
-    def interior_base(self, u):
-        """Contraction with the base coordinate field d_u in the first slot."""
-        # distinct tuples that hold u stay distinct without it: no two terms add
-        out = {I[:k] + I[k + 1:]: c.scale(-1 if k % 2 else 1)
-               for I, c in self.comps.items() for k, idx in enumerate(I) if idx == u}
-        return HForm(self.chart, self.degree - 1, out, self.valid_order)
-
     def matrix(self):
         """Degree-2 form as a full antisymmetric base-dim square matrix."""
         if self.degree != 2:

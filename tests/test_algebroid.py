@@ -265,6 +265,38 @@ class TestConnectionEquivalence:
             assert verify_connection_equivalence(a, change_connection(a, m), m).passed
 
 
+class TestConnectionEquivalenceFails:
+    """Data changed by mu2 and checked against mu: the relations hold exactly
+    when the two changes give the same data."""
+
+    @staticmethod
+    def verdicts(a, mu, mu2):
+        m, m2 = (ConnectionChange(a.chart, [[S(e, a.chart) for e in row] for row in x])
+                 for x in (mu, mu2))
+        rep = verify_connection_equivalence(a, change_connection(a, m2), m)
+        return {e.name: e.passed for e in rep.entries}
+
+    def test_so3_other_constant_fails_both_relations(self):
+        mu = [["2", "-1", "1/2"], ["1", "0", "1"]]
+        mu2 = [["1", "-1", "1/2"], ["1", "0", "1"]]
+        assert self.verdicts(so3_flat_algebroid(), mu, mu2) == {
+            "connection-relation": False, "two-form-relation": False}
+
+    def test_e1_non_closed_difference_fails_the_two_form_relation(self):
+        # mu2 - mu = xi1 dxi2, whose differential dxi1^dxi2 moves R
+        mu = [["xi2^2 - xi1"], ["3*xi1*xi2"]]
+        mu2 = [["xi2^2 - xi1"], ["3*xi1*xi2 + xi1"]]
+        assert self.verdicts(e1_algebroid(), mu, mu2) == {
+            "connection-relation": True, "two-form-relation": False}
+
+    def test_e1_closed_difference_passes(self):
+        # mu2 - mu = -xi1 dxi1 is closed: both changes give the same data
+        mu = [["xi2^2 - xi1"], ["3*xi1*xi2"]]
+        mu2 = [["xi2^2 - 2*xi1"], ["3*xi1*xi2"]]
+        assert self.verdicts(e1_algebroid(), mu, mu2) == {
+            "connection-relation": True, "two-form-relation": True}
+
+
 class TestRelativeCocycle:
     def test_defining_relation_gives_zero(self):
         r = rng(35)

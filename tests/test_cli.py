@@ -295,6 +295,22 @@ class TestMoserCommands:
                             "--points", str(pts)])
         assert code == 0
 
+    def test_moser_flow_singular_two_form_exits_one(self, tmp_path):
+        # F_1 = 1 + 2*xi1 on the zero section vanishes at the first point,
+        # where the last step ends; the second point is still checked
+        doc = {"chart": {"base_dim": 2, "fiber_dim": 2, "trunc_order": 3},
+               "connection": [["0", "0"], ["0", "0"]],
+               "vertical": [["0", "-1 + 3*x2 - 1/2*x1"], ["1 - 3*x2 + 1/2*x1", "0"]],
+               "fform": [["0", "1"], ["-1", "0"]],
+               "phi": ["2*xi1*x1 + 3*xi1*x1^2", "x2"],
+               "points": [[-0.5, 0, 0, 0], [0.1, 0.1, 0.05, 0]]}
+        code, out, err = run(["moser-flow", write(tmp_path, "p.json", doc), "--steps", "8"])
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert lines[1].startswith("  [FAIL] point-(-0.5,0,0,0) ")
+        assert lines[1].endswith("residual: family 2-form singular at step 7")
+        assert lines[2].startswith("  [PASS] point-(0.1,0.1,0.05,0) ")
+
 
 class TestLinearizeCommands:
     def test_linearize(self, tmp_path):

@@ -308,8 +308,25 @@ class TestNumericPullback:
     def test_e1_small_fiber(self):
         fam = e1_family(6)
         rep = numeric_pullback_check(fam, [[0.3, -0.2, 0.08], [0.1, 0.5, -0.05]],
-                                     steps=100, tol=1e-6)
+                                     steps=100)
         assert rep.passed
+        assert all(e.detail < 1e-6 for e in rep.entries)
+
+    def test_singular_two_form_fails_its_point(self):
+        # the first rng(42) family with degenerate samples: F = dxi1^dxi2, and
+        # F_1 = 1 + 2*xi1 on the zero section vanishes where step 7 ends
+        r = rng(42)
+        for _ in range(40):
+            data = rand_valid_data(r)
+            fam = build_family(data, rand_phi(r, data))
+            if fam.degenerate_samples:
+                break
+        rep = numeric_pullback_check(fam, [[-0.5, 0, 0, 0], [0.1, 0.1, 0.05, 0]], steps=8)
+        first = rep.entries[0]
+        assert (first.passed, first.residual) == (False, "family 2-form singular at step 7")
+        assert rep.entries[1].passed and rep.entries[1].detail < 1e-6
+        with pytest.raises(FloatingPointError, match="^family 2-form singular at t=1$"):
+            moser._pi_matrix(moser._FloatFamily(fam), 1.0, [-0.5, 0, 0, 0])
 
     def test_escape_reported(self):
         # strong blow-up flavored family: drive the point outside the bound
