@@ -13,6 +13,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from itertools import combinations, product
@@ -445,9 +446,15 @@ def main(argv=None):
         if entry.detail is not None:
             entry.passed = entry.detail < args.tol
     if not args.quiet:
-        for line in lines:
-            print(line)
-        print(report.render())
+        try:
+            for line in lines:
+                print(line)
+            print(report.render())
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone: print no more, and let the flush at exit
+            # write to os.devnull instead of raising again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if args.report:
         with open(args.report, "w") as fh:
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True)

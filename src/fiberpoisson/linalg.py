@@ -52,29 +52,3 @@ def invert(M):
         raise ValueError("matrix is singular over the rationals")
     return [row[n:] for row in R]
 
-
-def nullspace(M):
-    """Basis of the right null space as a list of rational vectors."""
-    if not M:
-        return []
-    cols = len(M[0])
-    R, pivots = rref(M)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -R[r][f]
-        basis.append(v)
-    return basis
-
-
-def in_span(vectors, v):
-    """Whether rational vector ``v`` lies in the span of ``vectors``."""
-    if all(x == 0 for x in v):
-        return True
-    if not vectors:
-        return False
-    A = [list(w) for w in vectors]
-    return rank(A) == rank(A + [list(v)])

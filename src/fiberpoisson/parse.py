@@ -2,20 +2,22 @@
 Text grammar for entering coefficient functions.
 
     expr     := ('+'|'-')? term (('+'|'-') term)*
-    term     := factor ('*' factor)*
+    term     := factor ('*' factor | '/' divisor)*
     factor   := '-' factor | power
-    power    := rational | var | power '^' uint | '(' expr ')'
-    rational := uint ('/' uint)?
+    power    := uint | var | power '^' uint | '(' expr ')'
+    divisor  := factor, written with uint, '-' and '^' alone, nonzero
     var      := 'xi' uint | 'x' uint        (1-indexed)
 
 Whitespace is insignificant, and a unary minus binds looser than '^'
-(``2*-x1^2`` is -2 x1^2).  Parsing is exact: rationals are never
-rounded.  A term without parentheses is read straight into one packed
-monomial: the key units of its variables add, its numerators and
-denominators multiply.  Parenthesised parts are expanded in the series
-ring.  Both happen on the caller's chart, so a term above its order drops
-as it arises, and the bounds below count only the terms that are kept;
-fiber degree is additive, so no term at or below the order changes.
+(``2*-x1^2`` is -2 x1^2).  A '/' divides by the integer factor after it,
+its powers taken first, as sympy and Python read it: ``2/4^2`` is 1/8 and
+``2/4/2`` is 1/4.  Parsing is exact: rationals are never rounded.  A term
+without parentheses is read straight into one packed monomial: the key
+units of its variables add, its numerators and denominators multiply.
+Parenthesised parts are expanded in the series ring.  Both happen on the
+caller's chart, so a term above its order drops as it arises, and the
+bounds below count only the terms that are kept; fiber degree is additive,
+so no term at or below the order changes.
 """
 
 import re
@@ -28,8 +30,8 @@ _TOKEN = re.compile(r"(?P<num>\d+)|(?P<var>xi\d+|x\d+)|(?P<op>[-+*/^()])|(?P<bad
 # Parentheses and unary minuses open at one time.  The parser recurses once
 # per level, so deeper input is refused before it exhausts the Python stack.
 MAX_NESTING = 100
-# Bounds on every intermediate polynomial, checked once per '^' or '*' before
-# the work: a term's total degree, and a product's term count |a| * |b|.
+# Bounds on every intermediate polynomial, checked once per '^', '*' or '/'
+# before the work: a term's total degree, and a product's term count |a| * |b|.
 MAX_EXPONENT = 100
 MAX_TERMS = 10000
 # A longer digit run is never converted: as a number it is refused, as an
@@ -38,8 +40,9 @@ MAX_TERMS = 10000
 MAX_DIGITS = 4300
 # A power is refused before the work when its exponent times the bit length of
 # the base's largest numerator or denominator exceeds that of a MAX_DIGITS-digit
-# number, and a written product when its factors' numerators, or denominators,
-# add up to more bits: MAX_EXPONENT does not bound numbers, whose degree is 0.
+# number, and a written product or quotient when its factors' numerators, or
+# denominators, add up to more bits: MAX_EXPONENT does not bound numbers, whose
+# degree is 0.
 MAX_POWER_BITS = (10 ** MAX_DIGITS - 1).bit_length()
 
 
@@ -122,9 +125,9 @@ class _Parser:
 
     def term(self):
         value = self.factor()
-        while self.tokens[self.i][1] == "*":
+        while self.tokens[self.i][1] in ("*", "/"):
             kind, val, pos = self.next()
-            rhs = self.factor()
+            rhs = self.factor() if val == "*" else self.reciprocal()
             # a series' coefficients, and a monomial's number past the bound as
             # it stands, are measured in lowest terms at the chart order
             if isinstance(value[1], FiberSeries) or isinstance(rhs[1], FiberSeries) or \
@@ -148,6 +151,22 @@ class _Parser:
         if a[3] + b[3] > MAX_EXPONENT:
             raise ParseError("exponent above %d" % MAX_EXPONENT, pos)
         return a[0] + b[0], a[1] * b[1], a[2] * b[2], a[3] + b[3]
+
+    def reciprocal(self):
+        """1/d for the divisor d after a '/': a factor written with numbers,
+        '-' and '^' alone, so an integer, and nonzero."""
+        first = self.i
+        kind, val, pos = self.tokens[first]
+        if kind != "num" and val != "-":
+            raise ParseError("expected an integer denominator", pos)
+        num = self.factor()[1]
+        # one token is a number; a longer factor is scanned
+        if self.i > first + 1 and any(k == "var" or v == "("
+                                      for k, v, _ in self.tokens[first:self.i]):
+            raise ParseError("expected an integer denominator", pos)
+        if num == 0:
+            raise ParseError("zero denominator", pos)
+        return 0, -1 if num < 0 else 1, abs(num), 0
 
     def expand(self, value):
         key, num, den, deg = value
@@ -183,16 +202,7 @@ class _Parser:
     def atom(self):
         kind, val, pos = self.next()
         if kind == "num":
-            num, den = _number(val, pos), 1
-            if self.tokens[self.i][1] == "/":
-                self.i += 1
-                kind, val, pos = self.next()
-                if kind != "num":
-                    raise ParseError("expected an integer denominator", pos)
-                den = _number(val, pos)
-                if den == 0:
-                    raise ParseError("zero denominator", pos)
-            return 0, num, den, 0
+            return 0, _number(val, pos), 1, 0
         if kind == "var":
             base = val[1] == "i"
             digits = val[2 if base else 1:]

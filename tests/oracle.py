@@ -15,12 +15,11 @@ sum.  Nothing here shares code with the optimized implementation beyond
 the series ring itself.  The numeric references at the end integrate the
 Moser flows and the holonomy transports one flow and one point at a time.
 The reference parser expands every factor, number and variable included,
-in the series ring, one ring product per '*'.
+in the series ring, one ring product per '*' or '/'.
 """
 
 import math
 import re
-from fractions import Fraction
 from itertools import permutations, product
 
 import numpy as np
@@ -321,10 +320,11 @@ class _ReferenceParser:
     """Recursive descent over the grammar of ``fiberpoisson.parse``.  A
     value is a pair (series, deg) on a chart of order at least
     MAX_EXPONENT, so no term is dropped before the end; every factor is a
-    series and every '*' a ring product, checked before the work against
-    MAX_POWER_BITS (a written '*' only), MAX_TERMS and MAX_EXPONENT.  The
-    bounds on numbers and on term counts see the operands truncated at the
-    caller's order."""
+    series and every '*' a ring product, as is every '/' with the
+    reciprocal of its divisor, checked before the work against
+    MAX_POWER_BITS (a written '*' or '/' only), MAX_TERMS and MAX_EXPONENT.
+    The bounds on numbers and on term counts see the operands truncated at
+    the caller's order."""
 
     def __init__(self, text, chart):
         self.order = chart.trunc_order
@@ -377,15 +377,29 @@ class _ReferenceParser:
         value = self.factor()
         while True:
             kind, val, pos = self.peek()
-            if kind == "op" and val == "*":
+            if kind == "op" and val in "*/":
                 self.next()
-                factor = self.factor()
+                factor = self.factor() if val == "*" else self.reciprocal()
                 (na, da), (nb, db) = self.bits(value[0]), self.bits(factor[0])
                 if na + nb > MAX_POWER_BITS or da + db > MAX_POWER_BITS:
                     raise ParseError("product of more than %d digits" % MAX_DIGITS, pos)
                 value = self.product(value, factor, pos)
             else:
                 return value
+
+    def reciprocal(self):
+        """1/d for the divisor d after a '/', a factor whose tokens are
+        numbers, '-' and '^' alone; d must be nonzero."""
+        first = self.i
+        kind, val, pos = self.peek()
+        if kind != "num" and val != "-":
+            raise ParseError("expected an integer denominator", pos)
+        value, deg = self.factor()
+        if any(k == "var" or v == "(" for k, v, _ in self.tokens[first:self.i]):
+            raise ParseError("expected an integer denominator", pos)
+        if value.is_zero():
+            raise ParseError("zero denominator", pos)
+        return FiberSeries.constant(self.chart, 1 / value.constant_term()), deg
 
     def bits(self, series):
         """The bit lengths of the largest numerator and of the largest
@@ -444,17 +458,7 @@ class _ReferenceParser:
                 raise ParseError("expected %r" % ")", pos)
             return value
         if kind == "num":
-            num = int(val)
-            kind2, val2, _ = self.peek()
-            if kind2 == "op" and val2 == "/":
-                self.next()
-                kind3, val3, pos3 = self.next()
-                if kind3 != "num":
-                    raise ParseError("expected an integer denominator", pos3)
-                if int(val3) == 0:
-                    raise ParseError("zero denominator", pos3)
-                num = Fraction(num, int(val3))
-            return FiberSeries.constant(self.chart, num), 0
+            return FiberSeries.constant(self.chart, int(val)), 0
         if kind == "var":
             base = val.startswith("xi")
             k = int(val[2 if base else 1:]) - 1

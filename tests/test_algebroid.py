@@ -190,6 +190,76 @@ class TestCoisotropy:
         assert not rep.passed
         assert "kernel dim 0" in rep.entries[0].residual
 
+    @staticmethod
+    def _reference(rows, omega, b):
+        """(passed, residual) by subspaces: K is the null space of the rows,
+        K^omega the null space of K^T omega, and K^omega lies in K iff
+        appending any of its vectors leaves the rank of K's basis unchanged."""
+        sympy = pytest.importorskip("sympy")
+        eye = [sympy.Matrix([int(t == i) for t in range(b)]) for i in range(b)]
+        kernel = sympy.Matrix(rows).nullspace() if rows else eye
+        orth = (sympy.Matrix.hstack(*kernel).T * sympy.Matrix(omega)).nullspace() \
+            if kernel else eye
+        basis = sympy.Matrix.hstack(*kernel) if kernel else sympy.zeros(b, 0)
+        passed = all(sympy.Matrix.hstack(basis, w).rank() == basis.rank() for w in orth)
+        return passed, "kernel dim %d, orthogonal dim %d" % (len(kernel), len(orth))
+
+    def test_agrees_with_subspace_reference(self):
+        """Seeded random R built from wedges of covectors, each times a base
+        factor (xi_k - c), over a random constant symplectic form P^T omega P.
+        Covectors drawn from P^T times a Lagrangian of omega^-1 give isotropic
+        annihilators, so partial kernels occur both passing and failing."""
+        from fiberpoisson import linalg
+        r_ = rng(71)
+        seen = set()
+        for _ in range(60):
+            b, fib = r_.choice((2, 4, 6)), r_.randint(0, 3)
+            ch = ChartSpec(b, fib, 2)
+            std, _ = std_omega(ch)
+            P = [[Fraction(r_.randint(-2, 2)) if j > i else Fraction(r_.choice((1, 2, -1)))
+                  if j == i else Fraction(0) for j in range(b)] for i in range(b)]
+            om0 = [[x.constant_term() for x in row] for row in std]
+            om = [[sum(P[k][i] * om0[k][l] * P[l][j] for k in range(b) for l in range(b))
+                   for j in range(b)] for i in range(b)]
+            om_inv = linalg.invert(om)
+            lagrangian = r_.random() < 0.5
+
+            def covector():
+                if lagrangian:
+                    g = [Fraction(r_.randint(-2, 2)) if t % 2 == 0 else Fraction(0)
+                         for t in range(b)]
+                else:
+                    g = [Fraction(r_.randint(-2, 2)) for t in range(b)]
+                return [sum(g[k] * P[k][i] for k in range(b)) for i in range(b)]
+
+            # wedges[s]: (coefficient, alpha, beta, base index, shift) per term
+            wedges = [[(Fraction(r_.randint(1, 3)), covector(), covector(),
+                        r_.randrange(b), Fraction(r_.randint(-1, 1)))
+                       for _ in range(r_.randint(1, 2))] for _ in range(fib)]
+            R = zeros(ch, b, b, fib)
+            for s, terms in enumerate(wedges):
+                for c, al, be, k, shift in terms:
+                    f = FiberSeries.variable(ch, k) - FiberSeries.constant(ch, shift)
+                    for i in range(b):
+                        for j in range(b):
+                            R[i][j][s] = R[i][j][s] + f.scale(c * (al[i] * be[j] - be[i] * al[j]))
+            a = AlgebroidData(ch, zeros(ch, fib, fib, fib), zeros(ch, b, fib, fib), R,
+                              *([[FiberSeries.constant(ch, x) for x in row] for row in m]
+                                for m in (om, om_inv)))
+            points = [[Fraction(r_.randint(-1, 1), r_.randint(1, 2)) for _ in range(b)]
+                      for _ in range(3)]
+            rep = coisotropy_check(a, points)
+            for pt, entry in zip(points, rep.entries):
+                rows = [[sum(c * (pt[k] - shift) * (al[i] * be[j] - be[i] * al[j])
+                             for c, al, be, k, shift in wedges[s]) for i in range(b)]
+                        for j in range(b) for s in range(fib)]
+                want = self._reference(rows, om, b)
+                assert (entry.passed, entry.residual) == want, (b, fib, pt)
+                dim = int(want[1].split()[2].rstrip(","))
+                seen.add((0 < dim < b, want[0]))
+        # partial kernels occur both passing and failing
+        assert {(True, True), (True, False)} <= seen
+
 
 class TestChangeConnection:
     def test_identity(self):

@@ -2,8 +2,10 @@ import io
 import json
 import contextlib
 import gc
+import os
 import pathlib
 import re
+import subprocess
 import sys
 import time
 import warnings
@@ -714,3 +716,28 @@ def test_numeric_commands_evaluate_no_single_series(monkeypatch, tmp_path):
     assert calls == []
     FiberSeries.constant(ChartSpec(2, 1, 2), 3).evaluate_float([0.0, 0.0, 0.0])
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["moser-verify", str(ROOT / "tests" / "data" / "wong_family.problem.json")],
+    ["algebroid-check", BROKEN_BIANCHI],
+], ids=["passing", "failing"])
+def test_a_closed_stdout_pipe_stops_the_printing_only(argv, tmp_path):
+    # the pipe's read end is closed before the child starts, so its first
+    # write to stdout fails: no traceback, the report is still written, and
+    # the exit code is the verdict's, as in a --quiet run
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    report = tmp_path / "report.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "fiberpoisson.cli", *argv,
+                               "--report", str(report)], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=300)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
+    assert proc.returncode == run(argv + ["--quiet"])[0]
+    assert json.loads(report.read_text())["passed"] == (proc.returncode == 0)

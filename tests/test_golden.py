@@ -32,7 +32,7 @@ from fiberpoisson.cli import main, COMMANDS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
-PROBLEMS = ("e1", "wong", "broken_bianchi")
+PROBLEMS = ("e1", "wong", "broken_bianchi", "wong_pair")
 PROBLEM_FILES = {p: "problems/%s.problem.json" % p for p in PROBLEMS}
 PROBLEM_FILES["wong_family"] = "tests/data/wong_family.problem.json"
 NUMERIC = ("moser-flow", "holonomy")

@@ -260,7 +260,10 @@ def _factor(expr):
 
 
 def _term(expr):
-    return st.lists(_factor(expr), min_size=1, max_size=4).map("*".join)
+    # one join in four is a '/', whose divisor must be a number
+    joined = st.tuples(st.sampled_from("***/"), _factor(expr)).map("".join)
+    return st.tuples(_factor(expr), st.lists(joined, max_size=3)).map(
+        lambda p: p[0] + "".join(p[1]))
 
 
 def _expr(term):
@@ -336,7 +339,8 @@ def _sympy_reading(text, ch):
 @pytest.mark.parametrize("text", ["1/2^3", "0^0", "x1^2^3", "-x1^2", "1 + -x1^2", "2*-x1^2",
                                   "- -x1", "x01*xi02", "(x1)^3^0*x2", "0*x1^60*x1^40",
                                   "x1^10^10", "x1^10^10*2", "x1^50*(x2)^50", "x1^50*x2^51",
-                                  "-(x1 - 2)^2*-xi1^3", "9^100^100^100", "(1 + x1 + xi1)^12"])
+                                  "-(x1 - 2)^2*-xi1^3", "9^100^100^100", "(1 + x1 + xi1)^12",
+                                  "2/4^2", "1/2^3*x1", "x1/2", "1/-2^2"])
 def test_agrees_with_the_ring_reference_on_corner_cases(text):
     # and with sympy's reading wherever the text parses
     for ch in CHARTS:
@@ -357,6 +361,29 @@ def test_power_of_five_variables_agrees_with_the_ring_reference():
 ])
 def test_unary_minus_binds_looser_than_a_power(text, rendered):
     assert parse_series(text, ChartSpec(2, 2, 3)).render() == rendered
+
+
+@pytest.mark.parametrize("text, rendered", [
+    ("2/4^2", "1/8"), ("2/4/2", "1/4"), ("3/2^0", "3"), ("1/-2^2", "-1/4"), ("1/--2", "1/2"),
+    ("1/-1/2", "-1/2"), ("x1/2", "1/2*x1"), ("x1^2/3*x2", "1/3*x1^2*x2"),
+    ("(1 + x1)/2", "1/2 + 1/2*x1"),
+])
+def test_a_divisor_takes_its_powers_first(text, rendered):
+    assert parse_series(text, ChartSpec(2, 2, 3)).render() == rendered
+
+
+@pytest.mark.parametrize("text, message, pos", [
+    ("1/(2)", "expected an integer denominator", 2),
+    ("1/-(2)", "expected an integer denominator", 2),
+    ("1/-x1^0", "expected an integer denominator", 2),
+    ("x1/", "expected an integer denominator", 3),
+    ("1/0^2", "zero denominator", 2),
+    ("1/-0", "zero denominator", 2),
+    ("1/2^101", "exponent above 100", 4),
+])
+def test_a_divisor_is_a_nonzero_integer_factor(text, message, pos):
+    for parse in (parse_series, reference_parse):
+        assert _outcome(parse, text, chart()) == ("%s (at position %d)" % (message, pos), pos)
 
 
 @pytest.mark.parametrize("text, pos", [("9^100^100^100", 5), ("(9^100)^100^100", 7),
