@@ -456,9 +456,12 @@ def main(argv=None):
             # write to os.devnull instead of raising again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(args.report, "w") as fh:
+                fh.write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        except OSError as exc:
+            print("input error: cannot write report file: %s" % exc, file=sys.stderr)
+            return 2
     return 0 if report.passed else 1
 
 

@@ -14,18 +14,25 @@ its powers taken first, as sympy and Python read it: ``2/4^2`` is 1/8 and
 ``2/4/2`` is 1/4.  Parsing is exact: rationals are never rounded.  A term
 without parentheses is read straight into one packed monomial: the key
 units of its variables add, its numerators and denominators multiply.
+Where a term begins (at the start or after '(', either perhaps followed by a
+sign, or after a sign that follows an operand, as in ``a-b`` or ``a - b``), one
+written ``p/q*xi1*x2^3`` is one token; near a bound it is read token by token.
 Parenthesised parts are expanded in the series ring.  Both happen on the
 caller's chart, so a term above its order drops as it arises, and the
 bounds below count only the terms that are kept; fiber degree is additive,
 so no term at or below the order changes.
 """
 
+import functools
 import re
 from math import lcm
 
 from .series import FiberSeries, key_units
 
-_TOKEN = re.compile(r"(?P<num>\d+)|(?P<var>xi\d+|x\d+)|(?P<op>[-+*/^()])|(?P<bad>\S)")
+_FINE = re.compile(r"(?P<num>\d+)|(?P<var>xi\d+|x\d+)|(?P<op>[-+*/^()])|(?P<bad>\S)")
+_TOKEN = re.compile(r"(?=[\dx])(?:\A|(?<=^[-+])|(?<=[\d()][-+])|(?<=\()|(?<=[\d)] [-+] ))"
+                    r"(?P<mono>(?:\d+(?:/\d+)?|xi?\d+(?:\^\d+)?)(?:\*xi?\d+(?:\^\d+)?)*)"
+                    r"(?=\s*(?:[-+)]|\Z))|" + _FINE.pattern)
 
 # Parentheses and unary minuses open at one time.  The parser recurses once
 # per level, so deeper input is refused before it exhausts the Python stack.
@@ -54,8 +61,8 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-def _tokenize(text):
-    tokens = [(m.lastgroup, m[0], m.start()) for m in _TOKEN.finditer(text)]
+def _tokenize(text, pattern=_TOKEN, at=0):
+    tokens = [(m.lastgroup, m[0], at + m.start()) for m in pattern.finditer(text)]
     for kind, val, pos in tokens:
         if kind == "bad":
             raise ParseError("unexpected character %r" % val, pos)
@@ -67,6 +74,12 @@ def _bits(series):
     values = series.terms.values()
     return (max((c.numerator.bit_length() for c in values), default=0),
             max((c.denominator.bit_length() for c in values), default=0))
+
+
+@functools.lru_cache(maxsize=64)
+def _names(chart):
+    """The key units of the chart's variables, by name."""
+    return {chart.var_name(v): unit for v, unit in enumerate(key_units(chart))}
 
 
 def _number(val, pos):
@@ -83,7 +96,7 @@ class _Parser:
     Where parentheses enter, num is a series on that chart, key 0 and den 1."""
 
     def __init__(self, text, chart):
-        self.chart, self.units = chart, key_units(chart)
+        self.chart, self.units, self.names = chart, key_units(chart), _names(chart)
         # the end sentinel is consumed only on the way to a ParseError
         self.tokens = _tokenize(text) + [(None, None, len(text))]
         self.i = 0
@@ -124,6 +137,12 @@ class _Parser:
         return (parts[0] if len(parts) == 1 else FiberSeries.sum(parts)), deg
 
     def term(self):
+        kind, val, pos = self.tokens[self.i]
+        if kind == "mono" and (value := self.monomial(val)):
+            self.i += 1
+            return value
+        if kind == "mono":  # read by its fine tokens, which raise any error where they would
+            self.tokens[self.i:self.i + 1] = _tokenize(val, _FINE, pos)
         value = self.factor()
         while self.tokens[self.i][1] in ("*", "/"):
             kind, val, pos = self.next()
@@ -139,6 +158,24 @@ class _Parser:
                     raise ParseError("product of more than %d digits" % MAX_DIGITS, pos)
             value = self.product(value, rhs, pos)
         return value
+
+    def monomial(self, text):
+        """A mono token's tuple, or None where it may break a bound: an unknown variable, a
+        zero divisor, a degree past MAX_EXPONENT, or MAX_DIGITS characters (fewer keep
+        its numbers below both bit bounds)."""
+        if len(text) >= MAX_DIGITS:
+            return None
+        factors, num, den, key, deg = text.split("*"), 1, 1, 0, 0
+        if factors[0][0].isdigit():
+            num, _, den = factors.pop(0).partition("/")
+            num, den = int(num), int(den or 1)
+        for f in factors:
+            name, _, n = f.partition("^")
+            if name not in self.names:
+                return None
+            n = int(n or 1)
+            key, deg = key + self.names[name] * n, deg + n
+        return (key, num, den, deg) if den and deg <= MAX_EXPONENT else None
 
     def product(self, a, b, pos):
         """a * b, refused when it could exceed MAX_TERMS or MAX_EXPONENT.

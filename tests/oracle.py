@@ -322,7 +322,8 @@ class _ReferenceParser:
     MAX_EXPONENT, so no term is dropped before the end; every factor is a
     series and every '*' a ring product, as is every '/' with the
     reciprocal of its divisor, checked before the work against
-    MAX_POWER_BITS (a written '*' or '/' only), MAX_TERMS and MAX_EXPONENT.
+    MAX_POWER_BITS (a written '*' or '/' only), MAX_TERMS and MAX_EXPONENT;
+    a digit run longer than MAX_DIGITS is never converted.
     The bounds on numbers and on term counts see the operands truncated at
     the caller's order."""
 
@@ -431,7 +432,7 @@ class _ReferenceParser:
             kind, val, pos = self.next()
             if kind != "num":
                 raise ParseError("expected an integer exponent", pos)
-            n = int(val)
+            n = int(val) if len(val) <= MAX_DIGITS else MAX_EXPONENT + 1
             if n > MAX_EXPONENT:
                 raise ParseError("exponent above %d" % MAX_EXPONENT, pos)
             if n * max(self.bits(value[0])) > MAX_POWER_BITS:
@@ -458,10 +459,13 @@ class _ReferenceParser:
                 raise ParseError("expected %r" % ")", pos)
             return value
         if kind == "num":
+            if len(val) > MAX_DIGITS:
+                raise ParseError("number longer than %d digits" % MAX_DIGITS, pos)
             return FiberSeries.constant(self.chart, int(val)), 0
         if kind == "var":
             base = val.startswith("xi")
-            k = int(val[2 if base else 1:]) - 1
+            digits = val[2 if base else 1:]
+            k = int(digits) - 1 if len(digits) <= MAX_DIGITS else -1
             if not 0 <= k < (self.chart.base_dim if base else self.chart.fiber_dim):
                 raise ParseError("unknown variable %r" % val, pos)
             return FiberSeries.variable(self.chart, k if base else self.chart.base_dim + k), 1

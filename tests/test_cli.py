@@ -402,6 +402,14 @@ class TestErrorPaths:
         assert code == 2
         assert "input error" in err
 
+    def test_unwritable_report_file(self, tmp_path):
+        report = tmp_path / "missing" / "x.json"
+        code, _, err = run(["check-jacobi", str(ROOT / "problems" / "wong_pair.problem.json"),
+                            "--quiet", "--report", str(report)])
+        assert code == 2
+        assert err.startswith("input error: cannot write report file: [Errno 2]")
+        assert err.count("\n") == 1 and not report.exists()
+
     def test_check_failure_exit_one(self, tmp_path):
         doc = e1_problem()
         doc["vertical"] = [["0"]]

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fiberpoisson import ChartSpec, parse_series, ParseError
-from fiberpoisson.parse import MAX_DIGITS, MAX_NESTING, MAX_EXPONENT, MAX_POWER_BITS, MAX_TERMS
+from fiberpoisson.parse import (MAX_DIGITS, MAX_NESTING, MAX_EXPONENT, MAX_POWER_BITS, MAX_TERMS,
+                                _tokenize)
 from oracle import reference_parse
 
 
@@ -452,3 +453,68 @@ def test_product_digit_bound_reads_numbers_in_lowest_terms():
     assert parse_series(text, chart()) == reference_parse(text, chart())
     text = "*".join(["%d/%d" % (2 ** 7000, 2 ** 6999)] * 3)
     assert parse_series(text, chart()).render() == "8"
+
+
+# -- a parenthesis-free term as one token ---------------------------------------
+
+def test_a_rendered_sum_is_signs_and_whole_terms():
+    tokens = _tokenize("-x1^2 + 1/2*xi1*x2^3 - 3*x1*x2 + 7 - (x1*x2 + 1)^2")
+    assert [(kind, val) for kind, val, _ in tokens] == [
+        ("op", "-"), ("mono", "x1^2"), ("op", "+"), ("mono", "1/2*xi1*x2^3"), ("op", "-"),
+        ("mono", "3*x1*x2"), ("op", "+"), ("mono", "7"), ("op", "-"), ("op", "("),
+        ("mono", "x1*x2"), ("op", "+"), ("mono", "1"), ("op", ")"), ("op", "^"), ("num", "2")]
+
+
+@pytest.mark.parametrize("text", [
+    "1/2/3", "(x1 + 1)^2*x1", "2/-3*x1", "2/4^2*x1", "x1/2", "2*-x1*x2^2", "x1^(2)",
+    "-x1^2 + 1/2*xi1*x2^3", "2/3*x1*x1^101"])
+def test_a_whole_term_token_begins_only_where_a_term_begins(text):
+    # read as one token anywhere else, the tail of each of these would parse
+    # differently or raise a different error
+    for ch in CHARTS:
+        assert _outcome(parse_series, text, ch) == _outcome(reference_parse, text, ch), text
+
+
+@st.composite
+def _whole_terms(draw):
+    """A term that is one token where a term begins: a number, then
+    '*'-joined powers of variables."""
+    powers = draw(st.lists(st.tuples(st.sampled_from(NAMES),
+                                     st.sampled_from(["", "^0", "^1", "^2", "^3"])).map("".join),
+                           max_size=3))
+    number = draw(st.one_of(_numbers, st.just(""))) if powers else draw(_numbers)
+    return "*".join(([number] if number else []) + powers)
+
+
+# at a term start, each at or past one bound: degree, variable, divisor, digits
+_EDGES = ["x1^100", "x1^101", "x1^50*x2^51", "xi9", "1/0*x1", "1" * (MAX_DIGITS + 1) + "*x1"]
+
+
+@pytest.mark.parametrize("context", ["%s", "-%s", "x2 - %s + 1", "(1 - %s)*x2", "xi1*(%s)^0"])
+@pytest.mark.parametrize("edge", _EDGES)
+def test_a_whole_term_at_a_bound_reads_as_its_fine_tokens(edge, context):
+    text = context % edge
+    for ch in CHARTS:
+        assert _outcome(parse_series, text, ch) == _outcome(reference_parse, text, ch), text
+
+
+# fine-token terms: parenthesised factors (whose terms are whole-term tokens
+# again), '*-', chained '^' and '/' after a term
+_fine_terms = _term(_expr(st.one_of(_whole_terms(), _term(st.nothing()))))
+
+
+@st.composite
+def _whole_and_fine_terms(draw):
+    terms = draw(st.lists(st.one_of(_whole_terms(), _fine_terms), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        terms.insert(draw(st.integers(0, len(terms))), draw(st.sampled_from(_EDGES)))
+    signs = [draw(st.sampled_from(["", "-", "+"]))] + \
+        draw(st.lists(st.sampled_from([" + ", " - ", "+", "-"]),
+                      min_size=len(terms) - 1, max_size=len(terms) - 1))
+    return "".join(sign + term for sign, term in zip(signs, terms))
+
+
+@_settings
+@given(_whole_and_fine_terms(), st.sampled_from(CHARTS))
+def test_whole_and_fine_term_tokens_agree_with_the_ring_reference(text, ch):
+    assert _outcome(parse_series, text, ch) == _outcome(reference_parse, text, ch), text
