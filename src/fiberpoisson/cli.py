@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .series import ChartSpec
-from .parse import parse_series, ParseError
+from .parse import parse_series, ParseError, MAX_DIGITS
 from .multivector import Multivector, HForm, jacobiator
 from .connection import Connection
 from .coupling import GeometricData, assemble, decompose
@@ -52,16 +52,34 @@ def _naming(key):
         raise InputError("%s: %s" % (key, exc))
 
 
+def _read_json(path, unreadable, invalid):
+    """The JSON document at ``path``, or the input error ``unreadable`` or ``invalid``."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(unreadable % exc)
+    except (ValueError, RecursionError) as exc:  # a number past CPython's digit limit too
+        raise InputError(invalid % exc)
+
+
 def _rationals(values, where):
-    """A list of JSON numbers or strings such as "-3/4" as exact rationals;
-    anything else, a zero denominator included, is an input error naming
-    ``where``."""
+    """A list of JSON numbers or strings such as "-3/4" or "1.5e-3" as exact rationals;
+    anything else, a zero denominator or a numerator or denominator past
+    parse.MAX_DIGITS digits (refused before it is built), is an input error naming ``where``."""
     if not isinstance(values, list):
         raise InputError("%s: expected a list of numbers, got %r" % (where, values))
     out = []
     for k, v in enumerate(values):
+        mantissa, _, exp = str(v).lower().partition("e")  # Fraction would build 10**exp
         try:
+            q, exp = Fraction(mantissa), int(exp or 0)
+            if max(len(str(abs(q.numerator))) + max(exp, 0),
+                   len(str(q.denominator)) - min(exp, 0)) > MAX_DIGITS:
+                raise OverflowError("numerator or denominator past %d digits" % MAX_DIGITS)
             out.append(Fraction(str(v)))
+        except OverflowError as exc:
+            raise InputError("%s[%d]: %s" % (where, k, exc))
         except (ValueError, ZeroDivisionError):
             raise InputError("%s[%d]: not a rational number: %r" % (where, k, v))
     return out
@@ -100,14 +118,8 @@ class Problem:
 
     @classmethod
     def load(cls, path, order_override=None):
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise InputError("cannot read problem file: %s" % exc)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise InputError("problem file is not valid JSON: %s" % exc)
-        return cls(doc, order_override)
+        return cls(_read_json(path, "cannot read problem file: %s",
+                              "problem file is not valid JSON: %s"), order_override)
 
     # -- entry readers -------------------------------------------------
 
@@ -172,10 +184,8 @@ class Problem:
         lam = self.array("lambda", (r, r, r), sec, cube)
         theta = self.array("theta", (b, r, r), sec, cube)
         R = self.array("R", (b, b, r), sec, cube)
-        omega = self.array("omega", (b, b), sec, None) or self.array("omega", (b, b))
-        omega_inv = (self.array("omega_inv", (b, b), sec, None)
-                     or self.array("omega_inv", (b, b)))
-        return AlgebroidData(self.chart, lam, theta, R, omega, omega_inv)
+        return AlgebroidData(self.chart, lam, theta, R, self.array("omega", (b, b)),
+                             self.array("omega_inv", (b, b)))
 
     def phi(self):
         comps = self.array("phi", (self.chart.base_dim,),
@@ -201,15 +211,9 @@ class Problem:
         except ValueError as exc:
             raise InputError("bad path section: %s" % exc)
 
-    def float_points(self, override_file=None):
-        if override_file is not None:
-            try:
-                with open(override_file) as fh:
-                    pts = json.load(fh)
-            except (OSError, json.JSONDecodeError, RecursionError) as exc:
-                raise InputError("cannot read points file: %s" % exc)
-        else:
-            pts = self.doc.get("points")
+    def float_points(self, points_file):
+        pts = (self.doc.get("points") if points_file is None
+               else _read_json(points_file, *["cannot read points file: %s"] * 2))
         if not pts:
             raise InputError("no sample points given (problem 'points' or --points)")
         try:
@@ -307,16 +311,12 @@ def cmd_cocycle(problem, args):
     return report, lines
 
 
-def _t_samples(args):
-    if args.t_samples is None:
-        return DEFAULT_T_SAMPLES
-    return tuple(_rationals(args.t_samples.split(","), "--t-samples"))
-
-
 def cmd_moser_verify(problem, args):
     data = problem.geometric_data()
     phi = problem.phi()
-    fam = build_family(data, phi, _t_samples(args))
+    t_samples = (DEFAULT_T_SAMPLES if args.t_samples is None
+                 else tuple(_rationals(args.t_samples.split(","), "--t-samples")))
+    fam = build_family(data, phi, t_samples)
     report = verify_deformation_equation(fam)
     lines = ["degenerate samples: %s" % (", ".join(str(t) for t in fam.degenerate_samples)
                                          or "none")]
@@ -325,7 +325,7 @@ def cmd_moser_verify(problem, args):
 
 def cmd_moser_flow(problem, args):
     data = problem.geometric_data()
-    fam = build_family(data, problem.phi(), _t_samples(args))
+    fam = build_family(data, problem.phi())
     points = problem.float_points(args.points)
     return numeric_pullback_check(fam, points, args.steps), []
 
@@ -381,20 +381,26 @@ COMMANDS = {
     "holonomy": cmd_holonomy,
 }
 
-_NUMERIC_DEFAULT_TOL = {"moser-flow": 1e-6, "holonomy": 1e-8}
-
 
 def _positive(kind):
     """argparse type: a finite, positive ``kind`` (bad values exit 2)."""
     def convert(text):
-        try:
-            value = kind(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError("invalid %s value: %r" % (kind.__name__, text))
+        value = kind(text)
         if not (math.isfinite(value) and value > 0):
             raise argparse.ArgumentTypeError("must be finite and positive, got %r" % text)
         return value
+    convert.__name__ = kind.__name__  # argparse names it in "invalid int value: 'x'"
     return convert
+
+
+# the flags each command reads besides problem, --order, --report and --quiet
+_STEPS = ("--steps", _positive(int), 1000, "integrator step budget")
+FLAGS = {
+    "moser-verify": [("--t-samples", str, None, "comma-separated rational homotopy samples")],
+    "moser-flow": [_STEPS, ("--points", str, None, "JSON file with float sample points"),
+                   ("--tol", _positive(float), 1e-6, "pass/fail tolerance")],
+    "holonomy": [_STEPS, ("--tol", _positive(float), 1e-8, "pass/fail tolerance")],
+}
 
 
 def build_parser():
@@ -407,16 +413,10 @@ def build_parser():
         p.add_argument("problem", help="JSON problem file")
         p.add_argument("--order", type=int, default=None,
                        help="override the chart truncation order")
-        p.add_argument("--t-samples", default=None,
-                       help="comma-separated rational homotopy samples")
-        p.add_argument("--steps", type=_positive(int), default=1000,
-                       help="integrator step budget for numeric commands")
-        p.add_argument("--points", default=None,
-                       help="JSON file with float sample points (moser-flow)")
+        for flag, kind, default, text in FLAGS.get(name, ()):
+            p.add_argument(flag, type=kind, default=default, help=text)
         p.add_argument("--report", default=None,
                        help="write the structured report to this JSON file")
-        p.add_argument("--tol", type=_positive(float), default=_NUMERIC_DEFAULT_TOL.get(name),
-                       help="pass/fail tolerance for numeric commands")
         p.add_argument("--quiet", action="store_true")
     return parser
 

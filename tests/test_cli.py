@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import contextlib
@@ -10,6 +11,7 @@ import sys
 import time
 import warnings
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -527,6 +529,48 @@ class TestNumericFlags:
         assert isinstance(args.steps, int)
 
 
+class TestFlagSurface:
+    """Every command takes problem, --order, --report and --quiet; the other
+    flags only where the command reads them, and argparse refuses any other
+    flag with exit 2."""
+
+    COMMON = ("--order", "--report", "--quiet")
+    DECLARED = {"moser-verify": ("--t-samples",),
+                "moser-flow": ("--steps", "--points", "--tol"),
+                "holonomy": ("--steps", "--tol")}
+    VALUES = {"--order": ["2"], "--report": ["r.json"], "--quiet": [],
+              "--t-samples": ["0,1"], "--steps": ["5"], "--points": ["p.json"],
+              "--tol": ["0.5"]}
+
+    @pytest.mark.parametrize("flag", sorted(VALUES))
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_a_flag_parses_exactly_when_declared(self, command, flag):
+        argv = [command, "p.json", flag] + self.VALUES[flag]
+        if flag in self.COMMON or flag in self.DECLARED.get(command, ()):
+            assert cli.build_parser().parse_args(argv).command == command
+        else:
+            with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+                cli.build_parser().parse_args(argv)
+            assert exc.value.code == 2
+
+    def test_readme_table_matches_the_parser(self):
+        # each command's flags besides the common ones, with their defaults
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        parsed = {name: {a.option_strings[-1]: a.default for a in p._actions
+                         if set(a.option_strings) - {"-h", "--help", *self.COMMON}}
+                  for name, p in subparsers.choices.items()}
+        text = (ROOT / "README.md").read_text()
+        rows = text.split("| command | flags besides")[1].split("\n\n")[0].splitlines()[2:]
+        documented = {}
+        for row in rows:
+            command, flags = (cell.strip() for cell in row.strip("|").split("|"))
+            documented[command.strip("`")] = {
+                flag: float(default) if default else None
+                for flag, default in re.findall(r"`(--[a-z-]+)`(?: \(default ([^)]+)\))?", flags)}
+        assert documented == parsed
+
+
 class TestConstantBlockInverseCallers:
     """Without a seed, ``block_inverse`` inverts the fiber-constant block."""
 
@@ -587,7 +631,8 @@ class TestMalformedShapes:
     def test_exit_two(self, command, key, value, message, tmp_path):
         doc = json.loads((ROOT / "problems" / "e1.problem.json").read_text())
         doc[key] = value
-        code, _, err = run([command, write(tmp_path, "p.json", doc), "--steps", "10"])
+        steps = ["--steps", "10"] if command in ("moser-flow", "holonomy") else []
+        code, _, err = run([command, write(tmp_path, "p.json", doc)] + steps)
         assert code == 2
         assert message in err
 
@@ -597,6 +642,13 @@ class TestMalformedShapes:
         code, _, err = run(["algebroid-check", write(tmp_path, "p.json", doc)])
         assert code == 2
         assert "'theta' must be a list of shape 2x1x1" in err
+
+    def test_omega_is_read_at_the_top_level_only(self, tmp_path):
+        doc = e1_algebroid_problem()
+        doc["algebroid"]["omega"] = doc.pop("omega")
+        code, _, err = run(["algebroid-check", write(tmp_path, "p.json", doc)])
+        assert code == 2
+        assert "problem file needs a 'omega' matrix" in err
 
     @pytest.mark.parametrize("text", ["(" * 3000 + "0" + ")" * 3000, "-" * 3000 + "0"],
                              ids=["parentheses", "unary-minus"])
@@ -640,6 +692,65 @@ class TestRationalEntries:
         code, _, _ = run(["holonomy", write(tmp_path, "p.json", doc), "--steps", "20",
                           "--tol", "1"])
         assert code == 0
+
+
+def _breakpoint(tmp_path, value):
+    doc = json.loads((ROOT / "problems" / "wong.problem.json").read_text())
+    doc["path"]["points"][1][0] = value
+    return ["holonomy", write(tmp_path, "p.json", doc), "--steps", "20"]
+
+
+def _base_point(tmp_path, value):
+    doc = json.loads((ROOT / "problems" / "e1.problem.json").read_text())
+    doc["points"][0][0] = value
+    return ["algebroid-check", write(tmp_path, "p.json", doc)]
+
+
+def _t_sample(tmp_path, value):
+    return ["moser-verify", str(ROOT / "problems" / "e1.problem.json"), "--t-samples",
+            "0," + value]
+
+
+class TestDigitBound:
+    """A rational entry outside the grammar whose numerator or denominator
+    would have more than parse.MAX_DIGITS digits is refused before it is
+    built: an exponent is no way around the grammar's bound."""
+
+    @pytest.mark.parametrize("value", ["1e10000000", "1e999999999", "-1e-99999999",
+                                       "0E99999999"])
+    @pytest.mark.parametrize("argv_with, where", [(_breakpoint, "path.points[1][0]"),
+                                                  (_base_point, "points[0][0]"),
+                                                  (_t_sample, "--t-samples[1]")],
+                             ids=["breakpoint", "base-point", "t-sample"])
+    def test_exit_two_fast(self, argv_with, where, value, tmp_path):
+        argv = argv_with(tmp_path, value)
+        t0 = time.perf_counter()
+        code, _, err = run(argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert err == "input error: %s: numerator or denominator past 4300 digits\n" % where
+
+    def test_the_bound_itself_is_read(self):
+        values = ["1e4299", "-1e-4299", "9" * 4300, "1/" + "9" * 4300, "0.5e-4299"]
+        assert cli._rationals(values, "x") == [Fraction(v) for v in values]
+        for value in ("1e4300", "-1e-4300", "10e4299"):
+            with pytest.raises(cli.InputError, match=r"^x\[0\]: numerator or denominator past"):
+                cli._rationals([value], "x")
+
+    @pytest.mark.parametrize("points_file", [False, True], ids=["problem-file", "points-file"])
+    def test_json_integer_past_the_digit_limit(self, points_file, tmp_path):
+        path, big = tmp_path / "f.json", "1" * 5000
+        if points_file:
+            path.write_text("[[%s, 0, 0]]" % big)
+            argv = ["moser-flow", str(ROOT / "problems" / "e1.problem.json"), "--points", str(path)]
+            message = "input error: cannot read points file: "
+        else:
+            path.write_text('{"chart": {"base_dim": %s}}' % big)
+            argv = ["verify-data", str(path)]
+            message = "input error: problem file is not valid JSON: "
+        code, _, err = run(argv)
+        assert code == 2
+        assert err.startswith(message)
 
 
 class TestParserBounds:
