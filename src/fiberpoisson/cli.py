@@ -73,9 +73,16 @@ def _rationals(values, where):
     for k, v in enumerate(values):
         mantissa, _, exp = str(v).lower().partition("e")  # Fraction would build 10**exp
         try:
-            q, exp = Fraction(mantissa), int(exp or 0)
-            if max(len(str(abs(q.numerator))) + max(exp, 0),
-                   len(str(q.denominator)) - min(exp, 0)) > MAX_DIGITS:
+            # first counted on the text, numerator, denominator and exponent apart,
+            # so no integer past the bound is built whatever the interpreter's
+            # integer-string limit; then on the reduced fraction and the exponent
+            past = max(sum(map(str.isdecimal, part))
+                       for part in (*mantissa.split("/", 1), exp)) > MAX_DIGITS
+            if not past:
+                q, exp = Fraction(mantissa), int(exp or 0)
+                past = max(len(str(abs(q.numerator))) + max(exp, 0),
+                           len(str(q.denominator)) - min(exp, 0)) > MAX_DIGITS
+            if past:
                 raise OverflowError("numerator or denominator past %d digits" % MAX_DIGITS)
             out.append(Fraction(str(v)))
         except OverflowError as exc:

@@ -46,6 +46,19 @@ class GeometricData:
     """
 
     def __init__(self, connection, vertical, fform, fform_inv_seed=None):
+        self._set_parts(connection, vertical, fform)
+        self.fform_inv_seed = block_inverse(fform.matrix(), fform_inv_seed, "fform_inv_seed")
+
+    @classmethod
+    def _with_certified_seed(cls, connection, vertical, fform, fform_inv_seed):
+        """Data whose seed the caller has already certified: ``decompose``
+        checks the inverse of the bivector's base block, the same product."""
+        data = cls.__new__(cls)
+        data._set_parts(connection, vertical, fform)
+        data.fform_inv_seed = fform_inv_seed
+        return data
+
+    def _set_parts(self, connection, vertical, fform):
         chart = connection.chart
         if vertical.chart != chart or fform.chart != chart:
             raise ValueError("geometric data parts live on different charts")
@@ -57,7 +70,6 @@ class GeometricData:
             raise ValueError("fform must be a 2-form")
         if chart.base_dim < 2:
             raise ValueError("a declared 2-form needs base_dim >= 2")
-        self.fform_inv_seed = block_inverse(fform.matrix(), fform_inv_seed, "fform_inv_seed")
         self.chart = chart
         self.connection = connection
         self.vertical = vertical
@@ -130,7 +142,9 @@ def decompose(pi, fform0=None):
     if not vertical.is_vertical():
         raise ValueError("bivector is not horizontally nondegenerate "
                          "(remainder after removing the horizontal part is not vertical)")
-    return GeometricData(connection, vertical, fform, mat_neg(mat_fiber_zero_part(Q)))
+    # fform's fiber-constant part is -seed, so -Q0 is its inverse by the check above
+    return GeometricData._with_certified_seed(connection, vertical, fform,
+                                              mat_neg(mat_fiber_zero_part(Q)))
 
 
 def v_sharp(vertical, f):

@@ -23,8 +23,9 @@ checked identically in t; Part 2 checks the full deformation equation
 at the family's own samples.
 """
 
+import sys
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -331,40 +332,56 @@ def rk4_step(f, y, h, t0, tm, t1):
 
 class _FloatFamily:
     """
-    The family's coefficient functions compiled into one evaluator: the
-    coefficients of the powers of t in the entries above the diagonal of
-    F_t, those in the entries of Gamma_t (``fform_t`` and ``gamma_t``),
-    phi and the vertical components, so F_t and Gamma_t at t are
-    contractions of the coefficients with (1, t, t^2).  Calls take an
-    (m, n) array of points.
+    The family's coefficient functions compiled for float evaluation.  One
+    evaluator holds the coefficients of each power t^k (``fform_t``,
+    ``gamma_t``, and phi at k = 0) for the full matrix F_t, whose entries
+    below the diagonal hold the negated coefficients of those above, for
+    Gamma_t and for phi.  Their matrices C0, C1, C2 fold into
+    C0 + t C1 + t^2 C2, formed once per distinct t, so the values at t are
+    one product with the monomials.  The vertical block has its own
+    evaluator, read only by ``_pi_matrix``.  Calls take an (m, n) array of
+    points.
     """
 
     def __init__(self, fam):
         self.b, self.r = b, r = fam.chart.base_dim, fam.chart.fiber_dim
-        self.upper = tuple(zip(*combinations(range(b), 2)))
-        fform = [fam.fform_t[i][j][k] for k in range(3) for i, j in zip(*self.upper)]
-        gamma = [row[s][k] for k in range(2) for row in fam.gamma_t for s in range(r)]
-        self.evaluate = FloatEvaluator(
-            fform + gamma + fam.phi.phi + [fam.data.vertical.component((b + u, b + v))
-                                           for u in range(r) for v in range(r)])
-        self.cuts = list(accumulate([len(fform), len(gamma), b]))
+        zero = FiberSeries.zero(fam.chart)
+
+        def columns(k):
+            return ([cs[k] for row in fam.fform_t for cs in row]
+                    + [cs[k] if k < 2 else zero for row in fam.gamma_t for cs in row]
+                    + [p if k == 0 else zero for p in fam.phi.phi])
+
+        self.evaluate = FloatEvaluator(columns(0) + columns(1) + columns(2))
+        self.c0, self.c1, self.c2 = np.hsplit(self.evaluate.coefficients, 3)
+        self.vertical = FloatEvaluator([fam.data.vertical.component((b + u, b + v))
+                                        for u in range(r) for v in range(r)])
+        self._at = {}
+
+    def _coefficients(self, t):
+        """C0 + t C1 + t^2 C2, the last three kept: a step's four stages use
+        three times, and its last is the next step's first."""
+        if t not in self._at:
+            if len(self._at) > 2:
+                self._at.clear()
+            self._at[t] = self.c0 + t * self.c1 + t * t * self.c2
+        return self._at[t]
+
+    def _values(self, t, Z):
+        """F_t (m, b, b), Gamma_t (m, b, r) and phi (m, b) at the rows of Z."""
+        m, b = len(Z), self.b
+        vals = self.evaluate.monomials(Z) @ self._coefficients(t)
+        return (vals[:, :b * b].reshape(m, b, b), vals[:, b * b:-b].reshape(m, b, self.r),
+                vals[:, -b:])
 
     def __call__(self, t, Z):
         """F_t (m, b, b), Gamma_t (m, b, r), phi (m, b) and the vertical
         block (m, r, r) at time t and the rows of Z."""
-        m, b, r = len(Z), self.b, self.r
-        fu, gam, phi, vert = np.split(self.evaluate(Z), self.cuts, axis=1)
-        powers = np.array([1.0, t, t * t])
-        fu = powers @ fu.reshape(m, 3, -1)
-        F = np.zeros((m, b, b))
-        F[:, self.upper[0], self.upper[1]] = fu
-        F[:, self.upper[1], self.upper[0]] = -fu
-        gam = (powers[:2] @ gam.reshape(m, 2, b * r)).reshape(m, b, r)
-        return F, gam, phi, vert.reshape(m, r, r)
+        return (*self._values(t, Z), self.vertical(Z).reshape(len(Z), self.r, self.r))
 
     def rhs(self, t, Z):
         """The horizontal deformation field at time t, one row per point."""
-        F, gam, phi, _ = self(t, Z)
+        F, gam, phi = self._values(t, Z)
         X = np.linalg.solve(F.transpose(0, 2, 1), phi[:, :, None])[:, :, 0]
         return np.concatenate((X, -(X[:, None, :] @ gam)[:, 0]), axis=1)
 
@@ -375,12 +392,14 @@ def _flow(ff, Z0, steps, chart_bound):
     Z = np.array(Z0, dtype=float)
     h = 1.0 / steps
     for k in range(steps):
-        t = k * h
+        # t1 is computed as the next step's t0, so the two share a coefficient matrix
+        t0, t1 = k * h, (k + 1) * h
         try:
-            Z = rk4_step(ff.rhs, Z, h, t, t + h / 2, t + h)
+            Z = rk4_step(ff.rhs, Z, h, t0, t0 + h / 2, t1)
         except np.linalg.LinAlgError:
             raise FloatingPointError("family 2-form singular at step %d" % k)
-        if not np.all(np.isfinite(Z)) or np.max(np.abs(Z)) > chart_bound:
+        # a NaN or infinite coordinate fails the comparison too
+        if not np.max(np.abs(Z)) <= min(chart_bound, sys.float_info.max):
             raise FloatingPointError("flow escaped the chart at step %d" % k)
     return Z
 

@@ -495,12 +495,14 @@ class FiberSeries:
 
 class FloatEvaluator:
     """
-    A list of series on one chart compiled for float evaluation: an
-    exponent matrix over the distinct monomials of all the series and a
-    coefficient matrix with one column per series.  Called on an
-    ``(m, n_vars)`` array of points it gives the ``(m, len(series))``
-    values.  Monomials are products of per-variable power tables, so no
-    points x monomials x variables array is formed.
+    A list of series on one chart compiled for float evaluation: the
+    distinct monomials of all the series and a coefficient matrix with one
+    column per series.  Called on an ``(m, n_vars)`` array of points it gives
+    the ``(m, len(series))`` values, ``monomials(points) @ coefficients``.
+    The powers z_v^e that the monomials use form one table, built by
+    repeated squaring over the bits of the exponents; a monomial is the
+    product of its variables' powers, gathered from the table in one step.
+    No array larger than points x monomials x variables is formed.
     """
 
     def __init__(self, series):
@@ -515,24 +517,37 @@ class FloatEvaluator:
                      for j, s in enumerate(series) for k, c in s._num.items()]
         except OverflowError:
             raise ValueError("a series coefficient lies outside the float range")
-        self.exponents = np.array([_unpack(chart, k) for k in index],
-                                  dtype=int).reshape(len(index), self.n_vars or 0)
-        self.tops = [max(col, default=0) for col in self.exponents.T.tolist()]
+        exponents = [_unpack(chart, k) for k in index]
         self.coefficients = np.zeros((len(index), len(series)))
         for k, j, c in terms:
             self.coefficients[k, j] = c
+        # the table's rows: 1, then z_v^e for each power (v, e) that a monomial
+        # uses; gather[v, k] is the row of the power of z_v in monomial k
+        powers = sorted({(v, e) for exps in exponents for v, e in enumerate(exps) if e})
+        row_of = {p: u for u, p in enumerate(powers, 1)}
+        self._gather = np.array([[row_of.get(p, 0) for p in enumerate(exps)] for exps in exponents],
+                                dtype=int).reshape(len(index), self.n_vars or 0).T
+        self._bases = np.array([v for v, _ in powers], dtype=int)
+        e = np.array([e for _, e in powers], dtype=int)[:, None]
+        # bits[j] marks the powers whose exponent has bit j set
+        self._bits = [(e >> j) & 1 == 1 for j in range(int(e.max(initial=0)).bit_length())]
 
-    def __call__(self, points):
+    def monomials(self, points):
+        """The ``(m, monomials)`` values of the monomials at the points."""
         z = np.asarray(points, dtype=float)
         if z.ndim != 2 or self.n_vars not in (None, z.shape[1]):
             raise ValueError("points must be an array of shape (m, %s)" % self.n_vars)
-        mono = np.ones((len(z), len(self.exponents)))
-        for v, (e, top) in enumerate(zip(self.exponents.T, self.tops)):
-            powers = np.ones((len(z), top + 1))
-            for k in range(1, top + 1):
-                powers[:, k] = powers[:, k - 1] * z[:, v]
-            mono *= powers[:, e]
-        return mono @ self.coefficients
+        # one row of the table per power, one column per point
+        table = np.ones((len(self._bases) + 1, len(z)))
+        square = z.T[self._bases]
+        for j, bit in enumerate(self._bits):
+            if j:
+                square *= square
+            table[1:] *= np.where(bit, square, 1.0)
+        return table[self._gather].prod(axis=0).T
+
+    def __call__(self, points):
+        return self.monomials(points) @ self.coefficients
 
 
 # -- matrices of series ------------------------------------------------

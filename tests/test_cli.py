@@ -730,6 +730,27 @@ class TestDigitBound:
         assert code == 2
         assert err == "input error: %s: numerator or denominator past 4300 digits\n" % where
 
+    @pytest.mark.parametrize("digits", [4301, 300000])
+    @pytest.mark.parametrize("limit", [None, "0"], ids=["default-limit", "no-limit"])
+    def test_plain_digit_run_counted_on_the_text(self, limit, digits, tmp_path):
+        # a plain digit run past the bound is refused by the bound, not by the
+        # interpreter's integer-string limit (echoing the value), nor converted
+        # where that limit is off (PYTHONINTMAXSTRDIGITS=0)
+        argv = _breakpoint(tmp_path, "9" * digits)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if limit is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        code = "import sys, time; t = time.perf_counter(); from fiberpoisson.cli import main; " \
+               "code = main(sys.argv[1:]); print(time.perf_counter() - t); sys.exit(code)"
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert float(proc.stdout) < 1.0
+        assert proc.stderr == ("input error: path.points[1][0]: "
+                               "numerator or denominator past 4300 digits\n")
+
     def test_the_bound_itself_is_read(self):
         values = ["1e4299", "-1e-4299", "9" * 4300, "1/" + "9" * 4300, "0.5e-4299"]
         assert cli._rationals(values, "x") == [Fraction(v) for v in values]

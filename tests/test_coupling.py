@@ -5,10 +5,12 @@ from fiberpoisson import (ChartSpec, FiberSeries, Multivector, HForm,
                           verify_coupling_conditions, coupling_criterion_test,
                           jacobiator, interior, v_sharp)
 
-from fixtures import (S, zeros, std_omega, rng, so3_flat_algebroid,
+from fixtures import (S, zeros, std_omega, rng, so3_flat_algebroid, e1_data,
                       rand_geometric_data, rand_valid_data, mutate_data,
                       vertical_from_matrix)
-from fiberpoisson import build_geometric_data
+from fiberpoisson import build_geometric_data, series
+
+from test_moser import count_calls
 
 
 def flat_data(ch, fcomps, vertical=None):
@@ -105,6 +107,19 @@ class TestDecompose:
         assert all((x - y).is_zero() for rx, ry in
                    zip(back.connection.gamma, data.connection.gamma)
                    for x, y in zip(rx, ry))
+
+    def test_inverse_certified_once(self, monkeypatch):
+        # the check of the base block's seed Q0^-1 is the one product that
+        # certifies the recovered data's seed -Q0 too
+        data = e1_data(4)
+        pi = assemble(data).pi
+        calls = count_calls(monkeypatch, series, "mat_is_inverse")
+        back = decompose(pi)
+        assert len(calls) == 1
+        assert (back.fform - HForm(data.chart, 2, data.fform.comps,
+                                   back.fform.valid_order)).is_zero()
+        assert all((a - b).is_zero() for ra, rb in zip(back.fform_inverse, data.fform_inverse)
+                   for a, b in zip(ra, rb))
 
     def test_degenerate_rejected(self):
         ch = ChartSpec(2, 1, 3)

@@ -201,16 +201,17 @@ class TestGridFields:
         # (inf * 0), and so is the comparison of every step using that row
         a = e1_algebroid(3)
         m = ConnectionChange(a.chart, [[S("xi1^4", a.chart)], [S("0", a.chart)]])
-        end = 1e62
+        end, steps = 1e62, 1000
         path = BasePath([(0, 0), (10 ** 62, 0)])
         with np.errstate(over="ignore"):
-            row = int(np.argmax(np.isinf(end * (np.arange(201) / 200 * end) ** 4)))
+            rows = np.arange(2 * steps + 1) / (2 * steps)
+            row = int(np.argmax(np.isinf(end * (rows * end) ** 4)))
         step = (row - 1) // 2  # step m runs over rows 2m to 2m+2
         assert step > holonomy.BLOCK_STEPS
-        rep = holonomy_compare(a, m, path, 100)
+        rep = holonomy_compare(a, m, path, steps)
         assert not rep.passed
         assert rep.entries[0].residual == "transport not finite at step %d" % step
-        ok = holonomy_compare(a, m, BasePath([(0, 0), (10 ** 61, 0)]), 100)
+        ok = holonomy_compare(a, m, BasePath([(0, 0), (10 ** 61, 0)]), steps)
         assert ok.entries[0].detail == 0.0
 
     def test_reference_raises_on_a_non_finite_deviation(self):
@@ -250,6 +251,36 @@ class TestGridFields:
         got = holonomy_compare(a, m, path, steps).entries[0].detail
         want = oracle.holonomy_deviation(a, change_connection(a, m), m, path, steps)
         assert abs(got - want) < 1e-12
+
+
+class TestBlockSize:
+    """The block size bounds the arrays of a long grid; it does not change
+    the results."""
+
+    @pytest.mark.parametrize("case", ["so3", "wong"])
+    def test_results_independent_of_block_size(self, case, monkeypatch):
+        if case == "so3":
+            a = so3_with_connection()
+            m = so3_change(a.chart)
+            path = BasePath([(0, 0), (1, Fraction(1, 2)), (Fraction(1, 2), 1),
+                             (Fraction(-1, 4), Fraction(1, 3))])
+        else:
+            a = wong_algebroid(4)
+            m = wong_change(a.chart)
+            path = BasePath(WONG_PATH.points + [(Fraction(1, 4), 1, 0, Fraction(1, 2))])
+        # 1000 steps over three segments: 334 per segment, a multiple of neither size
+        steps, blocks = 1000, (16, holonomy.BLOCK_STEPS)
+        assert path.n_segments == 3 and all(334 % size for size in blocks)
+        got = {}
+        for size in blocks:
+            monkeypatch.setattr(holonomy, "BLOCK_STEPS", size)
+            got[size] = (parallel_transport(a, path, steps, grid=True),
+                         holonomy_compare(a, m, path, steps).entries[0].detail)
+        (grid, dev), (want_grid, want_dev) = got[blocks[1]], got[16]
+        assert len(grid) == len(want_grid) == 3 * 334 + 1
+        assert max(np.max(np.abs(g - w)) / np.max(np.abs(w))
+                   for g, w in zip(grid, want_grid)) <= 1e-13
+        assert 0 < want_dev and abs(dev - want_dev) <= 1e-13 * want_dev
 
 
 class TestStepMatrices:

@@ -380,6 +380,34 @@ def fd_rows(z0, delta=moser.FD_DELTA):
     return rows
 
 
+class TestFloatFamily:
+    """The compiled family, its t-polynomials folded into one coefficient
+    matrix per time, against the exact members at the family's samples."""
+
+    @pytest.mark.parametrize("family", [lambda: wong_family(4, samples=DEFAULT_T_SAMPLES),
+                                        lambda: e1_family(6, samples=DEFAULT_T_SAMPLES)],
+                             ids=["wong", "e1"])
+    def test_matches_exact_members(self, family):
+        fam = family()
+        b, r, n = fam.chart.base_dim, fam.chart.fiber_dim, fam.chart.n_vars
+        ff = moser._FloatFamily(fam)
+        points = np.random.default_rng(21).uniform(-0.5, 0.5, (6, n))
+        for t in fam.t_samples:
+            member = fam.member(t)
+            F, gam, phi, vert = ff(float(t), points)
+            assert (F + F.transpose(0, 2, 1) == 0).all()
+            for k, z in enumerate(points):
+                exact = [Fraction(x) for x in z]
+                for got, entries in [
+                        (F[k], [member.fform.component((i, j)) for i in range(b) for j in range(b)]),
+                        (gam[k], [g for row in member.connection.gamma for g in row]),
+                        (phi[k], fam.phi.phi),
+                        (vert[k], [member.vertical.component((b + u, b + v))
+                                   for u in range(r) for v in range(r)])]:
+                    w = np.array([float(e.evaluate(exact)) for e in entries])
+                    assert np.max(np.abs(got.ravel() - w)) <= 1e-13 * np.max(np.abs(w))
+
+
 class TestBatchedFlows:
     """The 2n+1 flows of a point, integrated as one RK4 system, against the
     scalar reference that integrates them one at a time."""
