@@ -1,12 +1,12 @@
 """Exact-arithmetic toolkit for coupling Poisson tensors on fiber-bundle charts."""
 
-from .series import ChartSpec, FiberSeries, ChartMismatchError, matrix_invert
+from .series import ChartSpec, FiberSeries, ChartMismatchError
 from .parse import parse_series, ParseError
 from .multivector import (Multivector, HForm, wedge, interior, schouten,
                           jacobiator, lie_derivative)
 from .connection import Connection
 from .coupling import (GeometricData, CouplingTensor, assemble, decompose,
-                       verify_coupling_conditions, coupling_criterion_test, v_sharp)
+                       verify_coupling_conditions, v_sharp)
 from .algebroid import (AlgebroidData, ConnectionChange, check_admissible,
                         build_geometric_data, build_coupling, coisotropy_check,
                         change_connection, verify_connection_equivalence,
@@ -20,13 +20,13 @@ from .holonomy import BasePath, parallel_transport, holonomy_compare
 from .report import CheckReport, CheckEntry, InternalInvariantError
 
 __all__ = [
-    "ChartSpec", "FiberSeries", "ChartMismatchError", "matrix_invert",
+    "ChartSpec", "FiberSeries", "ChartMismatchError",
     "parse_series", "ParseError",
     "Multivector", "HForm", "wedge", "interior", "schouten", "jacobiator",
     "lie_derivative",
     "Connection",
     "GeometricData", "CouplingTensor", "assemble", "decompose",
-    "verify_coupling_conditions", "coupling_criterion_test", "v_sharp",
+    "verify_coupling_conditions", "v_sharp",
     "AlgebroidData", "ConnectionChange", "check_admissible",
     "build_geometric_data", "build_coupling", "coisotropy_check",
     "change_connection", "verify_connection_equivalence", "relative_cocycle",

@@ -223,6 +223,10 @@ class Problem:
                else _read_json(points_file, *["cannot read points file: %s"] * 2))
         if not pts:
             raise InputError("no sample points given (problem 'points' or --points)")
+        # float() would take a string point character by character, and true as 1
+        if not isinstance(pts, list) or not all(
+                isinstance(p, list) and not any(isinstance(v, bool) for v in p) for p in pts):
+            raise InputError("sample points must be lists of numbers")
         try:
             pts = [[float(v) for v in p] for p in pts]
         except (TypeError, ValueError, OverflowError) as exc:

@@ -27,11 +27,6 @@ class Connection:
         self.chart = chart
         self.gamma = [list(row) for row in gamma]
 
-    @classmethod
-    def flat(cls, chart):
-        z = FiberSeries.zero(chart)
-        return cls(chart, [[z for _ in range(chart.fiber_dim)] for _ in range(chart.base_dim)])
-
     def valid_order(self):
         orders = [g.valid_order for row in self.gamma for g in row]
         return min(orders) if orders else self.chart.trunc_order

@@ -28,7 +28,7 @@ fixtures exercise every sign.
 import functools
 
 from .series import (block_inverse, dot, mat_fiber_zero_part, mat_neg, mat_valid_order,
-                     _neumann_inverse)
+                     matrix_invert)
 from .multivector import HForm, interior, schouten, jacobiator
 from .connection import Connection
 from .report import CheckReport
@@ -79,7 +79,7 @@ class GeometricData:
     def fform_inverse(self):
         """Neumann inverse of the 2-form matrix, certified by the seed that
         the constructor checked; computed once per data set."""
-        return _neumann_inverse(self.fform.matrix(), self.fform_inv_seed)
+        return matrix_invert(self.fform.matrix(), self.fform_inv_seed)
 
     @functools.cached_property
     def conditions(self):
@@ -96,10 +96,6 @@ class CouplingTensor:
         self.pi = pi
         self.data = data
         self.certified_order = certified_order
-
-    def bracket(self, a, b):
-        """Poisson bracket of the coordinate functions with indices a, b (0-based)."""
-        return self.pi.component((a, b))
 
 
 def assemble(data):
@@ -131,7 +127,7 @@ def decompose(pi, fform0=None):
                              pi.valid_order)
     except ValueError as exc:
         raise ValueError("base block of the bivector: %s" % exc)
-    C = _neumann_inverse(Q, seed)
+    C = matrix_invert(Q, seed)
     gamma = [[-dot(C[j], [pi.component((i, b + s)) for i in range(b)])
               for s in range(chart.fiber_dim)] for j in range(b)]
     connection = Connection(chart, gamma)
@@ -183,19 +179,3 @@ def verify_coupling_conditions(data):
                          dF.valid_order - 1, required=False)
     return report
 
-
-def coupling_criterion_test(data):
-    """Both sides of the coupling criterion: the four conditions hold iff
-    the assembled bivector has vanishing Jacobiator (at certified order)."""
-    conditions = data.conditions
-    tensor = assemble(data)
-    jac = jacobiator(tensor.pi)
-    report = CheckReport("coupling-criterion-biconditional")
-    report.add("conditions", "cond-all", conditions.certified_order(),
-               conditions.passed,
-               "; ".join(e.residual for e in conditions.entries if not e.passed) or "0")
-    report.add_residuals("jacobiator", "jacobi", [jac], None)
-    agree = conditions.passed == jac.is_zero()
-    report.add("biconditional", "iff", min(conditions.certified_order(), jac.valid_order),
-               agree, "0" if agree else "sides disagree")
-    return report

@@ -176,16 +176,6 @@ class Multivector(AntisymmetricTensor):
     _index_range = "n_vars"
     _prefix = "d"
 
-    @classmethod
-    def basis(cls, chart, idx, valid_order=None):
-        """The coordinate vector field d_idx (0-based direction)."""
-        one = FiberSeries.constant(chart, 1, valid_order)
-        return cls(chart, 1, {(idx,): one}, valid_order)
-
-    @classmethod
-    def function(cls, chart, series):
-        return cls(chart, 0, {(): series}, series.valid_order)
-
     def is_vertical(self):
         b = self.chart.base_dim
         return all(all(i >= b for i in idx) for idx in self.comps)

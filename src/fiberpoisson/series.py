@@ -96,9 +96,6 @@ class ChartSpec:
             return "xi%d" % (idx + 1)
         return "x%d" % (idx - self.base_dim + 1)
 
-    def fiber_degree(self, exps):
-        return sum(exps[self.base_dim:])
-
     def __eq__(self, other):
         return (isinstance(other, ChartSpec)
                 and self.base_dim == other.base_dim
@@ -331,10 +328,6 @@ class FiberSeries:
     def is_fiber_independent(self):
         top = _top(self.chart, 0)
         return all(k < top for k in self._num)
-
-    def fiber_degrees(self):
-        shift = FIELD_BITS * self.chart.n_vars
-        return {k >> shift for k in self._num}
 
     def constant_term(self):
         return Fraction(self._num.get(0, 0), self._den)
@@ -641,31 +634,17 @@ def block_inverse(M, M0_inv=None, seed_name="M0_inv", valid_order=None):
     return [list(row) for row in M0_inv]
 
 
-def matrix_invert(M, M0_inv=None):
+def matrix_invert(M, M0_inv):
     """
     Invert a square series matrix by Neumann expansion.
 
-    ``M0_inv`` is the exact inverse of the fiber-degree-0 part of ``M``
-    that ``block_inverse`` checks, or computes when it is omitted.  Writing
-    ``M = M0 + dM`` with ``dM`` of fiber degree >= 1, the inverse is
-    ``G = sum_m (-M0_inv dM)^m M0_inv``, which terminates at the
-    truncation order.  The result satisfies ``M G = G M = identity``
-    exactly up to the common certified order.
+    ``M0_inv`` is the inverse of the fiber-degree-0 part M0 of ``M`` that
+    ``block_inverse`` has certified.  Writing ``M = M0 + dM`` with ``dM``
+    of fiber degree >= 1, the inverse is ``G = sum_m (-M0_inv dM)^m
+    M0_inv``, which terminates at the truncation order.  The result
+    satisfies ``M G = G M = identity`` exactly up to the common certified
+    order.
     """
-    n = len(M)
-    if any(len(row) != n for row in M) or (M0_inv is not None and len(M0_inv) != n):
-        raise ValueError("matrix_invert expects square matrices of matching size")
-    chart = M[0][0].chart
-    for row in M:
-        for a in row:
-            if a.chart != chart:
-                raise ChartMismatchError("matrix entries live on different charts")
-    return _neumann_inverse(M, block_inverse(M, M0_inv))
-
-
-def _neumann_inverse(M, M0_inv):
-    """The Neumann expansion of ``matrix_invert``, for a seed that
-    ``block_inverse`` has already checked."""
     M0 = mat_fiber_zero_part(M)
     vo = min(mat_valid_order(M), mat_valid_order(M0_inv))
     dM = [[a - a0 for a, a0 in zip(ra, r0)] for ra, r0 in zip(M, M0)]

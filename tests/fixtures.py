@@ -22,6 +22,10 @@ def zeros(chart, *shape):
     return [zeros(chart, *shape[1:]) for _ in range(shape[0])]
 
 
+def flat_connection(chart):
+    return Connection(chart, zeros(chart, chart.base_dim, chart.fiber_dim))
+
+
 def std_omega(chart):
     """Block-diagonal standard symplectic matrix and its inverse."""
     b = chart.base_dim
@@ -158,7 +162,7 @@ def rand_series(r, chart, xdeg=2, terms=3, min_xdeg=0):
         for _ in range(target):
             if chart.fiber_dim:
                 exps[b + r.randrange(chart.fiber_dim)] += 1
-        if chart.fiber_degree(exps) < min_xdeg:
+        if sum(exps[chart.base_dim:]) < min_xdeg:
             continue
         c = rand_fraction(r)
         if c:
@@ -275,7 +279,7 @@ def rand_valid_data(r, trunc=3):
             for j in range(i + 1, b):
                 if not fmat[i][j].is_zero():
                     fcomps[(i, j)] = fmat[i][j]
-        return GeometricData(Connection.flat(chart),
+        return GeometricData(flat_connection(chart),
                              Multivector.zero(chart, 2),
                              HForm(chart, 2, fcomps), omega_inv)
     # vertical: flat connection, constant base form, base-independent
@@ -287,7 +291,7 @@ def rand_valid_data(r, trunc=3):
     lift = FiberSeries(chart, {(0, 0) + e: c for e, c in vxy.terms.items()})
     vmat = [[FiberSeries.zero(chart), lift], [-lift, FiberSeries.zero(chart)]]
     fcomps = {(0, 1): omega[0][1]}
-    return GeometricData(Connection.flat(chart), vertical_from_matrix(chart, vmat),
+    return GeometricData(flat_connection(chart), vertical_from_matrix(chart, vmat),
                          HForm(chart, 2, fcomps), omega_inv)
 
 

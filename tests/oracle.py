@@ -25,7 +25,9 @@ from itertools import permutations, product
 import numpy as np
 
 from fiberpoisson.series import ChartSpec, FiberSeries
-from fiberpoisson.multivector import Multivector
+from fiberpoisson.coupling import assemble
+from fiberpoisson.multivector import Multivector, jacobiator
+from fiberpoisson.report import CheckReport
 from fiberpoisson.parse import (MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, MAX_POWER_BITS, MAX_TERMS,
                                ParseError)
 
@@ -172,6 +174,29 @@ def _collect(chart, degree, full, vo):
 
 def oracle_jacobiator(P):
     return oracle_schouten(P, P)
+
+
+# -- the coupling criterion -----------------------------------------------
+#
+# The paper's criterion as a biconditional over the library's own verifier
+# and Jacobiator: not an independent reference, but the statement that the
+# acceptance tests check on valid and mutated data.
+
+def coupling_criterion_test(data):
+    """Both sides of the coupling criterion: the four conditions hold iff
+    the assembled bivector has vanishing Jacobiator (at certified order)."""
+    conditions = data.conditions
+    tensor = assemble(data)
+    jac = jacobiator(tensor.pi)
+    report = CheckReport("coupling-criterion-biconditional")
+    report.add("conditions", "cond-all", conditions.certified_order(),
+               conditions.passed,
+               "; ".join(e.residual for e in conditions.entries if not e.passed) or "0")
+    report.add_residuals("jacobiator", "jacobi", [jac], None)
+    agree = conditions.passed == jac.is_zero()
+    report.add("biconditional", "iff", min(conditions.certified_order(), jac.valid_order),
+               agree, "0" if agree else "sides disagree")
+    return report
 
 
 # -- numeric references ---------------------------------------------------

@@ -136,32 +136,32 @@ class TestWongGoldenTable:
         t = build_coupling(a)
         q1, q2, p1, p2 = 0, 1, 2, 3
         # {q, q} = 0
-        assert t.bracket(q1, q2).is_zero()
+        assert t.pi.component((q1, q2)).is_zero()
         # {p^i, q^j} = delta
-        assert t.bracket(p1, q1).render() == "1"
-        assert t.bracket(p2, q2).render() == "1"
-        assert t.bracket(p1, q2).is_zero()
-        assert t.bracket(p2, q1).is_zero()
+        assert t.pi.component((p1, q1)).render() == "1"
+        assert t.pi.component((p2, q2)).render() == "1"
+        assert t.pi.component((p1, q2)).is_zero()
+        assert t.pi.component((p2, q1)).is_zero()
         # {p^1, p^2} = R_{12 s} x^s
         expect = FiberSeries.zero(ch)
         for s in range(r):
             expect = expect + a.R[q1][q2][s] * x[s]
-        assert (t.bracket(p1, p2) - expect).is_zero()
+        assert (t.pi.component((p1, p2)) - expect).is_zero()
         # {p^i, x^s} = -theta_i x, {q^i, x^s} = 0
         for i, qi, pi_ in ((0, q1, p1), (1, q2, p2)):
             for s in range(r):
                 expect = FiberSeries.zero(ch)
                 for tt in range(r):
                     expect = expect - a.theta[i][s][tt] * x[tt]
-                assert (t.bracket(pi_, b + s) - expect).is_zero()
-                assert t.bracket(qi, b + s).is_zero()
+                assert (t.pi.component((pi_, b + s)) - expect).is_zero()
+                assert t.pi.component((qi, b + s)).is_zero()
         # {x, x} = lambda x
         for s in range(r):
             for s2 in range(s + 1, r):
                 expect = FiberSeries.zero(ch)
                 for n in range(r):
                     expect = expect + a.lam[s][s2][n] * x[n]
-                assert (t.bracket(b + s, b + s2) - expect).is_zero()
+                assert (t.pi.component((b + s, b + s2)) - expect).is_zero()
 
     def test_wong_tensor_is_poisson(self):
         t = build_coupling(wong_algebroid(3))

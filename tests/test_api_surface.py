@@ -1,0 +1,110 @@
+"""
+Every function, class and method in ``src/fiberpoisson`` has a caller in
+``src/``, apart from an explicit allow-list.
+
+Names are matched in the syntax trees: a function or class is used where
+its name is read, as a name or as an attribute; a method only where it is
+reached as an attribute (``.flat``), so a local variable of the same name
+does not count.  A reference inside the definition itself (recursion) and
+the re-exports in ``__init__.py`` are not uses.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import fiberpoisson
+
+SRC = Path(fiberpoisson.__file__).parent
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+# Names kept without a caller in src/, each for a stated reason.  The first
+# four are rows of the benchmark tracer's tables, which it looks up by name,
+# so they go together with their rows; first_approx_check is the paper's
+# first-approximation contract, which the linearize command is to report.
+ALLOWED = {
+    "multivector.lie_derivative",
+    "moser.phi_bracket",
+    "holonomy.parallel_transport",
+    "series.FiberSeries.evaluate_float",
+    "linearize.first_approx_check",
+}
+NOT_TRACED = {"linearize.first_approx_check"}
+
+
+def _scan(node, scope, in_class, defs, uses):
+    """Record the definitions under ``node`` as qualified name -> (name,
+    is_method), and its name reads as (name, is_attribute, scope)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = scope + (child.name,)
+            if not (child.name.startswith("__") and child.name.endswith("__")):
+                defs[".".join(inner)] = (child.name, in_class
+                                         and not isinstance(child, ast.ClassDef))
+            _scan(child, inner, isinstance(child, ast.ClassDef), defs, uses)
+            continue
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            uses.append((child.id, False, scope))
+        elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+            uses.append((child.attr, True, scope))
+        _scan(child, scope, False, defs, uses)
+
+
+def unused(sources):
+    """The qualified names defined in ``sources`` (module name -> text)
+    that no read in them reaches."""
+    defs, uses = {}, []
+    for module, text in sources.items():
+        _scan(ast.parse(text, module), (module,), False, defs, uses)
+    used = set()
+    for name, is_attr, scope in uses:
+        inside = {".".join(scope[:k]) for k in range(2, len(scope) + 1)}
+        used.update(q for q, (n, is_method) in defs.items()
+                    if n == name and (is_attr or not is_method) and q not in inside)
+    return set(defs) - used
+
+
+def tracer_rows():
+    """The (module, attribute path) of every row of the tracer's STORED and
+    FOLDED tables, read without importing the benchmark."""
+    rows = []
+    for node in ast.parse(TRACING.read_text()).body:
+        if (isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] in (["STORED"],
+                                                                                ["FOLDED"])):
+            rows += [(row.elts[0].value, row.elts[1].value) for row in node.value.elts]
+    return rows
+
+
+def test_only_the_allow_list_lacks_a_caller():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))
+               if path.name != "__init__.py"}
+    assert sorted(unused(sources)) == sorted(ALLOWED)
+
+
+def test_a_local_of_a_methods_name_and_recursion_are_no_calls():
+    text = ("class C:\n"
+            "    def flat(self):\n        return 0\n"
+            "    def again(self):\n        return self.again()\n"
+            "def f(flat):\n    return C, flat\n"
+            "def g():\n    return f\n")
+    assert unused({"m": text}) == {"m.C.flat", "m.C.again", "m.g"}
+
+
+def test_every_tracer_row_resolves():
+    rows = tracer_rows()
+    assert len(rows) > 30
+    for module, attr in rows:
+        owner = importlib.import_module("fiberpoisson." + module)
+        *classes, name = attr.split(".")
+        for cls in classes:
+            owner = getattr(owner, cls)
+        # the tracer wraps a method as found in its class's own __dict__
+        assert name in (vars(owner) if classes else dir(owner)), "%s.%s" % (module, attr)
+
+
+def test_every_allowed_name_is_a_tracer_row():
+    traced = {"%s.%s" % row for row in tracer_rows()}
+    for name in ALLOWED - NOT_TRACED:
+        assert name in traced, ("%s is allowed only as a tracer row, and the tracer no "
+                                "longer wraps it: delete it and its allow-list entry" % name)

@@ -627,6 +627,8 @@ class TestMalformedShapes:
         ("moser-flow", "points", [[0.1, 0.1, 0.1], [float("inf"), 0.1, 0.1]],
          "sample point 1 is not finite"),
         ("moser-flow", "points", [[0.1, "-inf", 0.1]], "sample point 0 is not finite"),
+        ("moser-flow", "points", ["000"], "sample points must be lists of numbers"),
+        ("moser-flow", "points", [[True, False, 0]], "sample points must be lists of numbers"),
     ])
     def test_exit_two(self, command, key, value, message, tmp_path):
         doc = json.loads((ROOT / "problems" / "e1.problem.json").read_text())
@@ -635,6 +637,14 @@ class TestMalformedShapes:
         code, _, err = run([command, write(tmp_path, "p.json", doc)] + steps)
         assert code == 2
         assert message in err
+
+    @pytest.mark.parametrize("points", [["000"], [[True, False, 0]], {"0": [0, 0, 0]}])
+    def test_points_file_exit_two(self, points, tmp_path):
+        argv = ["moser-flow", str(ROOT / "problems" / "e1.problem.json"), "--steps", "10",
+                "--points", write(tmp_path, "pts.json", points)]
+        code, _, err = run(argv)
+        assert code == 2
+        assert "sample points must be lists of numbers" in err
 
     def test_algebroid_cube_shape(self, tmp_path):
         doc = e1_algebroid_problem()

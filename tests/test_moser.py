@@ -109,7 +109,7 @@ class TestPhiBracket:
         assert out.valid_order == 2
         comp = out.component((0, 1))
         assert not comp.is_zero()
-        assert comp.fiber_degrees() == {1}
+        assert {sum(e[ch.base_dim:]) for e in comp.terms} == {1}
 
 
 class TestBuildFamily:
@@ -226,7 +226,7 @@ class TestVerifyDeformation:
 
 class TestFamilyMember:
     def test_one_inverse_per_sample(self, monkeypatch):
-        calls = count_calls(monkeypatch, series, "_neumann_inverse")
+        calls = count_calls(monkeypatch, series, "matrix_invert")
         assert verify_deformation_equation(wong_family(3, samples=DEFAULT_T_SAMPLES)).passed
         assert len(calls) == len(DEFAULT_T_SAMPLES)
 

@@ -14,11 +14,12 @@ def chart(b=2, r=2, n=3):
 
 
 def basis(ch, i):
-    return Multivector.basis(ch, i)
+    return Multivector(ch, 1, {(i,): FiberSeries.constant(ch, 1)})
 
 
 def fn(ch, text):
-    return Multivector.function(ch, S(text, ch))
+    s = S(text, ch)
+    return Multivector(ch, 0, {(): s}, s.valid_order)
 
 
 class TestWedge:
