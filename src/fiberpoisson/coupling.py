@@ -92,9 +92,8 @@ class GeometricData:
 
 
 class CouplingTensor:
-    def __init__(self, pi, data, certified_order):
+    def __init__(self, pi, certified_order):
         self.pi = pi
-        self.data = data
         self.certified_order = certified_order
 
 
@@ -104,7 +103,7 @@ def assemble(data):
     H = mat_neg(data.fform_inverse)
     vo = min(mat_valid_order(H), data.vertical.valid_order, data.connection.valid_order())
     pi = data.connection.horizontal_bivector(H, vo) + data.vertical
-    return CouplingTensor(pi, data, pi.valid_order)
+    return CouplingTensor(pi, pi.valid_order)
 
 
 def decompose(pi, fform0=None):

@@ -54,7 +54,6 @@ class BasePath:
             raise ValueError("closed path must end at its starting point")
         self.dim = dim
         self.points = pts
-        self.closed = closed
 
     @property
     def n_segments(self):
@@ -93,11 +92,11 @@ def _grid(path, steps, chart, series):
             yield h, vel, evaluate(z)
 
 
-def _generators(vel, theta_vals, r):
+def _generators(vel, theta_vals, k, r):
     """M[t][s] = sum_i v_i theta[i][s][t] at each point, from the values
-    of one or more flattened theta: shape (points, thetas, r, r)."""
-    M = vel @ theta_vals.reshape(len(theta_vals), -1, len(vel), r * r)
-    return M.reshape(len(theta_vals), -1, r, r).swapaxes(2, 3)
+    of k flattened theta: shape (points, k, r, r)."""
+    M = vel @ theta_vals.reshape(len(theta_vals), k, len(vel), r * r)
+    return M.reshape(len(theta_vals), k, r, r).swapaxes(2, 3)
 
 
 def _step_matrices(h, g1, g2, g3, g4):
@@ -145,7 +144,7 @@ def parallel_transport(a_data, path, steps, theta=None, grid=False):
     out = [np.eye(r)]
     flat = [x for row in theta for cell in row for x in cell]
     for h, vel, vals in _grid(path, steps, chart, flat):
-        S, _ = _step_matrices(h, *_stages(_generators(vel, vals, r)[:, 0]))
+        S, _ = _step_matrices(h, *_stages(_generators(vel, vals, 1, r)[:, 0]))
         out.extend(_advance(S, out[-1])[1:])
     return out if grid else out[-1]
 
@@ -173,8 +172,9 @@ def holonomy_compare(a_data, m, path, steps):
             th, lam, mu = np.split(vals, [2 * b * r * r, (2 * b + r) * r * r], axis=1)
             # ad mu(sigma')[t][s] = sum_n (sum_i v_i mu[i][n]) lam[n][s][t]
             mu = vel @ mu.reshape(len(vals), b, r)
-            A = (mu[:, None] @ lam.reshape(len(vals), r, r * r)).reshape(-1, r, r).swapaxes(1, 2)
-            S, C = _step_matrices(h, *_stages(_generators(vel, th, r)))
+            A = mu[:, None] @ lam.reshape(len(vals), r, r * r)
+            A = A.reshape(len(vals), r, r).swapaxes(1, 2)
+            S, C = _step_matrices(h, *_stages(_generators(vel, th, 2, r)))
             pairs = _advance(S, pair)
             # P at the four stages of each step, and Xi = P^-1 A P there
             P0 = pairs[:-1, 0]
@@ -184,7 +184,7 @@ def holonomy_compare(a_data, m, path, steps):
             Ts = _advance(ST, T)
             P, Pt = pairs[1:, 0], pairs[1:, 1]
             gap = np.abs(Pt - P @ Ts[1:])
-            block = np.max(gap)
+            block = np.max(gap, initial=0.0)
             if not np.isfinite(block):
                 bad = np.flatnonzero(~np.isfinite(gap).all(axis=(1, 2)))[0]
                 report.add("transport-comparison", "holonomy", None, False,

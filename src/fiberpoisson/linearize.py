@@ -1,19 +1,20 @@
 """
-First approximations at the zero section: fiber-degree filtering of
-geometric data, extraction of the underlying algebroid data, and the
-second-order agreement check.
+First approximations at the zero section: the linearized data, extraction
+of the underlying algebroid data, and the second-order agreement check.
 
-Linearization here is a pure degree filter: the connection and the
-vertical bivector keep their fiber-linear parts, the 2-form keeps its
-fiber-affine part.  For data compatible with the zero section this
-reproduces the transitive-algebroid model of the leaf, and extraction
-inverts the algebroid-to-data construction exactly.
+The linearized Poisson structure over the leaf is the coupling tensor
+that the leaf's transitive Lie algebroid induces on the dual of its
+isotropy.  So linearization reads the algebroid data off the fiber-linear
+parts of the data (``extract_algebroid``) and builds the induced data from
+them (``build_geometric_data``): a homogeneous connection, a fiber-linear
+vertical bivector and a fiber-affine 2-form.  Extraction inverts that
+construction exactly, so the linearized data are the fiber-linear parts of
+the connection and the vertical bivector and the fiber-affine part of the
+2-form.
 """
 
-from .multivector import HForm
-from .connection import Connection
-from .coupling import GeometricData, assemble
-from .algebroid import AlgebroidData
+from .coupling import assemble
+from .algebroid import AlgebroidData, build_geometric_data
 from .report import CheckReport, InternalInvariantError
 
 
@@ -31,23 +32,13 @@ def _check_input(data):
 
 def linearize_data(data):
     """
-    Fiber-linear truncation of zero-section-compatible geometric data.
-
-    The output keeps the fiber-linear parts of the connection and the
-    vertical bivector and the fiber-affine part of the 2-form; for a
-    chart order >= 2 it is verified to satisfy the coupling conditions.
+    The data induced by the algebroid of zero-section-compatible geometric
+    data: ``build_geometric_data(extract_algebroid(data))``.  For a chart
+    order >= 2 the output is verified to satisfy the coupling conditions.
     Raises ValueError if the input fails them.
     """
-    _check_input(data)
-    chart = data.chart
-    gamma = [[g.fiber_part(1, 1) for g in row] for row in data.connection.gamma]
-    vertical = data.vertical.fiber_part(1, 1)
-    fform = HForm(chart, 2,
-                  {idx: s.fiber_part(0, 1) for idx, s in data.fform.comps.items()},
-                  data.fform.valid_order)
-    out = GeometricData(Connection(chart, gamma), vertical, fform,
-                        data.fform_inv_seed)
-    if chart.trunc_order >= 2 and not out.conditions.passed:
+    out = build_geometric_data(extract_algebroid(data))
+    if data.chart.trunc_order >= 2 and not out.conditions.passed:
         raise InternalInvariantError("linearized data fails the coupling "
                                      "conditions:\n" + out.conditions.render())
     return out

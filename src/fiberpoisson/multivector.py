@@ -4,8 +4,8 @@ and the Schouten-Nijenhuis calculus on a chart.
 
 Both kinds of tensor share one base class, ``AntisymmetricTensor``: it
 stores components only on strictly increasing index tuples and owns their
-validation, the signed ``component`` lookup, ``+``/``-``/``scale``,
-``render`` and ``from_matrix``.  A ``Multivector`` indexes all
+validation, the signed ``component`` lookup, ``+``/``-``, ``render`` and
+``from_matrix``.  A ``Multivector`` indexes all
 base-then-fiber directions and renders them ``d1, d2, ...``; an ``HForm``
 indexes base directions only and renders them ``dxi1, dxi2, ...``.
 
@@ -146,10 +146,6 @@ class AntisymmetricTensor:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def scale(self, c):
-        return type(self)(self.chart, self.degree,
-                          {i: s.scale(c) for i, s in self.comps.items()}, self.valid_order)
 
     def render(self):
         """Canonical text: components in tuple order, directions 1-based."""

@@ -91,11 +91,6 @@ class CheckReport:
     def passed(self):
         return all(e.passed for e in self.entries if e.required)
 
-    def certified_order(self):
-        orders = [e.certified_order for e in self.entries
-                  if e.required and e.certified_order is not None]
-        return min(orders) if orders else None
-
     def to_dict(self):
         return {
             "title": self.title,

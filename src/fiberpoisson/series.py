@@ -364,9 +364,6 @@ class FiberSeries:
     def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)

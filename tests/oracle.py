@@ -25,11 +25,19 @@ from itertools import permutations, product
 import numpy as np
 
 from fiberpoisson.series import ChartSpec, FiberSeries
-from fiberpoisson.coupling import assemble
-from fiberpoisson.multivector import Multivector, jacobiator
-from fiberpoisson.report import CheckReport
+from fiberpoisson.connection import Connection
+from fiberpoisson.coupling import GeometricData, assemble
+from fiberpoisson.linearize import _check_input
+from fiberpoisson.multivector import HForm, Multivector, jacobiator
+from fiberpoisson.report import CheckReport, InternalInvariantError
 from fiberpoisson.parse import (MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, MAX_POWER_BITS, MAX_TERMS,
                                ParseError)
+
+
+def scaled(T, c):
+    """The tensor T times the number c, component by component."""
+    return type(T)(T.chart, T.degree, {i: s.scale(c) for i, s in T.comps.items()},
+                   T.valid_order)
 
 
 def perm_sign(perm):
@@ -126,7 +134,7 @@ def oracle_schouten(A, B):
         return Multivector.zero(chart, 0, vo)
     if p == 0:
         sign = 1 if q % 2 == 0 else -1
-        return oracle_schouten(B, A).scale(sign)
+        return scaled(oracle_schouten(B, A), sign)
     result_full = {}
 
     def add_full(full, factor):
@@ -182,6 +190,13 @@ def oracle_jacobiator(P):
 # and Jacobiator: not an independent reference, but the statement that the
 # acceptance tests check on valid and mutated data.
 
+def certified_order(report):
+    """The least certified order of a report's required entries, or None."""
+    orders = [e.certified_order for e in report.entries
+              if e.required and e.certified_order is not None]
+    return min(orders) if orders else None
+
+
 def coupling_criterion_test(data):
     """Both sides of the coupling criterion: the four conditions hold iff
     the assembled bivector has vanishing Jacobiator (at certified order)."""
@@ -189,14 +204,44 @@ def coupling_criterion_test(data):
     tensor = assemble(data)
     jac = jacobiator(tensor.pi)
     report = CheckReport("coupling-criterion-biconditional")
-    report.add("conditions", "cond-all", conditions.certified_order(),
+    report.add("conditions", "cond-all", certified_order(conditions),
                conditions.passed,
                "; ".join(e.residual for e in conditions.entries if not e.passed) or "0")
     report.add_residuals("jacobiator", "jacobi", [jac], None)
     agree = conditions.passed == jac.is_zero()
-    report.add("biconditional", "iff", min(conditions.certified_order(), jac.valid_order),
+    report.add("biconditional", "iff", min(certified_order(conditions), jac.valid_order),
                agree, "0" if agree else "sides disagree")
     return report
+
+
+# -- the linearization as a degree filter ----------------------------------
+#
+# linearize_data builds the data of the leaf's algebroid; the same data are
+# the fiber-linear parts of the connection and the vertical bivector and the
+# fiber-affine part of the 2-form, filtered term by term.
+
+def degree_filter(data):
+    """
+    Fiber-linear truncation of zero-section-compatible geometric data.
+
+    The output keeps the fiber-linear parts of the connection and the
+    vertical bivector and the fiber-affine part of the 2-form; for a
+    chart order >= 2 it is verified to satisfy the coupling conditions.
+    Raises ValueError if the input fails them.
+    """
+    _check_input(data)
+    chart = data.chart
+    gamma = [[g.fiber_part(1, 1) for g in row] for row in data.connection.gamma]
+    vertical = data.vertical.fiber_part(1, 1)
+    fform = HForm(chart, 2,
+                  {idx: s.fiber_part(0, 1) for idx, s in data.fform.comps.items()},
+                  data.fform.valid_order)
+    out = GeometricData(Connection(chart, gamma), vertical, fform,
+                        data.fform_inv_seed)
+    if chart.trunc_order >= 2 and not out.conditions.passed:
+        raise InternalInvariantError("linearized data fails the coupling "
+                                     "conditions:\n" + out.conditions.render())
+    return out
 
 
 # -- numeric references ---------------------------------------------------

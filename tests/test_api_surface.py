@@ -7,6 +7,14 @@ its name is read, as a name or as an attribute; a method only where it is
 reached as an attribute (``.flat``), so a local variable of the same name
 does not count.  A reference inside the definition itself (recursion) and
 the re-exports in ``__init__.py`` are not uses.
+
+What the scan cannot see: a method counts as used when an attribute of
+its name is read on any object, so a tensor method ``scale`` would be kept
+by the reads of the series' ``scale``; dunder methods are skipped, so an
+``__rsub__`` that nothing calls stays; and data attributes are not
+definitions, so a stored ``self.data`` that nothing reads stays.  Such
+names are found only by tracing the calls, for example with
+``sys.setprofile`` over the test suite.
 """
 
 import ast

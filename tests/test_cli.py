@@ -375,6 +375,23 @@ class TestHolonomyCommand:
         assert code == 0
         assert "holonomy-comparison: PASS" in out
 
+    def test_fiberless_algebroid(self, tmp_path):
+        # fiber_dim 0: the transports are 0 x 0 matrices and deviate by nothing
+        doc = {
+            "chart": {"base_dim": 2, "fiber_dim": 0, "trunc_order": 2},
+            "omega": [["0", "1"], ["-1", "0"]],
+            "omega_inv": [["0", "-1"], ["1", "0"]],
+            "algebroid": {"lambda": [], "theta": [[], []], "R": [[[], []], [[], []]]},
+            "mu": [[], []],
+            "path": {"points": [["0", "0"], ["1", "1/2"]]},
+        }
+        path = write(tmp_path, "h.json", doc)
+        for command in ("algebroid-check", "algebroid-build", "connection-change"):
+            assert run([command, path])[0] == 0
+        code, out, err = run(["holonomy", path])
+        assert (code, err) == (0, "")
+        assert "residual: 0.000e+00" in out
+
     @pytest.mark.parametrize("steps", ["100", "1000"])
     def test_non_finite_transport_fails(self, steps, tmp_path):
         # the fields overflow along the path: the deviation is NaN, which must
@@ -457,7 +474,7 @@ class TestOneVerdictPerObject:
         ("connection-change", "problems/wong.problem.json", 2, 0, 1),
         ("algebroid-build", "problems/wong.problem.json", 1, 0, 0),
         ("extract-algebroid", "problems/e1.problem.json", 1, 1, 0),
-        ("linearize", "problems/e1.problem.json", 0, 2, 0),
+        ("linearize", "problems/e1.problem.json", 1, 2, 0),
         ("moser-verify", "tests/data/wong_family.problem.json", 0, 6, 0),
     ])
     def test_calls_per_command(self, command, path, admissibility, conditions, changes,

@@ -4,10 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fiberpoisson import (BasePath, parallel_transport, holonomy,
+from fiberpoisson import (AlgebroidData, BasePath, ChartSpec, parallel_transport, holonomy,
                           holonomy_compare, ConnectionChange, change_connection)
 
-from fixtures import S, so3_flat_algebroid, e1_algebroid, wong_algebroid
+from fixtures import S, std_omega, so3_flat_algebroid, e1_algebroid, wong_algebroid
 
 import oracle
 
@@ -308,6 +308,19 @@ class TestStepMatrices:
             assert np.max(np.abs(inputs[0] - y)) == 0.0
             for c, x in zip(C, inputs[1:]):
                 assert np.max(np.abs(c[k] @ y - x)) < 1e-14
+
+
+class TestFiberless:
+    """With fiber_dim 0 every transport is the 0 x 0 identity."""
+
+    def test_transport_and_comparison(self):
+        ch = ChartSpec(2, 0, 2)
+        omega, omega_inv = std_omega(ch)
+        a = AlgebroidData(ch, [], [[], []], [[[], []], [[], []]], omega, omega_inv)
+        path = BasePath([(0, 0), (1, Fraction(1, 2))])
+        assert parallel_transport(a, path, 300).shape == (0, 0)
+        rep = holonomy_compare(a, ConnectionChange(ch, [[], []]), path, 300)
+        assert rep.passed and rep.entries[0].detail == 0.0
 
 
 class TestBasePath:

@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 
 from fiberpoisson import (ChartSpec, FiberSeries, Multivector, HForm,
@@ -5,9 +7,14 @@ from fiberpoisson import (ChartSpec, FiberSeries, Multivector, HForm,
                           extract_algebroid, first_approx_check, assemble,
                           build_geometric_data, verify_coupling_conditions)
 
+from fiberpoisson.cli import Problem
+
 from fixtures import (S, zeros, std_omega, rng, e1_data,
-                      so3_flat_algebroid, rand_admissible,
+                      so3_flat_algebroid, rand_admissible, rand_valid_data,
                       vertical_from_matrix)
+from oracle import degree_filter
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def perturbed_e1(n=5):
@@ -72,6 +79,44 @@ class TestLinearizeData:
                              HForm(ch, 2, {(0, 1): omega[0][1]}), omega_inv)
         with pytest.raises(ValueError):
             linearize_data(data)
+
+
+def outcome(linearize, data):
+    """What a linearization gives: its error, or the renders and certified
+    orders of its parts, its assembled tensor and its conditions report."""
+    try:
+        out = linearize(data)
+    except ValueError as err:
+        return type(err), str(err)
+    parts = [out.vertical, out.fform] + [g for row in out.connection.gamma for g in row]
+    tensor = assemble(out)
+    return ([(p.render(), p.valid_order) for p in parts],
+            (tensor.pi.render(), tensor.certified_order),
+            out.conditions.render(), out.conditions.to_dict())
+
+
+class TestAgainstDegreeFilter:
+    """The algebroid's induced data are the input's fiber-linear parts:
+    ``linearize_data`` agrees with the term-by-term degree filter."""
+
+    def test_seeded_data(self):
+        r = rng(7)
+        built = 0
+        for k in range(56):
+            data = (rand_valid_data(r) if k % 2 else build_geometric_data(rand_admissible(r)))
+            got = outcome(linearize_data, data)
+            assert got == outcome(degree_filter, data)
+            built += isinstance(got[0], list)
+        assert built >= 40
+
+    @pytest.mark.parametrize("order", [None, 0, 1, 2, 3, 5])
+    @pytest.mark.parametrize("path", ["problems/e1.problem.json",
+                                      "tests/data/wong_family.problem.json"])
+    def test_shipped_data(self, path, order):
+        data = Problem.load(str(ROOT / path), order).geometric_data()
+        got = outcome(linearize_data, data)
+        assert got == outcome(degree_filter, data)
+        assert isinstance(got[0], list)
 
 
 class TestExtract:

@@ -6,7 +6,7 @@ from fiberpoisson import (ChartSpec, FiberSeries, Multivector, HForm, wedge,
                           interior, schouten, jacobiator, lie_derivative)
 
 from fixtures import S, rng, rand_multivector, so3_vertical
-from oracle import oracle_schouten, expand_full
+from oracle import oracle_schouten, expand_full, scaled
 
 
 def chart(b=2, r=2, n=3):
@@ -53,7 +53,7 @@ class TestWedge:
             A = rand_multivector(r, ch, p)
             B = rand_multivector(r, ch, q)
             lhs = wedge(A, B)
-            rhs = wedge(B, A).scale(Fraction((-1) ** (p * q)))
+            rhs = scaled(wedge(B, A), Fraction((-1) ** (p * q)))
             assert (lhs - rhs).is_zero()
 
 
@@ -144,7 +144,7 @@ class TestGradedIdentities:
             A = rand_multivector(r, ch, p)
             B = rand_multivector(r, ch, q)
             lhs = schouten(A, B)
-            rhs = schouten(B, A).scale(Fraction(-((-1) ** ((p - 1) * (q - 1)))))
+            rhs = scaled(schouten(B, A), Fraction(-((-1) ** ((p - 1) * (q - 1)))))
             assert (lhs - rhs).is_zero()
 
     def test_graded_leibniz(self):
@@ -157,7 +157,7 @@ class TestGradedIdentities:
             C = rand_multivector(r, ch, s)
             lhs = schouten(A, wedge(B, C))
             rhs = wedge(schouten(A, B), C) + \
-                wedge(B, schouten(A, C)).scale(Fraction((-1) ** ((p - 1) * q)))
+                scaled(wedge(B, schouten(A, C)), Fraction((-1) ** ((p - 1) * q)))
             m = min(lhs.valid_order, rhs.valid_order)
             assert (lhs.truncate(m) - rhs.truncate(m)).is_zero()
 
@@ -169,12 +169,12 @@ class TestGradedIdentities:
             B = rand_multivector(r, ch, 1, terms=2)
             C = rand_multivector(r, ch, 2, terms=2)
             p, q, s = 1, 1, 2
-            t1 = schouten(A, schouten(B, C)).scale(
-                Fraction((-1) ** ((p - 1) * (s - 1))))
-            t2 = schouten(B, schouten(C, A)).scale(
-                Fraction((-1) ** ((q - 1) * (p - 1))))
-            t3 = schouten(C, schouten(A, B)).scale(
-                Fraction((-1) ** ((s - 1) * (q - 1))))
+            t1 = scaled(schouten(A, schouten(B, C)),
+                        Fraction((-1) ** ((p - 1) * (s - 1))))
+            t2 = scaled(schouten(B, schouten(C, A)),
+                        Fraction((-1) ** ((q - 1) * (p - 1))))
+            t3 = scaled(schouten(C, schouten(A, B)),
+                        Fraction((-1) ** ((s - 1) * (q - 1))))
             total = t1 + t2 + t3
             assert total.is_zero()
 

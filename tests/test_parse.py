@@ -1,16 +1,15 @@
 import math
 import random
 import re
-import time
 from itertools import product
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fiberpoisson import ChartSpec, parse_series, ParseError
+from fiberpoisson import ChartSpec, FiberSeries, parse_series, ParseError, series
 from fiberpoisson.parse import (MAX_DIGITS, MAX_NESTING, MAX_EXPONENT, MAX_POWER_BITS, MAX_TERMS,
-                                _tokenize)
+                                _bits, _tokenize)
 from oracle import reference_parse
 
 
@@ -387,14 +386,36 @@ def test_a_divisor_is_a_nonzero_integer_factor(text, message, pos):
         assert _outcome(parse, text, chart()) == ("%s (at position %d)" % (message, pos), pos)
 
 
-@pytest.mark.parametrize("text, pos", [("9^100^100^100", 5), ("(9^100)^100^100", 7),
-                                       ("x1 + (1/3 + x2)^100^100", 19)])
-def test_power_of_too_many_digits_is_refused_before_the_work(text, pos):
-    start = time.perf_counter()
+def _refused_with_work(text, monkeypatch):
+    """The ParseError of parsing ``text``, the number of series products
+    formed before it, and the bit length of the largest number in any
+    series formed: the parser expands every number it measures into one."""
+    largest, products = [0], [0]
+    real_from_keys, real_dot = FiberSeries.from_keys.__func__, series.dot
+
+    def measured(s):
+        largest[0] = max(largest[0], *_bits(s))
+        return s
+
+    def dot(*args, **kwargs):
+        products[0] += 1
+        return measured(real_dot(*args, **kwargs))
+    monkeypatch.setattr(FiberSeries, "from_keys",
+                        classmethod(lambda cls, *args: measured(real_from_keys(cls, *args))))
+    monkeypatch.setattr(series, "dot", dot)
     with pytest.raises(ParseError) as err:
         parse_series(text, chart())
-    assert time.perf_counter() - start < 0.1
-    assert str(err.value) == "power of more than %d digits (at position %d)" % (MAX_DIGITS, pos)
+    return err.value, products[0], largest[0]
+
+
+@pytest.mark.parametrize("text, pos", [("9^100^100^100", 5), ("(9^100)^100^100", 7),
+                                       ("x1 + (1/3 + x2)^100^100", 19)])
+def test_power_of_too_many_digits_is_refused_before_the_work(text, pos, monkeypatch):
+    # of the powers, only (1/3 + x2)^100 is formed, in 99 products
+    err, formed, largest = _refused_with_work(text, monkeypatch)
+    assert formed == (99 if "x2" in text else 0)
+    assert largest <= MAX_POWER_BITS
+    assert str(err) == "power of more than %d digits (at position %d)" % (MAX_DIGITS, pos)
 
 
 def test_power_digit_bound_is_exact():
@@ -411,13 +432,15 @@ def test_power_digit_bound_is_exact():
 
 @pytest.mark.parametrize("text, pos", [("*".join(["(9^100)^45"] * 300), 10),
                                        ("*".join(["9^100"] * 300), 45 * 6 - 1)])
-def test_product_of_too_many_digits_is_refused_before_the_work(text, pos):
-    start = time.perf_counter()
-    with pytest.raises(ParseError) as err:
-        parse_series(text, chart())
-    assert time.perf_counter() - start < 0.1
-    assert str(err.value) == "product of more than %d digits (at position %d)" % (MAX_DIGITS, pos)
-    assert _outcome(reference_parse, text, chart()) == (str(err.value), pos)
+def test_product_of_too_many_digits_is_refused_before_the_work(text, pos, monkeypatch):
+    # the powers (9^100)^45 on either side of the refused '*' take 44 products
+    # each, the plain numbers none; the refused product is never formed
+    err, formed, largest = _refused_with_work(text, monkeypatch)
+    assert formed == (2 * 44 if "(" in text else 0)
+    assert largest <= MAX_POWER_BITS
+    assert str(err) == "product of more than %d digits (at position %d)" % (MAX_DIGITS, pos)
+    monkeypatch.undo()
+    assert _outcome(reference_parse, text, chart()) == (str(err), pos)
     assert parse_series("9^100*9^100", chart()).terms == {(0, 0, 0, 0): Fraction(9 ** 200)}
 
 
