@@ -22,7 +22,7 @@ moves the induced data by the gauge action of the 1-form l(mu), so
 
 import functools
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .series import FiberSeries, block_inverse, dot
 from .multivector import Multivector, HForm
@@ -39,6 +39,12 @@ def _require_xi_polynomial(entries, what):
             raise ValueError("%s entries must be independent of the fiber variables" % what)
 
 
+def _check_entries(chart, entries):
+    if any(s.chart != chart for s in entries):
+        raise ValueError("algebroid entries live on different charts")
+    _require_xi_polynomial(entries, "algebroid")
+
+
 class AlgebroidData:
     def __init__(self, chart, lam, theta, R, omega, omega_inv):
         b, r = chart.base_dim, chart.fiber_dim
@@ -47,48 +53,46 @@ class AlgebroidData:
         if len(lam) != r or any(len(row) != r for row in lam) \
                 or any(len(cell) != r for row in lam for cell in row):
             raise ValueError("lambda must be r x r x r")
+        self.chart = chart
+        self._set_splitting(theta, R)
+        if len(omega) != b or len(omega_inv) != b:
+            raise ValueError("omega and omega_inv must be base_dim square")
+        _check_entries(chart, [x for rr in lam for c in rr for x in c]
+                       + [x for rr in omega for x in rr] + [x for rr in omega_inv for x in rr])
+        if any(not (lam[s1][s2][n] + lam[s2][s1][n]).is_zero()
+               for s1 in range(r) for s2 in range(r) for n in range(r)):
+            raise ValueError("lambda must be antisymmetric in its upper pair")
+        if any(not (omega[i][j] + omega[j][i]).is_zero() for i in range(b) for j in range(b)):
+            raise ValueError("omega must be antisymmetric")
+        block_inverse(omega, omega_inv, "omega_inv")
+        if any(not (omega[j][k].diff(i) - omega[i][k].diff(j) + omega[i][j].diff(k)).is_zero()
+               for i, j, k in combinations(range(b), 3)):
+            raise ValueError("omega must be closed")
+        self._check_fiber_jacobi(chart, lam, r)
+        self.lam, self.omega, self.omega_inv = lam, omega, omega_inv
+
+    def _set_splitting(self, theta, R):
+        b, r = self.chart.base_dim, self.chart.fiber_dim
         if len(theta) != b or any(len(row) != r for row in theta) \
                 or any(len(cell) != r for row in theta for cell in row):
             raise ValueError("theta must be base_dim x r x r")
         if len(R) != b or any(len(row) != b for row in R) \
                 or any(len(cell) != r for row in R for cell in row):
             raise ValueError("R must be base_dim x base_dim x r")
-        if len(omega) != b or len(omega_inv) != b:
-            raise ValueError("omega and omega_inv must be base_dim square")
-        flat = ([x for rr in lam for c in rr for x in c]
-                + [x for rr in theta for c in rr for x in c]
-                + [x for rr in R for c in rr for x in c]
-                + [x for rr in omega for x in rr] + [x for rr in omega_inv for x in rr])
-        for s in flat:
-            if s.chart != chart:
-                raise ValueError("algebroid entries live on different charts")
-        _require_xi_polynomial(flat, "algebroid")
-        for s1 in range(r):
-            for s2 in range(r):
-                for n in range(r):
-                    if not (lam[s1][s2][n] + lam[s2][s1][n]).is_zero():
-                        raise ValueError("lambda must be antisymmetric in its upper pair")
-        for i in range(b):
-            for j in range(b):
-                for s in range(r):
-                    if not (R[i][j][s] + R[j][i][s]).is_zero():
-                        raise ValueError("R must be antisymmetric in (i, j)")
-                if not (omega[i][j] + omega[j][i]).is_zero():
-                    raise ValueError("omega must be antisymmetric")
-        block_inverse(omega, omega_inv, "omega_inv")
-        for i in range(b):
-            for j in range(i + 1, b):
-                for k in range(j + 1, b):
-                    d = omega[j][k].diff(i) - omega[i][k].diff(j) + omega[i][j].diff(k)
-                    if not d.is_zero():
-                        raise ValueError("omega must be closed")
-        self._check_fiber_jacobi(chart, lam, r)
-        self.chart = chart
-        self.lam = lam
-        self.theta = theta
-        self.R = R
-        self.omega = omega
-        self.omega_inv = omega_inv
+        _check_entries(self.chart, [x for T in (theta, R) for rr in T for c in rr for x in c])
+        if any(not (R[i][j][s] + R[j][i][s]).is_zero()
+               for i in range(b) for j in range(b) for s in range(r)):
+            raise ValueError("R must be antisymmetric in (i, j)")
+        self.theta, self.R = theta, R
+
+    def _with_splitting(self, theta, R):
+        """This data with the splitting (theta, R): lam, omega and omega_inv,
+        which the constructor validated, are shared; theta and R are checked."""
+        out = type(self).__new__(type(self))
+        out.chart, out.lam, out.omega, out.omega_inv = (self.chart, self.lam, self.omega,
+                                                        self.omega_inv)
+        out._set_splitting(theta, R)
+        return out
 
     @functools.cached_property
     def admissibility(self):
@@ -124,30 +128,42 @@ def check_admissible(a):
 
 
 def _bracket_preservation(a):
-    """Residuals of: the connection preserves the fiberwise bracket."""
-    b, r = a.chart.base_dim, a.chart.fiber_dim
-    lam, theta, ns = a.lam, a.theta, range(r)
+    """Residuals of: the connection preserves the fiberwise bracket, d_i lam_{s1 s2 t} + sum_n
+    (theta_{i s1 n} lam_{n s2 t} + theta_{i s2 n} lam_{s1 n t} - lam_{s1 s2 n} theta_{i n t}).
+    lam is antisymmetric in (s1, s2) (``AlgebroidData`` checks it), so the residual at (s2, s1)
+    is minus the one at (s1, s2) and at s1 = s2 it is zero: only s1 < s2 is formed, and a last
+    zero carries the least order of all lam and theta entries, which the rest would certify.
+    Antisymmetry is not checked below order 0, so there every ordered pair is formed."""
+    chart, lam, theta = a.chart, a.lam, a.theta
+    b, r, ns = chart.base_dim, chart.fiber_dim, range(chart.fiber_dim)
+    one = FiberSeries.constant(chart, 1)
+    order = min((x.valid_order for T in (lam, theta) for row in T for cell in row
+                 for x in cell), default=chart.trunc_order)
+    pairs = list(combinations(ns, 2) if order >= 0 else product(ns, repeat=2))
     for i in range(b):
-        for s1 in range(r):
-            for s2 in range(r):
-                for t in range(r):
-                    yield lam[s1][s2][t].diff(i) + dot(
-                        [*(-lam[s1][s2][n] for n in ns), *theta[i][s1], *theta[i][s2]],
-                        [theta[i][n][t] for n in ns] + [lam[n][s2][t] for n in ns]
-                        + [lam[s1][n][t] for n in ns])
+        for s1, s2 in pairs:
+            for t in ns:
+                yield dot([one, *theta[i][s1], *theta[i][s2], *lam[s1][s2]],
+                          [lam[s1][s2][t].diff(i), *(lam[n][s2][t] for n in ns),
+                           *(lam[s1][n][t] for n in ns), *(theta[i][n][t] for n in ns)],
+                          [1] * (2 * r + 1) + [-1] * r)
+    yield FiberSeries.zero(chart, order)
 
 
 def _curvature_defect(a):
-    """Residuals of: the curvature of the connection is the adjoint action of R."""
+    """Residuals of: the curvature of the connection is the adjoint action of R, d_j theta_ist
+    - d_i theta_jst + sum_n (theta_jsn theta_int - theta_isn theta_jnt - R_ijn lam_nst)."""
     b, r = a.chart.base_dim, a.chart.fiber_dim
     theta, ns = a.theta, range(r)
+    one = FiberSeries.constant(a.chart, 1)
     for i, j in combinations(range(b), 2):
-        for s in range(r):
-            for t in range(r):
-                yield -theta[j][s][t].diff(i) + theta[i][s][t].diff(j) + dot(
-                    [*theta[j][s], *(-x for x in theta[i][s]), *(-x for x in a.R[i][j])],
-                    [theta[i][n][t] for n in ns] + [theta[j][n][t] for n in ns]
-                    + [a.lam[n][s][t] for n in ns])
+        for s in ns:
+            for t in ns:
+                yield dot([one, one, *theta[j][s], *theta[i][s], *a.R[i][j]],
+                          [theta[j][s][t].diff(i), theta[i][s][t].diff(j),
+                           *(theta[i][n][t] for n in ns), *(theta[j][n][t] for n in ns),
+                           *(a.lam[n][s][t] for n in ns)],
+                          [-1, 1] + [1] * r + [-1] * (2 * r))
 
 
 def _covariant_closedness(a, C):
@@ -248,13 +264,14 @@ def change_connection(a, m):
     """
     Transform admissible data under a change of splitting by mu.
 
-    The output must be admissible again; a failure here is an internal
-    sign fault, not a data error.
+    The output shares lam, omega and omega_inv with the input, so only its
+    theta and R are validated.  It must be admissible again; a failure here
+    is an internal sign fault, not a data error.
     """
     if not a.admissibility.passed:
         raise ValueError("change_connection requires admissible input")
     theta2, R2 = _change_of_splitting(a, m)
-    out = AlgebroidData(a.chart, a.lam, theta2, R2, a.omega, a.omega_inv)
+    out = a._with_splitting(theta2, R2)
     if not out.admissibility.passed:
         raise InternalInvariantError("transformed connection data failed admissibility:\n"
                                      + out.admissibility.render())

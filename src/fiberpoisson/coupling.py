@@ -27,8 +27,8 @@ fixtures exercise every sign.
 
 import functools
 
-from .series import (block_inverse, dot, mat_fiber_zero_part, mat_neg, mat_valid_order,
-                     matrix_invert)
+from .series import (FiberSeries, block_inverse, dot, mat_fiber_zero_part, mat_neg,
+                     mat_valid_order, matrix_invert)
 from .multivector import HForm, interior, schouten, jacobiator
 from .connection import Connection
 from .report import CheckReport
@@ -51,8 +51,9 @@ class GeometricData:
 
     @classmethod
     def _with_certified_seed(cls, connection, vertical, fform, fform_inv_seed):
-        """Data whose seed the caller has already certified: ``decompose``
-        checks the inverse of the bivector's base block, the same product."""
+        """Data whose seed the caller has already certified: ``decompose`` checks the
+        inverse of the bivector's base block, the same product, and a homotopy-family
+        member whose block is its data's shares the data's seed."""
         data = cls.__new__(cls)
         data._set_parts(connection, vertical, fform)
         data.fform_inv_seed = fform_inv_seed
@@ -143,9 +144,13 @@ def decompose(pi, fform0=None):
 
 
 def v_sharp(vertical, f):
-    """Vertical Hamiltonian field of a function: (V# df)^t = sum_n V^{nt} d_n f."""
+    """Vertical Hamiltonian field of a function: (V# df)^t = sum_n V^{nt} d_n f.  Only the
+    directions n of V's components are differentiated; a zero of the order that its
+    derivative would certify stands for each other one, so the field keeps its order."""
     chart = vertical.chart
-    df = [f.diff(a) for a in range(chart.n_vars)]
+    used = {n for idx in vertical.comps for n in idx}
+    zeros = [FiberSeries.zero(chart, f.valid_order - k) for k in (0, 1)]
+    df = [f.diff(n) if n in used else zeros[n >= chart.base_dim] for n in range(chart.n_vars)]
     return interior(df, vertical)
 
 

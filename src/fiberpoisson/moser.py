@@ -29,8 +29,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .series import (FiberSeries, FloatEvaluator, block_inverse, dot, mat_identity, mat_mul,
-                     mat_neg, mat_valid_order)
+from .series import (FiberSeries, FloatEvaluator, block_inverse, dot, mat_fiber_zero_part,
+                     mat_identity, mat_mul, mat_neg, mat_valid_order)
 from .multivector import Multivector, HForm, schouten
 from .connection import Connection
 from .coupling import GeometricData, assemble, v_sharp
@@ -165,14 +165,21 @@ class HomotopyFamily:
 
     def _build_member(self, t):
         F = [[_t_poly(cs, t) for cs in row] for row in self.fform_t]
-        # an unchanged block keeps the data's seed, which may be base-dependent
-        unchanged = all(not (f - cs[0]).fiber_part(0, 0)
-                        for row, crow in zip(F, self.fform_t) for f, cs in zip(row, crow))
         gamma = [[_t_poly(cs, t) for cs in row] for row in self.gamma_t]
+        data, seed = self.data, self.data.fform_inv_seed
         try:
-            return GeometricData(Connection(self.chart, gamma), self.data.vertical,
-                                 HForm.from_matrix(self.chart, F),
-                                 self.data.fform_inv_seed if unchanged else None)
+            connection, fform = Connection(self.chart, gamma), HForm.from_matrix(self.chart, F)
+            # the seed certifies the data's block at the data's order, so it
+            # certifies the same block at any order up to that one
+            block = mat_fiber_zero_part(data.fform.matrix())
+            if mat_fiber_zero_part(fform.matrix()) == [[a.truncate(fform.valid_order)
+                                                        for a in row] for row in block]:
+                return GeometricData._with_certified_seed(connection, data.vertical, fform, seed)
+            # otherwise a block with the data's fiber-constant terms keeps the
+            # data's seed, which may be base-dependent, and checks it
+            unchanged = all(not (f - cs[0]).fiber_part(0, 0)
+                            for row, crow in zip(F, self.fform_t) for f, cs in zip(row, crow))
+            return GeometricData(connection, data.vertical, fform, seed if unchanged else None)
         except ValueError:
             return None
 

@@ -20,7 +20,7 @@ in the series ring, one ring product per '*' or '/'.
 
 import math
 import re
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -28,7 +28,8 @@ from fiberpoisson.series import ChartSpec, FiberSeries
 from fiberpoisson.connection import Connection
 from fiberpoisson.coupling import GeometricData, assemble
 from fiberpoisson.linearize import _check_input
-from fiberpoisson.multivector import HForm, Multivector, jacobiator
+from fiberpoisson.algebroid import _covariant_closedness
+from fiberpoisson.multivector import HForm, Multivector, jacobiator, schouten
 from fiberpoisson.report import CheckReport, InternalInvariantError
 from fiberpoisson.parse import (MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, MAX_POWER_BITS, MAX_TERMS,
                                ParseError)
@@ -211,6 +212,60 @@ def coupling_criterion_test(data):
     agree = conditions.passed == jac.is_zero()
     report.add("biconditional", "iff", min(certified_order(conditions), jac.valid_order),
                agree, "0" if agree else "sides disagree")
+    return report
+
+
+# -- the curvature and admissibility by their generic definitions ----------
+#
+# The library forms the curvature by its coordinate formula, adm-1 over the
+# pairs s1 < s2 only and each residual as one signed dot.  These are the
+# definitions it replaced: the bracket of two horizontal lifts, and adm-1 at
+# every ordered (s1, s2) and adm-2 at every i < j as plain sums of products.
+
+def curvature(conn):
+    """Curv_{ij} = -[hor(i), hor(j)] by the generic Schouten bracket, for
+    i < j; the bracket of two lifts must come out vertical."""
+    b = conn.chart.base_dim
+    lifts = [conn.hor_lift(i) for i in range(b)]
+    out = {}
+    for i, j in combinations(range(b), 2):
+        c = -schouten(lifts[i], lifts[j])
+        assert c.is_vertical(), "curvature of a connection must be vertical"
+        out[(i, j)] = c
+    return out
+
+
+def bracket_preservation(a):
+    """adm-1 at every (i, s1, s2, t)."""
+    b, r = a.chart.base_dim, a.chart.fiber_dim
+    lam, theta = a.lam, a.theta
+    for i, s1, s2, t in product(range(b), range(r), range(r), range(r)):
+        terms = [lam[s1][s2][t].diff(i)]
+        for n in range(r):
+            terms += [theta[i][s1][n] * lam[n][s2][t], theta[i][s2][n] * lam[s1][n][t],
+                      -(lam[s1][s2][n] * theta[i][n][t])]
+        yield FiberSeries.sum(terms)
+
+
+def curvature_defect(a):
+    """adm-2 at every (i, j, s, t) with i < j."""
+    b, r = a.chart.base_dim, a.chart.fiber_dim
+    theta = a.theta
+    for (i, j), s, t in product(combinations(range(b), 2), range(r), range(r)):
+        terms = [theta[i][s][t].diff(j), -theta[j][s][t].diff(i)]
+        for n in range(r):
+            terms += [theta[j][s][n] * theta[i][n][t], -(theta[i][s][n] * theta[j][n][t]),
+                      -(a.R[i][j][n] * a.lam[n][s][t])]
+        yield FiberSeries.sum(terms)
+
+
+def admissibility(a):
+    """The ``check_admissible`` report with adm-1 and adm-2 enumerated in full."""
+    order = a.chart.trunc_order
+    report = CheckReport("algebroid-admissibility")
+    report.add_residuals("connection-preserves-bracket", "adm-1", bracket_preservation(a), order)
+    report.add_residuals("curvature-is-adjoint-of-R", "adm-2", curvature_defect(a), order)
+    report.add_residuals("bianchi", "adm-3", _covariant_closedness(a, a.R), order)
     return report
 
 

@@ -10,9 +10,10 @@ from fiberpoisson import (ChartSpec, FiberSeries, AlgebroidData,
                           cocycle_hform, verify_coupling_conditions, jacobiator,
                           InternalInvariantError)
 
+import oracle
 from fixtures import (S, zeros, std_omega, rng,
                       e1_algebroid, so3_flat_algebroid, wong_algebroid,
-                      rand_admissible, rand_mu, so3_vertical)
+                      rand_admissible, rand_mu, rand_xi_poly, so3_vertical)
 
 
 class TestConstruction:
@@ -93,6 +94,103 @@ class TestAdmissibility:
         r = rng(31)
         for _ in range(8):
             assert check_admissible(rand_admissible(r)).passed
+
+
+def with_entries(a, lam=None, theta=None, R=None):
+    """``a`` with the given arrays in place of its own."""
+    return AlgebroidData(a.chart, a.lam if lam is None else lam,
+                         a.theta if theta is None else theta, a.R if R is None else R,
+                         a.omega, a.omega_inv)
+
+
+def copied(T):
+    return [[list(cell) for cell in row] for row in T]
+
+
+class TestAdmissibilityOracle:
+    """``check_admissible`` forms adm-1 over the independent pairs s1 < s2 only;
+    its report must be the full enumeration's, byte for byte."""
+
+    def mutated(self, r, a, what):
+        ch = a.chart
+        b, rr = ch.base_dim, ch.fiber_dim
+        p = FiberSeries.zero(ch)
+        while p.is_zero():
+            p = rand_xi_poly(r, ch, terms=3)
+        if what == "theta":
+            theta = copied(a.theta)
+            i, s, t = r.randrange(b), r.randrange(rr), r.randrange(rr)
+            theta[i][s][t] = theta[i][s][t] + p
+            return with_entries(a, theta=theta)
+        if what == "R":
+            R = copied(a.R)
+            i, j = r.sample(range(b), 2)
+            s = r.randrange(rr)
+            R[i][j][s] = R[i][j][s] + p
+            R[j][i][s] = -R[i][j][s]
+            return with_entries(a, R=R)
+        # lambda: an antisymmetric change, which must keep the fiber Jacobi identity
+        lam = copied(a.lam)
+        s1, s2 = r.sample(range(rr), 2)
+        n = r.randrange(rr)
+        lam[s1][s2][n] = lam[s1][s2][n] + p
+        lam[s2][s1][n] = -lam[s1][s2][n]
+        return with_entries(a, lam=lam)
+
+    @pytest.mark.parametrize("what", [None, "theta", "R", "lambda"])
+    def test_matches_the_full_enumeration(self, what):
+        r = rng(90)
+        checked = failed = first = 0
+        while checked < 12:
+            a = rand_admissible(r)
+            if what == "lambda" and a.chart.fiber_dim < 2:
+                continue
+            if what is not None:
+                try:
+                    a = self.mutated(r, a, what)
+                except ValueError:
+                    continue   # the change broke the fiber Jacobi identity
+            rep = check_admissible(a)
+            assert rep.render() == oracle.admissibility(a).render()
+            checked += 1
+            failed += not rep.passed
+            first += not rep.entries[0].passed
+        # the failed entries show their first residuals, which must agree; a
+        # changed theta or lambda fails adm-1 on some draws, R never reaches it
+        assert failed >= (0 if what is None else 6)
+        assert first >= {None: 0, "theta": 3, "R": 0, "lambda": 9}[what]
+
+    def test_wong_and_so3(self):
+        for a in (wong_algebroid(4), so3_flat_algebroid(4, base_dim=4), e1_algebroid(5)):
+            assert check_admissible(a).render() == oracle.admissibility(a).render()
+
+    @pytest.mark.parametrize("entry", ["lower", "diagonal", "rank-1", "below-zero"])
+    def test_order_counts_every_lambda_entry(self, entry):
+        # lam[2][0], which no residual with s1 < s2 reads, lam's diagonal, or a
+        # rank-1 lam certifies a lower order than the rest: adm-1 certifies no more
+        if entry == "rank-1":
+            a = e1_algebroid(4)
+        else:
+            # a change of splitting makes theta base-dependent
+            w = wong_algebroid(4)
+            a = change_connection(w, ConnectionChange(w.chart, [[S("xi2", w.chart)] * 3] * 4))
+        lam = copied(a.lam)
+        low = -1 if entry == "below-zero" else 1
+        if entry == "lower":
+            lam[2][0] = [x.truncate(low) for x in lam[2][0]]
+        elif entry == "below-zero":
+            # below order 0 antisymmetry says nothing: lam[2][0] may be anything,
+            # and only the residuals at (2, 0) show it
+            lam[0][2] = [x.truncate(low) for x in lam[0][2]]
+            lam[2][0] = [x + S("xi1", a.chart) for x in lam[2][0]]
+        else:
+            lam[0][0] = [FiberSeries.zero(a.chart, low)] * a.chart.fiber_dim
+        out = with_entries(a, lam=lam)
+        rep = check_admissible(out)
+        assert rep.render() == oracle.admissibility(out).render()
+        assert rep.entries[0].certified_order == low
+        if entry == "below-zero":
+            assert not rep.entries[0].passed
 
 
 class TestBuild:
@@ -306,6 +404,53 @@ class TestChangeConnection:
         at_once = change_connection(a, both)
         assert all((one_then_two.R[i][j][0] - at_once.R[i][j][0]).is_zero()
                    for i in range(2) for j in range(2))
+
+
+    def test_shares_the_validated_parts(self, monkeypatch):
+        # lam, omega and omega_inv are the input's, checked when it was built;
+        # the changed theta and R are checked, and so is the changed admissibility
+        from fiberpoisson import algebroid
+        a = wong_algebroid(4)
+        a.admissibility
+        seeds = []
+        real = algebroid.block_inverse
+        monkeypatch.setattr(algebroid, "block_inverse",
+                            lambda *args: seeds.append(args) or real(*args))
+        verdicts = []
+        check = algebroid.check_admissible
+        monkeypatch.setattr(algebroid, "check_admissible",
+                            lambda x: verdicts.append(x) or check(x))
+        a2 = change_connection(a, rand_mu(rng(34), a.chart))
+        assert (a2.lam, a2.omega, a2.omega_inv) == (a.lam, a.omega, a.omega_inv)
+        assert seeds == [] and verdicts == [a2]
+        assert a2.admissibility.passed
+
+    @pytest.mark.parametrize("fault, error, match", [
+        ("sign", InternalInvariantError, "transformed connection data failed admissibility"),
+        ("fiber", ValueError, "independent of the fiber variables"),
+        ("antisymmetry", ValueError, "R must be antisymmetric"),
+    ])
+    def test_changed_splitting_is_checked(self, monkeypatch, fault, error, match):
+        from fiberpoisson import algebroid
+        a = so3_flat_algebroid()
+        ch = a.chart
+        real = algebroid._change_of_splitting
+
+        def faulty(a, m):
+            theta2, R2 = real(a, m)
+            if fault == "sign":
+                R2 = [[[-x for x in cell] for cell in row] for row in R2]
+            elif fault == "fiber":
+                theta2[0][0][0] = theta2[0][0][0] + S("x1", ch)
+            else:
+                R2[0][1][0] = R2[0][1][0] + S("1", ch)
+            return theta2, R2
+
+        monkeypatch.setattr(algebroid, "_change_of_splitting", faulty)
+        m = ConnectionChange(ch, [[S("1", ch), S("0", ch), S("0", ch)],
+                                  [S("0", ch), S("1", ch), S("0", ch)]])
+        with pytest.raises(error, match=match):
+            change_connection(a, m)
 
 
 class TestConnectionEquivalence:

@@ -831,9 +831,9 @@ class TestExactRing:
         assert (code, out) == (2, "")
         assert err == "input error: a product's exponent would exceed 65535\n"
 
-    def test_each_neumann_seed_checked_once(self, monkeypatch):
-        # one check per data set built (the base data and five samples); the
-        # Neumann expansions reuse those checks
+    @staticmethod
+    def seed_checks(monkeypatch, argv):
+        """The ``mat_is_inverse`` products of one command that exits 0."""
         from fiberpoisson import series
         calls = []
         original = series.mat_is_inverse
@@ -842,9 +842,28 @@ class TestExactRing:
                     and getattr(mod, "mat_is_inverse", None) is original):
                 monkeypatch.setattr(mod, "mat_is_inverse",
                                     lambda A, B: calls.append(1) or original(A, B))
+        code, out, _ = run(argv)
+        assert code == 0, out
+        return len(calls)
+
+    def test_each_neumann_seed_checked_once(self, monkeypatch):
+        # one check for the base data: its seed certifies each of the five
+        # samples, whose fiber-constant block is the data's; the Neumann
+        # expansions reuse the checks
         path = str(ROOT / "tests" / "data" / "wong_family.problem.json")
-        assert run(["moser-verify", path])[0] == 0
-        assert len(calls) == 6
+        assert self.seed_checks(monkeypatch, ["moser-verify", path]) == 1
+
+    def test_a_moving_block_is_checked_at_each_sample(self, monkeypatch, tmp_path):
+        # a constant vertical bivector moves the fiber-constant block by
+        # -t^2/2 {phi ^ phi}_V: the base data's check certifies t = 0, and
+        # t = 1/4, 1/2, 3/4 and 1 are each certified by their own product
+        path = write(tmp_path, "moving.json", {
+            "chart": {"base_dim": 2, "fiber_dim": 2, "trunc_order": 3},
+            "connection": [["0", "0"], ["0", "0"]],
+            "vertical": [["0", "1/2"], ["-1/2", "0"]],
+            "fform": [["0", "1"], ["-1", "0"]],
+            "phi": ["x1", "x2"]})
+        assert self.seed_checks(monkeypatch, ["moser-verify", path]) == 5
 
 
 class TestCatchAll:

@@ -2,7 +2,9 @@ import pytest
 
 from fiberpoisson import ChartSpec, FiberSeries, HForm, Connection, interior
 
-from fixtures import S, rng, rand_series, rand_xi_poly, zeros, flat_connection
+import oracle
+from fixtures import (S, rng, rand_series, rand_xi_poly, rand_valid_data, zeros,
+                      flat_connection)
 
 
 def interior_base(F, u):
@@ -119,6 +121,35 @@ class TestCurvature:
             curv = Connection(ch, gamma).curvature()
             for c in curv.values():
                 assert c.is_vertical()
+
+    @staticmethod
+    def random_connection(r, ch, orders=False):
+        """Random coefficients; with ``orders`` each entry is certified to its own
+        order, from -1 up to the chart's."""
+        gamma = [[rand_series(r, ch, xdeg=3, terms=4) for _ in range(ch.fiber_dim)]
+                 for _ in range(ch.base_dim)]
+        if orders:
+            gamma = [[g.truncate(r.randint(-1, ch.trunc_order)) for g in row] for row in gamma]
+        return Connection(ch, gamma)
+
+    @pytest.mark.parametrize("case", ["valid", "orders", "fiber-0", "fiber-1"])
+    def test_matches_the_bracket_oracle(self, case):
+        # the coordinate formula against -[hor(i), hor(j)]: same fields, same order
+        r = rng({"valid": 81, "orders": 82, "fiber-0": 83, "fiber-1": 84}[case])
+        for _ in range(12):
+            if case == "valid":
+                conn = rand_valid_data(r).connection
+            elif case == "orders":
+                ch = ChartSpec(r.choice([2, 4, 6]), r.choice([1, 2, 3]), r.randint(1, 4))
+                conn = self.random_connection(r, ch, orders=True)
+            else:
+                fiber = int(case[-1])
+                conn = self.random_connection(r, ChartSpec(r.choice([2, 4]), fiber, 3), True)
+            curv, ref = conn.curvature(), oracle.curvature(conn)
+            assert curv.keys() == ref.keys()
+            for ij, c in curv.items():
+                assert c.valid_order == ref[ij].valid_order == conn.valid_order() - 1
+                assert c.comps == ref[ij].comps
 
     def test_algebroid_curvature_matches_adjoint_pairing(self):
         # cross-module consistency: for induced homogeneous connections the

@@ -223,3 +223,23 @@ class TestVSharp:
         assert h.comps[(3,)].render() == "1"
         assert (2,) not in h.comps
 
+
+    @pytest.mark.parametrize("fiber", [0, 1, 2, 3])
+    def test_matches_the_contraction_of_the_full_differential(self, fiber):
+        # only V's directions are differentiated: the field and its certified
+        # order are those of the contraction of every derivative of f
+        from fixtures import rand_series
+        r = rng(60 + fiber)
+        for _ in range(15):
+            ch = ChartSpec(r.choice([2, 4]), fiber, r.randint(1, 4))
+            vm = zeros(ch, fiber, fiber)
+            for s, t in [(s, t) for s in range(fiber) for t in range(s + 1, fiber)]:
+                if r.random() < 0.5:
+                    vm[s][t] = rand_series(r, ch).truncate(r.randint(-1, ch.trunc_order))
+                    vm[t][s] = -vm[s][t]
+            V = vertical_from_matrix(ch, vm)
+            f = rand_series(r, ch, xdeg=3, terms=4).truncate(r.randint(-1, ch.trunc_order))
+            got = v_sharp(V, f)
+            want = interior([f.diff(n) for n in range(ch.n_vars)], V)
+            assert got.valid_order == want.valid_order
+            assert got.comps == want.comps

@@ -230,6 +230,35 @@ class TestFamilyMember:
         assert verify_deformation_equation(wong_family(3, samples=DEFAULT_T_SAMPLES)).passed
         assert len(calls) == len(DEFAULT_T_SAMPLES)
 
+    def test_every_member_seed_inverts_its_block(self, monkeypatch):
+        # a member whose fiber-constant block is the data's keeps the data's
+        # certified seed unchecked; every other member's seed is checked by a
+        # product, and each seed is an exact inverse of its member's block
+        r = rng(71)
+        ch = ChartSpec(2, 2, 3)
+        half = S("1/2", ch)
+        omega, omega_inv = std_omega(ch)
+        # a constant vertical bivector moves the block by -t^2/2 {phi ^ phi}_V
+        moving = GeometricData(Connection(ch, zeros(ch, 2, 2)),
+                               vertical_from_matrix(ch, [[S("0", ch), half], [-half, S("0", ch)]]),
+                               HForm.from_matrix(ch, omega), omega_inv)
+        reused = checked = 0
+        for k in range(12):
+            data = rand_valid_data(r) if k else moving
+            phi = rand_phi(r, data) if k else PhiForm(ch, [S("x1", ch), S("x2", ch)])
+            checks = count_calls(monkeypatch, series, "mat_is_inverse")
+            fam = build_family(data, phi)
+            members = [m for m in map(fam.member, fam.t_samples) if m is not None]
+            same = [m for m in members if m.fform_inv_seed is data.fform_inv_seed]
+            assert len(checks) == len(members) - len(same)
+            monkeypatch.undo()
+            for m in members:
+                block = series.mat_fiber_zero_part(m.fform.matrix())
+                assert series.mat_is_inverse(m.fform_inv_seed, block)
+            reused += len(same)
+            checked += len(members) - len(same)
+        assert reused and checked
+
     def test_checks_exactly_the_family_samples(self, monkeypatch):
         samples = (Fraction(0), Fraction(1, 3), Fraction(1))
         fam = wong_family(3, samples=samples)
