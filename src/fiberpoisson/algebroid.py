@@ -132,8 +132,8 @@ def _bracket_preservation(a):
     (theta_{i s1 n} lam_{n s2 t} + theta_{i s2 n} lam_{s1 n t} - lam_{s1 s2 n} theta_{i n t}).
     lam is antisymmetric in (s1, s2) (``AlgebroidData`` checks it), so the residual at (s2, s1)
     is minus the one at (s1, s2) and at s1 = s2 it is zero: only s1 < s2 is formed, and a last
-    zero carries the least order of all lam and theta entries, which the rest would certify.
-    Antisymmetry is not checked below order 0, so there every ordered pair is formed."""
+    zero carries the least order of all lam and theta entries, which the rest would certify
+    (``AlgebroidData`` needs base_dim >= 2, so some base direction forms them). Antisymmetry is not checked below order 0, so there every ordered pair is formed."""
     chart, lam, theta = a.chart, a.lam, a.theta
     b, r, ns = chart.base_dim, chart.fiber_dim, range(chart.fiber_dim)
     one = FiberSeries.constant(chart, 1)

@@ -175,11 +175,7 @@ class HomotopyFamily:
             if mat_fiber_zero_part(fform.matrix()) == [[a.truncate(fform.valid_order)
                                                         for a in row] for row in block]:
                 return GeometricData._with_certified_seed(connection, data.vertical, fform, seed)
-            # otherwise a block with the data's fiber-constant terms keeps the
-            # data's seed, which may be base-dependent, and checks it
-            unchanged = all(not (f - cs[0]).fiber_part(0, 0)
-                            for row, crow in zip(F, self.fform_t) for f, cs in zip(row, crow))
-            return GeometricData(connection, data.vertical, fform, seed if unchanged else None)
+            return GeometricData(connection, data.vertical, fform)
         except ValueError:
             return None
 

@@ -26,6 +26,15 @@ class TestConstruction:
             AlgebroidData(ch, lam, zeros(ch, 2, 2, 2), zeros(ch, 2, 2, 2),
                           omega, omega_inv)
 
+    def test_symplectic_base_enforced(self):
+        # adm-1's order counts every lam entry through a base direction
+        ch = ChartSpec(0, 2, 3)
+        lam = zeros(ch, 2, 2, 2)
+        lam[0][1][0] = FiberSeries.constant(ch, 1).truncate(1)
+        lam[1][0][0] = -lam[0][1][0]
+        with pytest.raises(ValueError, match="base_dim >= 2"):
+            AlgebroidData(ch, lam, [], [], [], [])
+
     def test_jacobi_enforced(self):
         # branch-like brackets violating the Jacobi identity on r = 3
         ch = ChartSpec(2, 3, 3)
