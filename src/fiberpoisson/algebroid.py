@@ -55,7 +55,7 @@ class AlgebroidData:
             raise ValueError("lambda must be r x r x r")
         self.chart = chart
         self._set_splitting(theta, R)
-        if len(omega) != b or len(omega_inv) != b:
+        if any(len(M) != b or any(len(row) != b for row in M) for M in (omega, omega_inv)):
             raise ValueError("omega and omega_inv must be base_dim square")
         _check_entries(chart, [x for rr in lam for c in rr for x in c]
                        + [x for rr in omega for x in rr] + [x for rr in omega_inv for x in rr])
@@ -188,8 +188,7 @@ def _fiber_pairing(chart, coeffs):
 def build_geometric_data(a):
     """Geometric data induced by algebroid data: homogeneous connection,
     fiberwise linear vertical bivector, fiber-affine base 2-form."""
-    if not a.admissibility.passed:
-        raise ValueError("algebroid data is not admissible:\n" + a.admissibility.render())
+    a.admissibility.require(ValueError, "algebroid data is not admissible")
     chart = a.chart
     b, r = chart.base_dim, chart.fiber_dim
     gamma = [[_fiber_pairing(chart, a.theta[i][s]) for s in range(r)] for i in range(b)]
@@ -272,9 +271,8 @@ def change_connection(a, m):
         raise ValueError("change_connection requires admissible input")
     theta2, R2 = _change_of_splitting(a, m)
     out = a._with_splitting(theta2, R2)
-    if not out.admissibility.passed:
-        raise InternalInvariantError("transformed connection data failed admissibility:\n"
-                                     + out.admissibility.render())
+    out.admissibility.require(InternalInvariantError,
+                              "transformed connection data failed admissibility")
     return out
 
 

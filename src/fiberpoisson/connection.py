@@ -9,6 +9,7 @@ Coordinate base fields commute, so the covariant exterior derivative
 reduces to the alternating sum of horizontal-lift derivatives.
 """
 
+import functools
 from itertools import combinations, product
 
 from .series import FiberSeries, ChartMismatchError, dot
@@ -58,15 +59,6 @@ class Connection:
         return Multivector(self.chart, 2, _collect((K, 1, m, c) for w, m in wedges
                                                    for K, c in w.comps.items()), valid_order)
 
-    def hor_apply(self, i, f):
-        """Apply the horizontal lift of d_i to a function, as a derivation."""
-        b = self.chart.base_dim
-        # zero coefficients are left out: their fiber derivatives would cap the order
-        gs = [(g, f.diff(b + s)) for s, g in enumerate(self.gamma[i]) if g]
-        return dot([f.diff(i)] + [d for _, d in gs],
-                   [FiberSeries.constant(self.chart, 1)] + [g for g, _ in gs],
-                   [1] + [-1] * len(gs))
-
     def cov_ext_deriv(self, F):
         """
         Covariant exterior derivative of a base form with function values.
@@ -78,14 +70,20 @@ class Connection:
         chart = self.chart
         if F.chart != chart:
             raise ChartMismatchError("form lives on a different chart")
-        k = F.degree + 1
-        if k > chart.base_dim:
+        b, k = chart.base_dim, F.degree + 1
+        if k > b:
             return HForm.zero(chart, k, F.valid_order)
+        one = FiberSeries.constant(chart, 1)
+        # hor(i) as (direction, coefficient, sign) terms; zero coefficients are
+        # left out: their fiber derivatives would cap the order
+        lifts = [[(i, one, 1)] + [(b + s, g, -1) for s, g in enumerate(row) if g]
+                 for i, row in enumerate(self.gamma)]
+        diff = functools.cache(lambda J, v: F.component(J).diff(v))
         out = {}
-        for idx in combinations(range(chart.base_dim), k):
-            acc = FiberSeries.sum([self.hor_apply(ij, F.component(idx[:j] + idx[j + 1:]))
-                                   .scale(-1 if j % 2 else 1) for j, ij in enumerate(idx)])
-            if not acc.is_zero():
+        for idx in combinations(range(b), k):
+            acc = dot(*zip(*[(diff(idx[:j] + idx[j + 1:], v), g, -w if j % 2 else w)
+                             for j, i in enumerate(idx) for v, g, w in lifts[i]]))
+            if acc:
                 out[idx] = acc
         vo = min((s.valid_order for s in out.values()), default=F.valid_order - 1)
         return HForm(chart, k, out, vo)

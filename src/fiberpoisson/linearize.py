@@ -25,9 +25,7 @@ def _check_input(data):
                          "(horizontal spaces not tangent to the leaf)")
     if not data.vertical.fiber_part(0, 0).is_zero():
         raise ValueError("vertical part has nonzero rank on the zero section")
-    if not data.conditions.passed:
-        raise ValueError("input data fails the coupling conditions:\n"
-                         + data.conditions.render())
+    data.conditions.require(ValueError, "input data fails the coupling conditions")
 
 
 def linearize_data(data):
@@ -38,9 +36,9 @@ def linearize_data(data):
     Raises ValueError if the input fails them.
     """
     out = build_geometric_data(extract_algebroid(data))
-    if data.chart.trunc_order >= 2 and not out.conditions.passed:
-        raise InternalInvariantError("linearized data fails the coupling "
-                                     "conditions:\n" + out.conditions.render())
+    if data.chart.trunc_order >= 2:
+        out.conditions.require(InternalInvariantError,
+                               "linearized data fails the coupling conditions")
     return out
 
 
@@ -73,9 +71,8 @@ def extract_algebroid(data):
     R = [[[-data.fform.component((i, j)).xi_coefficient(unit(s))
            for s in range(r)] for j in range(b)] for i in range(b)]
     out = AlgebroidData(chart, lam, theta, R, omega, data.fform_inv_seed)
-    if not out.admissibility.passed:
-        raise InternalInvariantError("extracted algebroid data is not admissible:\n"
-                                     + out.admissibility.render())
+    out.admissibility.require(InternalInvariantError,
+                              "extracted algebroid data is not admissible")
     return out
 
 

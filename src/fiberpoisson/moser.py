@@ -200,16 +200,13 @@ def build_family(data, phi, t_samples=DEFAULT_T_SAMPLES):
     """
     if phi.chart != data.chart:
         raise ValueError("phi lives on a different chart")
-    if not data.conditions.passed:
-        raise ValueError("base data fails the coupling conditions:\n"
-                         + data.conditions.render())
+    data.conditions.require(ValueError, "base data fails the coupling conditions")
     family = HomotopyFamily(data, phi, t_samples)
     for t in family.t_samples:
         member = family.member(t)
-        if member is not None and not member.conditions.passed:
-            raise InternalInvariantError(
-                "family member at t=%s fails the coupling conditions:\n" % t
-                + member.conditions.render())
+        if member is not None:
+            member.conditions.require(InternalInvariantError,
+                                      "family member at t=%s fails the coupling conditions" % t)
     return family
 
 

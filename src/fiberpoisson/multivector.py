@@ -20,39 +20,32 @@ vector fields.  With this normalization the bracket of two monomials
 with 1-based positions k, m; every identity check downstream asserts
 vanishing, so it is independent of this sign convention.
 
+Every sign of reordered indices, in a wedge, in a bracket's merges and in
+a component read at an unsorted tuple, is the one sign of sorting the index
+tuple (``_sorted``); a repeated index gives no term.
+
 Certified orders: a bracket always lowers the certified fiber order by
 one (a conservative rule; fiber differentiation may lose one order and
 we do not track which components actually used one).
 """
 
+import functools
+
 from .series import FiberSeries, ChartMismatchError, _check_same_chart, dot
 
 
-def merge_sign(I, J):
-    """Sign of sorting the concatenation of two disjoint increasing tuples."""
-    swaps = 0
-    for j in J:
-        for i in I:
-            if i > j:
-                swaps += 1
-    return -1 if swaps % 2 else 1
-
-
-def _merge(I, J):
-    if set(I) & set(J):
-        return None, 0
-    return tuple(sorted(I + J)), merge_sign(I, J)
-
-
-def _permutation_sign(perm, sorted_tuple):
-    perm = list(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if perm[i] != sorted_tuple[i]:
-            j = perm.index(sorted_tuple[i], i + 1)
-            perm[i], perm[j] = perm[j], perm[i]
-            sign = -sign
-    return sign
+def _sorted(idx):
+    """The increasing tuple of the indices in ``idx`` and the sign of sorting
+    it, (-1)^(swaps of an insertion sort); (None, 0) when an index repeats."""
+    out, sign = list(idx), 1
+    for n in range(1, len(out)):
+        m = n
+        while m and out[m - 1] >= out[m]:
+            if out[m - 1] == out[m]:
+                return None, 0
+            out[m - 1], out[m] = out[m], out[m - 1]
+            m, sign = m - 1, -sign
+    return tuple(out), sign
 
 
 class AntisymmetricTensor:
@@ -120,14 +113,10 @@ class AntisymmetricTensor:
 
     def component(self, idx):
         """Component at any index tuple, with the antisymmetric sign."""
-        idx = tuple(idx)
-        if len(set(idx)) != len(idx):
-            return FiberSeries.zero(self.chart, self.valid_order)
-        order = tuple(sorted(idx))
+        order, sign = _sorted(idx)
         s = self.comps.get(order)
         if s is None:
             return FiberSeries.zero(self.chart, self.valid_order)
-        sign = _permutation_sign(idx, order)
         return s if sign == 1 else -s
 
     def __add__(self, other):
@@ -200,7 +189,7 @@ def wedge(A, B):
     vo = min(A.valid_order, B.valid_order)
     if degree > A.chart.n_vars:
         return Multivector.zero(A.chart, degree, vo)
-    merged = ((_merge(I, J), a, b) for I, a in A.comps.items() for J, b in B.comps.items())
+    merged = ((_sorted(I + J), a, b) for I, a in A.comps.items() for J, b in B.comps.items())
     return Multivector(A.chart, degree, _collect((K, sign, a, b) for (K, sign), a, b in merged
                                                  if K is not None), vo)
 
@@ -253,26 +242,18 @@ def _bracket(A, B, pairs):
     vo = min(A.valid_order, B.valid_order) - 1
     if p == 0 and q == 0:
         return Multivector.zero(A.chart, 0, vo)
-    diffs = {}
-
-    def diff(T, I, i):
-        key = (T is A, I, i)
-        if key not in diffs:
-            diffs[key] = T.comps[I].diff(i)
-        return diffs[key]
+    diff = functools.cache(lambda T, I, i: T.comps[I].diff(i))
 
     def terms():
         for I, J, weight in pairs:
             for k, ik in enumerate(I):
-                K, sign = _merge(I[:k] + I[k + 1:], J)
-                if K is not None:
-                    s = -1 if (p + k + 1) % 2 else 1
-                    yield K, weight * s * sign, A.comps[I], diff(B, J, ik)
+                K, sign = _sorted(I[:k] + I[k + 1:] + J)
+                if sign:
+                    yield K, (-1) ** (p + k + 1) * weight * sign, A.comps[I], diff(B, J, ik)
             for m, jm in enumerate(J):
-                K, sign = _merge(I, J[:m] + J[m + 1:])
-                if K is not None:
-                    s = -1 if (m + 1) % 2 else 1
-                    yield K, weight * s * sign, B.comps[J], diff(A, I, jm)
+                K, sign = _sorted(I + J[:m] + J[m + 1:])
+                if sign:
+                    yield K, (-1) ** (m + 1) * weight * sign, B.comps[J], diff(A, I, jm)
 
     return Multivector(A.chart, p + q - 1, _collect(terms()), vo)
 

@@ -91,6 +91,11 @@ class CheckReport:
     def passed(self):
         return all(e.passed for e in self.entries if e.required)
 
+    def require(self, error, message):
+        r"""Raise error(message + ":\n" + rendering) when a required entry failed."""
+        if not self.passed:
+            raise error(message + ":\n" + self.render())
+
     def to_dict(self):
         return {
             "title": self.title,

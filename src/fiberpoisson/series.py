@@ -31,6 +31,7 @@ field never wraps.  Only this module reads packed keys: ``FiberSeries.terms``
 views them as exponent tuples with :class:`fractions.Fraction` values.
 """
 
+import dataclasses
 import functools
 import operator
 from collections.abc import Mapping
@@ -56,6 +57,7 @@ def _rational(c):
     raise TypeError("expected an exact rational, got %r" % (c,))
 
 
+@dataclasses.dataclass(frozen=True, slots=True)
 class ChartSpec:
     """
     Dimensions and truncation order of a single trivializing chart.
@@ -72,18 +74,17 @@ class ChartSpec:
         Maximal retained total degree in the fiber variables (>= 0).
     """
 
-    __slots__ = ("base_dim", "fiber_dim", "trunc_order")
+    base_dim: int
+    fiber_dim: int
+    trunc_order: int
 
-    def __init__(self, base_dim, fiber_dim, trunc_order):
-        if base_dim < 0 or base_dim % 2 != 0:
+    def __post_init__(self):
+        if self.base_dim < 0 or self.base_dim % 2 != 0:
             raise ValueError("base_dim must be a nonnegative even integer")
-        if fiber_dim < 0:
+        if self.fiber_dim < 0:
             raise ValueError("fiber_dim must be nonnegative")
-        if trunc_order < 0:
+        if self.trunc_order < 0:
             raise ValueError("trunc_order must be nonnegative")
-        self.base_dim = base_dim
-        self.fiber_dim = fiber_dim
-        self.trunc_order = trunc_order
 
     @property
     def n_vars(self):
@@ -95,19 +96,6 @@ class ChartSpec:
         if idx < self.base_dim:
             return "xi%d" % (idx + 1)
         return "x%d" % (idx - self.base_dim + 1)
-
-    def __eq__(self, other):
-        return (isinstance(other, ChartSpec)
-                and self.base_dim == other.base_dim
-                and self.fiber_dim == other.fiber_dim
-                and self.trunc_order == other.trunc_order)
-
-    def __hash__(self):
-        return hash((self.base_dim, self.fiber_dim, self.trunc_order))
-
-    def __repr__(self):
-        return "ChartSpec(base_dim=%d, fiber_dim=%d, trunc_order=%d)" % (
-            self.base_dim, self.fiber_dim, self.trunc_order)
 
 
 def _check_same_chart(a, b):

@@ -35,6 +35,22 @@ class TestConstruction:
         with pytest.raises(ValueError, match="base_dim >= 2"):
             AlgebroidData(ch, lam, [], [], [], [])
 
+    @pytest.mark.parametrize("which, change", [("omega", "short"), ("omega", "long"),
+                                               ("omega_inv", "short"),
+                                               ("omega_inv", "long")])
+    def test_every_row_of_omega_is_checked(self, which, change):
+        # the outer lengths are right; one row is short or long
+        ch = ChartSpec(2, 1, 3)
+        forms = dict(zip(("omega", "omega_inv"), std_omega(ch)))
+        row = forms[which][1]
+        if change == "short":
+            row.pop()
+        else:
+            row.append(FiberSeries.zero(ch))
+        with pytest.raises(ValueError, match="omega and omega_inv must be base_dim square"):
+            AlgebroidData(ch, [[[FiberSeries.zero(ch)]]], zeros(ch, 2, 1, 1),
+                          zeros(ch, 2, 2, 1), forms["omega"], forms["omega_inv"])
+
     def test_jacobi_enforced(self):
         # branch-like brackets violating the Jacobi identity on r = 3
         ch = ChartSpec(2, 3, 3)

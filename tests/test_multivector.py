@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -6,7 +7,8 @@ from fiberpoisson import (ChartSpec, FiberSeries, Multivector, HForm, wedge,
                           interior, schouten, jacobiator, lie_derivative)
 
 from fixtures import S, rng, rand_multivector, so3_vertical
-from oracle import oracle_schouten, expand_full, scaled
+from fiberpoisson.multivector import _sorted
+from oracle import oracle_schouten, expand_full, scaled, perm_sign
 
 
 def chart(b=2, r=2, n=3):
@@ -20,6 +22,19 @@ def basis(ch, i):
 def fn(ch, text):
     s = S(text, ch)
     return Multivector(ch, 0, {(): s}, s.valid_order)
+
+
+class TestSortSign:
+    def test_every_short_tuple_against_the_oracle(self):
+        # every tuple over range(5) of length 0 to 4, repeats included
+        for n in range(5):
+            for idx in product(range(5), repeat=n):
+                K, sign = _sorted(idx)
+                if len(set(idx)) < n:
+                    assert (K, sign) == (None, 0)
+                else:
+                    assert K == tuple(sorted(idx))
+                    assert sign == perm_sign([K.index(i) for i in idx])
 
 
 class TestWedge:

@@ -1,3 +1,5 @@
+import pytest
+
 from fiberpoisson import ChartSpec, FiberSeries, CheckReport
 from fiberpoisson.report import summarize_residual
 
@@ -63,3 +65,23 @@ class TestAddResiduals:
         entry = CheckReport("r").add_residuals("n", "t", [long], 3)
         assert entry.residual.endswith(" ...") and len(entry.residual) == 104
 
+
+class TestRequire:
+    def test_passed_report_is_silent(self):
+        report = CheckReport("r")
+        report.add("n", "t", 3, True)
+        assert report.require(ValueError, "m") is None
+
+    def test_failed_report_raises_the_given_class_with_the_rendering(self):
+        report = CheckReport("r")
+        report.add("n", "t", 3, True)
+        report.add("bad", "t2", 2, False, "x1")
+        with pytest.raises(RuntimeError) as err:
+            report.require(RuntimeError, "data fails")
+        assert err.value.args == ("data fails:\n" + report.render(),)
+
+    def test_failed_informational_entry_is_ignored(self):
+        report = CheckReport("r")
+        report.add("n", "t", 3, True)
+        report.add("info", "t2", 2, False, "x1", required=False)
+        report.require(ValueError, "m")
