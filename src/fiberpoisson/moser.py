@@ -12,7 +12,9 @@ on the zero section is
 
 polynomial in the homotopy parameter t.  A family holds the coefficients
 of these polynomials and the rational samples at which it was built; each
-member (Gamma_t, V, F_t) is evaluated from them and verified once.  The
+member (Gamma_t, V, F_t) is evaluated from them.  The members' coupling
+conditions are checked once for every t, on the coefficients of the powers
+of t of their residuals (``HomotopyFamily.conditions``).  The
 deformation field X_t solves X_t | F_t = phi; its horizontal lift drags
 the assembled tensor along the family.  Part 1 of the verification is
 the reduction of that statement to the exact identity
@@ -23,6 +25,7 @@ checked identically in t; Part 2 checks the full deformation equation
 at the family's own samples.
 """
 
+import functools
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -32,8 +35,8 @@ import numpy as np
 from .series import (FiberSeries, FloatEvaluator, block_inverse, dot, mat_fiber_zero_part,
                      mat_identity, mat_mul, mat_neg, mat_valid_order)
 from .multivector import Multivector, HForm, schouten
-from .connection import Connection
-from .coupling import GeometricData, assemble, v_sharp
+from .connection import Connection, exterior_derivative, lift_curvature
+from .coupling import GeometricData, assemble, lift_brackets, v_sharp
 from .report import CheckReport, InternalInvariantError
 
 DEFAULT_T_SAMPLES = (Fraction(0), Fraction(1, 4), Fraction(1, 2),
@@ -130,7 +133,7 @@ class HomotopyFamily:
     """
     The family of data (Gamma, V, F) moved by phi, held as its gauge terms
     (``corrections``, ``dphi`` and ``quad``, see ``gauge_terms``) with the
-    rational ``t_samples`` at which ``build_family`` verified its members.
+    rational ``t_samples`` at which its members are built.
     ``fform_t[i][j]`` and ``gamma_t[i][s]`` hold the coefficients of the
     powers of t in the entries of F_t and Gamma_t.  ``member(t)`` is the
     geometric data at a sample, built once with the family, and
@@ -156,7 +159,7 @@ class HomotopyFamily:
         The geometric data (Gamma_t, V, F_t) at sample t, or None where the
         fiber-constant block of F_t is singular or its inverse cannot be
         certified.  A t that is not one of ``t_samples`` raises ValueError:
-        no member there was verified.
+        no member was built there.
         """
         try:
             return self._members[Fraction(t)]
@@ -179,6 +182,51 @@ class HomotopyFamily:
         except ValueError:
             return None
 
+    @functools.cached_property
+    def conditions(self):
+        """
+        The coupling conditions of every member, checked once for all t.
+        With Gamma_t = Gamma - t C and F_t = F + t F1 + t^2 F2, each
+        condition's residual is a polynomial in t of degree at most 3.  Its
+        t^0 coefficient is the data's own residual, and cond-1 has no other,
+        as V is shared; this report holds the coefficients of t^1 to t^3:
+
+          cond-2  [sum_s C_is d_(x s), V];
+          cond-3  t^k: dGamma F_k + sum_j (-1)^j C_{i_j s} d_(x s) F_{k-1},
+                  with F_0 = F and F_3 = 0;
+          cond-4  the polarized curvature terms minus V# dF1 and V# dF2.
+
+        A residual of degree at most 3 that vanishes at four values of t is
+        zero, so this verdict is at least as strong as the members' at the
+        samples.  Computed once per family.
+        """
+        chart, V = self.chart, self.data.vertical
+        b = chart.base_dim
+        hor = self.data.connection.lifts()
+        # the t^1 coefficient of hor_t(d_i) is -gamma_t[i][s][1] d_(x s) = C_is d_(x s)
+        moves = [[(b + s, cs[1], -1) for s, cs in enumerate(row) if cs[1]]
+                 for row in self.gamma_t]
+        F = [self.data.fform] + [HForm(chart, 2, {(i, j): self.fform_t[i][j][k]
+                                                  for i, j in combinations(range(b), 2)})
+                                 for k in (1, 2)]
+        vo = min((c.valid_order for row in self.gamma_t for cs in row for c in cs),
+                 default=chart.trunc_order) - 1
+        report = CheckReport("family-coupling-conditions")
+        report.add_residuals("horizontal-lifts-preserve-vertical", "cond-2",
+                             lift_brackets(moves, V, min(vo, V.valid_order - 1)),
+                             V.valid_order - 1)
+        report.add_residuals("covariant-closedness", "cond-3",
+                             [exterior_derivative(chart, [(F[1], hor), (F[0], moves)]),
+                              exterior_derivative(chart, [(F[2], hor), (F[1], moves)]),
+                              exterior_derivative(chart, [(F[2], moves)])], None)
+        curvature = [lift_curvature(chart, [(hor, moves), (moves, hor)], vo),
+                     lift_curvature(chart, [(moves, moves)], vo)]
+        report.add_residuals("curvature-identity", "cond-4",
+                             (c - v_sharp(V, F[k].component(ij))
+                              for k, curv in enumerate(curvature, 1) for ij, c in curv.items()),
+                             vo)
+        return report
+
 
 def _nondegenerate_member(fam, t):
     t = Fraction(t)
@@ -192,21 +240,19 @@ def build_family(data, phi, t_samples=DEFAULT_T_SAMPLES):
     """
     Build the homotopy family from verified data and a vanishing 1-form.
 
-    Preconditions: the data passes the coupling conditions.  At every
-    requested rational sample the triple is verified again; failures of
-    nondegeneracy are recorded (not fatal), while a genuine condition
-    failure at a sample is an internal error.  The family keeps the
-    samples: they are the ones ``verify_deformation_equation`` checks.
+    Preconditions: the data passes the coupling conditions.  The family's
+    verdict (``HomotopyFamily.conditions``) covers every member at once; its
+    failure is an internal error.  A member is built at every requested
+    rational sample; failures of nondegeneracy are recorded (not fatal).
+    The family keeps the samples: they are the ones
+    ``verify_deformation_equation`` checks.
     """
     if phi.chart != data.chart:
         raise ValueError("phi lives on a different chart")
     data.conditions.require(ValueError, "base data fails the coupling conditions")
     family = HomotopyFamily(data, phi, t_samples)
-    for t in family.t_samples:
-        member = family.member(t)
-        if member is not None:
-            member.conditions.require(InternalInvariantError,
-                                      "family member at t=%s fails the coupling conditions" % t)
+    family.conditions.require(InternalInvariantError,
+                              "homotopy family fails the coupling conditions in t")
     return family
 
 
@@ -275,7 +321,7 @@ def verify_deformation_equation(fam):
     Part 1 (identically in t): the reduced identity
     dGamma_t(phi) - dGamma(phi) - t {phi^phi}_V = 0 as a polynomial in t
     with exact series coefficients.  Part 2 (at each of the family's
-    samples, whose members ``build_family`` verified):
+    samples, whose members the family's verdict covers):
     [[X_t^h, Pi_t]] + dPi_t/dt = 0 at certified order, with the
     t-derivative computed exactly from the inverse-derivative identity.
     """

@@ -26,7 +26,7 @@ import numpy as np
 
 from fiberpoisson.series import ChartSpec, FiberSeries
 from fiberpoisson.connection import Connection
-from fiberpoisson.coupling import GeometricData, assemble
+from fiberpoisson.coupling import GeometricData, assemble, verify_coupling_conditions
 from fiberpoisson.linearize import _check_input
 from fiberpoisson.algebroid import _covariant_closedness
 from fiberpoisson.multivector import HForm, Multivector, jacobiator, schouten
@@ -212,6 +212,22 @@ def coupling_criterion_test(data):
     agree = conditions.passed == jac.is_zero()
     report.add("biconditional", "iff", min(certified_order(conditions), jac.valid_order),
                agree, "0" if agree else "sides disagree")
+    return report
+
+
+def sample_conditions(fam):
+    """A homotopy family's coupling conditions checked member by member: one
+    entry per sample with a non-degenerate member, each the verdict of
+    ``verify_coupling_conditions`` on that member.  The reference for
+    ``HomotopyFamily.conditions``, which checks the coefficients of the
+    powers of t instead."""
+    report = CheckReport("sample-coupling-conditions")
+    for t in fam.t_samples:
+        member = fam.member(t)
+        if member is not None:
+            conditions = verify_coupling_conditions(member)
+            report.add("conditions-at-t=%s" % t, "cond-all", certified_order(conditions),
+                       conditions.passed)
     return report
 
 

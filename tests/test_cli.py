@@ -468,14 +468,17 @@ class TestErrorPaths:
 
 class TestOneVerdictPerObject:
     """Each data set is verified once: commands and library functions read
-    the verdict the data object caches."""
+    the verdict the data object caches.  A homotopy family's members are
+    covered by the family's own verdict, which calls no
+    ``verify_coupling_conditions``."""
 
     @pytest.mark.parametrize("command, path, admissibility, conditions, changes", [
         ("connection-change", "problems/wong.problem.json", 2, 0, 1),
         ("algebroid-build", "problems/wong.problem.json", 1, 0, 0),
         ("extract-algebroid", "problems/e1.problem.json", 1, 1, 0),
         ("linearize", "problems/e1.problem.json", 1, 2, 0),
-        ("moser-verify", "tests/data/wong_family.problem.json", 0, 6, 0),
+        ("moser-verify", "tests/data/wong_family.problem.json", 0, 1, 0),
+        ("moser-flow", "problems/e1.problem.json", 0, 1, 0),
     ])
     def test_calls_per_command(self, command, path, admissibility, conditions, changes,
                                monkeypatch):

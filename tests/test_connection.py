@@ -1,8 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
 from fiberpoisson import ChartSpec, FiberSeries, HForm, Connection, interior
+from fiberpoisson.connection import exterior_derivative, lift_curvature
 
 import oracle
+from oracle import scaled
 from fixtures import (S, rng, rand_series, rand_xi_poly, rand_valid_data, zeros,
                       flat_connection)
 
@@ -207,3 +211,67 @@ class TestHomogeneity:
         out = hor(Connection(ch, gamma), 0, f)
         assert out.valid_order == 2
         assert out.render() == "x1^2 - 2*xi1*x2^2"
+
+
+class TestSumsOfLifts:
+    """The covariant exterior derivative is linear in (form, lifts) and the
+    curvature bilinear in two families of lifts: along Gamma_t = Gamma - t C,
+    whose lifts are hor(d_i) + t sum_s C_is d_(x s), the sums over pairs give
+    the coefficients of the powers of t."""
+
+    @staticmethod
+    def family(r, ch):
+        def coefficients():
+            return [[rand_series(r, ch, xdeg=3, terms=3) for _ in range(ch.fiber_dim)]
+                    for _ in range(ch.base_dim)]
+        gamma, C = coefficients(), coefficients()
+        b = ch.base_dim
+        moves = [[(b + s, c, 1) for s, c in enumerate(row) if c] for row in C]
+        return gamma, C, moves
+
+    @staticmethod
+    def at(t, coefficients):
+        """sum_k t^k coefficients[k], read at the least order of its terms."""
+        return FiberSeries.sum([c.scale(t ** k) for k, c in enumerate(coefficients)])
+
+    T = [Fraction(1, 3), Fraction(-2), Fraction(5, 7)]
+
+    def test_curvature_polarizes(self):
+        r = rng(95)
+        for _ in range(6):
+            ch = ChartSpec(r.choice([2, 4]), r.choice([1, 2]), 3)
+            gamma, C, moves = self.family(r, ch)
+            hor = Connection(ch, gamma).lifts()
+            vo = ch.trunc_order - 1
+            coeffs = [lift_curvature(ch, pairs, vo) for pairs in
+                      ([(hor, hor)], [(hor, moves), (moves, hor)], [(moves, moves)])]
+            for t in self.T:
+                curv = Connection(ch, [[g - c.scale(t) for g, c in zip(row, crow)]
+                                       for row, crow in zip(gamma, C)]).curvature()
+                for ij, c in curv.items():
+                    for n in c.comps.keys() | {k for cs in coeffs for k in cs[ij].comps}:
+                        got = self.at(t, [cs[ij].component(n) for cs in coeffs])
+                        assert (got - c.component(n)).is_zero()
+
+    def test_exterior_derivative_is_linear(self):
+        from itertools import combinations
+        r = rng(96)
+        for _ in range(6):
+            ch = ChartSpec(4, r.choice([1, 2]), 3)
+            gamma, C, moves = self.family(r, ch)
+            hor = Connection(ch, gamma).lifts()
+            degree = r.choice([0, 1, 2])
+            F, F1 = (HForm(ch, degree, {idx: rand_series(r, ch, xdeg=3)
+                                        for idx in combinations(range(4), degree)})
+                     for _ in range(2))
+            coeffs = [exterior_derivative(ch, pairs) for pairs in
+                      ([(F, hor)], [(F1, hor), (F, moves)], [(F1, moves)])]
+            for t in self.T:
+                conn = Connection(ch, [[g - c.scale(t) for g, c in zip(row, crow)]
+                                       for row, crow in zip(gamma, C)])
+                dF = conn.cov_ext_deriv(F + scaled(F1, t))
+                for idx in combinations(range(4), degree + 1):
+                    got = self.at(t, [cs.component(idx) for cs in coeffs])
+                    want = dF.component(idx)
+                    assert (got.truncate(want.valid_order)
+                            - want.truncate(got.valid_order)).is_zero()

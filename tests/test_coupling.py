@@ -243,3 +243,41 @@ class TestVSharp:
             want = interior([f.diff(n) for n in range(ch.n_vars)], V)
             assert got.valid_order == want.valid_order
             assert got.comps == want.comps
+
+
+class TestLiftBrackets:
+    @pytest.mark.parametrize("case", ["vertical", "general"])
+    def test_matches_the_schouten_bracket(self, case):
+        # the coordinate formula against schouten(hor_lift(i), V): same fields,
+        # same order, zero and truncated coefficients included; a V with base
+        # components as well, which the formula reads the same way
+        from itertools import combinations
+        from fiberpoisson import Connection, schouten
+        from fiberpoisson.coupling import lift_brackets
+        from fixtures import rand_series
+        r = rng({"vertical": 91, "general": 92}[case])
+        nonzero = 0
+        for _ in range(30):
+            ch = ChartSpec(r.choice([2, 4]), r.choice([1, 2, 3]), r.randint(1, 4))
+
+            def coefficient():
+                g = rand_series(r, ch, xdeg=3, terms=4)
+                u = r.random()
+                if u < 0.2:
+                    return g.truncate(r.randint(1, ch.trunc_order))
+                return g if u < 0.8 else FiberSeries.zero(ch)
+            conn = Connection(ch, [[coefficient() for _ in range(ch.fiber_dim)]
+                                   for _ in range(ch.base_dim)])
+            lo = ch.base_dim if case == "vertical" else 0
+            V = Multivector(ch, 2, {ab: rand_series(r, ch, xdeg=3, terms=3)
+                                    for ab in combinations(range(lo, ch.n_vars), 2)
+                                    if r.random() < 0.7})
+            got = list(lift_brackets(conn.lifts(), V,
+                                     min(conn.valid_order(), V.valid_order) - 1))
+            assert len(got) == ch.base_dim
+            for i, bracket in enumerate(got):
+                want = schouten(conn.hor_lift(i), V)
+                assert bracket.valid_order == want.valid_order
+                assert bracket.comps == want.comps
+                nonzero += not want.is_zero()
+        assert nonzero > 20

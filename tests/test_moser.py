@@ -11,7 +11,8 @@ from fiberpoisson import (ChartSpec, FiberSeries, Multivector, HForm,
                           verify_deformation_equation, numeric_pullback_check,
                           data_equivalence_check, build_geometric_data,
                           change_connection, ConnectionChange,
-                          verify_coupling_conditions, DEFAULT_T_SAMPLES)
+                          verify_coupling_conditions, DEFAULT_T_SAMPLES,
+                          HomotopyFamily, InternalInvariantError)
 from fiberpoisson import series, coupling, moser, multivector
 
 import oracle
@@ -29,12 +30,13 @@ def e1_family(n=6, phi1="x1*xi2", samples=(Fraction(0), Fraction(1))):
     return build_family(data, phi, samples)
 
 
-def wong_family(n=4, comps=("3*x1*xi4", "-3*x1*xi3", "2*x2*xi2", "-2*x2*xi1"),
-                samples=(Fraction(0), Fraction(1))):
-    a = wong_algebroid(n)
-    data = build_geometric_data(a)
-    phi = PhiForm(data.chart, [S(c, data.chart) for c in comps])
-    return build_family(data, phi, samples)
+def wong_data_phi(n, comps=("3*x1*xi4", "-3*x1*xi3", "2*x2*xi2", "-2*x2*xi1")):
+    data = build_geometric_data(wong_algebroid(n))
+    return data, PhiForm(data.chart, [S(c, data.chart) for c in comps])
+
+
+def wong_family(n=4, samples=(Fraction(0), Fraction(1))):
+    return build_family(*wong_data_phi(n), samples)
 
 
 def count_calls(monkeypatch, module, name):
@@ -119,6 +121,16 @@ class TestBuildFamily:
         fam = build_family(data, phi)
         assert fam.dphi.is_zero() and fam.quad.is_zero()
         assert fam.degenerate_samples == []
+
+    def test_chart_without_fiber(self):
+        # no fiber direction: no connection coefficient bounds the family's order
+        ch = ChartSpec(2, 0, 3)
+        omega, omega_inv = std_omega(ch)
+        data = GeometricData(Connection(ch, zeros(ch, 2, 0)), Multivector.zero(ch, 2),
+                             HForm.from_matrix(ch, omega), omega_inv)
+        fam = build_family(data, PhiForm(ch, [S("0", ch)] * 2))
+        assert fam.conditions.passed
+        assert verify_deformation_equation(fam).passed
 
     def test_e1_two_term_family(self):
         fam = e1_family(6)
@@ -320,6 +332,81 @@ class TestFamilyMember:
         # the absent quadratic term of e1 (V = 0) must not lower F_t's order
         fam = e1_family(6, samples=DEFAULT_T_SAMPLES)
         assert {fam.member(t).fform.valid_order for t in fam.t_samples} == {6}
+
+
+def random_data_phi(seed, count):
+    """The first ``count`` (data, phi) pairs drawn from ``seed``, as the
+    randomized family tests draw them."""
+    r = rng(seed)
+    pairs = []
+    for _ in range(count):
+        data = rand_valid_data(r)
+        pairs.append((data, rand_phi(r, data)))
+    return pairs
+
+
+# the gauge terms (corrections, dphi, quad) broken three ways
+TAMPERINGS = {
+    "corrections-doubled": lambda c, dphi, quad: ([[x.scale(2) for x in row] for row in c],
+                                                  dphi, quad),
+    "quad-doubled": lambda c, dphi, quad: (c, dphi, oracle.scaled(quad, 2)),
+    "dphi-dropped": lambda c, dphi, quad: (c, HForm.zero(dphi.chart, 2, dphi.valid_order), quad),
+}
+
+
+class TestFamilyConditions:
+    """One verdict for every t, over the coefficients of the powers of t,
+    against the members' verdicts at the samples (``oracle.sample_conditions``)."""
+
+    @staticmethod
+    def verdicts(data, phi):
+        """The new and the per-sample verdict on the family, and the family."""
+        fam = HomotopyFamily(data, phi, DEFAULT_T_SAMPLES)
+        return fam.conditions.passed, oracle.sample_conditions(fam).passed, fam
+
+    @pytest.mark.parametrize("order", [3, 4, 5])
+    def test_wong(self, order):
+        assert self.verdicts(*wong_data_phi(order))[:2] == (True, True)
+
+    def test_e1(self):
+        data = e1_data(6)
+        phi = PhiForm(data.chart, [S("x1*xi2", data.chart), S("0", data.chart)])
+        assert self.verdicts(data, phi)[:2] == (True, True)
+
+    def test_random_families(self):
+        degenerate = 0
+        for data, phi in random_data_phi(42, 30):
+            new, old, fam = self.verdicts(data, phi)
+            assert new and old
+            degenerate += bool(fam.degenerate_samples)
+        assert degenerate
+
+    def test_kept_by_build_family(self, monkeypatch):
+        fam = wong_family(3)
+        calls = count_calls(monkeypatch, coupling, "lift_brackets")
+        assert fam.conditions is fam.conditions and fam.conditions.passed
+        assert calls == []
+
+    @pytest.mark.parametrize("tampering", TAMPERINGS)
+    def test_tampered_gauge_terms(self, tampering, monkeypatch):
+        # both verdicts catch the same tamperings: all three on Wong, the
+        # doubled corrections and the dropped dphi on the fourth family of seed
+        # 42, none on the first three; build_family raises exactly when caught
+        gauge_terms = moser.gauge_terms
+        monkeypatch.setattr(moser, "gauge_terms",
+                            lambda data, phi: TAMPERINGS[tampering](*gauge_terms(data, phi)))
+        caught = []
+        for data, phi in [wong_data_phi(3)] + random_data_phi(42, 4):
+            new, old, _ = self.verdicts(data, phi)
+            assert new == old
+            if new:
+                build_family(data, phi)
+            else:
+                with pytest.raises(InternalInvariantError,
+                                   match="family fails the coupling conditions in t"):
+                    build_family(data, phi)
+            caught.append(not new)
+        assert caught == [True, False, False, False, tampering != "quad-doubled"]
 
 
 class TestNumericPullback:
