@@ -8,12 +8,13 @@ lift of the i-th base field is  d_i - sum_s gamma[i][s] d_(x s).
 Coordinate base fields commute, so the covariant exterior derivative
 reduces to the alternating sum of horizontal-lift derivatives.
 
-A lift is held as (direction, coefficient, sign) terms (``Connection.lifts``).
-The covariant exterior derivative is linear in the pair (form, lifts) and the
-curvature bilinear in two families of lifts, so ``exterior_derivative`` and
-``lift_curvature`` take sums of such terms: the connection's own are the case
-of one pair, and a homotopy family's coefficients of the powers of t are the
-others.
+A lift is held as (direction, coefficient, sign) terms (``Connection.lifts``),
+the one form of hor(d_i): ``vector_field`` turns one lift into its field, and
+every rule reads the terms.  The covariant exterior derivative is linear in
+the pair (form, lifts) and the curvature bilinear in two families of lifts, so
+``exterior_derivative`` and ``lift_curvature`` take sums of such terms: the
+connection's own are the case of one pair, and a homotopy family's
+coefficients of the powers of t are the others.
 """
 
 import functools
@@ -42,26 +43,17 @@ class Connection:
         """True iff every coefficient vanishes at x = 0."""
         return all(g.fiber_part(0, 0).is_zero() for row in self.gamma for g in row)
 
-    def hor_lift(self, i):
-        """The vector field d_i - sum_s gamma[i][s] d_(x s)."""
-        chart = self.chart
-        if not 0 <= i < chart.base_dim:
-            raise IndexError("base index out of range")
-        comps = {(i,): FiberSeries.constant(chart, 1)}
-        comps.update(((chart.base_dim + s,), -g) for s, g in enumerate(self.gamma[i]))
-        return Multivector(chart, 1, comps, self.valid_order())
-
     def horizontal_bivector(self, M, valid_order, moves=None):
         """sum_{i<j} M[i][j] hor(d_i) ^ hor(d_j) for a base-dim square matrix
-        of series, certified at most to ``valid_order``; given vector fields
-        ``moves``, sum_{i,j} M[i][j] moves[i] ^ hor(d_j), the change of the
-        first sum for an antisymmetric M when each hor(d_i) moves by moves[i]."""
+        of series, certified at most to ``valid_order``; given lift terms
+        ``moves`` (as ``lifts``), sum_{i,j} M[i][j] moves[i] ^ hor(d_j), the change
+        of the first sum for an antisymmetric M when each hor(d_i) moves by moves[i]."""
         b = self.chart.base_dim
-        lifts = [self.hor_lift(i) for i in range(b)]
-        left, pairs = ((lifts, combinations(range(b), 2)) if moves is None
-                       else (moves, product(range(b), repeat=2)))
+        hor = [vector_field(self.chart, lift, self.valid_order()) for lift in self.lifts()]
+        left, pairs = ((hor, combinations(range(b), 2)) if moves is None else
+                       ([vector_field(self.chart, m) for m in moves], product(range(b), repeat=2)))
         # one sum per component; the tensor certifies the least order of its terms
-        wedges = [(wedge(left[i], lifts[j]), M[i][j]) for i, j in pairs
+        wedges = [(wedge(left[i], hor[j]), M[i][j]) for i, j in pairs
                   if M[i][j] and not left[i].is_zero()]
         return Multivector(self.chart, 2, _collect((K, 1, m, c) for w, m in wedges
                                                    for K, c in w.comps.items()), valid_order)
@@ -97,6 +89,12 @@ class Connection:
         """
         lifts = self.lifts()
         return lift_curvature(self.chart, [(lifts, lifts)], self.valid_order() - 1)
+
+
+def vector_field(chart, terms, valid_order=None):
+    """The vector field of one lift's (direction, coefficient, sign) terms (as
+    ``Connection.lifts``), certified at most to ``valid_order``."""
+    return Multivector(chart, 1, {(v,): g if w > 0 else -g for v, g, w in terms}, valid_order)
 
 
 def exterior_derivative(chart, pairs):

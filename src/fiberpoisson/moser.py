@@ -11,8 +11,8 @@ on the zero section is
     F_t     = F - t dGamma(phi) - (t^2/2) {phi ^ phi}_V,
 
 polynomial in the homotopy parameter t.  A family holds the coefficients
-of these polynomials and the rational samples at which it was built; each
-member (Gamma_t, V, F_t) is evaluated from them.  The members' coupling
+of these polynomials and its rational samples; each member (Gamma_t, V,
+F_t) is evaluated from them at its first read.  The members' coupling
 conditions are checked once for every t, on the coefficients of the powers
 of t of their residuals (``HomotopyFamily.conditions``).  The
 deformation field X_t solves X_t | F_t = phi; its horizontal lift drags
@@ -34,7 +34,7 @@ import numpy as np
 
 from .series import (FiberSeries, FloatEvaluator, block_inverse, dot, mat_fiber_zero_part,
                      mat_identity, mat_mul, mat_neg, mat_valid_order)
-from .multivector import Multivector, HForm, schouten
+from .multivector import Multivector, HForm, _collect, schouten
 from .connection import Connection, exterior_derivative, lift_curvature
 from .coupling import GeometricData, assemble, lift_brackets, v_sharp
 from .report import CheckReport, InternalInvariantError
@@ -132,11 +132,12 @@ def _t_poly(coeffs, t):
 class HomotopyFamily:
     """
     The family of data (Gamma, V, F) moved by phi, held as its gauge terms
-    (``corrections``, ``dphi`` and ``quad``, see ``gauge_terms``) with the
-    rational ``t_samples`` at which its members are built.
-    ``fform_t[i][j]`` and ``gamma_t[i][s]`` hold the coefficients of the
-    powers of t in the entries of F_t and Gamma_t.  ``member(t)`` is the
-    geometric data at a sample, built once with the family, and
+    (``corrections``, ``dphi`` and ``quad``, see ``gauge_terms``) with its
+    rational ``t_samples``.  ``fform_t[i][j]`` and ``gamma_t[i][s]`` hold the
+    coefficients of the powers of t in the entries of F_t and Gamma_t, and
+    ``moves[i]`` the terms (as ``Connection.lifts``) of C_is d_(x s) with
+    C = ``corrections``, the t^1 coefficient of hor_t(d_i).  ``member(t)`` is
+    the geometric data at a sample, built at its first read, and
     ``degenerate_samples`` are the samples without one.
     """
 
@@ -150,21 +151,28 @@ class HomotopyFamily:
                          for j, f in enumerate(row)] for i, row in enumerate(data.fform.matrix())]
         self.gamma_t = [[[g, -c] for g, c in zip(row, corr)]
                         for row, corr in zip(data.connection.gamma, self.corrections)]
+        b = self.chart.base_dim
+        self.moves = [[(b + s, c, 1) for s, c in enumerate(row) if c] for row in self.corrections]
         self.t_samples = tuple(dict.fromkeys(Fraction(t) for t in t_samples))
-        self._members = {t: self._build_member(t) for t in self.t_samples}
-        self.degenerate_samples = [t for t, m in self._members.items() if m is None]
+        self._members = {}
 
     def member(self, t):
         """
         The geometric data (Gamma_t, V, F_t) at sample t, or None where the
         fiber-constant block of F_t is singular or its inverse cannot be
-        certified.  A t that is not one of ``t_samples`` raises ValueError:
-        no member was built there.
+        certified; built on the first call and kept.  A t that is not one of
+        ``t_samples`` raises ValueError: no member is built there.
         """
-        try:
-            return self._members[Fraction(t)]
-        except KeyError:
+        key = Fraction(t)
+        if key not in self.t_samples:
             raise ValueError("t=%s is not one of the family's samples" % t)
+        if key not in self._members:
+            self._members[key] = self._build_member(key)
+        return self._members[key]
+
+    @property
+    def degenerate_samples(self):
+        return [t for t in self.t_samples if self.member(t) is None]
 
     def _build_member(self, t):
         F = [[_t_poly(cs, t) for cs in row] for row in self.fform_t]
@@ -202,10 +210,7 @@ class HomotopyFamily:
         """
         chart, V = self.chart, self.data.vertical
         b = chart.base_dim
-        hor = self.data.connection.lifts()
-        # the t^1 coefficient of hor_t(d_i) is -gamma_t[i][s][1] d_(x s) = C_is d_(x s)
-        moves = [[(b + s, cs[1], -1) for s, cs in enumerate(row) if cs[1]]
-                 for row in self.gamma_t]
+        hor, moves = self.data.connection.lifts(), self.moves
         F = [self.data.fform] + [HForm(chart, 2, {(i, j): self.fform_t[i][j][k]
                                                   for i, j in combinations(range(b), 2)})
                                  for k in (1, 2)]
@@ -242,8 +247,8 @@ def build_family(data, phi, t_samples=DEFAULT_T_SAMPLES):
 
     Preconditions: the data passes the coupling conditions.  The family's
     verdict (``HomotopyFamily.conditions``) covers every member at once; its
-    failure is an internal error.  A member is built at every requested
-    rational sample; failures of nondegeneracy are recorded (not fatal).
+    failure is an internal error.  No member is built here: each is built on
+    its first read, and a degenerate one is recorded as None (not fatal).
     The family keeps the samples: they are the ones
     ``verify_deformation_equation`` checks.
     """
@@ -281,16 +286,13 @@ def solve_homological(fam, t):
 
 
 def horizontal_field(fam, t, X):
-    """The horizontal lift of a base coefficient field along the family
-    connection at time t."""
-    b, r = fam.chart.base_dim, fam.chart.fiber_dim
-    gamma = _nondegenerate_member(fam, t).connection.gamma
-    comps = {(i,): x for i, x in enumerate(X) if x}
-    for s in range(r):
-        # a zero component is left out: it would cap the certified order
-        if v := dot(X, [gamma[i][s] for i in range(b)], [-1] * b):
-            comps[(b + s,)] = v
-    return Multivector(fam.chart, 1, comps, min(x.valid_order for x in X))
+    """sum_i X^i hor_t(d_i), the horizontal lift of a base coefficient field along
+    the family connection at time t; the lifts leave out zero coefficients, so it
+    is certified at most to the connection's order."""
+    conn = _nondegenerate_member(fam, t).connection
+    return Multivector(fam.chart, 1, _collect(((v,), w, x, g) for x, lift in zip(X, conn.lifts())
+                                              for v, g, w in lift),
+                       min([conn.valid_order()] + [x.valid_order for x in X]))
 
 
 def _reduced_identity(fam, i, j):
@@ -334,8 +336,6 @@ def verify_deformation_equation(fam):
                           for c in _reduced_identity(fam, i, j)),
                          chart.trunc_order - 1)
 
-    W = [Multivector(chart, 1, {(b + s,): c for s, c in enumerate(corr) if not c.is_zero()})
-         for corr in fam.corrections]
     for t in fam.t_samples:
         member = fam.member(t)
         if member is None:
@@ -350,7 +350,7 @@ def verify_deformation_equation(fam):
         dH = mat_mul(mat_mul(H, dF), H, upper=True)
         vo = min(mat_valid_order(H), fam.data.vertical.valid_order)
         dpi = (member.connection.horizontal_bivector(dH, vo)
-               + member.connection.horizontal_bivector(H, vo, moves=W))
+               + member.connection.horizontal_bivector(H, vo, moves=fam.moves))
         pi_t = assemble(member).pi
         X = solve_homological(fam, t)
         Xh = horizontal_field(fam, t, X)

@@ -5,15 +5,15 @@ class InternalInvariantError(RuntimeError):
     """A derived object violated an invariant the construction guarantees."""
 
 
-def summarize_residual(obj, limit=100):
-    """Short text for a residual series / multivector / form."""
+def summarize_residual(obj):
+    """Short text for a residual series / multivector / form, cut after 100 characters."""
     if obj is None:
         return "0"
     if hasattr(obj, "is_zero") and obj.is_zero():
         return "0"
     if hasattr(obj, "render"):
         text = obj.render()
-        return text if len(text) <= limit else text[:limit] + " ..."
+        return text if len(text) <= 100 else text[:100] + " ..."
     return str(obj)
 
 

@@ -530,9 +530,9 @@ class FloatEvaluator:
 
 # -- matrices of series ------------------------------------------------
 
-def mat_identity(chart, n, valid_order=None):
-    return [[FiberSeries.constant(chart, 1, valid_order) if i == j
-             else FiberSeries.zero(chart, valid_order) for j in range(n)] for i in range(n)]
+def mat_identity(chart, n):
+    return [[FiberSeries.constant(chart, 1) if i == j else FiberSeries.zero(chart)
+             for j in range(n)] for i in range(n)]
 
 
 def dot(xs, ys, weights=None):

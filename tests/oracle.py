@@ -237,12 +237,24 @@ def sample_conditions(fam):
 # pairs s1 < s2 only and each residual as one signed dot.  These are the
 # definitions it replaced: the bracket of two horizontal lifts, and adm-1 at
 # every ordered (s1, s2) and adm-2 at every i < j as plain sums of products.
+# The library holds a lift as the terms of ``Connection.lifts``; the field
+# here is written straight from the coefficients.
+
+def hor_lift(conn, i):
+    """The vector field hor(d_i) = d_i - sum_s gamma[i][s] d_(x s), certified at
+    the least order of all the connection's coefficients (the chart's with none)."""
+    chart = conn.chart
+    comps = {(i,): FiberSeries.constant(chart, 1)}
+    comps.update(((chart.base_dim + s,), -g) for s, g in enumerate(conn.gamma[i]))
+    order = min((g.valid_order for row in conn.gamma for g in row), default=chart.trunc_order)
+    return Multivector(chart, 1, comps, order)
+
 
 def curvature(conn):
     """Curv_{ij} = -[hor(i), hor(j)] by the generic Schouten bracket, for
     i < j; the bracket of two lifts must come out vertical."""
     b = conn.chart.base_dim
-    lifts = [conn.hor_lift(i) for i in range(b)]
+    lifts = [hor_lift(conn, i) for i in range(b)]
     out = {}
     for i, j in combinations(range(b), 2):
         c = -schouten(lifts[i], lifts[j])

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from fiberpoisson import ChartSpec, FiberSeries, HForm, Connection, interior
-from fiberpoisson.connection import exterior_derivative, lift_curvature
+from fiberpoisson import ChartSpec, FiberSeries, HForm, Multivector, Connection, interior
+from fiberpoisson.connection import exterior_derivative, lift_curvature, vector_field
 
 import oracle
 from oracle import scaled
@@ -28,14 +28,14 @@ def hor(conn, i, f):
 class TestHorLift:
     def test_flat(self):
         ch = ChartSpec(2, 1, 3)
-        lift = flat_connection(ch).hor_lift(0)
+        lift = oracle.hor_lift(flat_connection(ch), 0)
         assert list(lift.comps) == [(0,)]
 
     def test_assembly(self):
         ch = ChartSpec(2, 1, 3)
         gamma = zeros(ch, 2, 1)
         gamma[0][0] = S("x1", ch)
-        lift = Connection(ch, gamma).hor_lift(0)
+        lift = oracle.hor_lift(Connection(ch, gamma), 0)
         assert lift.comps[(2,)].render() == "-x1"
 
     def test_projection_property(self):
@@ -43,17 +43,112 @@ class TestHorLift:
         gamma = [[rand_series(rng(1), ch) for _ in range(2)] for _ in range(2)]
         conn = Connection(ch, gamma)
         for i in range(2):
-            lift = conn.hor_lift(i)
+            lift = oracle.hor_lift(conn, i)
             for j in range(2):
                 alpha = [FiberSeries.zero(ch) for _ in range(4)]
                 alpha[j] = FiberSeries.constant(ch, 1)
                 res = interior(alpha, lift)
                 assert res.comps.get((), FiberSeries.zero(ch)).constant_term() == (1 if i == j else 0)
 
-    def test_index_range(self):
-        ch = ChartSpec(2, 1, 3)
-        with pytest.raises(IndexError):
-            flat_connection(ch).hor_lift(2)
+
+class TestHorizontalBivector:
+    """The fields of ``Connection.lifts`` and ``horizontal_bivector`` against the
+    oracle's lifts, written straight from gamma, and the oracle's wedge; zero and
+    truncated coefficients included."""
+
+    @staticmethod
+    def nonzero(r, ch, order=True):
+        """A nonzero random series, truncated to a random order where that
+        leaves it nonzero."""
+        g = FiberSeries.zero(ch)
+        while not g:
+            g = rand_series(r, ch, xdeg=3, terms=4)
+        cut = g.truncate(r.randint(-1, ch.trunc_order))
+        return cut if order and cut and r.random() < 0.3 else g
+
+    def connection(self, r, ch):
+        # certified orders from 0 up: a lift known to no order has no component
+        def coefficient():
+            u = r.random()
+            if u < 0.2:
+                return FiberSeries.zero(ch, r.randint(0, ch.trunc_order))
+            return self.nonzero(r, ch) if u < 0.8 else FiberSeries.zero(ch)
+        return Connection(ch, [[coefficient() for _ in range(ch.fiber_dim)]
+                               for _ in range(ch.base_dim)])
+
+    @staticmethod
+    def oracle_sum(ch, M, left, right, pairs, vo):
+        """sum M[i][j] left[i] ^ right[j] over ``pairs`` by the oracle's wedge,
+        certified at the least order of ``vo`` and its factors.  A zero factor is
+        certified to the chart's order, so its term is zero and left out."""
+        def full(X):
+            return oracle.VField(ch, [X.component((a,)) for a in range(ch.n_vars)])
+        comps, orders = {}, [vo]
+        for i, j in pairs:
+            if M[i][j] and not left[i].is_zero():
+                orders += [M[i][j].valid_order, left[i].valid_order, right[j].valid_order]
+                for K, s in oracle.wedge_fields(ch, [full(left[i]), full(right[j])]).items():
+                    if K[0] < K[1]:
+                        comps[K] = comps[K] + M[i][j] * s if K in comps else M[i][j] * s
+        return Multivector(ch, 2, comps, min(orders))
+
+    def cases(self, seed, count=25):
+        r = rng(seed)
+        for k in range(count):
+            ch = ChartSpec(r.choice([2, 4]), r.choice([0, 1, 2, 3]), r.randint(1, 4))
+            conn = rand_valid_data(r).connection if k % 5 == 4 else self.connection(r, ch)
+            ch, b = conn.chart, conn.chart.base_dim
+            M = [[self.nonzero(r, ch) if i != j and r.random() < 0.8 else FiberSeries.zero(ch)
+                  for j in range(b)] for i in range(b)]
+            yield r, conn, M, r.randint(-1, ch.trunc_order)
+
+    def test_vector_field_of_each_lift(self):
+        for _, conn, _, _ in self.cases(101):
+            for i, lift in enumerate(conn.lifts()):
+                got = vector_field(conn.chart, lift, conn.valid_order())
+                want = oracle.hor_lift(conn, i)
+                assert got.valid_order == want.valid_order
+                assert got.comps == want.comps
+
+    def test_matches_the_oracle_lifts(self):
+        from itertools import combinations
+        lowered = 0
+        for _, conn, M, vo in self.cases(102):
+            b = conn.chart.base_dim
+            hor = [oracle.hor_lift(conn, i) for i in range(b)]
+            got = conn.horizontal_bivector(M, vo)
+            want = self.oracle_sum(conn.chart, M, hor, hor, combinations(range(b), 2), vo)
+            assert got.valid_order == want.valid_order
+            assert got.comps == want.comps
+            lowered += got.valid_order < min([vo] + [M[i][j].valid_order
+                                                     for i, j in combinations(range(b), 2)])
+        # some lifts, zero coefficients among them, certify below the entries of M
+        assert lowered
+
+    def test_moves_form(self):
+        # sum_{i,j} M_ij m_i ^ hor(d_j) for the fields m_i of lift terms, each
+        # term's sign drawn at random; a move may be empty
+        from itertools import product
+        seen = set()
+        for r, conn, M, vo in self.cases(103):
+            # at most the lifts' order, as part 2 certifies: a move whose terms lie
+            # above that order has no component left in its wedge
+            ch, b, vo = conn.chart, conn.chart.base_dim, min(vo, conn.valid_order())
+            fields, moves = [], []
+            for _ in range(b):
+                comps = {(b + s,): self.nonzero(r, ch) for s in range(ch.fiber_dim)
+                         if r.random() < 0.7}
+                signs = [r.choice([1, -1]) for _ in comps]
+                fields.append(Multivector(ch, 1, comps))
+                moves.append([(v, c.scale(w), w) for ((v,), c), w in zip(comps.items(), signs)])
+            got = conn.horizontal_bivector(M, vo, moves=moves)
+            want = self.oracle_sum(ch, M, fields, [oracle.hor_lift(conn, j) for j in range(b)],
+                                   product(range(b), repeat=2), vo)
+            assert got.valid_order == want.valid_order
+            assert got.comps == want.comps
+            seen.add(got.valid_order < vo)
+        # some moves lower the certified order below the one asked for
+        assert seen == {True, False}
 
 
 class TestCovExtDeriv:

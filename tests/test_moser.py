@@ -20,7 +20,7 @@ import oracle
 from fixtures import (S, zeros, std_omega, rng, e1_data,
                       so3_flat_algebroid, wong_algebroid, so3_vertical,
                       vertical_from_matrix, rand_admissible, rand_mu,
-                      rand_phi, rand_valid_data)
+                      rand_phi, rand_valid_data, rand_series)
 
 
 def e1_family(n=6, phi1="x1*xi2", samples=(Fraction(0), Fraction(1))):
@@ -193,6 +193,47 @@ class TestSolveHomological:
         with pytest.raises(ValueError, match="not one of the family's samples"):
             horizontal_field(fam, Fraction(1, 2), [S("0", fam.chart)] * 2)
 
+    def test_horizontal_field_against_the_oracle_lifts(self):
+        # sum_i X^i hor_t(d_i) with the oracle's lifts, certified at the least
+        # order of the X^i and the fields; X is the homological solution, or
+        # random with zero and truncated entries, on random families and on
+        # connections with zero and truncated coefficients
+        from oracle import hor_lift
+        r = rng(111)
+        checked = 0
+        for k in range(24):
+            if k % 2:
+                data = rand_valid_data(r)
+                phi = rand_phi(r, data)
+            else:
+                ch = ChartSpec(r.choice([2, 4]), r.choice([1, 2]), r.randint(1, 4))
+                omega, omega_inv = std_omega(ch)
+                gamma = [[rand_series(r, ch, xdeg=3, terms=4).truncate(r.randint(-1, 4))
+                          if r.random() < 0.7 else FiberSeries.zero(ch)
+                          for _ in range(ch.fiber_dim)] for _ in range(ch.base_dim)]
+                data = GeometricData(Connection(ch, gamma), Multivector.zero(ch, 2),
+                                     HForm.from_matrix(ch, omega), omega_inv)
+                phi = PhiForm(ch, [S("0", ch)] * ch.base_dim)
+            ch, b = data.chart, data.chart.base_dim
+            fam = HomotopyFamily(data, phi, (Fraction(0), Fraction(1, 2)))
+            for t in fam.t_samples:
+                member = fam.member(t)
+                if member is None:
+                    continue
+                X = (solve_homological(fam, t) if k % 4 == 1 else
+                     [rand_series(r, ch).truncate(r.randint(-1, ch.trunc_order))
+                      if r.random() < 0.8 else FiberSeries.zero(ch) for _ in range(b)])
+                got = horizontal_field(fam, t, X)
+                fields = [hor_lift(member.connection, i) for i in range(b)]
+                comps = {(a,): FiberSeries.sum([x * f.component((a,)) for x, f in zip(X, fields)])
+                         for a in range(ch.n_vars)}
+                want = Multivector(ch, 1, comps, min(min(x.valid_order, f.valid_order)
+                                                     for x, f in zip(X, fields)))
+                assert got.valid_order == want.valid_order
+                assert got.comps == want.comps
+                checked += not got.is_zero()
+        assert checked > 20
+
     def test_t_zero_against_base_matrix(self):
         fam = e1_family(5)
         X = solve_homological(fam, Fraction(0))
@@ -283,8 +324,20 @@ class TestFamilyMember:
         assert rep.passed
         assert [e.name for e in rep.entries if e.tag == "part-2"] == [
             "deformation-at-t=%s" % t for t in samples]
-        # every member was built and verified by build_family
-        assert conditions == [] and built == []
+        # build_family verified every member in t; part 2 builds each sample's
+        # member once, at its first read
+        assert conditions == [] and built == list(samples)
+
+    def test_flow_builds_no_member(self, monkeypatch):
+        # the numeric pullback reads the family's coefficients, never a member
+        built = []
+        build = moser.HomotopyFamily._build_member
+        monkeypatch.setattr(moser.HomotopyFamily, "_build_member",
+                            lambda fam, t: built.append(t) or build(fam, t))
+        fam = wong_family(3, samples=DEFAULT_T_SAMPLES)
+        rep = numeric_pullback_check(fam, [[0.1, -0.05, 0.02, 0.03, -0.01, 0.02, 0.01]],
+                                     steps=10)
+        assert rep.passed and built == []
 
     def test_each_sample_kept_once_in_order(self):
         fam = e1_family(4, samples=(1, Fraction(1, 2), 1, 0, "1/2", 0))
