@@ -104,6 +104,12 @@ def _check_same_chart(a, b):
                                  % (a.chart, b.chart))
 
 
+def _certified(chart, valid_order):
+    """The certified order given as ``valid_order`` (default and cap the chart's);
+    it may be negative: "no certified content"."""
+    return chart.trunc_order if valid_order is None else min(valid_order, chart.trunc_order)
+
+
 # -- packed monomials ----------------------------------------------------
 
 def _top(chart, order):
@@ -204,8 +210,7 @@ class FiberSeries:
     __slots__ = ("chart", "valid_order", "_num", "_den", "_bound")
 
     def __init__(self, chart, terms=None, valid_order=None):
-        # valid_order may be negative: "no certified content"
-        vo = chart.trunc_order if valid_order is None else min(valid_order, chart.trunc_order)
+        vo = _certified(chart, valid_order)
         top = _top(chart, vo)
         clean = {}
         bound = 0
@@ -249,12 +254,12 @@ class FiberSeries:
 
     @classmethod
     def zero(cls, chart, valid_order=None):
-        return cls(chart, {}, valid_order)
+        return cls._reduced(chart, {}, 1, _certified(chart, valid_order), 0)
 
     @classmethod
     def constant(cls, chart, value, valid_order=None):
         value = _rational(value)
-        vo = chart.trunc_order if valid_order is None else min(valid_order, chart.trunc_order)
+        vo = _certified(chart, valid_order)
         num = {0: value.numerator} if value and vo >= 0 else {}
         return cls._reduced(chart, num, value.denominator, vo, 0)
 
@@ -540,20 +545,27 @@ def dot(xs, ys, weights=None):
     one chart and integer weights (default 1), accumulated into one dict
     over one denominator: the ring's only product.  It certifies the least
     order of all its operands, zero ones included."""
-    operands = [*xs, *ys]
-    chart = xs[0].chart
-    for s in operands:
-        _check_same_chart(xs[0], s)
-    vo = min(s.valid_order for s in operands)
+    first = xs[0]
+    chart, vo = first.chart, first.valid_order
+    # one pass: charts, the least order, the nonzero pairs and their denominators' lcm
+    pairs, den = [], 1
+    for x, y, w in zip(xs, ys, weights or [1] * len(xs), strict=True):
+        for s in (x, y):
+            if s.chart is not chart:
+                _check_same_chart(first, s)
+            if s.valid_order < vo:
+                vo = s.valid_order
+        if x._num and y._num and w:
+            d = x._den * y._den
+            pairs.append((x, y, w, d))
+            if den % d:
+                den = lcm(den, d)
     top = _top(chart, vo)
-    pairs = [(x, y, w) for x, y, w in zip(xs, ys, weights or [1] * len(xs), strict=True)
-             if x._num and y._num and w]
-    den = lcm(*(x._den * y._den for x, y, _ in pairs))
     out = {}
     bound = 0
-    for x, y, w in pairs:
+    for x, y, w, d in pairs:
         bound = max(bound, _product_bound(x, y))
-        f = den // (x._den * y._den) * w
+        f = den // d * w
         lhs = x._num.items() if f == 1 else [(k, c * f) for k, c in x._num.items()]
         _mul_into(out, lhs, sorted(y._num.items()), top)
     return FiberSeries._reduced(chart, _nonzero(out), den, vo, bound)

@@ -24,7 +24,8 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from fiberpoisson.series import ChartSpec, FiberSeries
+from fiberpoisson import moser
+from fiberpoisson.series import ChartSpec, FiberSeries, mat_mul
 from fiberpoisson.connection import Connection
 from fiberpoisson.coupling import GeometricData, assemble, verify_coupling_conditions
 from fiberpoisson.linearize import _check_input
@@ -229,6 +230,25 @@ def sample_conditions(fam):
             report.add("conditions-at-t=%s" % t, "cond-all", certified_order(conditions),
                        conditions.passed)
     return report
+
+
+def deformation_residual(fam, t):
+    """[[X_t^h, Pi_t]] + dPi_t/dt at a sample t with a non-degenerate member,
+    every factor of dPi_t/dt formed at the member's order: H = -F_t^{-1},
+    dF_t/dt from the coefficients of the powers of t, the full product
+    dH = H dF_t/dt H, and both horizontal bivectors.  The reference for part 2
+    of ``verify_deformation_equation``, which forms dPi_t/dt only to the
+    bracket's order."""
+    member = fam.member(t)
+    H = [[-h for h in row] for row in member.fform_inverse]
+    dF = [[moser._t_poly([c.scale(k) for k, c in enumerate(cs) if k], t) for cs in row]
+          for row in fam.fform_t]
+    dH = mat_mul(mat_mul(H, dF), H)
+    vo = min(min(h.valid_order for row in H for h in row), fam.data.vertical.valid_order)
+    dpi = (member.connection.horizontal_bivector(dH, vo)
+           + member.connection.horizontal_bivector(H, vo, moves=fam.moves))
+    Xh = moser.horizontal_field(fam, t, moser.solve_homological(fam, t))
+    return schouten(Xh, assemble(member).pi) + dpi
 
 
 # -- the curvature and admissibility by their generic definitions ----------

@@ -1,4 +1,6 @@
+import bisect
 import math
+import pathlib
 import sys
 from fractions import Fraction
 
@@ -13,7 +15,8 @@ from fiberpoisson import (ChartSpec, FiberSeries, Multivector, HForm,
                           change_connection, ConnectionChange,
                           verify_coupling_conditions, DEFAULT_T_SAMPLES,
                           HomotopyFamily, InternalInvariantError)
-from fiberpoisson import series, coupling, moser, multivector
+from fiberpoisson import series, cli, coupling, moser, multivector
+from fiberpoisson.report import CheckReport, summarize_residual
 
 import oracle
 
@@ -460,6 +463,86 @@ class TestFamilyConditions:
                     build_family(data, phi)
             caught.append(not new)
         assert caught == [True, False, False, False, tampering != "quad-doubled"]
+
+
+def part2_against_the_reference(fam, monkeypatch):
+    """Check every part-2 entry of ``verify_deformation_equation`` on ``fam``
+    against ``oracle.deformation_residual``: the residual the entry judges, its
+    certified order and its text.  Returns the number of failed entries."""
+    seen = {}
+    add = CheckReport.add_residuals
+
+    def recording(self, name, tag, residuals, *args):
+        if tag == "part-2":
+            residuals = seen[name] = list(residuals)
+        return add(self, name, tag, residuals, *args)
+
+    monkeypatch.setattr(CheckReport, "add_residuals", recording)
+    rep = verify_deformation_equation(fam)
+    monkeypatch.undo()
+    entries = [e for e in rep.entries if e.tag == "part-2"]
+    assert [e.name for e in entries] == ["deformation-at-t=%s" % t for t in fam.t_samples]
+    for t, e in zip(fam.t_samples, entries):
+        if fam.member(t) is None:
+            assert not e.passed and e.name not in seen
+            continue
+        want = oracle.deformation_residual(fam, t)
+        [got] = seen[e.name]
+        assert got.render() == want.render() and got.valid_order == want.valid_order
+        assert e.certified_order == want.valid_order
+        assert e.passed == want.is_zero() and e.residual == summarize_residual(want)
+    return sum(not e.passed for e in entries)
+
+
+# the family broken after its verdict, so that part 2 must catch it
+BREAKINGS = {
+    "moves-doubled": lambda fam: setattr(fam, "moves", [[(v, c.scale(2), w) for v, c, w in row]
+                                                        for row in fam.moves]),
+    "fform-t-tripled": lambda fam: setattr(fam, "fform_t", [[cs[:1] + [c.scale(3) for c in cs[1:]]
+                                                             for cs in row]
+                                                            for row in fam.fform_t]),
+}
+
+
+class TestDeformationAtTheBracketOrder:
+    """Part 2 forms dPi_t/dt only to the order of [[X_t^h, Pi_t]]: the entries
+    equal the reference that forms it at the member's order."""
+
+    @pytest.mark.parametrize("family, n", [(e1_family, 3), (e1_family, 6)]
+                             + [(wong_family, n) for n in (2, 3, 4, 5)])
+    def test_shipped_families(self, family, n, monkeypatch):
+        assert part2_against_the_reference(family(n, samples=DEFAULT_T_SAMPLES), monkeypatch) == 0
+
+    def test_random_families(self, monkeypatch):
+        for data, phi in random_data_phi(42, 20):
+            fam = build_family(data, phi)
+            assert part2_against_the_reference(fam, monkeypatch) == len(fam.degenerate_samples)
+
+    @pytest.mark.parametrize("breaking", BREAKINGS)
+    def test_failing_families(self, breaking, monkeypatch):
+        failed = 0
+        families = [family(n, samples=DEFAULT_T_SAMPLES) for family, n in ((wong_family, 3),
+                                                                          (e1_family, 4))]
+        for fam in families + [build_family(data, phi) for data, phi in random_data_phi(42, 4)]:
+            BREAKINGS[breaking](fam)
+            failed += part2_against_the_reference(fam, monkeypatch)
+        assert failed == {"moves-doubled": 10, "fform-t-tripled": 30}[breaking]
+
+    def test_product_pairs_on_wong_order_4(self, monkeypatch):
+        # the pairs (k1, k2) that series._mul_into multiplies below its top in
+        # one moser-verify run; 94,418 with dPi_t/dt formed at the member's order
+        pairs = [0]
+        mul_into = series._mul_into
+
+        def counted(out, lhs, rhs, top):
+            keys = [k for k, _ in rhs]
+            pairs[0] += sum(bisect.bisect_left(keys, top - k1) for k1, _ in lhs)
+            return mul_into(out, lhs, rhs, top)
+
+        monkeypatch.setattr(series, "_mul_into", counted)
+        path = pathlib.Path(__file__).resolve().parent / "data" / "wong_family.problem.json"
+        assert cli.main(["moser-verify", str(path), "--order", "4"]) == 0
+        assert 0 < pairs[0] <= 54086
 
 
 class TestNumericPullback:

@@ -340,6 +340,78 @@ class TestExactRing:
         assert hash(half - half) == hash(FiberSeries.zero(ch))
 
 
+def reference_dot(xs, ys, weights):
+    """sum_s weights[s] xs[s] ys[s] term by term over the exponent tuples,
+    certified at the least order of all the operands."""
+    ch = xs[0].chart
+    vo = min(s.valid_order for s in [*xs, *ys])
+    out = {}
+    for x, y, w in zip(xs, ys, weights):
+        for ex, cx in x.terms.items():
+            for ey, cy in y.terms.items():
+                e = tuple(a + b for a, b in zip(ex, ey))
+                if sum(e[ch.base_dim:]) <= vo:
+                    out[e] = out.get(e, 0) + w * cx * cy
+    return FiberSeries(ch, out, vo)
+
+
+class TestDotContract:
+    """What ``dot`` and ``FiberSeries.zero`` promise, whichever way they are
+    set up: equal values, the same errors, the least order of all operands."""
+
+    @pytest.mark.parametrize("vo", [None, -1, 0, 3, 5])
+    def test_zero_is_the_empty_series(self, vo):
+        ch = chart()
+        z, empty = FiberSeries.zero(ch, vo), FiberSeries(ch, {}, vo)
+        assert z == empty and hash(z) == hash(empty)
+        assert z.valid_order == empty.valid_order == (3 if vo is None else min(vo, 3))
+        assert z.is_zero() and z.render() == "0" and z.terms == {}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(mixed_series(), mixed_series(), st.integers(-2, 2)),
+                    min_size=1, max_size=4))
+    def test_against_the_term_by_term_sum(self, triples):
+        # zero operands and zero weights included: every operand's order counts
+        xs, ys, ws = map(list, zip(*triples))
+        got = dot(xs, ys, ws)
+        assert got == reference_dot(xs, ys, ws)
+        assert got.valid_order == min(s.valid_order for s in xs + ys)
+        assert dot(xs, ys) == dot(xs, ys, [1] * len(xs)) == reference_dot(xs, ys, [1] * len(xs))
+
+    def test_zero_operands_count_for_the_order(self):
+        ch = chart()
+        x = S("x1 + xi1", ch)
+        for zero in (FiberSeries.zero(ch, 1), FiberSeries(ch, {}, 0)):
+            for xs, ys in (([x, zero], [x, x]), ([x, x], [x, zero]), ([zero], [zero])):
+                assert dot(xs, ys).valid_order == zero.valid_order
+        assert dot([x], [x], [0]) == FiberSeries.zero(ch)
+
+    def test_any_operand_on_another_chart(self):
+        ch, other = chart(), chart(n=4)
+        xs = [S("x1", ch), S("1/2*xi2", ch), FiberSeries.zero(ch)]
+        ys = [S("x2 - 1", ch), FiberSeries.zero(ch), S("xi1*x1", ch)]
+        for k in range(3):
+            for side in (xs, ys):
+                for stranger in (S("x1", other), FiberSeries.zero(other)):
+                    moved = list(side)
+                    moved[k] = stranger
+                    args = (moved, ys) if side is xs else (xs, moved)
+                    with pytest.raises(ChartMismatchError):
+                        dot(*args)
+        # a chart equal to the operands' but another object is the same chart
+        twin = chart()
+        assert twin is not ch
+        assert dot(xs, ys[:2] + [S("xi1*x1", twin)]) == dot(xs, ys)
+
+    def test_length_mismatch(self):
+        ch = chart()
+        a, b = S("x1", ch), S("xi1 + 1", ch)
+        for args in (([a, b], [a]), ([a], [a, b]), ([a, b], [a, b], [1]),
+                     ([a], [b], [1, 1])):
+            with pytest.raises(ValueError):
+                dot(*args)
+
+
 class TestEvaluate:
     def test_exact(self):
         ch = ChartSpec(2, 1, 3)
