@@ -122,6 +122,7 @@ class Problem:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError("bad chart section: %s" % exc)
         self.doc = doc
+        self.terms = {}  # parse memo: each distinct whole term of the file, on this chart
 
     @classmethod
     def load(cls, path, order_override=None):
@@ -131,12 +132,12 @@ class Problem:
     # -- entry readers -------------------------------------------------
 
     def _expr(self, text, where):
-        if isinstance(text, int) or (isinstance(text, float) and text.is_integer()):
+        if type(text) is int or (isinstance(text, float) and text.is_integer()):
             text = str(int(text))
         if not isinstance(text, str):
             raise InputError("%s: expected an expression string, got %r" % (where, text))
         try:
-            return parse_series(text, self.chart)
+            return parse_series(text, self.chart, self.terms)
         except ParseError as exc:
             raise InputError("%s: %s" % (where, exc))
 

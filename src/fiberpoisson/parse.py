@@ -14,9 +14,12 @@ its powers taken first, as sympy and Python read it: ``2/4^2`` is 1/8 and
 ``2/4/2`` is 1/4.  Parsing is exact: rationals are never rounded.  A term
 without parentheses is read straight into one packed monomial: the key
 units of its variables add, its numerators and denominators multiply.
-Where a term begins (at the start or after '(', either perhaps followed by a
-sign, or after a sign that follows an operand, as in ``a-b`` or ``a - b``), one
-written ``p/q*xi1*x2^3`` is one token; near a bound it is read token by token.
+A text without '(' is split once at its signs; when each piece is a whole term,
+written ``p/q*xi1*x2^3``, the text is their sum, and a caller's memo reads each
+distinct whole term once.  Any other text goes to the token reader, which
+raises every error.  There a whole term is one token where a term begins (at
+the start or after '(', either perhaps followed by a sign, or after a sign that
+follows an operand, as in ``a-b`` or ``a - b``), read token by token near a bound.
 Parenthesised parts are expanded in the series ring.  Both happen on the
 caller's chart, so a term above its order drops as it arises, and the
 bounds below count only the terms that are kept; fiber degree is additive,
@@ -30,9 +33,11 @@ from math import lcm
 from .series import FiberSeries, key_units
 
 _FINE = re.compile(r"(?P<num>\d+)|(?P<var>xi\d+|x\d+)|(?P<op>[-+*/^()])|(?P<bad>\S)")
+# a whole term: a number p or p/q, or a power of a variable, then '*' and more powers
+_WHOLE = re.compile(r"(?:\d+(?:/\d+)?|xi?\d+(?:\^\d+)?)(?:\*xi?\d+(?:\^\d+)?)*")
 _TOKEN = re.compile(r"(?=[\dx])(?:\A|(?<=^[-+])|(?<=[\d()][-+])|(?<=\()|(?<=[\d)] [-+] ))"
-                    r"(?P<mono>(?:\d+(?:/\d+)?|xi?\d+(?:\^\d+)?)(?:\*xi?\d+(?:\^\d+)?)*)"
-                    r"(?=\s*(?:[-+)]|\Z))|" + _FINE.pattern)
+                    r"(?P<mono>" + _WHOLE.pattern + r")(?=\s*(?:[-+)]|\Z))|" + _FINE.pattern)
+_SIGNS = re.compile(r"([-+])")
 
 # Parentheses and unary minuses open at one time.  The parser recurses once
 # per level, so deeper input is refused before it exhausts the Python stack.
@@ -82,6 +87,52 @@ def _names(chart):
     return {chart.var_name(v): unit for v, unit in enumerate(key_units(chart))}
 
 
+def _monomial(text, names):
+    """A whole term's tuple (key, num, den, deg), or None where it may break a bound: an
+    unknown variable, a zero divisor, a degree past MAX_EXPONENT, or MAX_DIGITS
+    characters (fewer keep its numbers below both bit bounds)."""
+    if len(text) >= MAX_DIGITS:
+        return None
+    factors, num, den, key, deg = text.split("*"), 1, 1, 0, 0
+    if factors[0][0].isdigit():
+        num, _, den = factors.pop(0).partition("/")
+        num, den = int(num), int(den or 1)
+    for f in factors:
+        name, _, n = f.partition("^")
+        if name not in names:
+            return None
+        n = int(n or 1)
+        key, deg = key + names[name] * n, deg + n
+    return (key, num, den, deg) if den and deg <= MAX_EXPONENT else None
+
+
+def _sum(chart, monomials, deg):
+    """The series of (key, num, den) monomials of degree at most ``deg``, over one denominator."""
+    den = lcm(*{d for _, _, d in monomials})
+    pairs = ((key, num * (den // d)) for key, num, d in monomials)
+    return FiberSeries.from_keys(chart, pairs, den, deg)
+
+
+def _flat(text, chart, memo):
+    """The series of a sign and whole terms joined by '+' and '-'; None for other text."""
+    pieces = _SIGNS.split(text)
+    if pieces[0].strip() or len(pieces) == 1:
+        pieces.insert(0, "+")
+    else:  # a leading sign
+        del pieces[0]
+    names, monomials, deg = _names(chart), [], 0
+    for sign, body in zip(pieces[::2], pieces[1::2]):
+        body = body.strip()
+        if body not in memo:  # None for a piece that is no whole term
+            memo[body] = _monomial(body, names) if _WHOLE.fullmatch(body) else None
+        if (value := memo[body]) is None:
+            return None
+        key, num, den, tdeg = value
+        monomials.append((key, -num if sign == "-" else num, den))
+        deg = max(deg, tdeg)
+    return _sum(chart, monomials, deg)
+
+
 def _number(val, pos):
     if len(val) > MAX_DIGITS:
         raise ParseError("number longer than %d digits" % MAX_DIGITS, pos)
@@ -95,8 +146,9 @@ class _Parser:
     ``self.chart`` (a key may lie above the chart order until it is summed).
     Where parentheses enter, num is a series on that chart, key 0 and den 1."""
 
-    def __init__(self, text, chart):
+    def __init__(self, text, chart, memo):
         self.chart, self.units, self.names = chart, key_units(chart), _names(chart)
+        self.memo = memo
         # the end sentinel is consumed only on the way to a ParseError
         self.tokens = _tokenize(text) + [(None, None, len(text))]
         self.i = 0
@@ -131,17 +183,18 @@ class _Parser:
                 break
             negate = self.next()[1] == "-"
         if monomials:
-            den = lcm(*{d for _, _, d in monomials})
-            pairs = ((key, num * (den // d)) for key, num, d in monomials)
-            parts.append(FiberSeries.from_keys(self.chart, pairs, den, deg))
+            parts.append(_sum(self.chart, monomials, deg))
         return (parts[0] if len(parts) == 1 else FiberSeries.sum(parts)), deg
 
     def term(self):
         kind, val, pos = self.tokens[self.i]
-        if kind == "mono" and (value := self.monomial(val)):
-            self.i += 1
-            return value
-        if kind == "mono":  # read by its fine tokens, which raise any error where they would
+        if kind == "mono":
+            if val not in self.memo:
+                self.memo[val] = _monomial(val, self.names)
+            if value := self.memo[val]:
+                self.i += 1
+                return value
+            # read by its fine tokens, which raise any error where they would
             self.tokens[self.i:self.i + 1] = _tokenize(val, _FINE, pos)
         value = self.factor()
         while self.tokens[self.i][1] in ("*", "/"):
@@ -158,24 +211,6 @@ class _Parser:
                     raise ParseError("product of more than %d digits" % MAX_DIGITS, pos)
             value = self.product(value, rhs, pos)
         return value
-
-    def monomial(self, text):
-        """A mono token's tuple, or None where it may break a bound: an unknown variable, a
-        zero divisor, a degree past MAX_EXPONENT, or MAX_DIGITS characters (fewer keep
-        its numbers below both bit bounds)."""
-        if len(text) >= MAX_DIGITS:
-            return None
-        factors, num, den, key, deg = text.split("*"), 1, 1, 0, 0
-        if factors[0][0].isdigit():
-            num, _, den = factors.pop(0).partition("/")
-            num, den = int(num), int(den or 1)
-        for f in factors:
-            name, _, n = f.partition("^")
-            if name not in self.names:
-                return None
-            n = int(n or 1)
-            key, deg = key + self.names[name] * n, deg + n
-        return (key, num, den, deg) if den and deg <= MAX_EXPONENT else None
 
     def product(self, a, b, pos):
         """a * b, refused when it could exceed MAX_TERMS or MAX_EXPONENT.
@@ -272,6 +307,10 @@ class _Parser:
         return value
 
 
-def parse_series(text, chart):
-    """Parse an expression into a :class:`FiberSeries` at the chart order."""
-    return _Parser(text, chart).parse()
+def parse_series(text, chart, memo=None):
+    """Parse an expression into a :class:`FiberSeries` at the chart order.  ``memo`` maps
+    each whole term read to its reading on ``chart``: pass one dict for the texts of one chart."""
+    memo = {} if memo is None else memo
+    if "(" not in text and (series := _flat(text, chart, memo)) is not None:
+        return series
+    return _Parser(text, chart, memo).parse()

@@ -15,10 +15,11 @@ from fractions import Fraction
 
 import pytest
 
-from fiberpoisson import cli, ChartSpec, algebroid, coupling
+from fiberpoisson import assemble, cli, ChartSpec, algebroid, coupling, parse, parse_series
 from fiberpoisson.cli import main
 from fiberpoisson.report import CheckReport, InternalInvariantError
 
+from fixtures import rand_valid_data, rng
 from test_moser import count_calls
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -820,6 +821,67 @@ class TestParserBounds:
         assert time.perf_counter() - t0 < 1.0
         assert code == 2
         assert "connection[0][0]: " in err and "(at position" in err
+
+
+class TestEntryTypes:
+    """An entry is an expression string or a JSON integer (an integral float
+    counts); a JSON boolean is neither."""
+
+    @pytest.mark.parametrize("where, value", [((1, 0), True), ((0, 0), False),
+                                              ((1, 1), False)])
+    def test_a_boolean_exits_two_naming_the_entry(self, where, value, tmp_path):
+        doc = json.loads((ROOT / "problems" / "e1.problem.json").read_text())
+        doc["fform_inv_seed"][where[0]][where[1]] = value
+        code, _, err = run(["verify-data", write(tmp_path, "p.json", doc)])
+        assert code == 2
+        assert "fform_inv_seed[%d][%d]: expected an expression string, got %r" \
+            % (where + (value,)) in err
+
+    def test_an_integral_float_is_read_as_an_integer(self, tmp_path):
+        doc = json.loads((ROOT / "problems" / "e1.problem.json").read_text())
+        doc["fform_inv_seed"] = [[0.0, -1], [1.0, "0"]]
+        assert run(["verify-data", write(tmp_path, "p.json", doc)])[0] == 0
+        seed = cli.Problem(doc).geometric_data().fform_inv_seed
+        assert [[s.render() for s in row] for row in seed] == [["0", "-1"], ["1", "0"]]
+
+
+class TestOneReadingPerTerm:
+    """A problem reads each distinct whole term of its entries once, on its
+    own chart, and a rendered sum of whole terms without the token reader."""
+
+    def test_a_rendered_bivector_is_read_once_per_term(self, monkeypatch):
+        # as a flat sum without the token reader; with a parenthesised term
+        # appended, by the token reader, still once per term
+        r = rng(102)
+        for _ in range(3):
+            pi = assemble(rand_valid_data(r)).pi
+            n = pi.chart.n_vars
+            entries = [["0"] * n for _ in range(n)]
+            for (i, j), s in pi.comps.items():
+                entries[i][j], entries[j][i] = s.render(), (-s).render()
+            chart = {"base_dim": pi.chart.base_dim, "fiber_dim": pi.chart.fiber_dim,
+                     "trunc_order": pi.chart.trunc_order}
+            bodies = {body.strip() for row in entries for text in row
+                      for body in re.split("[-+]", text)} - {""}
+            for tail in ("", " + (0)"):
+                doc = {"chart": chart, "pi": [[text + tail for text in row] for row in entries]}
+                tokenized = count_calls(monkeypatch, parse, "_tokenize")
+                read = count_calls(monkeypatch, parse, "_monomial")
+                got = cli.Problem(doc).bivector()
+                monkeypatch.undo()
+                assert got.comps == pi.comps
+                assert len(tokenized) == (0 if tail == "" else n * n)
+                assert sorted(text for text, _ in read) == sorted(bodies)
+
+    def test_a_memo_serves_one_chart(self):
+        texts = ["xi1*x1 - 3*x1^2", "x1 + xi1*x1 - 3*x1^2"]
+        charts = [ChartSpec(2, 1, 3), ChartSpec(2, 2, 3)]
+        for chart in charts + charts[::-1]:
+            doc = {"chart": {"base_dim": chart.base_dim, "fiber_dim": chart.fiber_dim,
+                             "trunc_order": chart.trunc_order}, "e": texts}
+            got = cli.Problem(doc).array("e", (len(texts),))
+            assert got == [parse_series(text, chart) for text in texts]
+            assert [s.render() for s in got] == ["-3*x1^2 + xi1*x1", "x1 - 3*x1^2 + xi1*x1"]
 
 
 class TestExactRing:

@@ -541,3 +541,48 @@ def _whole_and_fine_terms(draw):
 @given(_whole_and_fine_terms(), st.sampled_from(CHARTS))
 def test_whole_and_fine_term_tokens_agree_with_the_ring_reference(text, ch):
     assert _outcome(parse_series, text, ch) == _outcome(reference_parse, text, ch), text
+
+
+# -- a flat sum of whole terms, read in one split --------------------------------
+
+_SPACES = ["", " ", "  ", "\t", "\n", " \n ", "\u00a0", "\u2003"]
+# a whole term, or now and then one at or past a bound
+_flat_terms = st.one_of(_whole_terms(), _whole_terms(), _whole_terms(), st.sampled_from(_EDGES))
+
+
+@st.composite
+def _flat_sums(draw):
+    def space():
+        return draw(st.sampled_from(_SPACES))
+    terms = draw(st.lists(_flat_terms, min_size=1, max_size=6))
+    text = space() + draw(st.sampled_from(["", "+", "-"])) + space() + terms[0]
+    for term in terms[1:]:
+        text += space() + draw(st.sampled_from("+-")) + space() + term
+    return text + space()
+
+
+def _agree_with_the_reference(texts, ch):
+    """Each text's outcome, read with a fresh memo and with one memo shared
+    across ``texts``, is the reference's."""
+    shared = {}
+    for text in texts:
+        want = _outcome(reference_parse, text, ch)
+        for memo in ({}, shared):
+            assert _outcome(lambda t, c: parse_series(t, c, memo), text, ch) == want, text
+
+
+@_settings
+@given(st.lists(_flat_sums(), min_size=1, max_size=4), st.sampled_from(CHARTS))
+def test_a_flat_sum_gives_the_reference_outcome(texts, ch):
+    _agree_with_the_reference(texts, ch)
+
+
+def test_a_sum_refused_at_its_last_piece_gives_the_reference_outcome():
+    # every piece but the last is a whole term; the last is none, or one that
+    # may break a bound, so the token reader reads the text and gives the error
+    texts = ["x1 +", "x1 ++ x2", "x1 - 1/0", "x1 + x01", "x1 + xi9", "x1 + x2^101",
+             "x1 - " + "7" * MAX_DIGITS, "x1 - " + "7" * (MAX_DIGITS + 1),
+             "x1 + " + "7" * (MAX_DIGITS - 3) + "*x2", "x1 - 2 * x2", "x1 - 2x2"]
+    for ch in CHARTS:
+        _agree_with_the_reference(texts, ch)
+        _agree_with_the_reference(texts[::-1], ch)
