@@ -20,7 +20,7 @@ coefficients of the powers of t are the others.
 import functools
 from itertools import combinations, product
 
-from .series import FiberSeries, ChartMismatchError, dot
+from .series import FiberSeries, ChartMismatchError, dot, mat_antisymmetric, mat_mul
 from .multivector import Multivector, HForm, _collect, wedge
 
 
@@ -44,19 +44,34 @@ class Connection:
         return all(g.fiber_part(0, 0).is_zero() for row in self.gamma for g in row)
 
     def horizontal_bivector(self, M, valid_order, moves=None):
-        """sum_{i<j} M[i][j] hor(d_i) ^ hor(d_j) for a base-dim square matrix
-        of series, certified at most to ``valid_order``; given lift terms
+        """sum_{i<j} M[i][j] hor(d_i) ^ hor(d_j) for a base-dim square matrix of
+        series, certified at most to ``valid_order``: with A the antisymmetric matrix
+        of its entries i < j and N = A gamma, the components (i, j), (i, b+t) and
+        (b+s, b+t) are M[i][j], -N[i][t] and sum_i gamma[i][s] N[i][t], certified
+        also at most to the connection and the nonzero M[i][j].  Given lift terms
         ``moves`` (as ``lifts``), sum_{i,j} M[i][j] moves[i] ^ hor(d_j), the change
         of the first sum for an antisymmetric M when each hor(d_i) moves by moves[i]."""
-        b = self.chart.base_dim
-        hor = [vector_field(self.chart, lift, self.valid_order()) for lift in self.lifts()]
-        left, pairs = ((hor, combinations(range(b), 2)) if moves is None else
-                       ([vector_field(self.chart, m) for m in moves], product(range(b), repeat=2)))
-        # one sum per component; the tensor certifies the least order of its terms
-        wedges = [(wedge(left[i], hor[j]), M[i][j]) for i, j in pairs
-                  if M[i][j] and not left[i].is_zero()]
-        return Multivector(self.chart, 2, _collect((K, 1, m, c) for w, m in wedges
-                                                   for K, c in w.comps.items()), valid_order)
+        chart, b, r = self.chart, self.chart.base_dim, self.chart.fiber_dim
+        if moves is not None:
+            hor = [vector_field(chart, lift, self.valid_order()) for lift in self.lifts()]
+            left = [vector_field(chart, m) for m in moves]
+            # one sum per component; the tensor certifies the least order of its terms
+            wedges = [(wedge(left[i], hor[j]), M[i][j]) for i, j in product(range(b), repeat=2)
+                      if M[i][j] and not left[i].is_zero()]
+            return Multivector(chart, 2, _collect((K, 1, m, c) for w, m in wedges
+                                                  for K, c in w.comps.items()), valid_order)
+        orders = [M[i][j].valid_order for i, j in combinations(range(b), 2) if M[i][j]]
+        if not orders or self.valid_order() < 0:  # a lift known to no order is zero
+            return Multivector.zero(chart, 2, valid_order)
+        # zero entries become zeros at the chart's order: theirs would cap the order
+        zero = FiberSeries.zero(chart)
+        A = mat_antisymmetric([[m or zero for m in row] for row in M], zero)
+        N = mat_mul(A, self.gamma)
+        fiber = mat_mul(list(zip(*self.gamma)), N, upper=True)
+        comps = {(i, j): A[i][j] for i, j in combinations(range(b), 2)}
+        comps.update(((i, b + t), -n) for i, row in enumerate(N) for t, n in enumerate(row))
+        comps.update(((b + s, b + t), fiber[s][t]) for s, t in combinations(range(r), 2))
+        return Multivector(chart, 2, comps, min([valid_order, self.valid_order()] + orders))
 
     def lifts(self):
         """hor(d_i) for each base direction i as (direction, coefficient, sign)

@@ -121,11 +121,12 @@ def _stages(rows):
 
 
 def _advance(steps, y):
-    """y and its images under the step matrices in turn, stacked."""
-    out = [y]
-    for S in steps:
-        out.append(S @ out[-1])
-    return np.stack(out)
+    """y and its images under the step matrices in turn, each written in place."""
+    out = np.empty((len(steps) + 1,) + y.shape)
+    out[0] = y
+    for k, S in enumerate(steps):
+        np.matmul(S, out[k], out=out[k + 1])
+    return out
 
 
 def parallel_transport(a_data, path, steps, theta=None, grid=False):

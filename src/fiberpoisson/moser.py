@@ -32,8 +32,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .series import (FiberSeries, FloatEvaluator, block_inverse, dot, mat_fiber_zero_part,
-                     mat_identity, mat_mul, mat_valid_order)
+from .series import (FiberSeries, FloatEvaluator, block_inverse, dot, mat_antisymmetric,
+                     mat_fiber_zero_part, mat_identity, mat_mul, mat_valid_order)
 from .multivector import Multivector, HForm, _collect, schouten
 from .connection import Connection, exterior_derivative, lift_curvature
 from .coupling import GeometricData, assemble, lift_brackets, v_sharp
@@ -175,11 +175,12 @@ class HomotopyFamily:
         return [t for t in self.t_samples if self.member(t) is None]
 
     def _build_member(self, t):
-        F = [[_t_poly(cs, t) for cs in row] for row in self.fform_t]
+        F = {(i, j): f for i, j in combinations(range(self.chart.base_dim), 2)
+             if (f := _t_poly(self.fform_t[i][j], t))}  # antisymmetric by construction
         gamma = [[_t_poly(cs, t) for cs in row] for row in self.gamma_t]
         data, seed = self.data, self.data.fform_inv_seed
         try:
-            connection, fform = Connection(self.chart, gamma), HForm.from_matrix(self.chart, F)
+            connection, fform = Connection(self.chart, gamma), HForm(self.chart, 2, F)
             # the seed certifies the data's block at the data's order, so it
             # certifies the same block at any order up to that one
             block = mat_fiber_zero_part(data.fform.matrix())
@@ -351,9 +352,10 @@ def verify_deformation_equation(fam):
                            assemble(member).pi)
         cap = bracket.valid_order
         H = [[-h.truncate(cap) for h in row] for row in member.fform_inverse]
-        # dF_t/dt from the coefficients k c_k of the powers of t in F_t
-        dF = [[_t_poly([c.scale(k) for k, c in enumerate(cs) if k], t).truncate(cap)
-               for cs in row] for row in fam.fform_t]
+        # dF_t/dt from the coefficients k c_k of the powers of t in F_t, entries i < j
+        dF = [[_t_poly([c.scale(k) for k, c in enumerate(cs) if k], t).truncate(cap) if i < j
+               else None for j, cs in enumerate(row)] for i, row in enumerate(fam.fform_t)]
+        dF = mat_antisymmetric(dF, FiberSeries.zero(chart, cap))
         # horizontal_bivector reads only the entries i < j
         dH = mat_mul(mat_mul(H, dF), H, upper=True)
         vo = min(mat_valid_order(H), fam.data.vertical.valid_order)

@@ -631,26 +631,37 @@ def block_inverse(M, M0_inv=None, seed_name="M0_inv", valid_order=None):
     return [list(row) for row in M0_inv]
 
 
+def mat_antisymmetric(U, zero):
+    """The antisymmetric matrix whose entries i < j are U's, with ``zero`` on
+    its diagonal."""
+    return [[U[i][j] if i < j else -U[j][i] if i > j else zero for j in range(len(U))]
+            for i in range(len(U))]
+
+
 def matrix_invert(M, M0_inv):
     """
-    Invert a square series matrix by Neumann expansion.
+    Invert an antisymmetric square series matrix by Neumann expansion.
 
     ``M0_inv`` is the inverse of the fiber-degree-0 part M0 of ``M`` that
     ``block_inverse`` has certified.  Writing ``M = M0 + dM`` with ``dM``
     of fiber degree >= 1, the inverse is ``G = sum_m (-M0_inv dM)^m
     M0_inv``, which terminates at the truncation order.  The result
     satisfies ``M G = G M = identity`` exactly up to the common certified
-    order.
+    order vo, at which every entry is certified.  Each term of the sum is
+    antisymmetric, as M0_inv is, so only its entries i < j are formed, and
+    summed once.  Raises ValueError when M is not antisymmetric.
     """
-    M0 = mat_fiber_zero_part(M)
+    n = len(M)
+    # M_ij + M_ji, and 2 M_ii on the diagonal, must vanish
+    if any(M[i][j] + M[j][i] for i in range(n) for j in range(i, n)):
+        raise ValueError("matrix_invert needs an antisymmetric matrix")
     vo = min(mat_valid_order(M), mat_valid_order(M0_inv))
-    dM = [[a - a0 for a, a0 in zip(ra, r0)] for ra, r0 in zip(M, M0)]
-    K = mat_neg(mat_mul(M0_inv, dM))
-    G = [[a.truncate(vo) for a in row] for row in M0_inv]
-    P = G
+    K = mat_neg(mat_mul(M0_inv, [[a.truncate(vo).fiber_part(1, vo) for a in row] for row in M]))
+    zero = FiberSeries.zero(M[0][0].chart, vo)
+    terms = [[[a.truncate(vo) for a in row] for row in M0_inv]]
     for _ in range(vo):
-        P = mat_mul(K, P)
-        if all(a.is_zero() for row in P for a in row):
+        terms.append(mat_antisymmetric(mat_mul(K, terms[-1], upper=True), zero))
+        if all(a.is_zero() for row in terms[-1] for a in row):
             break
-        G = [[g + p for g, p in zip(rg, rp)] for rg, rp in zip(G, P)]
-    return G
+    return mat_antisymmetric([[FiberSeries.sum([T[i][j] for T in terms]) if i < j else None
+                               for j in range(n)] for i in range(n)], zero)

@@ -251,6 +251,25 @@ def deformation_residual(fam, t):
     return schouten(Xh, assemble(member).pi) + dpi
 
 
+def neumann_invert(M, M0_inv):
+    """G = sum_m (-M0_inv dM)^m M0_inv for any square series matrix
+    M = M0 + dM, dM of fiber degree >= 1, with every entry of every term
+    formed: the general expansion, certified at the least order of M and
+    M0_inv.  The reference for ``series.matrix_invert``, which takes an
+    antisymmetric M and forms only the entries i < j."""
+    vo = min(s.valid_order for A in (M, M0_inv) for row in A for s in row)
+    dM = [[a - a.fiber_part(0, 0) for a in row] for row in M]
+    K = [[-k for k in row] for row in mat_mul(M0_inv, dM)]
+    G = [[a.truncate(vo) for a in row] for row in M0_inv]
+    P = G
+    for _ in range(vo):
+        P = mat_mul(K, P)
+        if all(a.is_zero() for row in P for a in row):
+            break
+        G = [[g + p for g, p in zip(rg, rp)] for rg, rp in zip(G, P)]
+    return G
+
+
 # -- the curvature and admissibility by their generic definitions ----------
 #
 # The library forms the curvature by its coordinate formula, adm-1 over the

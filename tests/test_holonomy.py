@@ -283,6 +283,37 @@ class TestBlockSize:
         assert 0 < want_dev and abs(dev - want_dev) <= 1e-13 * want_dev
 
 
+class TestAdvance:
+    """``_advance`` writes each state in place; its grids equal, bit for bit,
+    those of appending each product to a list and stacking it."""
+
+    @staticmethod
+    def appended(steps, y):
+        out = [y]
+        for S in steps:
+            out.append(S @ out[-1])
+        return np.stack(out)
+
+    def test_equals_the_appended_stack(self):
+        rng = np.random.default_rng(5)
+        for shape in [(1, 1), (3, 3), (2, 3, 3)]:
+            steps = rng.normal(size=(17, shape[-1], shape[-1]))
+            y = rng.normal(size=shape)
+            assert np.array_equal(holonomy._advance(steps, y), self.appended(steps, y))
+
+    def test_transport_grids_unchanged(self, monkeypatch):
+        # 300 steps span several blocks
+        a = wong_algebroid(4)
+        m = wong_change(a.chart)
+        got = (parallel_transport(a, WONG_PATH, 300, grid=True),
+               holonomy_compare(a, m, WONG_PATH, 300).entries[0].detail)
+        monkeypatch.setattr(holonomy, "_advance", self.appended)
+        want = (parallel_transport(a, WONG_PATH, 300, grid=True),
+                holonomy_compare(a, m, WONG_PATH, 300).entries[0].detail)
+        assert all(np.array_equal(g, w) for g, w in zip(got[0], want[0], strict=True))
+        assert got[1] == want[1]
+
+
 class TestStepMatrices:
     """The RK4 step matrices of a linear system against the generic step."""
 

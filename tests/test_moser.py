@@ -17,6 +17,7 @@ from fiberpoisson import (ChartSpec, FiberSeries, Multivector, HForm,
                           HomotopyFamily, InternalInvariantError)
 from fiberpoisson import series, cli, coupling, moser, multivector
 from fiberpoisson.report import CheckReport, summarize_residual
+from fiberpoisson.series import FloatEvaluator
 
 import oracle
 
@@ -530,7 +531,9 @@ class TestDeformationAtTheBracketOrder:
 
     def test_product_pairs_on_wong_order_4(self, monkeypatch):
         # the pairs (k1, k2) that series._mul_into multiplies below its top in
-        # one moser-verify run; 94,418 with dPi_t/dt formed at the member's order
+        # one moser-verify run; 94,418 with dPi_t/dt formed at the member's
+        # order, 54,086 with every entry of the antisymmetric matrices and the
+        # horizontal bivectors formed by wedges
         pairs = [0]
         mul_into = series._mul_into
 
@@ -542,7 +545,7 @@ class TestDeformationAtTheBracketOrder:
         monkeypatch.setattr(series, "_mul_into", counted)
         path = pathlib.Path(__file__).resolve().parent / "data" / "wong_family.problem.json"
         assert cli.main(["moser-verify", str(path), "--order", "4"]) == 0
-        assert 0 < pairs[0] <= 54086
+        assert 0 < pairs[0] <= 35642
 
 
 class TestNumericPullback:
@@ -658,6 +661,38 @@ class TestFloatFamily:
                                    for u in range(r) for v in range(r)])]:
                     w = np.array([float(e.evaluate(exact)) for e in entries])
                     assert np.max(np.abs(got.ravel() - w)) <= 1e-13 * np.max(np.abs(w))
+
+
+    def test_pi_matches_the_assembled_tensor(self):
+        # the two statements of Pi: ``assemble`` on an exact member, the
+        # coordinate formula in ``_pi_matrix``.  They agree to the certified
+        # order, so their gap is O(|z|^(order + 1)): below 1e-8 of the largest
+        # entry at |z| <= 1e-2 on Wong and e1 at order 6, and at |z| <= 1e-3 on
+        # the random families, certified to order 2 or 3.  Gamma vanishes on
+        # the zero section in these families, so the block Gamma^T H Gamma is
+        # O(|z|^2): the points at 1e-2 are the ones that see it
+        families = [(wong_family(6, samples=DEFAULT_T_SAMPLES), 1e-2),
+                    (e1_family(6, samples=DEFAULT_T_SAMPLES), 1e-2)]
+        families += [(build_family(data, phi), 1e-3) for data, phi in random_data_phi(42, 10)]
+        points = np.random.default_rng(22)
+        checked = 0
+        for fam, radius in families:
+            n = fam.chart.n_vars
+            ff = moser._FloatFamily(fam)
+            for t in fam.t_samples:
+                member = fam.member(t)
+                if member is None:
+                    continue
+                pi = coupling.assemble(member).pi
+                evaluate = FloatEvaluator([pi.component((i, j)) for i in range(n)
+                                           for j in range(n)])
+                zs = points.uniform(-radius, radius, (3, n))
+                for z, got in zip(zs, evaluate(zs)):
+                    want = moser._pi_matrix(ff, float(t), z)
+                    assert np.max(np.abs(got - want.ravel())) <= 1e-8 * np.max(np.abs(want))
+                    checked += 1
+        # twelve families, five samples each, none degenerate
+        assert checked == 12 * 5 * 3
 
 
 class TestBatchedFlows:

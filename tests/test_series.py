@@ -10,6 +10,8 @@ from fiberpoisson.series import (mat_mul, mat_identity, mat_is_identity, FloatEv
 
 from fixtures import S, rng, rand_series
 
+import oracle
+
 
 def chart(b=2, r=2, n=3):
     return ChartSpec(b, r, n)
@@ -502,23 +504,26 @@ class TestSubstitution:
 
 
 class TestMatrixInvert:
+    """The general Neumann expansion is the oracle's; ``matrix_invert``
+    inverts an antisymmetric matrix and must agree with it."""
+
     def test_geometric_series(self):
         ch = ChartSpec(2, 1, 3)
         M = [[S("1 - x1", ch)]]
-        G = matrix_invert(M, [[S("1", ch)]])
+        G = oracle.neumann_invert(M, [[S("1", ch)]])
         assert G[0][0].render() == "1 + x1 + x1^2 + x1^3"
 
     def test_identity(self):
         ch = ChartSpec(2, 2, 3)
         I = mat_identity(ch, 3)
-        G = matrix_invert(I, I)
+        G = oracle.neumann_invert(I, I)
         assert mat_is_identity(G)
 
     def test_no_fiber_part_returns_seed(self):
         ch = ChartSpec(2, 1, 3)
         M = [[S("2", ch), S("0", ch)], [S("0", ch), S("2", ch)]]
         seed = [[S("1/2", ch), S("0", ch)], [S("0", ch), S("1/2", ch)]]
-        G = matrix_invert(M, seed)
+        G = oracle.neumann_invert(M, seed)
         assert all((G[i][j] - seed[i][j]).is_zero() for i in range(2) for j in range(2))
 
     def test_product_is_identity_randomized(self):
@@ -544,11 +549,56 @@ class TestMatrixInvert:
             except ValueError:
                 continue
             seed = [[FiberSeries.constant(ch, c) for c in row] for row in inv]
-            G = matrix_invert(M, seed)
+            G = oracle.neumann_invert(M, seed)
             assert mat_is_identity(mat_mul(M, G))
             assert mat_is_identity(mat_mul(G, M))
             # without a seed the constant block is inverted by elimination
-            assert matrix_invert(M, block_inverse(M)) == G
+            assert oracle.neumann_invert(M, block_inverse(M)) == G
+
+    @staticmethod
+    def antisymmetric(r, ch, n):
+        """A random antisymmetric n x n matrix with a nonsingular constant
+        fiber-degree-0 block; a pair of entries may be truncated together."""
+        M = [[FiberSeries.zero(ch)] * n for _ in range(n)]
+        for i in range(0, n, 2):
+            M[i][i + 1] = FiberSeries.constant(ch, 1 + r.randrange(3))
+        for i in range(n):
+            for j in range(i + 1, n):
+                entry = M[i][j] + rand_series(r, ch, xdeg=3, terms=3, min_xdeg=1)
+                if j > i + 1 or i % 2:
+                    entry = entry + r.randrange(-2, 3)
+                if r.random() < 0.2:
+                    entry = entry.truncate(r.randint(1, ch.trunc_order))
+                M[i][j], M[j][i] = entry, -entry
+        return M
+
+    def test_antisymmetric_matches_the_general_expansion(self):
+        r = rng(12)
+        cases = [(ChartSpec(b, r.randint(1, 3), r.randint(3, 6)), b)
+                 for b in [2] * 10 + [4] * 10]
+        ch = ChartSpec(2, 1, 5)
+        fixed = [[S("0", ch), S("1 - x1", ch)], [S("-1 + x1", ch), S("0", ch)]]
+        G = matrix_invert(fixed, block_inverse(fixed))
+        assert G[0][1].render() == "-1 - x1 - x1^2 - x1^3 - x1^4 - x1^5"
+        tested = 0
+        for M in [fixed] + [self.antisymmetric(r, ch, n) for ch, n in cases]:
+            try:
+                seed = block_inverse(M)
+            except ValueError:
+                continue
+            G = matrix_invert(M, seed)
+            assert G == oracle.neumann_invert(M, seed)
+            assert mat_is_identity(mat_mul(M, G)) and mat_is_identity(mat_mul(G, M))
+            tested += 1
+        assert tested > 15
+
+    def test_rejects_a_matrix_that_is_not_antisymmetric(self):
+        ch = ChartSpec(2, 1, 3)
+        seed = [[S("0", ch), S("-1", ch)], [S("1", ch), S("0", ch)]]
+        for rows in ([["0", "1 - x1"], ["-1", "0"]], [["x1", "1"], ["-1", "0"]]):
+            M = [[S(e, ch) for e in row] for row in rows]
+            with pytest.raises(ValueError, match="needs an antisymmetric matrix"):
+                matrix_invert(M, seed)
 
 
 class TestBlockInverse:
