@@ -9,19 +9,20 @@ Coordinate base fields commute, so the covariant exterior derivative
 reduces to the alternating sum of horizontal-lift derivatives.
 
 A lift is held as (direction, coefficient, sign) terms (``Connection.lifts``),
-the one form of hor(d_i): ``vector_field`` turns one lift into its field, and
-every rule reads the terms.  The covariant exterior derivative is linear in
-the pair (form, lifts) and the curvature bilinear in two families of lifts, so
-``exterior_derivative`` and ``lift_curvature`` take sums of such terms: the
-connection's own are the case of one pair, and a homotopy family's
-coefficients of the powers of t are the others.
+the one form of hor(d_i) that the derivative rules read.  The covariant exterior
+derivative is linear in the pair (form, lifts) and the curvature bilinear in two
+families of lifts, so ``exterior_derivative`` and ``lift_curvature`` take sums of
+such terms: the connection's own are the case of one pair, and a homotopy family's
+coefficients of the powers of t are the others.  A horizontal bivector, and the
+term by which it moves with its lifts, are coordinate formulas in gamma: series
+matrix products, with no wedge of fields.
 """
 
 import functools
-from itertools import combinations, product
+from itertools import combinations
 
 from .series import FiberSeries, ChartMismatchError, dot, mat_antisymmetric, mat_mul
-from .multivector import Multivector, HForm, _collect, wedge
+from .multivector import Multivector, HForm
 
 
 class Connection:
@@ -45,32 +46,34 @@ class Connection:
 
     def horizontal_bivector(self, M, valid_order, moves=None):
         """sum_{i<j} M[i][j] hor(d_i) ^ hor(d_j) for a base-dim square matrix of
-        series, certified at most to ``valid_order``: with A the antisymmetric matrix
-        of its entries i < j and N = A gamma, the components (i, j), (i, b+t) and
-        (b+s, b+t) are M[i][j], -N[i][t] and sum_i gamma[i][s] N[i][t], certified
-        also at most to the connection and the nonzero M[i][j].  Given lift terms
-        ``moves`` (as ``lifts``), sum_{i,j} M[i][j] moves[i] ^ hor(d_j), the change
-        of the first sum for an antisymmetric M when each hor(d_i) moves by moves[i]."""
+        series: with A the antisymmetric matrix of its entries i < j and N = A gamma,
+        the components (i, j), (i, b+t) and (b+s, b+t) are M[i][j], -N[i][t] and
+        sum_i gamma[i][s] N[i][t].  Given a b x r matrix C as ``moves``, instead
+        sum_{i,j} M[i][j] m_i ^ hor(d_j) with m_i = sum_s C[i][s] d_(x s), the change
+        of the first sum when each hor(d_i) moves by m_i: with K = A C, the components
+        (i, b+t) and (b+s, b+t) are K[i][t] and sum_i (K[i][s] gamma[i][t] - K[i][t]
+        gamma[i][s]).  Certified at most to ``valid_order``, the connection, the
+        nonzero M[i][j] and every entry of C."""
         chart, b, r = self.chart, self.chart.base_dim, self.chart.fiber_dim
-        if moves is not None:
-            hor = [vector_field(chart, lift, self.valid_order()) for lift in self.lifts()]
-            left = [vector_field(chart, m) for m in moves]
-            # one sum per component; the tensor certifies the least order of its terms
-            wedges = [(wedge(left[i], hor[j]), M[i][j]) for i, j in product(range(b), repeat=2)
-                      if M[i][j] and not left[i].is_zero()]
-            return Multivector(chart, 2, _collect((K, 1, m, c) for w, m in wedges
-                                                  for K, c in w.comps.items()), valid_order)
         orders = [M[i][j].valid_order for i, j in combinations(range(b), 2) if M[i][j]]
         if not orders or self.valid_order() < 0:  # a lift known to no order is zero
             return Multivector.zero(chart, 2, valid_order)
         # zero entries become zeros at the chart's order: theirs would cap the order
         zero = FiberSeries.zero(chart)
         A = mat_antisymmetric([[m or zero for m in row] for row in M], zero)
-        N = mat_mul(A, self.gamma)
-        fiber = mat_mul(list(zip(*self.gamma)), N, upper=True)
-        comps = {(i, j): A[i][j] for i, j in combinations(range(b), 2)}
-        comps.update(((i, b + t), -n) for i, row in enumerate(N) for t, n in enumerate(row))
-        comps.update(((b + s, b + t), fiber[s][t]) for s, t in combinations(range(r), 2))
+        if moves is None:
+            N = mat_mul(A, self.gamma)
+            fiber = mat_mul(list(zip(*self.gamma)), N, upper=True)
+            comps = {(i, j): A[i][j] for i, j in combinations(range(b), 2)}
+            comps.update(((i, b + t), -n) for i, row in enumerate(N) for t, n in enumerate(row))
+            comps.update(((b + s, b + t), fiber[s][t]) for s, t in combinations(range(r), 2))
+        else:
+            K = mat_mul(A, moves)
+            cols, gcols = list(zip(*K)), list(zip(*self.gamma))
+            comps = {(i, b + t): k for i, row in enumerate(K) for t, k in enumerate(row)}
+            comps.update(((b + s, b + t), dot(cols[s] + cols[t], gcols[t] + gcols[s],
+                                              [1] * b + [-1] * b))
+                         for s, t in combinations(range(r), 2))
         return Multivector(chart, 2, comps, min([valid_order, self.valid_order()] + orders))
 
     def lifts(self):
@@ -104,12 +107,6 @@ class Connection:
         """
         lifts = self.lifts()
         return lift_curvature(self.chart, [(lifts, lifts)], self.valid_order() - 1)
-
-
-def vector_field(chart, terms, valid_order=None):
-    """The vector field of one lift's (direction, coefficient, sign) terms (as
-    ``Connection.lifts``), certified at most to ``valid_order``."""
-    return Multivector(chart, 1, {(v,): g if w > 0 else -g for v, g, w in terms}, valid_order)
 
 
 def exterior_derivative(chart, pairs):

@@ -134,9 +134,9 @@ class HomotopyFamily:
     The family of data (Gamma, V, F) moved by phi, held as its gauge terms
     (``corrections``, ``dphi`` and ``quad``, see ``gauge_terms``) with its
     rational ``t_samples``.  ``fform_t[i][j]`` and ``gamma_t[i][s]`` hold the
-    coefficients of the powers of t in the entries of F_t and Gamma_t, and
-    ``moves[i]`` the terms (as ``Connection.lifts``) of C_is d_(x s) with
-    C = ``corrections``, the t^1 coefficient of hor_t(d_i).  ``member(t)`` is
+    coefficients of the powers of t in the entries of F_t and Gamma_t; the
+    matrix C = ``corrections`` is held once, and the t^1 coefficient of
+    hor_t(d_i) is sum_s C_is d_(x s).  ``member(t)`` is
     the geometric data at a sample, built at its first read, and
     ``degenerate_samples`` are the samples without one.
     """
@@ -151,8 +151,6 @@ class HomotopyFamily:
                          for j, f in enumerate(row)] for i, row in enumerate(data.fform.matrix())]
         self.gamma_t = [[[g, -c] for g, c in zip(row, corr)]
                         for row, corr in zip(data.connection.gamma, self.corrections)]
-        b = self.chart.base_dim
-        self.moves = [[(b + s, c, 1) for s, c in enumerate(row) if c] for row in self.corrections]
         self.t_samples = tuple(dict.fromkeys(Fraction(t) for t in t_samples))
         self._members = {}
 
@@ -211,7 +209,8 @@ class HomotopyFamily:
         """
         chart, V = self.chart, self.data.vertical
         b = chart.base_dim
-        hor, moves = self.data.connection.lifts(), self.moves
+        hor = self.data.connection.lifts()
+        moves = [[(b + s, c, 1) for s, c in enumerate(row) if c] for row in self.corrections]
         F = [self.data.fform] + [HForm(chart, 2, {(i, j): self.fform_t[i][j][k]
                                                   for i, j in combinations(range(b), 2)})
                                  for k in (1, 2)]
@@ -360,7 +359,7 @@ def verify_deformation_equation(fam):
         dH = mat_mul(mat_mul(H, dF), H, upper=True)
         vo = min(mat_valid_order(H), fam.data.vertical.valid_order)
         dpi = (member.connection.horizontal_bivector(dH, vo)
-               + member.connection.horizontal_bivector(H, vo, moves=fam.moves))
+               + member.connection.horizontal_bivector(H, vo, moves=fam.corrections))
         report.add_residuals("deformation-at-t=%s" % t, "part-2", [bracket + dpi], None)
     return report
 

@@ -30,7 +30,7 @@ from fiberpoisson.connection import Connection
 from fiberpoisson.coupling import GeometricData, assemble, verify_coupling_conditions
 from fiberpoisson.linearize import _check_input
 from fiberpoisson.algebroid import _covariant_closedness
-from fiberpoisson.multivector import HForm, Multivector, jacobiator, schouten
+from fiberpoisson.multivector import HForm, Multivector, jacobiator, schouten, wedge
 from fiberpoisson.report import CheckReport, InternalInvariantError
 from fiberpoisson.parse import (MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, MAX_POWER_BITS, MAX_TERMS,
                                ParseError)
@@ -236,17 +236,24 @@ def deformation_residual(fam, t):
     """[[X_t^h, Pi_t]] + dPi_t/dt at a sample t with a non-degenerate member,
     every factor of dPi_t/dt formed at the member's order: H = -F_t^{-1},
     dF_t/dt from the coefficients of the powers of t, the full product
-    dH = H dF_t/dt H, and both horizontal bivectors.  The reference for part 2
-    of ``verify_deformation_equation``, which forms dPi_t/dt only to the
-    bracket's order."""
+    dH = H dF_t/dt H, the horizontal bivector of dH, and the moved term
+    sum_{i,j} H_ij m_i ^ hor_t(d_j) by wedges of fields, m_i = sum_s C_is d_(x s)
+    for the family's corrections C.  The reference for part 2 of
+    ``verify_deformation_equation``, which forms dPi_t/dt only to the bracket's
+    order and its moved term by a coordinate formula."""
     member = fam.member(t)
+    chart, b = fam.chart, fam.chart.base_dim
     H = [[-h for h in row] for row in member.fform_inverse]
     dF = [[moser._t_poly([c.scale(k) for k, c in enumerate(cs) if k], t) for cs in row]
           for row in fam.fform_t]
     dH = mat_mul(mat_mul(H, dF), H)
     vo = min(min(h.valid_order for row in H for h in row), fam.data.vertical.valid_order)
-    dpi = (member.connection.horizontal_bivector(dH, vo)
-           + member.connection.horizontal_bivector(H, vo, moves=fam.moves))
+    dpi = member.connection.horizontal_bivector(dH, vo)
+    hor = [hor_lift(member.connection, j) for j in range(b)]
+    moved = [Multivector(chart, 1, {(b + s,): c for s, c in enumerate(row)})
+             for row in fam.corrections]
+    for i, j in product(range(b), repeat=2):
+        dpi = dpi + wedge(wedge(Multivector(chart, 0, {(): H[i][j]}), moved[i]), hor[j])
     Xh = moser.horizontal_field(fam, t, moser.solve_homological(fam, t))
     return schouten(Xh, assemble(member).pi) + dpi
 

@@ -5,8 +5,11 @@ Every function, class and method in ``src/fiberpoisson`` has a caller in
 Names are matched in the syntax trees: a function or class is used where
 its name is read, as a name or as an attribute; a method only where it is
 reached as an attribute (``.flat``), so a local variable of the same name
-does not count.  A reference inside the definition itself (recursion) and
-the re-exports in ``__init__.py`` are not uses.
+does not count.  A name read where an enclosing function binds that name
+(an argument, or an assignment, loop or comprehension target) reads the
+local, so it is no use either.  A reference inside the definition itself
+(recursion) and the re-exports in ``__init__.py`` are not uses.  A second
+scan finds the imports that ``src/`` never reads.
 
 What the scan cannot see: a method counts as used when an attribute of
 its name is read on any object, so a tensor method ``scale`` would be kept
@@ -27,10 +30,11 @@ SRC = Path(fiberpoisson.__file__).parent
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 # Names kept without a caller in src/, each for a stated reason.  The first
-# four are rows of the benchmark tracer's tables, which it looks up by name,
+# five are rows of the benchmark tracer's tables, which it looks up by name,
 # so they go together with their rows; first_approx_check is the paper's
 # first-approximation contract, which the linearize command is to report.
 ALLOWED = {
+    "multivector.wedge",
     "multivector.lie_derivative",
     "moser.phi_bracket",
     "holonomy.parallel_transport",
@@ -40,22 +44,41 @@ ALLOWED = {
 NOT_TRACED = {"linearize.first_approx_check"}
 
 
-def _scan(node, scope, in_class, defs, uses):
+def _bound(func):
+    """The names that a function binds: its arguments and the targets of its
+    assignments, loops and comprehensions, nested definitions apart."""
+    names, todo = set(), [func.args] + func.body
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _scan(node, scope, in_class, defs, uses, local=frozenset()):
     """Record the definitions under ``node`` as qualified name -> (name,
-    is_method), and its name reads as (name, is_attribute, scope)."""
+    is_method), and its name reads as (name, is_attribute, scope); a read of
+    a name in ``local``, bound by an enclosing function, is none."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = scope + (child.name,)
             if not (child.name.startswith("__") and child.name.endswith("__")):
                 defs[".".join(inner)] = (child.name, in_class
                                          and not isinstance(child, ast.ClassDef))
-            _scan(child, inner, isinstance(child, ast.ClassDef), defs, uses)
+            bound = local if isinstance(child, ast.ClassDef) else local | _bound(child)
+            _scan(child, inner, isinstance(child, ast.ClassDef), defs, uses, bound)
             continue
-        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+        if (isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load)
+                and child.id not in local):
             uses.append((child.id, False, scope))
         elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
             uses.append((child.attr, True, scope))
-        _scan(child, scope, False, defs, uses)
+        _scan(child, scope, False, defs, uses, local)
 
 
 def unused(sources):
@@ -97,6 +120,11 @@ def test_a_local_of_a_methods_name_and_recursion_are_no_calls():
             "def f(flat):\n    return C, flat\n"
             "def g():\n    return f\n")
     assert unused({"m": text}) == {"m.C.flat", "m.C.again", "m.g"}
+    # a module function's name read as an argument, an assigned local or a
+    # comprehension target of another function
+    text += ("def h(g):\n    k = g\n    return k, [f for f in g]\n"
+             "def k():\n    return h\n")
+    assert unused({"m": text}) == {"m.C.flat", "m.C.again", "m.g", "m.k"}
 
 
 def test_every_tracer_row_resolves():
@@ -116,3 +144,18 @@ def test_every_allowed_name_is_a_tracer_row():
     for name in ALLOWED - NOT_TRACED:
         assert name in traced, ("%s is allowed only as a tracer row, and the tracer no "
                                 "longer wraps it: delete it and its allow-list entry" % name)
+
+
+def test_no_unused_imports():
+    # __init__.py re-exports the public API
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += ["%s:%d: %s is imported but never used" % (path.name, node.lineno, name)
+                   for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                   for name in ((a.asname or a.name).split(".")[0] for a in node.names)
+                   if name not in used]
+    assert not unused, "\n".join(unused)

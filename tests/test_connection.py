@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from fiberpoisson import ChartSpec, FiberSeries, HForm, Multivector, Connection, interior
-from fiberpoisson.connection import exterior_derivative, lift_curvature, vector_field
+from fiberpoisson.connection import exterior_derivative, lift_curvature
+from fiberpoisson.series import mat_antisymmetric
 
 import oracle
 from oracle import scaled
@@ -52,9 +53,8 @@ class TestHorLift:
 
 
 class TestHorizontalBivector:
-    """The fields of ``Connection.lifts`` and ``horizontal_bivector`` against the
-    oracle's lifts, written straight from gamma, and the oracle's wedge; zero and
-    truncated coefficients included."""
+    """``horizontal_bivector`` against the oracle's lifts, written straight from
+    gamma, and the oracle's wedge; zero and truncated coefficients included."""
 
     @staticmethod
     def nonzero(r, ch, order=True):
@@ -102,14 +102,6 @@ class TestHorizontalBivector:
                   for j in range(b)] for i in range(b)]
             yield r, conn, M, r.randint(-1, ch.trunc_order)
 
-    def test_vector_field_of_each_lift(self):
-        for _, conn, _, _ in self.cases(101):
-            for i, lift in enumerate(conn.lifts()):
-                got = vector_field(conn.chart, lift, conn.valid_order())
-                want = oracle.hor_lift(conn, i)
-                assert got.valid_order == want.valid_order
-                assert got.comps == want.comps
-
     def test_matches_the_oracle_lifts(self):
         from itertools import combinations
         lowered = 0
@@ -126,29 +118,47 @@ class TestHorizontalBivector:
         assert lowered
 
     def test_moves_form(self):
-        # sum_{i,j} M_ij m_i ^ hor(d_j) for the fields m_i of lift terms, each
-        # term's sign drawn at random; a move may be empty
-        from itertools import product
+        # sum_{i,j} A_ij m_i ^ hor(d_j) for the antisymmetric A of M's entries
+        # i < j and the fields m_i of the rows of a b x r matrix C; a row may be
+        # zero, and a zero entry may be certified below the chart's order
+        from itertools import combinations, product
         seen = set()
         for r, conn, M, vo in self.cases(103):
-            # at most the lifts' order, as part 2 certifies: a move whose terms lie
-            # above that order has no component left in its wedge
-            ch, b, vo = conn.chart, conn.chart.base_dim, min(vo, conn.valid_order())
-            fields, moves = [], []
-            for _ in range(b):
-                comps = {(b + s,): self.nonzero(r, ch) for s in range(ch.fiber_dim)
-                         if r.random() < 0.7}
-                signs = [r.choice([1, -1]) for _ in comps]
-                fields.append(Multivector(ch, 1, comps))
-                moves.append([(v, c.scale(w), w) for ((v,), c), w in zip(comps.items(), signs)])
-            got = conn.horizontal_bivector(M, vo, moves=moves)
-            want = self.oracle_sum(ch, M, fields, [oracle.hor_lift(conn, j) for j in range(b)],
+            ch, b = conn.chart, conn.chart.base_dim
+
+            def entry():
+                u = r.random()
+                if u < 0.15:
+                    return FiberSeries.zero(ch, r.randint(0, ch.trunc_order))
+                return self.nonzero(r, ch) if u < 0.7 else FiberSeries.zero(ch)
+            C = [[entry() for _ in range(ch.fiber_dim)] for _ in range(b)]
+            fields = [Multivector(ch, 1, {(b + s,): c for s, c in enumerate(row)}) for row in C]
+            A = mat_antisymmetric(M, FiberSeries.zero(ch))
+            got = conn.horizontal_bivector(M, vo, moves=C)
+            want = self.oracle_sum(ch, A, fields, [oracle.hor_lift(conn, j) for j in range(b)],
                                    product(range(b), repeat=2), vo)
-            assert got.valid_order == want.valid_order
-            assert got.comps == want.comps
+            # certified to vo, the lifts, the nonzero M_ij with i < j and every
+            # entry of C, whatever survives truncation; zero at vo without such
+            # an M_ij.  Never above the least order of the wedges' factors
+            upper = [M[i][j].valid_order for i, j in combinations(range(b), 2) if M[i][j]]
+            order = min([vo, conn.valid_order()] + upper
+                        + [c.valid_order for row in C for c in row]) if upper else vo
+            assert order <= want.valid_order
+            assert got.valid_order == order
+            assert got.comps == want.truncate(order).comps
             seen.add(got.valid_order < vo)
         # some moves lower the certified order below the one asked for
         assert seen == {True, False}
+
+    def test_a_move_truncated_away_keeps_its_order(self):
+        # gamma_0 is known to order 0 only, and the one term, M_01 m_0 ^ hor(d_1)
+        # = -x1 d2^d3, lies above that order: the sum is zero, certified to order 0
+        ch = ChartSpec(2, 1, 3)
+        conn = Connection(ch, [[S("xi1 + x1", ch).truncate(0)], [S("xi2", ch)]])
+        one = FiberSeries.constant(ch, 1)
+        got = conn.horizontal_bivector([[FiberSeries.zero(ch), one], [-one, FiberSeries.zero(ch)]],
+                                       ch.trunc_order, moves=[[S("x1", ch)], [FiberSeries.zero(ch)]])
+        assert got.is_zero() and got.valid_order == 0
 
 
 class TestCovExtDeriv:
