@@ -13,9 +13,8 @@ the one form of hor(d_i) that the derivative rules read.  The covariant exterior
 derivative is linear in the pair (form, lifts) and the curvature bilinear in two
 families of lifts, so ``exterior_derivative`` and ``lift_curvature`` take sums of
 such terms: the connection's own are the case of one pair, and a homotopy family's
-coefficients of the powers of t are the others.  A horizontal bivector, and the
-term by which it moves with its lifts, are coordinate formulas in gamma: series
-matrix products, with no wedge of fields.
+coefficients of the powers of t are the others.  A horizontal bivector is a
+coordinate formula in gamma: series matrix products, with no wedge of fields.
 """
 
 import functools
@@ -44,16 +43,12 @@ class Connection:
         """True iff every coefficient vanishes at x = 0."""
         return all(g.fiber_part(0, 0).is_zero() for row in self.gamma for g in row)
 
-    def horizontal_bivector(self, M, valid_order, moves=None):
+    def horizontal_bivector(self, M, valid_order):
         """sum_{i<j} M[i][j] hor(d_i) ^ hor(d_j) for a base-dim square matrix of
         series: with A the antisymmetric matrix of its entries i < j and N = A gamma,
         the components (i, j), (i, b+t) and (b+s, b+t) are M[i][j], -N[i][t] and
-        sum_i gamma[i][s] N[i][t].  Given a b x r matrix C as ``moves``, instead
-        sum_{i,j} M[i][j] m_i ^ hor(d_j) with m_i = sum_s C[i][s] d_(x s), the change
-        of the first sum when each hor(d_i) moves by m_i: with K = A C, the components
-        (i, b+t) and (b+s, b+t) are K[i][t] and sum_i (K[i][s] gamma[i][t] - K[i][t]
-        gamma[i][s]).  Certified at most to ``valid_order``, the connection, the
-        nonzero M[i][j] and every entry of C."""
+        sum_i gamma[i][s] N[i][t].  Certified at most to ``valid_order``, the
+        connection and the nonzero M[i][j]."""
         chart, b, r = self.chart, self.chart.base_dim, self.chart.fiber_dim
         orders = [M[i][j].valid_order for i, j in combinations(range(b), 2) if M[i][j]]
         if not orders or self.valid_order() < 0:  # a lift known to no order is zero
@@ -61,19 +56,11 @@ class Connection:
         # zero entries become zeros at the chart's order: theirs would cap the order
         zero = FiberSeries.zero(chart)
         A = mat_antisymmetric([[m or zero for m in row] for row in M], zero)
-        if moves is None:
-            N = mat_mul(A, self.gamma)
-            fiber = mat_mul(list(zip(*self.gamma)), N, upper=True)
-            comps = {(i, j): A[i][j] for i, j in combinations(range(b), 2)}
-            comps.update(((i, b + t), -n) for i, row in enumerate(N) for t, n in enumerate(row))
-            comps.update(((b + s, b + t), fiber[s][t]) for s, t in combinations(range(r), 2))
-        else:
-            K = mat_mul(A, moves)
-            cols, gcols = list(zip(*K)), list(zip(*self.gamma))
-            comps = {(i, b + t): k for i, row in enumerate(K) for t, k in enumerate(row)}
-            comps.update(((b + s, b + t), dot(cols[s] + cols[t], gcols[t] + gcols[s],
-                                              [1] * b + [-1] * b))
-                         for s, t in combinations(range(r), 2))
+        N = mat_mul(A, self.gamma)
+        fiber = mat_mul(list(zip(*self.gamma)), N, upper=True)
+        comps = {(i, j): A[i][j] for i, j in combinations(range(b), 2)}
+        comps.update(((i, b + t), -n) for i, row in enumerate(N) for t, n in enumerate(row))
+        comps.update(((b + s, b + t), fiber[s][t]) for s, t in combinations(range(r), 2))
         return Multivector(chart, 2, comps, min([valid_order, self.valid_order()] + orders))
 
     def lifts(self):

@@ -22,7 +22,16 @@ the reduction of that statement to the exact identity
     dGamma_t(phi) = dGamma(phi) + t {phi ^ phi}_V,
 
 checked identically in t; Part 2 checks the full deformation equation
-at the family's own samples.
+[[X_t^h, Pi_t]] + dPi_t/dt = 0 at the family's own samples, in the frame
+(h_i, d_(x u)), h_i = hor_t(d_i).  That frame is unitriangular over the
+coordinate frame, so the residual vanishes exactly when its blocks do.  With
+H = -F_t^{-1}, A_ij = h_j(X^i), K_ij^u = [h_i, h_j]^u, the corrections C,
+W_ku = sum_s V^{su} d_(x s) X^k and Y_ju = sum_i X^i K_ij^u, they are
+
+    HH = dH/dt + X^h(H) - A H - H A^T,  HV = H (Y + C) - W,  VV = sum_i X^i [h_i, V],
+
+and as F_t (dH/dt) F_t = dF_t/dt and F_t H = -1, the blocks F_t HH F_t and
+-F_t HV hold no inverse: each is a sum of products of series.
 """
 
 import functools
@@ -33,10 +42,10 @@ from itertools import combinations
 import numpy as np
 
 from .series import (FiberSeries, FloatEvaluator, block_inverse, dot, mat_antisymmetric,
-                     mat_fiber_zero_part, mat_identity, mat_mul, mat_valid_order)
-from .multivector import Multivector, HForm, _collect, schouten
+                     mat_fiber_zero_part, mat_identity, mat_mul, mat_neg)
+from .multivector import Multivector, HForm, _collect
 from .connection import Connection, exterior_derivative, lift_curvature
-from .coupling import GeometricData, assemble, lift_brackets, v_sharp
+from .coupling import GeometricData, lift_brackets, v_sharp
 from .report import CheckReport, InternalInvariantError
 
 DEFAULT_T_SAMPLES = (Fraction(0), Fraction(1, 4), Fraction(1, 2),
@@ -138,7 +147,8 @@ class HomotopyFamily:
     matrix C = ``corrections`` is held once, and the t^1 coefficient of
     hor_t(d_i) is sum_s C_is d_(x s).  ``member(t)`` is
     the geometric data at a sample, built at its first read, and
-    ``degenerate_samples`` are the samples without one.
+    ``degenerate_samples`` are the samples without one; ``member_errors`` holds
+    why each of those read so far has none, in ``block_inverse``'s words.
     """
 
     def __init__(self, data, phi, t_samples):
@@ -152,7 +162,7 @@ class HomotopyFamily:
         self.gamma_t = [[[g, -c] for g, c in zip(row, corr)]
                         for row, corr in zip(data.connection.gamma, self.corrections)]
         self.t_samples = tuple(dict.fromkeys(Fraction(t) for t in t_samples))
-        self._members = {}
+        self._members, self.member_errors = {}, {}
 
     def member(self, t):
         """
@@ -186,7 +196,8 @@ class HomotopyFamily:
                                                         for a in row] for row in block]:
                 return GeometricData._with_certified_seed(connection, data.vertical, fform, seed)
             return GeometricData(connection, data.vertical, fform)
-        except ValueError:
+        except ValueError as exc:
+            self.member_errors[t] = "F_t at t=%s: %s" % (t, exc)
             return None
 
     @functools.cached_property
@@ -237,7 +248,7 @@ def _nondegenerate_member(fam, t):
     t = Fraction(t)
     member = fam.member(t)
     if member is None:
-        raise ValueError("family 2-form is singular at fiber degree 0 for t=%s" % t)
+        raise ValueError(fam.member_errors[t])
     return member
 
 
@@ -316,6 +327,54 @@ def _reduced_identity(fam, i, j):
     return c0, c1
 
 
+def _frame_residual(fam, t):
+    """The frame blocks of the deformation residual at sample t, as
+    ``verify_deformation_equation`` states them: R_HH by its entries i < j, R_HV
+    as a b x r matrix and VV as a bivector.  ``lift_curvature`` gives -K_ij, i < j."""
+    member = _nondegenerate_member(fam, t)
+    chart, V, conn = fam.chart, fam.data.vertical, member.connection
+    b, r, n = chart.base_dim, chart.fiber_dim, chart.n_vars
+    X, F, lifts = solve_homological(fam, t), member.fform.matrix(), conn.lifts()
+    Xh = horizontal_field(fam, t, X)
+    dX, one = [functools.cache(x.diff) for x in X], FiberSeries.constant(chart, 1)
+    A = [[dot(*zip(*((g, dX[i](v), w) for v, g, w in lift))) for lift in lifts]
+         for i in range(b)]
+    hh = {(k, l): dot([one] + [Xh.component((a,)) for a in range(n)] + F[k] + F[l],
+                      [_t_poly([c.scale(m) for m, c in enumerate(fam.fform_t[k][l]) if m], t)]
+                      + [F[k][l].diff(a) for a in range(n)]
+                      + [row[l] for row in A] + [row[k] for row in A],
+                      [1] * (1 + n + b) + [-1] * b)
+          for k, l in combinations(range(b), 2)}
+    K = lift_curvature(chart, [(lifts, lifts)], conn.valid_order() - 1)
+    W = [v_sharp(V, x) for x in X]
+    hv = [[dot(*zip(*[(X[i], K[min(i, j), max(i, j)].component((b + u,)), 1 if i > j else -1)
+                      for i in range(b) if i != j]
+                    + [(one, fam.corrections[j][u], 1)]
+                    + [(F[j][k], W[k].component((b + u,)), 1) for k in range(b)]))
+           for u in range(r)] for j in range(b)]
+    brackets = list(lift_brackets(lifts, V, min(conn.valid_order(), V.valid_order) - 1))
+    vv = Multivector(chart, 2, _collect((ab, 1, x, c) for x, B in zip(X, brackets)
+                                        for ab, c in B.comps.items()), brackets[0].valid_order)
+    return hh, hv, vv
+
+
+def _coordinates(conn, H, hh, hv, vv, order):
+    """The residual with the frame blocks of ``_frame_residual``, to ``order``, in
+    coordinates: L^T R L for the frame matrix R of HH = H R_HH H, HV = H R_HV and
+    VV, H = -F_t^{-1}, and the lifts' coordinates L = [[1, -gamma], [0, 1]]."""
+    chart, b, n = conn.chart, conn.chart.base_dim, conn.chart.n_vars
+    zero, one = FiberSeries.zero(chart), FiberSeries.constant(chart, 1)
+    R_HH = mat_antisymmetric([[hh.get((i, j)) for j in range(b)] for i in range(b)], zero)
+    HV = mat_mul(H, hv)
+    R = ([row + hv_row for row, hv_row in zip(mat_mul(mat_mul(H, R_HH), H), HV)]
+         + [[-x for x in col] + [vv.component((s, c)) for c in range(b, n)]
+            for s, col in zip(range(b, n), zip(*HV))])
+    L = [[one if a == c else -conn.gamma[a][c - b] if a < b <= c else zero for c in range(n)]
+         for a in range(n)]
+    P = mat_mul(mat_mul(list(zip(*L)), R), L, upper=True)
+    return Multivector(chart, 2, {(a, c): P[a][c] for a, c in combinations(range(n), 2)}, order)
+
+
 def verify_deformation_equation(fam):
     """
     Two-part verification of the deformation equation.
@@ -323,14 +382,14 @@ def verify_deformation_equation(fam):
     Part 1 (identically in t): the reduced identity
     dGamma_t(phi) - dGamma(phi) - t {phi^phi}_V = 0 as a polynomial in t
     with exact series coefficients.  Part 2 (at each of the family's
-    samples, whose members the family's verdict covers):
-    [[X_t^h, Pi_t]] + dPi_t/dt = 0 at certified order, with the
-    t-derivative computed exactly from the inverse-derivative identity.
-    The sum is certified no higher than the bracket, so dPi_t/dt is formed
-    from H = -F_t^{-1} and dF_t/dt truncated to the bracket's order.  That
-    is exact: fiber degrees add and are never negative, so no term above that
-    order reaches one at or below it.  The bracket's own operands stay at the
-    member's order, as its fiber derivatives read their top degree.
+    samples, whose members the family's verdict covers): the blocks of
+    [[X_t^h, Pi_t]] + dPi_t/dt in the frame of the lifts (see the module),
+
+        R_HH = F_t HH F_t = dF_t/dt + X^h(F_t) + F_t A - (F_t A)^T,
+        R_HV = -F_t HV = Y + C + F_t W,    VV = sum_i X^i [h_i, V],
+
+    vanish at the least order of their entries, which the entry certifies.
+    Only a failing entry maps them back to coordinates (``_coordinates``).
     """
     chart = fam.chart
     b = chart.base_dim
@@ -342,25 +401,19 @@ def verify_deformation_equation(fam):
                          chart.trunc_order - 1)
 
     for t in fam.t_samples:
+        name = "deformation-at-t=%s" % t
         member = fam.member(t)
         if member is None:
-            report.add("deformation-at-t=%s" % t, "part-2", None, False,
-                       "2-form degenerate at this sample")
+            report.add(name, "part-2", None, False, fam.member_errors[t])
             continue
-        bracket = schouten(horizontal_field(fam, t, solve_homological(fam, t)),
-                           assemble(member).pi)
-        cap = bracket.valid_order
-        H = [[-h.truncate(cap) for h in row] for row in member.fform_inverse]
-        # dF_t/dt from the coefficients k c_k of the powers of t in F_t, entries i < j
-        dF = [[_t_poly([c.scale(k) for k, c in enumerate(cs) if k], t).truncate(cap) if i < j
-               else None for j, cs in enumerate(row)] for i, row in enumerate(fam.fform_t)]
-        dF = mat_antisymmetric(dF, FiberSeries.zero(chart, cap))
-        # horizontal_bivector reads only the entries i < j
-        dH = mat_mul(mat_mul(H, dF), H, upper=True)
-        vo = min(mat_valid_order(H), fam.data.vertical.valid_order)
-        dpi = (member.connection.horizontal_bivector(dH, vo)
-               + member.connection.horizontal_bivector(H, vo, moves=fam.corrections))
-        report.add_residuals("deformation-at-t=%s" % t, "part-2", [bracket + dpi], None)
+        hh, hv, vv = _frame_residual(fam, t)
+        blocks = [*hh.values(), *(x for row in hv for x in row), vv]
+        order = min(s.valid_order for s in blocks)
+        residual = Multivector.zero(chart, 2, order)
+        if not all(s.truncate(order).is_zero() for s in blocks):
+            residual = _coordinates(member.connection, mat_neg(member.fform_inverse),
+                                    hh, hv, vv, order)
+        report.add_residuals(name, "part-2", [residual], None)
     return report
 
 

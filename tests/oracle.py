@@ -238,9 +238,9 @@ def deformation_residual(fam, t):
     dF_t/dt from the coefficients of the powers of t, the full product
     dH = H dF_t/dt H, the horizontal bivector of dH, and the moved term
     sum_{i,j} H_ij m_i ^ hor_t(d_j) by wedges of fields, m_i = sum_s C_is d_(x s)
-    for the family's corrections C.  The reference for part 2 of
-    ``verify_deformation_equation``, which forms dPi_t/dt only to the bracket's
-    order and its moved term by a coordinate formula."""
+    for the family's corrections C, and the bracket of X_t^h with the assembled
+    Pi_t.  The reference for part 2 of ``verify_deformation_equation``, which
+    forms the residual's blocks in the frame of the lifts."""
     member = fam.member(t)
     chart, b = fam.chart, fam.chart.base_dim
     H = [[-h for h in row] for row in member.fform_inverse]
@@ -256,6 +256,54 @@ def deformation_residual(fam, t):
         dpi = dpi + wedge(wedge(Multivector(chart, 0, {(): H[i][j]}), moved[i]), hor[j])
     Xh = moser.horizontal_field(fam, t, moser.solve_homological(fam, t))
     return schouten(Xh, assemble(member).pi) + dpi
+
+
+def frame_blocks(conn, P):
+    """The blocks of a bivector P in the frame (hor(d_i), d_(x u)) of a
+    connection: its values on the dual coframe dxi_i, dx_u + sum_i gamma_iu dxi_i,
+    as the full matrices HH (b x b), HV (b x r) and VV (r x r).  The reference
+    for the blocks of ``moser._frame_residual``."""
+    chart = conn.chart
+    b, r = chart.base_dim, chart.fiber_dim
+    full = expand_full(P)
+    one = FiberSeries.constant(chart, 1)
+    coframe = [{i: one} for i in range(b)] + [
+        {**{i: conn.gamma[i][u] for i in range(b)}, b + u: one} for u in range(r)]
+
+    def value(alpha, beta):
+        acc = FiberSeries.zero(chart, P.valid_order)
+        for a, x in alpha.items():
+            for c, y in beta.items():
+                if (a, c) in full:
+                    acc = acc + x * y * full[a, c]
+        return acc
+
+    return ([[value(coframe[i], coframe[j]) for j in range(b)] for i in range(b)],
+            [[value(coframe[i], coframe[b + u]) for u in range(r)] for i in range(b)],
+            [[value(coframe[b + s], coframe[b + u]) for u in range(r)] for s in range(r)])
+
+
+def frame_to_coordinates(conn, H, hh, hv, vv):
+    """The bivector whose frame blocks in the frame (hor(d_i), d_(x u)) of a
+    connection, multiplied by F_t as in ``moser._frame_residual``, are R_HH
+    (entries i < j), R_HV and VV: with H = -F_t^{-1}, HH = H R_HH H and
+    HV = H R_HV, the sum of HH_ij hor(d_i) ^ hor(d_j) over i < j, of
+    HV_iu hor(d_i) ^ d_(x u) and of VV, by wedges of fields.  The reference
+    for ``moser._coordinates``."""
+    chart, b = conn.chart, conn.chart.base_dim
+    zero, one = FiberSeries.zero(chart), FiberSeries.constant(chart, 1)
+    R = [[hh[i, j] if i < j else -hh[j, i] if i > j else zero for j in range(b)]
+         for i in range(b)]
+    HH, HV = mat_mul(mat_mul(H, R), H), mat_mul(H, hv)
+    hor = [hor_lift(conn, i) for i in range(b)]
+    out = vv
+    for i, j in combinations(range(b), 2):
+        out = out + wedge(wedge(Multivector(chart, 0, {(): HH[i][j]}), hor[i]), hor[j])
+    for i, row in enumerate(HV):
+        for u, x in enumerate(row):
+            out = out + wedge(wedge(Multivector(chart, 0, {(): x}), hor[i]),
+                              Multivector(chart, 1, {(b + u,): one}))
+    return out
 
 
 def neumann_invert(M, M0_inv):

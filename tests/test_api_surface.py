@@ -33,6 +33,9 @@ TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 # five are rows of the benchmark tracer's tables, which it looks up by name,
 # so they go together with their rows; first_approx_check is the paper's
 # first-approximation contract, which the linearize command is to report.
+# multivector.schouten is a tracer row too, and no command calls it since part
+# 2 of moser-verify left the coordinates, but it is not listed: its one caller
+# in src/ is lie_derivative, and the scan counts that call.
 ALLOWED = {
     "multivector.wedge",
     "multivector.lie_derivative",

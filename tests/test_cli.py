@@ -931,6 +931,26 @@ class TestExactRing:
         assert self.seed_checks(monkeypatch, ["moser-verify", path]) == 5
 
 
+    @pytest.mark.parametrize("phi, failed", [
+        # F_t's fiber-constant (0, 1) entry is 1 - t^2: singular at t = 1
+        ("x1", {"1": "fiber-constant part is singular: it has no fform_inv_seed"}),
+        # 1 - t^2 xi1: invertible near the zero section, but not certified
+        ("xi1*x1", {t: "fiber-constant part depends on the base variables; supply "
+                       "fform_inv_seed to certify its inverse" for t in ("1/4", "1/2", "3/4", "1")}),
+    ], ids=["singular", "uncertified"])
+    def test_a_member_without_an_inverse_exits_one(self, tmp_path, phi, failed):
+        path = write(tmp_path, "member.json", {
+            "chart": {"base_dim": 2, "fiber_dim": 2, "trunc_order": 3},
+            "connection": [["0", "0"], ["0", "0"]],
+            "vertical": [["0", "1"], ["-1", "0"]],
+            "fform": [["0", "1"], ["-1", "0"]],
+            "phi": [phi, "x2"]})
+        code, out, _ = run(["moser-verify", path])
+        assert code == 1
+        assert out.splitlines()[0] == "degenerate samples: " + ", ".join(failed)
+        for t, reason in failed.items():
+            assert "residual: F_t at t=%s: %s" % (t, reason) in out
+
 class TestCatchAll:
     def test_unexpected_exception_exits_three(self, monkeypatch):
         def boom(problem, args):

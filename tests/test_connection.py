@@ -4,7 +4,6 @@ import pytest
 
 from fiberpoisson import ChartSpec, FiberSeries, HForm, Multivector, Connection, interior
 from fiberpoisson.connection import exterior_derivative, lift_curvature
-from fiberpoisson.series import mat_antisymmetric
 
 import oracle
 from oracle import scaled
@@ -116,49 +115,6 @@ class TestHorizontalBivector:
                                                      for i, j in combinations(range(b), 2)])
         # some lifts, zero coefficients among them, certify below the entries of M
         assert lowered
-
-    def test_moves_form(self):
-        # sum_{i,j} A_ij m_i ^ hor(d_j) for the antisymmetric A of M's entries
-        # i < j and the fields m_i of the rows of a b x r matrix C; a row may be
-        # zero, and a zero entry may be certified below the chart's order
-        from itertools import combinations, product
-        seen = set()
-        for r, conn, M, vo in self.cases(103):
-            ch, b = conn.chart, conn.chart.base_dim
-
-            def entry():
-                u = r.random()
-                if u < 0.15:
-                    return FiberSeries.zero(ch, r.randint(0, ch.trunc_order))
-                return self.nonzero(r, ch) if u < 0.7 else FiberSeries.zero(ch)
-            C = [[entry() for _ in range(ch.fiber_dim)] for _ in range(b)]
-            fields = [Multivector(ch, 1, {(b + s,): c for s, c in enumerate(row)}) for row in C]
-            A = mat_antisymmetric(M, FiberSeries.zero(ch))
-            got = conn.horizontal_bivector(M, vo, moves=C)
-            want = self.oracle_sum(ch, A, fields, [oracle.hor_lift(conn, j) for j in range(b)],
-                                   product(range(b), repeat=2), vo)
-            # certified to vo, the lifts, the nonzero M_ij with i < j and every
-            # entry of C, whatever survives truncation; zero at vo without such
-            # an M_ij.  Never above the least order of the wedges' factors
-            upper = [M[i][j].valid_order for i, j in combinations(range(b), 2) if M[i][j]]
-            order = min([vo, conn.valid_order()] + upper
-                        + [c.valid_order for row in C for c in row]) if upper else vo
-            assert order <= want.valid_order
-            assert got.valid_order == order
-            assert got.comps == want.truncate(order).comps
-            seen.add(got.valid_order < vo)
-        # some moves lower the certified order below the one asked for
-        assert seen == {True, False}
-
-    def test_a_move_truncated_away_keeps_its_order(self):
-        # gamma_0 is known to order 0 only, and the one term, M_01 m_0 ^ hor(d_1)
-        # = -x1 d2^d3, lies above that order: the sum is zero, certified to order 0
-        ch = ChartSpec(2, 1, 3)
-        conn = Connection(ch, [[S("xi1 + x1", ch).truncate(0)], [S("xi2", ch)]])
-        one = FiberSeries.constant(ch, 1)
-        got = conn.horizontal_bivector([[FiberSeries.zero(ch), one], [-one, FiberSeries.zero(ch)]],
-                                       ch.trunc_order, moves=[[S("x1", ch)], [FiberSeries.zero(ch)]])
-        assert got.is_zero() and got.valid_order == 0
 
 
 class TestCovExtDeriv:

@@ -16,7 +16,7 @@ from fiberpoisson import (ChartSpec, FiberSeries, Multivector, HForm,
                           verify_coupling_conditions, DEFAULT_T_SAMPLES,
                           HomotopyFamily, InternalInvariantError)
 from fiberpoisson import series, cli, coupling, moser, multivector
-from fiberpoisson.report import CheckReport, summarize_residual
+from fiberpoisson.report import summarize_residual
 from fiberpoisson.series import FloatEvaluator
 
 import oracle
@@ -354,6 +354,9 @@ class TestFamilyMember:
         assert fam.member(0).fform_inverse is fam.member(0).fform_inverse
 
     def test_none_exactly_at_degenerate_samples(self):
+        # the first rng(42) family with degenerate samples, the 21st: F0_t's
+        # (0, 1) entry is 1 + 2 t^2 xi1, invertible near the zero section but
+        # with no polynomial inverse, so no member at t > 0 is certified
         r = rng(42)
         for _ in range(40):
             data = rand_valid_data(r)
@@ -364,11 +367,36 @@ class TestFamilyMember:
         assert len(fam.degenerate_samples) < len(DEFAULT_T_SAMPLES)
         for t in DEFAULT_T_SAMPLES:
             assert (fam.member(t) is None) == (t in fam.degenerate_samples)
-        with pytest.raises(ValueError, match="singular at fiber degree 0"):
+        reasons = {t: "F_t at t=%s: fiber-constant part depends on the base variables; "
+                      "supply fform_inv_seed to certify its inverse" % t
+                   for t in fam.degenerate_samples}
+        assert fam.member_errors == reasons
+        with pytest.raises(ValueError) as exc:
             solve_homological(fam, fam.degenerate_samples[0])
+        assert str(exc.value) == reasons[Fraction(1, 4)]
         rep = verify_deformation_equation(fam)
-        failed = {e.name for e in rep.entries if not e.passed}
-        assert failed == {"deformation-at-t=%s" % t for t in fam.degenerate_samples}
+        assert {e.name: e.residual for e in rep.entries if not e.passed} == {
+            "deformation-at-t=%s" % t: reason for t, reason in reasons.items()}
+
+    def test_singular_member(self):
+        # a constant vertical bivector d_(x1) ^ d_(x2) moves the fiber-constant
+        # block by -t^2/2 {phi ^ phi}_V: F_t's (0, 1) entry is 1 - t^2, singular
+        # at t = 1 only
+        ch = ChartSpec(2, 2, 3)
+        one, zero = S("1", ch), S("0", ch)
+        omega, omega_inv = std_omega(ch)
+        data = GeometricData(Connection(ch, zeros(ch, 2, 2)),
+                             vertical_from_matrix(ch, [[zero, one], [-one, zero]]),
+                             HForm.from_matrix(ch, omega), omega_inv)
+        fam = build_family(data, PhiForm(ch, [S("x1", ch), S("x2", ch)]))
+        assert fam.degenerate_samples == [1]
+        reason = "F_t at t=1: fiber-constant part is singular: it has no fform_inv_seed"
+        with pytest.raises(ValueError) as exc:
+            solve_homological(fam, 1)
+        assert str(exc.value) == reason
+        rep = verify_deformation_equation(fam)
+        assert {e.name: e.residual for e in rep.entries if not e.passed} == {
+            "deformation-at-t=1": reason}
 
     def test_member_matches_the_family_polynomials(self):
         # Gamma_t = Gamma - t corrections, F_t = F - t dphi - t^2/2 quad
@@ -468,28 +496,28 @@ class TestFamilyConditions:
 
 def part2_against_the_reference(fam, monkeypatch):
     """Check every part-2 entry of ``verify_deformation_equation`` on ``fam``
-    against ``oracle.deformation_residual``: the residual the entry judges, its
-    certified order and its text.  Returns the number of failed entries."""
+    against ``oracle.deformation_residual``: the frame blocks that the entry
+    judges, mapped back to coordinates, equal the reference below their common
+    order, and the entry has the reference's verdict, certified order and text.
+    Returns the number of failed entries."""
     seen = {}
-    add = CheckReport.add_residuals
-
-    def recording(self, name, tag, residuals, *args):
-        if tag == "part-2":
-            residuals = seen[name] = list(residuals)
-        return add(self, name, tag, residuals, *args)
-
-    monkeypatch.setattr(CheckReport, "add_residuals", recording)
+    frame_residual = moser._frame_residual
+    monkeypatch.setattr(moser, "_frame_residual",
+                        lambda fam, t: seen.setdefault(t, frame_residual(fam, t)))
     rep = verify_deformation_equation(fam)
     monkeypatch.undo()
     entries = [e for e in rep.entries if e.tag == "part-2"]
     assert [e.name for e in entries] == ["deformation-at-t=%s" % t for t in fam.t_samples]
     for t, e in zip(fam.t_samples, entries):
-        if fam.member(t) is None:
-            assert not e.passed and e.name not in seen
+        member = fam.member(t)
+        if member is None:
+            assert not e.passed and t not in seen
             continue
         want = oracle.deformation_residual(fam, t)
-        [got] = seen[e.name]
-        assert got.render() == want.render() and got.valid_order == want.valid_order
+        got = oracle.frame_to_coordinates(member.connection, series.mat_neg(member.fform_inverse),
+                                          *seen[t])
+        order = min(got.valid_order, want.valid_order)
+        assert got.truncate(order).comps == want.truncate(order).comps
         assert e.certified_order == want.valid_order
         assert e.passed == want.is_zero() and e.residual == summarize_residual(want)
     return sum(not e.passed for e in entries)
@@ -505,9 +533,41 @@ BREAKINGS = {
 }
 
 
+def tampered_wong_data(tampering):
+    """Wong data at order 5 with a term added to one connection coefficient or
+    one 2-form entry, so that a coupling condition fails; the fiber-constant
+    block is the data's, so its seed still certifies it."""
+    data, phi = wong_data_phi(5)
+    ch = data.chart
+    part, (i, j), text = WONG_TAMPERINGS[tampering][0]
+    gamma = [list(row) for row in data.connection.gamma]
+    fform = dict(data.fform.comps)
+    if part == "gamma":
+        gamma[i][j] = gamma[i][j] + S(text, ch)
+    else:
+        fform[i, j] = fform[i, j] + S(text, ch)
+    return GeometricData(Connection(ch, gamma), data.vertical,
+                         HForm(ch, 2, fform, data.fform.valid_order), data.fform_inv_seed), phi
+
+
+# the term added, the conditions that the data then fails and the frame blocks
+# that are nonzero at some sample: a lift that moves V breaks cond-2 and the
+# curvature identity, a form with Casimir values only cond-3, and one with other
+# fiber-dependent values only cond-4.  VV is nonzero only with cond-2 broken and
+# R_HV only with cond-4; R_HH wherever a member fails cond-3, as the members at
+# t > 0 of the first and the last family do: the corrections of their lifts
+# differentiate the moved terms of F_t
+WONG_TAMPERINGS = {
+    "cond-2": (("gamma", (0, 0), "xi2*x1"), {"cond-2", "cond-4"}, {"HH", "HV", "VV"}),
+    "cond-3": (("fform", (0, 1), "xi3*(x1^2 + x2^2 + x3^2)"), {"cond-3"}, {"HH"}),
+    "cond-4": (("fform", (0, 1), "x1"), {"cond-4"}, {"HH", "HV"}),
+}
+
+
 class TestDeformationAtTheBracketOrder:
-    """Part 2 forms dPi_t/dt only to the order of [[X_t^h, Pi_t]]: the entries
-    equal the reference that forms it at the member's order."""
+    """Part 2 in the frame of the lifts: each entry has the verdict and the
+    certified order of the coordinate reference, which forms [[X_t^h, Pi_t]]
+    with the assembled tensor and dPi_t/dt at the member's order."""
 
     @pytest.mark.parametrize("family, n", [(e1_family, 3), (e1_family, 6)]
                              + [(wong_family, n) for n in (2, 3, 4, 5)])
@@ -529,12 +589,19 @@ class TestDeformationAtTheBracketOrder:
             failed += part2_against_the_reference(fam, monkeypatch)
         assert failed == {"moves-doubled": 10, "fform-t-tripled": 30}[breaking]
 
+    @pytest.mark.parametrize("tampering", WONG_TAMPERINGS)
+    def test_tampered_wong(self, tampering, monkeypatch):
+        # every entry fails, and its text is the coordinate residual
+        fam = HomotopyFamily(*tampered_wong_data(tampering), DEFAULT_T_SAMPLES)
+        assert part2_against_the_reference(fam, monkeypatch) == len(DEFAULT_T_SAMPLES)
+
     def test_product_pairs_on_wong_order_4(self, monkeypatch):
         # the pairs (k1, k2) that series._mul_into multiplies below its top in
         # one moser-verify run; 94,418 with dPi_t/dt formed at the member's
         # order, 54,086 with every entry of the antisymmetric matrices and the
         # horizontal bivectors formed by wedges, 35,642 with the moved term of
-        # dPi_t/dt still formed by wedges
+        # dPi_t/dt still formed by wedges, 35,314 with part 2 in coordinates and
+        # 26,287 in the frame of the lifts
         pairs = [0]
         mul_into = series._mul_into
 
@@ -546,7 +613,91 @@ class TestDeformationAtTheBracketOrder:
         monkeypatch.setattr(series, "_mul_into", counted)
         path = pathlib.Path(__file__).resolve().parent / "data" / "wong_family.problem.json"
         assert cli.main(["moser-verify", str(path), "--order", "4"]) == 0
-        assert 0 < pairs[0] <= 35314
+        assert 0 < pairs[0] <= 26287
+
+
+class TestFrameBlocks:
+    """The blocks of ``moser._frame_residual`` against the coordinate reference
+    read on the dual coframe (``oracle.frame_blocks``), exactly below their
+    common order: R_HH = F_t HH F_t, R_HV = -F_t HV and VV."""
+
+    @staticmethod
+    def nonzero_blocks(fam):
+        """Check the three identities at every sample of ``fam`` with a member;
+        returns the names of the blocks that are nonzero at some sample."""
+        b, r = fam.chart.base_dim, fam.chart.fiber_dim
+        seen = set()
+        for t in fam.t_samples:
+            member = fam.member(t)
+            if member is None:
+                continue
+            hh, hv, vv = moser._frame_residual(fam, t)
+            HH, HV, VV = oracle.frame_blocks(member.connection, oracle.deformation_residual(fam, t))
+            F = member.fform.matrix()
+            FHHF, FHV = series.mat_mul(series.mat_mul(F, HH), F), series.mat_mul(F, HV)
+            for name, got, want in ([("HH", hh[k, l], FHHF[k][l]) for k, l in hh]
+                                    + [("HV", hv[j][u], -FHV[j][u])
+                                       for j in range(b) for u in range(r)]
+                                    + [("VV", vv.component((b + s, b + u)), VV[s][u])
+                                       for s in range(r) for u in range(s + 1, r)]):
+                order = min(got.valid_order, want.valid_order)
+                assert (got.truncate(order) - want.truncate(order)).is_zero(), (name, t)
+                if got.truncate(order):
+                    seen.add(name)
+        return seen
+
+    def test_coordinates_against_the_oracle_wedges(self):
+        # the map back on random connections, H and blocks, zero and truncated
+        # entries among them: certified to the order it is given, at most the
+        # least order of the oracle's factors
+        r = rng(103)
+        lowered = 0
+        for _ in range(30):
+            ch = ChartSpec(r.choice([2, 4]), r.choice([0, 1, 2, 3]), r.randint(1, 4))
+            b, f = ch.base_dim, ch.fiber_dim
+
+            def entry():
+                u = r.random()
+                if u < 0.15:
+                    return FiberSeries.zero(ch, r.randint(0, ch.trunc_order))
+                if u < 0.3:
+                    return FiberSeries.zero(ch)
+                return rand_series(r, ch, xdeg=3, terms=4).truncate(r.randint(0, ch.trunc_order))
+
+            conn = Connection(ch, [[entry() for _ in range(f)] for _ in range(b)])
+            H = series.mat_antisymmetric([[entry() for _ in range(b)] for _ in range(b)],
+                                         FiberSeries.zero(ch))
+            hh = {(i, j): entry() for i in range(b) for j in range(i + 1, b)}
+            hv = [[entry() for _ in range(f)] for _ in range(b)]
+            vv = Multivector(ch, 2, {(b + s, b + u): entry()
+                                     for s in range(f) for u in range(s + 1, f)})
+            want = oracle.frame_to_coordinates(conn, H, hh, hv, vv)
+            order = r.randint(0, want.valid_order)
+            got = moser._coordinates(conn, H, hh, hv, vv, order)
+            assert got.valid_order == order
+            assert got.comps == want.truncate(order).comps
+            lowered += order < want.valid_order
+        assert lowered
+
+    @pytest.mark.parametrize("breaking", [None, *BREAKINGS])
+    def test_random_families(self, breaking):
+        # the doubled corrections move R_HV; the tripled t-coefficients move
+        # R_HH, and R_HV through X_t
+        seen = set()
+        for data, phi in random_data_phi(42, 20):
+            fam = build_family(data, phi)
+            if breaking:
+                BREAKINGS[breaking](fam)
+            seen |= self.nonzero_blocks(fam)
+        assert seen == {None: set(), "moves-doubled": {"HV"}, "fform-t-tripled": {"HH", "HV"}}[breaking]
+
+    @pytest.mark.parametrize("tampering", WONG_TAMPERINGS)
+    def test_tampered_wong(self, tampering):
+        data, phi = tampered_wong_data(tampering)
+        _, conditions, blocks = WONG_TAMPERINGS[tampering]
+        assert {e.tag for e in verify_coupling_conditions(data).entries
+                if e.required and not e.passed} == conditions
+        assert self.nonzero_blocks(HomotopyFamily(data, phi, DEFAULT_T_SAMPLES)) == blocks
 
 
 class TestNumericPullback:
