@@ -11,19 +11,16 @@ Text grammar for entering coefficient functions.
 Whitespace is insignificant, and a unary minus binds looser than '^'
 (``2*-x1^2`` is -2 x1^2).  A '/' divides by the integer factor after it,
 its powers taken first, as sympy and Python read it: ``2/4^2`` is 1/8 and
-``2/4/2`` is 1/4.  Parsing is exact: rationals are never rounded.  A term
-without parentheses is read straight into one packed monomial: the key
-units of its variables add, its numerators and denominators multiply.
-A text without '(' is split once at its signs; when each piece is a whole term,
-written ``p/q*xi1*x2^3``, the text is their sum, and a caller's memo reads each
-distinct whole term once.  Any other text goes to the token reader, which
-raises every error.  There a whole term is one token where a term begins (at
-the start or after '(', either perhaps followed by a sign, or after a sign that
-follows an operand, as in ``a-b`` or ``a - b``), read token by token near a bound.
-Parenthesised parts are expanded in the series ring.  Both happen on the
-caller's chart, so a term above its order drops as it arises, and the
-bounds below count only the terms that are kept; fiber degree is additive,
-so no term at or below the order changes.
+``2/4/2`` is 1/4.  Parsing is exact: rationals are never rounded.  A text
+without '(' is split once at its signs; when each piece is a whole term, written
+``p/q*xi1*x2^3``, the text is their sum, and a caller's memo reads each distinct
+whole term once.  Any other text, and every text with a '(', is read token by
+token by the grammar reader, which raises every error.  There a term without
+parentheses is one packed monomial (the key units of its variables add, its
+numerators and denominators multiply) and parenthesised parts are expanded in
+the series ring.  Both happen on the caller's chart, so a term above its order
+drops as it arises, and the bounds below count only the terms that are kept;
+fiber degree is additive, so no term at or below the order changes.
 """
 
 import functools
@@ -35,8 +32,6 @@ from .series import FiberSeries, key_units
 _FINE = re.compile(r"(?P<num>\d+)|(?P<var>xi\d+|x\d+)|(?P<op>[-+*/^()])|(?P<bad>\S)")
 # a whole term: a number p or p/q, or a power of a variable, then '*' and more powers
 _WHOLE = re.compile(r"(?:\d+(?:/\d+)?|xi?\d+(?:\^\d+)?)(?:\*xi?\d+(?:\^\d+)?)*")
-_TOKEN = re.compile(r"(?=[\dx])(?:\A|(?<=^[-+])|(?<=[\d()][-+])|(?<=\()|(?<=[\d)] [-+] ))"
-                    r"(?P<mono>" + _WHOLE.pattern + r")(?=\s*(?:[-+)]|\Z))|" + _FINE.pattern)
 _SIGNS = re.compile(r"([-+])")
 
 # Parentheses and unary minuses open at one time.  The parser recurses once
@@ -66,8 +61,8 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-def _tokenize(text, pattern=_TOKEN, at=0):
-    tokens = [(m.lastgroup, m[0], at + m.start()) for m in pattern.finditer(text)]
+def _tokenize(text):
+    tokens = [(m.lastgroup, m[0], m.start()) for m in _FINE.finditer(text)]
     for kind, val, pos in tokens:
         if kind == "bad":
             raise ParseError("unexpected character %r" % val, pos)
@@ -140,15 +135,15 @@ def _number(val, pos):
 
 
 class _Parser:
-    """Recursive descent over the token list, whose operators are told by
-    their text alone.  A factor or term is a tuple (key, num, den, deg): the
+    """Recursive descent over the text's tokens (numbers, variables and
+    operators, told by their text alone), raising every error at its
+    position.  A factor or term is a tuple (key, num, den, deg): the
     monomial num/den * x^key of total degree at most deg, its key packed on
     ``self.chart`` (a key may lie above the chart order until it is summed).
     Where parentheses enter, num is a series on that chart, key 0 and den 1."""
 
-    def __init__(self, text, chart, memo):
-        self.chart, self.units, self.names = chart, key_units(chart), _names(chart)
-        self.memo = memo
+    def __init__(self, text, chart):
+        self.chart, self.units = chart, key_units(chart)
         # the end sentinel is consumed only on the way to a ParseError
         self.tokens = _tokenize(text) + [(None, None, len(text))]
         self.i = 0
@@ -187,15 +182,6 @@ class _Parser:
         return (parts[0] if len(parts) == 1 else FiberSeries.sum(parts)), deg
 
     def term(self):
-        kind, val, pos = self.tokens[self.i]
-        if kind == "mono":
-            if val not in self.memo:
-                self.memo[val] = _monomial(val, self.names)
-            if value := self.memo[val]:
-                self.i += 1
-                return value
-            # read by its fine tokens, which raise any error where they would
-            self.tokens[self.i:self.i + 1] = _tokenize(val, _FINE, pos)
         value = self.factor()
         while self.tokens[self.i][1] in ("*", "/"):
             kind, val, pos = self.next()
@@ -309,8 +295,9 @@ class _Parser:
 
 def parse_series(text, chart, memo=None):
     """Parse an expression into a :class:`FiberSeries` at the chart order.  ``memo`` maps
-    each whole term read to its reading on ``chart``: pass one dict for the texts of one chart."""
+    each whole term of a flat sum to its reading on ``chart``: pass one dict for the texts
+    of one chart."""
     memo = {} if memo is None else memo
     if "(" not in text and (series := _flat(text, chart, memo)) is not None:
         return series
-    return _Parser(text, chart, memo).parse()
+    return _Parser(text, chart).parse()

@@ -6,15 +6,9 @@ class InternalInvariantError(RuntimeError):
 
 
 def summarize_residual(obj):
-    """Short text for a residual series / multivector / form, cut after 100 characters."""
-    if obj is None:
-        return "0"
-    if hasattr(obj, "is_zero") and obj.is_zero():
-        return "0"
-    if hasattr(obj, "render"):
-        text = obj.render()
-        return text if len(text) <= 100 else text[:100] + " ..."
-    return str(obj)
+    """Short text for a residual series / multivector / form (None: zero), cut at 100 chars."""
+    text = "0" if obj is None else obj.render()
+    return text if len(text) <= 100 else text[:100] + " ..."
 
 
 class CheckEntry:

@@ -28,7 +28,11 @@ import sys
 
 import pytest
 
+from fiberpoisson import parse
 from fiberpoisson.cli import main, COMMANDS
+
+import report_sweep
+from test_moser import count_calls
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -122,6 +126,21 @@ def test_golden(problem, command, order, tmp_path):
     assert_numeric_stdout(stdout, want["stdout"])
     if report is not None:
         assert_numeric_report(json.loads(report), want["report"])
+
+
+@pytest.mark.parametrize("path", report_sweep.FILES)
+def test_a_parenthesised_copy_reads_alike(path, tmp_path, monkeypatch):
+    # every expression string in parentheses goes to the parser's token reader
+    # in place of its flat split: each command at the file's own order gives
+    # the same exit code, stdout, stderr and report on the copy
+    monkeypatch.chdir(ROOT)
+    copy = report_sweep.write_parenthesised(path, tmp_path)
+    report = tmp_path / "report.json"
+    tokenized = count_calls(monkeypatch, parse, "_tokenize")
+    for argv in report_sweep.argvs(path, orders=(None,)):
+        assert report_sweep.run([argv[0], copy] + argv[2:], report) == \
+            report_sweep.run(argv, report), argv
+    assert tokenized
 
 
 def update():
