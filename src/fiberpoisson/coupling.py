@@ -179,6 +179,15 @@ def lift_brackets(lifts, V, valid_order):
         yield Multivector(V.chart, 2, _collect(terms), valid_order)
 
 
+def coupling_residuals(data):
+    """The residuals of conditions 2 to 4, each zero where its condition holds: the
+    list of [hor(d_i), V], dGamma F and {(i, j): Curv_ij - V# dF_ij}, i < j."""
+    V, conn = data.vertical, data.connection
+    return (list(lift_brackets(conn.lifts(), V, min(conn.valid_order(), V.valid_order) - 1)),
+            conn.cov_ext_deriv(data.fform),
+            {ij: c - v_sharp(V, data.fform.component(ij)) for ij, c in conn.curvature().items()})
+
+
 def verify_coupling_conditions(data):
     """
     Verify the four coupling conditions on geometric data.
@@ -190,21 +199,15 @@ def verify_coupling_conditions(data):
     """
     report = CheckReport("coupling-conditions")
     V = data.vertical
-    conn = data.connection
+    brackets, dF, curvature = coupling_residuals(data)
 
     report.add_residuals("vertical-jacobi", "cond-1", [jacobiator(V)], None)
-    report.add_residuals("horizontal-lifts-preserve-vertical", "cond-2",
-                         lift_brackets(conn.lifts(), V,
-                                       min(conn.valid_order(), V.valid_order) - 1),
+    report.add_residuals("horizontal-lifts-preserve-vertical", "cond-2", brackets,
                          V.valid_order - 1)
-    dF = conn.cov_ext_deriv(data.fform)
     report.add_residuals("covariant-closedness", "cond-3", [dF], None)
-    report.add_residuals("curvature-identity", "cond-4",
-                         (c - v_sharp(V, data.fform.component(ij))
-                          for ij, c in conn.curvature().items()),
+    report.add_residuals("curvature-identity", "cond-4", curvature.values(),
                          data.valid_order() - 1)
     report.add_residuals("closedness-defect-casimir-valued", "cond-3-weak",
                          (v_sharp(V, s) for s in dF.comps.values()),
                          dF.valid_order - 1, required=False)
     return report
-

@@ -155,7 +155,8 @@ def holonomy_compare(a_data, m, path, steps):
     Transport both connections and integrate the comparison evolution
     operator on a shared grid; report the maximal deviation
     max_t ||P~(t) - P(t) T(t)|| over the grid.  A non-finite transport or
-    deviation, or a singular stage of P, fails the report at its first step.
+    deviation, a singular stage of P, or a P whose every entry is below the
+    least normal float, fails the report at its first step.
     """
     chart = a_data.chart
     b, r = chart.base_dim, chart.fiber_dim
@@ -180,12 +181,14 @@ def holonomy_compare(a_data, m, path, steps):
             # P at the four stages of each step, and Xi = P^-1 A P there
             P0 = pairs[:-1, 0]
             Pst = np.stack((P0,) + tuple(c[:, 0] @ P0 for c in C), axis=1)
+            singular = (np.abs(P0) < np.finfo(float).tiny).all(axis=(1, 2)) & (r > 0)
             try:
                 Xi = np.linalg.solve(Pst, np.stack(_stages(A), axis=1) @ Pst)
-            except np.linalg.LinAlgError:  # a stage of P is singular: name the first step
-                bad = np.flatnonzero((np.linalg.slogdet(Pst)[0] == 0).any(axis=1))[0]
+            except np.linalg.LinAlgError:
+                singular |= (np.linalg.slogdet(Pst)[0] == 0).any(axis=1)
+            if singular.any():  # name the first step
                 report.add("transport-comparison", "holonomy", None, False,
-                           "transport singular at step %d" % (done + bad))
+                           "transport singular at step %d" % (done + np.flatnonzero(singular)[0]))
                 return report
             ST, _ = _step_matrices(h, *np.moveaxis(-Xi, 1, 0))
             Ts = _advance(ST, T)

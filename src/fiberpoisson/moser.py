@@ -25,13 +25,16 @@ checked identically in t; Part 2 checks the full deformation equation
 [[X_t^h, Pi_t]] + dPi_t/dt = 0 at the family's own samples, in the frame
 (h_i, d_(x u)), h_i = hor_t(d_i).  That frame is unitriangular over the
 coordinate frame, so the residual vanishes exactly when its blocks do.  With
-H = -F_t^{-1}, A_ij = h_j(X^i), K_ij^u = [h_i, h_j]^u, the corrections C,
-W_ku = sum_s V^{su} d_(x s) X^k and Y_ju = sum_i X^i K_ij^u, they are
+H = -F_t^{-1}, rho_ij = Curv_ij - V# dF_ij the member's cond-4 residual and C
+the corrections, Cartan's formula L_X = d i_X + i_X d and X_t | F_t = phi give
 
-    HH = dH/dt + X^h(H) - A H - H A^T,  HV = H (Y + C) - W,  VV = sum_i X^i [h_i, V],
+    R_HH = F_t HH F_t = dF_t/dt + dGamma_t(phi) + X_t | dGamma_t F_t,
+    R_HV_ju = -(F_t HV)_ju = C_ju - (V# dphi_j)^u - sum_i X^i rho_ij^u,
+    VV = sum_i X^i [h_i, V]:
 
-and as F_t (dH/dt) F_t = dF_t/dt and F_t H = -1, the blocks F_t HH F_t and
--F_t HV hold no inverse: each is a sum of products of series.
+X_t contracted into the member's ``coupling_residuals``, plus terms of phi,
+with no inverse and no derivative of X_t.  dF_t/dt + dGamma_t(phi) is part 1's
+residual, and C - V# dphi is zero by the definition of C.
 """
 
 import functools
@@ -45,7 +48,7 @@ from .series import (FiberSeries, FloatEvaluator, block_inverse, dot, mat_antisy
                      mat_fiber_zero_part, mat_identity, mat_mul, mat_neg)
 from .multivector import Multivector, HForm, _collect
 from .connection import Connection, exterior_derivative, lift_curvature
-from .coupling import GeometricData, lift_brackets, v_sharp
+from .coupling import GeometricData, coupling_residuals, lift_brackets, v_sharp
 from .report import CheckReport, InternalInvariantError
 
 DEFAULT_T_SAMPLES = (Fraction(0), Fraction(1, 4), Fraction(1, 2),
@@ -330,29 +333,22 @@ def _reduced_identity(fam, i, j):
 def _frame_residual(fam, t):
     """The frame blocks of the deformation residual at sample t, as
     ``verify_deformation_equation`` states them: R_HH by its entries i < j, R_HV
-    as a b x r matrix and VV as a bivector.  ``lift_curvature`` gives -K_ij, i < j."""
+    as a b x r matrix and VV as a bivector, each entry one ``dot`` that contracts
+    X_t into the member's ``coupling_residuals``."""
     member = _nondegenerate_member(fam, t)
-    chart, V, conn = fam.chart, fam.data.vertical, member.connection
-    b, r, n = chart.base_dim, chart.fiber_dim, chart.n_vars
-    X, F, lifts = solve_homological(fam, t), member.fform.matrix(), conn.lifts()
-    Xh = horizontal_field(fam, t, X)
-    dX, one = [functools.cache(x.diff) for x in X], FiberSeries.constant(chart, 1)
-    A = [[dot(*zip(*((g, dX[i](v), w) for v, g, w in lift))) for lift in lifts]
-         for i in range(b)]
-    hh = {(k, l): dot([one] + [Xh.component((a,)) for a in range(n)] + F[k] + F[l],
-                      [_t_poly([c.scale(m) for m, c in enumerate(fam.fform_t[k][l]) if m], t)]
-                      + [F[k][l].diff(a) for a in range(n)]
-                      + [row[l] for row in A] + [row[k] for row in A],
-                      [1] * (1 + n + b) + [-1] * b)
+    chart, b, r = fam.chart, fam.chart.base_dim, fam.chart.fiber_dim
+    X, one = solve_homological(fam, t), FiberSeries.constant(chart, 1)
+    brackets, dF, rho = coupling_residuals(member)
+    dphi = member.connection.cov_ext_deriv(fam.phi.hform())
+    hh = {(k, l): dot([one, one] + X,
+                      [_t_poly([c.scale(m) for m, c in enumerate(fam.fform_t[k][l]) if m], t),
+                       dphi.component((k, l))] + [dF.component((i, k, l)) for i in range(b)])
           for k, l in combinations(range(b), 2)}
-    K = lift_curvature(chart, [(lifts, lifts)], conn.valid_order() - 1)
-    W = [v_sharp(V, x) for x in X]
-    hv = [[dot(*zip(*[(X[i], K[min(i, j), max(i, j)].component((b + u,)), 1 if i > j else -1)
-                      for i in range(b) if i != j]
-                    + [(one, fam.corrections[j][u], 1)]
-                    + [(F[j][k], W[k].component((b + u,)), 1) for k in range(b)]))
+    sharps = _fiber_sharps(fam.data.vertical, fam.phi)
+    hv = [[dot(*zip((one, fam.corrections[j][u], 1), (one, sharps[j][u], -1),
+                    *((X[i], rho[min(i, j), max(i, j)].component((b + u,)), 1 if i > j else -1)
+                      for i in range(b) if i != j)))
            for u in range(r)] for j in range(b)]
-    brackets = list(lift_brackets(lifts, V, min(conn.valid_order(), V.valid_order) - 1))
     vv = Multivector(chart, 2, _collect((ab, 1, x, c) for x, B in zip(X, brackets)
                                         for ab, c in B.comps.items()), brackets[0].valid_order)
     return hh, hv, vv
@@ -385,8 +381,8 @@ def verify_deformation_equation(fam):
     samples, whose members the family's verdict covers): the blocks of
     [[X_t^h, Pi_t]] + dPi_t/dt in the frame of the lifts (see the module),
 
-        R_HH = F_t HH F_t = dF_t/dt + X^h(F_t) + F_t A - (F_t A)^T,
-        R_HV = -F_t HV = Y + C + F_t W,    VV = sum_i X^i [h_i, V],
+        R_HH = F_t HH F_t = dF_t/dt + dGamma_t(phi) + X_t | dGamma_t F_t,
+        R_HV = -F_t HV = C - V# dphi - X_t | rho,    VV = sum_i X^i [h_i, V],
 
     vanish at the least order of their entries, which the entry certifies.
     Only a failing entry maps them back to coordinates (``_coordinates``).

@@ -30,7 +30,7 @@ SRC = Path(fiberpoisson.__file__).parent
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 # Names kept without a caller in src/, each for a stated reason.  The first
-# five are rows of the benchmark tracer's tables, which it looks up by name,
+# six are rows of the benchmark tracer's tables, which it looks up by name,
 # so they go together with their rows; first_approx_check is the paper's
 # first-approximation contract, which the linearize command is to report.
 # multivector.schouten is a tracer row too, and no command calls it since part
@@ -40,6 +40,7 @@ ALLOWED = {
     "multivector.wedge",
     "multivector.lie_derivative",
     "moser.phi_bracket",
+    "moser.horizontal_field",
     "holonomy.parallel_transport",
     "series.FiberSeries.evaluate_float",
     "linearize.first_approx_check",

@@ -408,11 +408,12 @@ class TestHolonomyCommand:
         assert "residual: transport not finite at step 0" in out
         assert err == "" and caught == []
 
-    @pytest.mark.parametrize("steps", ["999", "1000", "2000"])
+    @pytest.mark.parametrize("steps", ["999", "1000", "2000", "4000"])
     def test_singular_transport_fails(self, steps, tmp_path):
         # admissible data whose transport decays by e^-2000: at 1000 steps the
-        # RK4 midpoint stage 1 + h*theta/2 is exactly 0 at step 0, at 999 and
-        # 2000 the transport underflows to 0 later; neither is bad input
+        # RK4 midpoint stage 1 + h*theta/2 is exactly 0 at step 0, at 999, 2000
+        # and 4000 the transport underflows later (at 4000 it would stay at the
+        # least denormal, where P and P~ compare equal); neither is bad input
         doc = {
             "chart": {"base_dim": 2, "fiber_dim": 1, "trunc_order": 2},
             "omega": [["0", "1"], ["-1", "0"]],

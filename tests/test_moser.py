@@ -600,8 +600,9 @@ class TestDeformationAtTheBracketOrder:
         # one moser-verify run; 94,418 with dPi_t/dt formed at the member's
         # order, 54,086 with every entry of the antisymmetric matrices and the
         # horizontal bivectors formed by wedges, 35,642 with the moved term of
-        # dPi_t/dt still formed by wedges, 35,314 with part 2 in coordinates and
-        # 26,287 in the frame of the lifts
+        # dPi_t/dt still formed by wedges, 35,314 with part 2 in coordinates,
+        # 26,287 in the frame of the lifts with derivatives of X_t and 14,987
+        # with X_t contracted into the member's coupling residuals
         pairs = [0]
         mul_into = series._mul_into
 
@@ -613,7 +614,7 @@ class TestDeformationAtTheBracketOrder:
         monkeypatch.setattr(series, "_mul_into", counted)
         path = pathlib.Path(__file__).resolve().parent / "data" / "wong_family.problem.json"
         assert cli.main(["moser-verify", str(path), "--order", "4"]) == 0
-        assert 0 < pairs[0] <= 26287
+        assert 0 < pairs[0] <= 14987
 
 
 class TestFrameBlocks:
