@@ -330,8 +330,11 @@ def cmd_moser_verify(problem, args):
                  else tuple(_rationals(args.t_samples.split(","), "--t-samples")))
     fam = build_family(data, phi, t_samples)
     report = verify_deformation_equation(fam)
-    lines = ["degenerate samples: %s" % (", ".join(str(t) for t in fam.degenerate_samples)
-                                         or "none")]
+    uncertified = fam.uncertified_samples
+    singular = [t for t in fam.degenerate_samples if t not in uncertified]
+    lines = ["degenerate samples: %s" % (", ".join(map(str, singular)) or "none")]
+    if uncertified:
+        lines.append("uncertified samples: %s" % ", ".join(map(str, uncertified)))
     return report, lines
 
 

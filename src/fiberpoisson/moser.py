@@ -19,22 +19,25 @@ deformation field X_t solves X_t | F_t = phi; its horizontal lift drags
 the assembled tensor along the family.  Part 1 of the verification is
 the reduction of that statement to the exact identity
 
-    dGamma_t(phi) = dGamma(phi) + t {phi ^ phi}_V,
+    dGamma_t(phi) = dGamma(phi) + t {phi ^ phi}_V.
 
-checked identically in t; Part 2 checks the full deformation equation
+As hor_t(d_i) = hor(d_i) + t sum_s C_is d_(x s), with C the corrections, the
+t^0 coefficient of this identity vanishes by the definition of dGamma(phi), so
+part 1 checks its t^1 coefficient: the derivative of phi along C equals
+{phi ^ phi}_V.  Part 2 checks the full deformation equation
 [[X_t^h, Pi_t]] + dPi_t/dt = 0 at the family's own samples, in the frame
 (h_i, d_(x u)), h_i = hor_t(d_i).  That frame is unitriangular over the
 coordinate frame, so the residual vanishes exactly when its blocks do.  With
-H = -F_t^{-1}, rho_ij = Curv_ij - V# dF_ij the member's cond-4 residual and C
-the corrections, Cartan's formula L_X = d i_X + i_X d and X_t | F_t = phi give
+H = -F_t^{-1} and rho_ij = Curv_ij - V# dF_ij the member's cond-4 residual,
+Cartan's formula L_X = d i_X + i_X d and X_t | F_t = phi give
 
     R_HH = F_t HH F_t = dF_t/dt + dGamma_t(phi) + X_t | dGamma_t F_t,
     R_HV_ju = -(F_t HV)_ju = C_ju - (V# dphi_j)^u - sum_i X^i rho_ij^u,
     VV = sum_i X^i [h_i, V]:
 
 X_t contracted into the member's ``coupling_residuals``, plus terms of phi,
-with no inverse and no derivative of X_t.  dF_t/dt + dGamma_t(phi) is part 1's
-residual, and C - V# dphi is zero by the definition of C.
+with no inverse and no derivative of X_t.  dF_t/dt + dGamma_t(phi) is t times
+part 1's residual, and C - V# dphi is zero by the definition of C.
 """
 
 import functools
@@ -44,8 +47,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .series import (FiberSeries, FloatEvaluator, block_inverse, dot, mat_antisymmetric,
-                     mat_fiber_zero_part, mat_identity, mat_mul, mat_neg)
+from .series import (FiberSeries, FloatEvaluator, UncertifiedInverseError, block_inverse, dot,
+                     mat_antisymmetric, mat_fiber_zero_part, mat_identity, mat_mul, mat_neg)
 from .multivector import Multivector, HForm, _collect
 from .connection import Connection, exterior_derivative, lift_curvature
 from .coupling import GeometricData, coupling_residuals, lift_brackets, v_sharp
@@ -148,10 +151,11 @@ class HomotopyFamily:
     rational ``t_samples``.  ``fform_t[i][j]`` and ``gamma_t[i][s]`` hold the
     coefficients of the powers of t in the entries of F_t and Gamma_t; the
     matrix C = ``corrections`` is held once, and the t^1 coefficient of
-    hor_t(d_i) is sum_s C_is d_(x s).  ``member(t)`` is
+    hor_t(d_i) is sum_s C_is d_(x s) (``moves``).  ``member(t)`` is
     the geometric data at a sample, built at its first read, and
     ``degenerate_samples`` are the samples without one; ``member_errors`` holds
-    why each of those read so far has none, in ``block_inverse``'s words.
+    why each of those read so far has none, in ``block_inverse``'s words, and
+    ``uncertified_samples`` are those whose F_t block has no certified inverse.
     """
 
     def __init__(self, data, phi, t_samples):
@@ -165,7 +169,7 @@ class HomotopyFamily:
         self.gamma_t = [[[g, -c] for g, c in zip(row, corr)]
                         for row, corr in zip(data.connection.gamma, self.corrections)]
         self.t_samples = tuple(dict.fromkeys(Fraction(t) for t in t_samples))
-        self._members, self.member_errors = {}, {}
+        self._members, self.member_errors, self._uncertified = {}, {}, set()
 
     def member(self, t):
         """
@@ -185,6 +189,10 @@ class HomotopyFamily:
     def degenerate_samples(self):
         return [t for t in self.t_samples if self.member(t) is None]
 
+    @property
+    def uncertified_samples(self):
+        return [t for t in self.degenerate_samples if t in self._uncertified]
+
     def _build_member(self, t):
         F = {(i, j): f for i, j in combinations(range(self.chart.base_dim), 2)
              if (f := _t_poly(self.fform_t[i][j], t))}  # antisymmetric by construction
@@ -201,7 +209,15 @@ class HomotopyFamily:
             return GeometricData(connection, data.vertical, fform)
         except ValueError as exc:
             self.member_errors[t] = "F_t at t=%s: %s" % (t, exc)
+            if isinstance(exc, UncertifiedInverseError):
+                self._uncertified.add(t)
             return None
+
+    def moves(self):
+        """The t^1 coefficients sum_s C_is d_(x s) of the lifts hor_t(d_i) as
+        (direction, coefficient, sign) terms, read from ``corrections``."""
+        b = self.chart.base_dim
+        return [[(b + s, c, 1) for s, c in enumerate(row) if c] for row in self.corrections]
 
     @functools.cached_property
     def conditions(self):
@@ -223,8 +239,7 @@ class HomotopyFamily:
         """
         chart, V = self.chart, self.data.vertical
         b = chart.base_dim
-        hor = self.data.connection.lifts()
-        moves = [[(b + s, c, 1) for s, c in enumerate(row) if c] for row in self.corrections]
+        hor, moves = self.data.connection.lifts(), self.moves()
         F = [self.data.fform] + [HForm(chart, 2, {(i, j): self.fform_t[i][j][k]
                                                   for i, j in combinations(range(b), 2)})
                                  for k in (1, 2)]
@@ -309,27 +324,6 @@ def horizontal_field(fam, t, X):
                        min([conn.valid_order()] + [x.valid_order for x in X]))
 
 
-def _reduced_identity(fam, i, j):
-    """The t^0 and t^1 coefficients of the (i, j) component of
-    dGamma_t(phi) - dGamma(phi) - t {phi^phi}_V."""
-    chart = fam.chart
-    b, r = chart.base_dim, chart.fiber_dim
-    phi = fam.phi.phi
-    gamma = fam.data.connection.gamma
-    # one dot per coefficient, so every operand's certified order counts: the
-    # fiber derivatives of phi_j, then of phi_i, pair with rows i, then j of
-    # Gamma and of the corrections, and the other terms with the constant 1
-    one = FiberSeries.constant(chart, 1)
-    dfib = [phi[j].diff(b + s) for s in range(r)] + [phi[i].diff(b + s) for s in range(r)]
-    signs = [1] * r + [-1] * r
-    c0 = dot([*gamma[i], *gamma[j], one, one, one],
-             dfib + [phi[j].diff(i), phi[i].diff(j), fam.dphi.component((i, j))],
-             [-w for w in signs] + [1, -1, -1])
-    c1 = dot([*fam.corrections[i], *fam.corrections[j], one],
-             dfib + [fam.quad.component((i, j))], signs + [-1])
-    return c0, c1
-
-
 def _frame_residual(fam, t):
     """The frame blocks of the deformation residual at sample t, as
     ``verify_deformation_equation`` states them: R_HH by its entries i < j, R_HV
@@ -375,9 +369,10 @@ def verify_deformation_equation(fam):
     """
     Two-part verification of the deformation equation.
 
-    Part 1 (identically in t): the reduced identity
-    dGamma_t(phi) - dGamma(phi) - t {phi^phi}_V = 0 as a polynomial in t
-    with exact series coefficients.  Part 2 (at each of the family's
+    Part 1 (identically in t): the t^1 coefficient of the reduced identity
+    dGamma_t(phi) - dGamma(phi) - t {phi^phi}_V = 0, whose t^0 coefficient is
+    zero by the definition of dGamma(phi): the derivative of phi along C
+    (``HomotopyFamily.moves``) minus ``quad``.  Part 2 (at each of the family's
     samples, whose members the family's verdict covers): the blocks of
     [[X_t^h, Pi_t]] + dPi_t/dt in the frame of the lifts (see the module),
 
@@ -388,13 +383,10 @@ def verify_deformation_equation(fam):
     Only a failing entry maps them back to coordinates (``_coordinates``).
     """
     chart = fam.chart
-    b = chart.base_dim
     report = CheckReport("deformation-equation")
-
     report.add_residuals("reduced-identity-in-t", "part-1",
-                         (c for i in range(b) for j in range(i + 1, b)
-                          for c in _reduced_identity(fam, i, j)),
-                         chart.trunc_order - 1)
+                         [exterior_derivative(chart, [(fam.phi.hform(), fam.moves())]) - fam.quad],
+                         None)
 
     for t in fam.t_samples:
         name = "deformation-at-t=%s" % t

@@ -50,6 +50,10 @@ class ChartMismatchError(ValueError):
     """Operands live on different charts."""
 
 
+class UncertifiedInverseError(ValueError):
+    """No seed certifies the inverse of a fiber-constant block, which may be invertible."""
+
+
 def _rational(c):
     """c itself if it is an exact rational (an int or a Fraction)."""
     if isinstance(c, (int, Fraction)):
@@ -610,15 +614,15 @@ def block_inverse(M, M0_inv=None, seed_name="M0_inv", valid_order=None):
     inverse is computed by exact elimination, as constant series certified
     to ``valid_order`` (default the chart's).
 
-    Raises ValueError naming ``seed_name`` when the seed is no inverse,
-    when M0 is singular, or when M0 depends on the base variables and no
-    seed is given.
+    Raises ValueError naming ``seed_name`` when M0 is singular, and its
+    subclass UncertifiedInverseError when the seed is no inverse or when M0
+    depends on the base variables and no seed is given.
     """
     M0 = mat_fiber_zero_part(M)
     if M0_inv is None:
         if not all((a - a.constant_term()).is_zero() for row in M0 for a in row):
-            raise ValueError("fiber-constant part depends on the base variables; "
-                             "supply %s to certify its inverse" % seed_name)
+            raise UncertifiedInverseError("fiber-constant part depends on the base variables; "
+                                          "supply %s to certify its inverse" % seed_name)
         try:
             inv = linalg.invert([[a.constant_term() for a in row] for row in M0])
         except ValueError:
@@ -626,8 +630,8 @@ def block_inverse(M, M0_inv=None, seed_name="M0_inv", valid_order=None):
         M0_inv = [[FiberSeries.constant(M[0][0].chart, c, valid_order) for c in row]
                   for row in inv]
     if not mat_is_inverse(M0_inv, M0):
-        raise ValueError("%s does not certify the inverse of the fiber-constant part"
-                         % seed_name)
+        raise UncertifiedInverseError("%s does not certify the inverse of the fiber-constant "
+                                      "part" % seed_name)
     return [list(row) for row in M0_inv]
 
 

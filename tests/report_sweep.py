@@ -4,7 +4,7 @@ JSON object that maps each argv to its exit code, stdout, stderr and the
 text of its ``--report`` file.
 
 Every command in ``cli.COMMANDS`` runs on ``problems/*.problem.json`` and
-``tests/data/wong_family.problem.json``, at the file's own order and at
+``tests/data/*.problem.json``, at the file's own order and at
 ``--order`` 0, 1, 2, 3 and 5; the numeric commands run at ``--steps 40``.
 Each run is repeated on a copy of its file with every expression string
 parenthesised, which the parser's token reader reads in place of its flat
@@ -27,8 +27,8 @@ import tempfile
 from fiberpoisson import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-FILES = sorted("problems/" + p.name for p in (ROOT / "problems").glob("*.problem.json")) + [
-    "tests/data/wong_family.problem.json"]
+FILES = [str(p.relative_to(ROOT)) for d in ("problems", "tests/data")
+         for p in sorted((ROOT / d).glob("*.problem.json"))]
 ORDERS = (None, 0, 1, 2, 3, 5)
 NUMERIC = ("moser-flow", "holonomy")
 # the sections that hold no expression strings: the chart and the points a command visits

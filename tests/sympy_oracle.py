@@ -18,8 +18,11 @@ The residual is the Lie derivative L_{X_t^h} Pi_t plus the t-derivative of
 Pi_t, whose terms of fiber degree below k are exact: every product is cut
 above degree k, and each term of the residual differentiates once in a fiber
 direction at most.  It is a polynomial in t, so a zero residual holds for
-every t.
+every t.  Part 1's reduced identity dGamma_t(phi) - dGamma(phi) - t {phi ^ phi}_V
+is formed from the same family, with dGamma_t along hor_t(d_i).
 """
+
+from types import SimpleNamespace
 
 import sympy
 from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
@@ -27,11 +30,9 @@ from sympy.polys.domains import QQ
 from sympy.polys.rings import ring
 
 
-def deformation_residual(doc, order, moves=1, t_terms=1):
-    """The nonzero components (a, c), a < c, of L_{X_t^h} Pi_t + d/dt Pi_t to
-    fiber degree ``order`` - 1, as polynomials in (t, xi, x), for the family of
-    the problem document ``doc`` at fiber order ``order``.  ``moves`` scales C
-    in Gamma_t and ``t_terms`` the terms of F_t in t: a family broken so."""
+def _family(doc, order, moves):
+    """The ring of the problem document ``doc`` at fiber order ``order``, its
+    helpers and the parts of its family, with C scaled by ``moves`` in Gamma_t."""
     chart = doc["chart"]
     b, r, k = chart["base_dim"], chart["fiber_dim"], order
     n = b + r
@@ -67,14 +68,46 @@ def deformation_residual(doc, order, moves=1, t_terms=1):
     C = [[sum((mul(V[s][u], d(p, b + s)) for s in range(r)), R(0)) for u in range(r)]
          for p in phi]
 
-    def hor(i, f):
-        return d(f, i) - sum((mul(gamma[i][s], d(f, b + s)) for s in range(r)), R(0))
+    def cov(gamma):
+        """(d phi)_ij = h_i(phi_j) - h_j(phi_i), h_i = d_i - sum_s gamma_is d_(x s)."""
+        def hor(i, f):
+            return d(f, i) - sum((mul(gamma[i][s], d(f, b + s)) for s in range(r)), R(0))
+        return [[hor(i, phi[j]) - hor(j, phi[i]) for j in range(b)] for i in range(b)]
 
-    dphi = [[hor(i, phi[j]) - hor(j, phi[i]) for j in range(b)] for i in range(b)]
     quad = [[2 * sum((mul(V[s][u], d(phi[i], b + s), d(phi[j], b + u))
                       for s in range(r) for u in range(r)), R(0))
              for j in range(b)] for i in range(b)]
     gamma_t = [[gamma[i][s] - moves * t * C[i][s] for s in range(r)] for i in range(b)]
+    return SimpleNamespace(R=R, t=t, b=b, r=r, n=n, k=k, d=d, mul=mul, cut=cut, V=V, F=F,
+                           phi=phi, cov=cov, quad=quad, gamma=gamma, gamma_t=gamma_t)
+
+
+def reduced_identity(doc, order, moves=1, quad=1):
+    """The nonzero components (i, j), i < j, of dGamma_t(phi) - dGamma(phi) -
+    t {phi ^ phi}_V, as polynomials in (t, xi, x), for the family of the
+    problem document ``doc`` at fiber order ``order``.  ``moves`` scales C in
+    Gamma_t and ``quad`` the pairing: a family broken so."""
+    fam = _family(doc, order, moves)
+    moved, dphi = fam.cov(fam.gamma_t), fam.cov(fam.gamma)
+    out = {}
+    for i in range(fam.b):
+        for j in range(i + 1, fam.b):
+            res = moved[i][j] - dphi[i][j] - quad * fam.t * fam.quad[i][j]
+            if res:
+                out[i, j] = res
+    return out
+
+
+def deformation_residual(doc, order, moves=1, t_terms=1):
+    """The nonzero components (a, c), a < c, of L_{X_t^h} Pi_t + d/dt Pi_t to
+    fiber degree ``order`` - 1, as polynomials in (t, xi, x), for the family of
+    the problem document ``doc`` at fiber order ``order``.  ``moves`` scales C
+    in Gamma_t and ``t_terms`` the terms of F_t in t: a family broken so."""
+    fam = _family(doc, order, moves)
+    R, t, b, r, n, k, d, mul, cut = (fam.R, fam.t, fam.b, fam.r, fam.n, fam.k, fam.d, fam.mul,
+                                     fam.cut)
+    V, F, phi, quad, gamma_t = fam.V, fam.F, fam.phi, fam.quad, fam.gamma_t
+    dphi = fam.cov(fam.gamma)
     F_t = [[F[i][j] - t_terms * (t * dphi[i][j] + t ** 2 / 2 * quad[i][j]) for j in range(b)]
            for i in range(b)]
 
@@ -120,14 +153,20 @@ def deformation_residual(doc, order, moves=1, t_terms=1):
     return out
 
 
-def at(doc, residual, t, top):
-    """The components of a residual of ``deformation_residual`` on ``doc`` that
-    are nonzero at the rational t once cut above fiber degree ``top``."""
+def below(doc, residual, top):
+    """The components of a residual on ``doc`` that are nonzero once cut above
+    fiber degree ``top``."""
     b = doc["chart"]["base_dim"]
     out = {}
     for key, p in residual.items():
-        value = p.subs(p.ring.gens[0], QQ(t.numerator, t.denominator))
-        value = p.ring({m: c for m, c in value.items() if sum(m[1 + b:]) <= top})
+        value = p.ring({m: c for m, c in p.items() if sum(m[1 + b:]) <= top})
         if value:
             out[key] = value
     return out
+
+
+def at(doc, residual, t, top):
+    """The components of a residual of ``deformation_residual`` on ``doc`` that
+    are nonzero at the rational t once cut above fiber degree ``top``."""
+    return below(doc, {key: p.subs(p.ring.gens[0], QQ(t.numerator, t.denominator))
+                       for key, p in residual.items()}, top)

@@ -371,6 +371,7 @@ class TestFamilyMember:
                       "supply fform_inv_seed to certify its inverse" % t
                    for t in fam.degenerate_samples}
         assert fam.member_errors == reasons
+        assert fam.uncertified_samples == fam.degenerate_samples
         with pytest.raises(ValueError) as exc:
             solve_homological(fam, fam.degenerate_samples[0])
         assert str(exc.value) == reasons[Fraction(1, 4)]
@@ -389,7 +390,7 @@ class TestFamilyMember:
                              vertical_from_matrix(ch, [[zero, one], [-one, zero]]),
                              HForm.from_matrix(ch, omega), omega_inv)
         fam = build_family(data, PhiForm(ch, [S("x1", ch), S("x2", ch)]))
-        assert fam.degenerate_samples == [1]
+        assert fam.degenerate_samples == [1] and fam.uncertified_samples == []
         reason = "F_t at t=1: fiber-constant part is singular: it has no fform_inv_seed"
         with pytest.raises(ValueError) as exc:
             solve_homological(fam, 1)
@@ -439,6 +440,14 @@ TAMPERINGS = {
 }
 
 
+def tamper(monkeypatch, tampering):
+    """Route the gauge terms of every family built after this call through
+    ``TAMPERINGS[tampering]``."""
+    gauge_terms = moser.gauge_terms
+    monkeypatch.setattr(moser, "gauge_terms",
+                        lambda data, phi: TAMPERINGS[tampering](*gauge_terms(data, phi)))
+
+
 class TestFamilyConditions:
     """One verdict for every t, over the coefficients of the powers of t,
     against the members' verdicts at the samples (``oracle.sample_conditions``)."""
@@ -477,9 +486,7 @@ class TestFamilyConditions:
         # both verdicts catch the same tamperings: all three on Wong, the
         # doubled corrections and the dropped dphi on the fourth family of seed
         # 42, none on the first three; build_family raises exactly when caught
-        gauge_terms = moser.gauge_terms
-        monkeypatch.setattr(moser, "gauge_terms",
-                            lambda data, phi: TAMPERINGS[tampering](*gauge_terms(data, phi)))
+        tamper(monkeypatch, tampering)
         caught = []
         for data, phi in [wong_data_phi(3)] + random_data_phi(42, 4):
             new, old, _ = self.verdicts(data, phi)
@@ -492,6 +499,29 @@ class TestFamilyConditions:
                     build_family(data, phi)
             caught.append(not new)
         assert caught == [True, False, False, False, tampering != "quad-doubled"]
+
+
+class TestReducedIdentity:
+    """Part 1 of ``verify_deformation_equation``: the derivative of phi along the
+    corrections C, set against the pairing that forms ``quad``."""
+
+    @pytest.mark.parametrize("tampering", [None, "quad-doubled", "corrections-doubled"])
+    def test_fails_exactly_where_tampered(self, tampering, monkeypatch):
+        # a doubled C or quad leaves -quad or quad as the residual, so part 1
+        # fails on exactly the families with a nonzero quad: Wong and the 19th
+        # family of seed 42
+        if tampering:
+            tamper(monkeypatch, tampering)
+        failed, with_quad = [], []
+        for data, phi in [wong_data_phi(3)] + random_data_phi(42, 20):
+            fam = HomotopyFamily(data, phi, DEFAULT_T_SAMPLES)
+            entry = verify_deformation_equation(fam).entries[0]
+            assert (entry.name, entry.tag) == ("reduced-identity-in-t", "part-1")
+            assert entry.passed == (entry.residual == "0")
+            failed.append(not entry.passed)
+            with_quad.append(not fam.quad.is_zero())
+        assert with_quad == [True] + [k == 18 for k in range(20)]
+        assert failed == (with_quad if tampering else [False] * 21)
 
 
 def part2_against_the_reference(fam, monkeypatch):

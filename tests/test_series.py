@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from fiberpoisson import ChartSpec, FiberSeries, ChartMismatchError
 from fiberpoisson.series import (mat_mul, mat_identity, mat_is_identity, FloatEvaluator, dot,
-                                 MAX_FIELD, block_inverse, matrix_invert)
+                                 MAX_FIELD, UncertifiedInverseError, block_inverse,
+                                 matrix_invert)
 
 from fixtures import S, rng, rand_series
 
@@ -618,22 +619,26 @@ class TestBlockInverse:
     def test_bad_seed_rejected(self):
         ch = ChartSpec(2, 1, 3)
         M = [[S("1 - x1", ch)]]
-        with pytest.raises(ValueError, match="^M0_inv does not certify the inverse"):
+        with pytest.raises(UncertifiedInverseError, match="^M0_inv does not certify the inverse"):
             block_inverse(M, [[S("2", ch)]])
 
     def test_rejects_base_dependent_block(self):
         ch = ChartSpec(2, 1, 4)
         M = [[S("0", ch), S("1 + xi1", ch)], [S("-1 - xi1", ch), S("0", ch)]]
-        with pytest.raises(ValueError, match="depends on the base variables; supply a seed"):
+        with pytest.raises(UncertifiedInverseError,
+                           match="depends on the base variables; supply a seed"):
             block_inverse(M, seed_name="a seed")
-        with pytest.raises(ValueError, match="supply M0_inv to certify"):
+        with pytest.raises(UncertifiedInverseError, match="supply M0_inv to certify"):
             block_inverse(M)
 
     def test_rejects_singular_block(self):
+        # a singular block is a plain ValueError, not an uncertified inverse
         ch = ChartSpec(2, 1, 4)
         M = [[S("0", ch), S("x1", ch)], [S("-x1", ch), S("0", ch)]]
-        with pytest.raises(ValueError, match="singular: it has no M0_inv"):
+        with pytest.raises(ValueError, match="singular: it has no M0_inv") as exc:
             block_inverse(M)
+        assert not isinstance(exc.value, UncertifiedInverseError)
         M = [[S("1", ch), S("2 + x1", ch)], [S("2", ch), S("4", ch)]]
-        with pytest.raises(ValueError, match="singular"):
+        with pytest.raises(ValueError, match="singular") as exc:
             block_inverse(M)
+        assert not isinstance(exc.value, UncertifiedInverseError)

@@ -1,8 +1,9 @@
 """
-Part 2 of moser-verify against ``sympy_oracle``, which checks the deformation
-equation for every t in sympy's polynomial ring from the problem file's
-strings alone: on e1 at order 6, on the Wong family at order 2 and on five
-random families on ChartSpec(2, 2, 3), whole and broken as ``BREAKINGS``.
+moser-verify against ``sympy_oracle``, which checks the deformation equation
+and part 1's reduced identity for every t in sympy's polynomial ring from the
+problem file's strings alone: on e1 at order 6, on the Wong family at order 2
+and on five random families on ChartSpec(2, 2, 3).  Part 2 is checked whole and
+broken as ``BREAKINGS``, part 1 whole and tampered as ``TAMPERINGS``.
 """
 
 import json
@@ -13,9 +14,10 @@ import pytest
 pytest.importorskip("sympy")
 
 import sympy_oracle
-from fiberpoisson import ChartSpec, build_family, cli, verify_deformation_equation
+from fiberpoisson import (DEFAULT_T_SAMPLES, ChartSpec, HomotopyFamily, build_family, cli,
+                          verify_deformation_equation)
 
-from test_moser import BREAKINGS, random_data_phi
+from test_moser import BREAKINGS, random_data_phi, tamper
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -90,3 +92,35 @@ def test_verdicts_agree(breaking):
     assert caught == {None: [],
                       "moves-doubled": ["wong"] + ["random-%d" % k for k in range(5)],
                       "fform-t-tripled": ["e1", "wong", "random-0", "random-1"]}[breaking]
+
+
+# the tamperings of test_moser.TAMPERINGS that move part 1, as the oracle's
+# reduced identity takes them
+TAMPERED = {None: {}, "quad-doubled": {"quad": 2}, "corrections-doubled": {"moves": 2}}
+
+
+@pytest.mark.parametrize("tampering", TAMPERED)
+def test_part1_verdicts_agree(tampering, monkeypatch):
+    # part 1 passes exactly where the oracle's reduced identity vanishes below
+    # its certified order, for every t, on the cases and on the family of seed 42
+    # with a nonzero {phi ^ phi}_V.  Whole, it vanishes on every family;
+    # tampered, only where {phi ^ phi}_V is nonzero: not on e1, which has no
+    # vertical part, nor on the five random cases, whose phi has no pairing.
+    # The families are chosen before the tampering, which build_family rejects
+    families = list(cases()) + [
+        ("quad-%d" % k, problem_doc(data, phi), data.chart.trunc_order)
+        for k, (data, phi) in enumerate(random_data_phi(42, 20))
+        if not HomotopyFamily(data, phi, DEFAULT_T_SAMPLES).quad.is_zero()]
+    if tampering:
+        tamper(monkeypatch, tampering)
+    caught = []
+    for name, doc, order in families:
+        problem = cli.Problem(doc, order)
+        fam = HomotopyFamily(problem.geometric_data(), problem.phi(), DEFAULT_T_SAMPLES)
+        entry = verify_deformation_equation(fam).entries[0]
+        assert entry.tag == "part-1"
+        residual = sympy_oracle.reduced_identity(doc, order, **TAMPERED[tampering])
+        assert entry.passed == (not sympy_oracle.below(doc, residual, entry.certified_order)), name
+        if residual:
+            caught.append(name)
+    assert caught == {None: []}.get(tampering, ["wong", "quad-18"])
