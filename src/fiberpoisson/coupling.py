@@ -83,6 +83,11 @@ class GeometricData:
         return matrix_invert(self.fform.matrix(), self.fform_inv_seed)
 
     @functools.cached_property
+    def residuals(self):
+        """The ``coupling_residuals`` of the data; computed once per data set."""
+        return coupling_residuals(self)
+
+    @functools.cached_property
     def conditions(self):
         """The ``verify_coupling_conditions`` report; computed once per data set."""
         return verify_coupling_conditions(self)
@@ -199,7 +204,7 @@ def verify_coupling_conditions(data):
     """
     report = CheckReport("coupling-conditions")
     V = data.vertical
-    brackets, dF, curvature = coupling_residuals(data)
+    brackets, dF, curvature = data.residuals
 
     report.add_residuals("vertical-jacobi", "cond-1", [jacobiator(V)], None)
     report.add_residuals("horizontal-lifts-preserve-vertical", "cond-2", brackets,

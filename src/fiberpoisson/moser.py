@@ -36,8 +36,12 @@ Cartan's formula L_X = d i_X + i_X d and X_t | F_t = phi give
     VV = sum_i X^i [h_i, V]:
 
 X_t contracted into the member's ``coupling_residuals``, plus terms of phi,
-with no inverse and no derivative of X_t.  dF_t/dt + dGamma_t(phi) is t times
-part 1's residual, and C - V# dphi is zero by the definition of C.
+with no derivative of X_t.  Their coefficients in t are formed once per
+family (``HomotopyFamily.residual_coefficients``, which the family's verdict
+judges), a sample contracts t^k X_t into each, and X_t is solved from the
+seed of F_t's fiber-constant block, with no inverse of F_t.  dF_t/dt +
+dGamma_t(phi) is t times part 1's residual, and C - V# dphi is zero by the
+definition of C.
 """
 
 import functools
@@ -48,10 +52,11 @@ from itertools import combinations
 import numpy as np
 
 from .series import (FiberSeries, FloatEvaluator, UncertifiedInverseError, block_inverse, dot,
-                     mat_antisymmetric, mat_fiber_zero_part, mat_identity, mat_mul, mat_neg)
+                     mat_antisymmetric, mat_fiber_zero_part, mat_identity, mat_mul, mat_neg,
+                     mat_valid_order)
 from .multivector import Multivector, HForm, _collect
 from .connection import Connection, exterior_derivative, lift_curvature
-from .coupling import GeometricData, coupling_residuals, lift_brackets, v_sharp
+from .coupling import GeometricData, lift_brackets, v_sharp
 from .report import CheckReport, InternalInvariantError
 
 DEFAULT_T_SAMPLES = (Fraction(0), Fraction(1, 4), Fraction(1, 2),
@@ -151,11 +156,12 @@ class HomotopyFamily:
     rational ``t_samples``.  ``fform_t[i][j]`` and ``gamma_t[i][s]`` hold the
     coefficients of the powers of t in the entries of F_t and Gamma_t; the
     matrix C = ``corrections`` is held once, and the t^1 coefficient of
-    hor_t(d_i) is sum_s C_is d_(x s) (``moves``).  ``member(t)`` is
-    the geometric data at a sample, built at its first read, and
-    ``degenerate_samples`` are the samples without one; ``member_errors`` holds
-    why each of those read so far has none, in ``block_inverse``'s words, and
-    ``uncertified_samples`` are those whose F_t block has no certified inverse.
+    hor_t(d_i) is sum_s C_is d_(x s) (``moves``, read from ``gamma_t``).
+    ``member(t)`` is the geometric data at a sample, built at its first read,
+    and ``degenerate_samples`` are the samples without one; ``member_errors``
+    holds why each of those read so far has none, in ``block_inverse``'s
+    words, and ``uncertified_samples`` are those whose F_t block has no
+    certified inverse.
     """
 
     def __init__(self, data, phi, t_samples):
@@ -163,6 +169,8 @@ class HomotopyFamily:
         self.phi = phi
         self.chart = data.chart
         self.corrections, self.dphi, self.quad = gauge_terms(data, phi)
+        # V# dphi as formed; part 2 sets ``corrections`` against this copy
+        self._sharps = self.corrections
         self.fform_t = [[[f, -self.dphi.component((i, j)),
                           self.quad.component((i, j)).scale(Fraction(-1, 2))]
                          for j, f in enumerate(row)] for i, row in enumerate(data.fform.matrix())]
@@ -215,51 +223,68 @@ class HomotopyFamily:
 
     def moves(self):
         """The t^1 coefficients sum_s C_is d_(x s) of the lifts hor_t(d_i) as
-        (direction, coefficient, sign) terms, read from ``corrections``."""
+        (direction, coefficient, sign) terms, read from ``gamma_t``."""
         b = self.chart.base_dim
-        return [[(b + s, c, 1) for s, c in enumerate(row) if c] for row in self.corrections]
+        return [[(b + s, cs[1], -1) for s, cs in enumerate(row) if cs[1]] for row in self.gamma_t]
+
+    def residual_coefficients(self):
+        """
+        The coefficients of the powers of t in the members' residuals of
+        conditions 2 to 4 (``coupling_residuals``) and in dGamma_t(phi), read from
+        ``fform_t`` and ``gamma_t`` at each call: lists of brackets, dF, rho and
+        dphi indexed by the power.  With F_t = sum_k t^k F_k and the lifts L_0 +
+        t L_1 (``moves``), the t^k coefficients are [L_k, V], sum_{m+n=k} d_{L_n}
+        F_m, -[L_m, L_n] - V# dF_k and d_{L_k} phi; those of t^0 are the data's
+        ``residuals`` and ``dphi``.  A trailing zero F_k or L_1 is left out, with
+        every coefficient formed from it, as ``_t_poly`` leaves out an entry's: no
+        member carries its order, and the sum at t is the member's residual.
+        """
+        chart, V, b = self.chart, self.data.vertical, self.chart.base_dim
+        F = [HForm(chart, 2, {(i, j): self.fform_t[i][j][k] for i, j in combinations(range(b), 2)})
+             for k in range(3)]
+        while len(F) > 1 and F[-1].is_zero():
+            F.pop()
+        lifts = [self.data.connection.lifts(), self.moves()]
+        if not any(lifts[1]):
+            lifts.pop()
+        # the members' connection order: an entry's t-polynomial without its trailing zeros
+        vo = min((c.valid_order for row in self.gamma_t for cs in row
+                  for k, c in enumerate(cs) if any(cs[k:])), default=chart.trunc_order)
+        curvature = _products(lifts, lifts)
+        brackets, dF, rho = ([x] for x in self.data.residuals)
+        brackets += [list(lift_brackets(L, V, min(vo, V.valid_order) - 1)) for L in lifts[1:]]
+        dF += [exterior_derivative(chart, pairs) for pairs in _products(F, lifts)[1:]]
+        for k in range(1, max(len(curvature), len(F))):
+            curv = lift_curvature(chart, curvature[k] if k < len(curvature) else [], vo - 1)
+            rho.append({ij: c - v_sharp(V, F[k].component(ij)) if k < len(F) else c
+                        for ij, c in curv.items()})
+        dphi = [self.dphi] + [exterior_derivative(chart, [(self.phi.hform(), L)])
+                              for L in lifts[1:]]
+        return brackets, dF, rho, dphi
 
     @functools.cached_property
     def conditions(self):
         """
-        The coupling conditions of every member, checked once for all t.
-        With Gamma_t = Gamma - t C and F_t = F + t F1 + t^2 F2, each
-        condition's residual is a polynomial in t of degree at most 3.  Its
-        t^0 coefficient is the data's own residual, and cond-1 has no other,
-        as V is shared; this report holds the coefficients of t^1 to t^3:
-
-          cond-2  [sum_s C_is d_(x s), V];
-          cond-3  t^k: dGamma F_k + sum_j (-1)^j C_{i_j s} d_(x s) F_{k-1},
-                  with F_0 = F and F_3 = 0;
-          cond-4  the polarized curvature terms minus V# dF1 and V# dF2.
-
-        A residual of degree at most 3 that vanishes at four values of t is
-        zero, so this verdict is at least as strong as the members' at the
-        samples.  Computed once per family.
+        The coupling conditions of every member, checked once for all t on the
+        coefficients of t^1 to t^3 of ``residual_coefficients``: t^0 is the data's
+        verdict, and cond-1 has no other, as V is shared.  A residual of degree
+        at most 3 that vanishes at four values of t is zero, so this verdict is
+        at least as strong as the members' at the samples.  Computed once.
         """
-        chart, V = self.chart, self.data.vertical
-        b = chart.base_dim
-        hor, moves = self.data.connection.lifts(), self.moves()
-        F = [self.data.fform] + [HForm(chart, 2, {(i, j): self.fform_t[i][j][k]
-                                                  for i, j in combinations(range(b), 2)})
-                                 for k in (1, 2)]
-        vo = min((c.valid_order for row in self.gamma_t for cs in row for c in cs),
-                 default=chart.trunc_order) - 1
+        brackets, dF, rho, _ = self.residual_coefficients()
         report = CheckReport("family-coupling-conditions")
         report.add_residuals("horizontal-lifts-preserve-vertical", "cond-2",
-                             lift_brackets(moves, V, min(vo, V.valid_order - 1)),
-                             V.valid_order - 1)
-        report.add_residuals("covariant-closedness", "cond-3",
-                             [exterior_derivative(chart, [(F[1], hor), (F[0], moves)]),
-                              exterior_derivative(chart, [(F[2], hor), (F[1], moves)]),
-                              exterior_derivative(chart, [(F[2], moves)])], None)
-        curvature = [lift_curvature(chart, [(hor, moves), (moves, hor)], vo),
-                     lift_curvature(chart, [(moves, moves)], vo)]
+                             [B for Bk in brackets[1:] for B in Bk], None)
+        report.add_residuals("covariant-closedness", "cond-3", dF[1:], None)
         report.add_residuals("curvature-identity", "cond-4",
-                             (c - v_sharp(V, F[k].component(ij))
-                              for k, curv in enumerate(curvature, 1) for ij, c in curv.items()),
-                             vo)
+                             [c for rk in rho[1:] for c in rk.values()], None)
         return report
+
+
+def _products(a, b):
+    """The pairs (a[m], b[n]) grouped by m + n, as a product of polynomials in t groups them."""
+    return [[(x, b[k - m]) for m, x in enumerate(a) if 0 <= k - m < len(b)]
+            for k in range(len(a) + len(b) - 1)]
 
 
 def _nondegenerate_member(fam, t):
@@ -293,17 +318,22 @@ def build_family(data, phi, t_samples=DEFAULT_T_SAMPLES):
 def solve_homological(fam, t):
     """
     The unique coefficient field X with X | F_t = phi, as a list of base
-    components.  The defining residual is re-checked exactly, and the
-    solution vanishes on the zero section.
+    components: X = sum_m u_m S, S the member's certified seed (the inverse of
+    F_t's fiber-constant block), u_0 = phi and u_(m+1) = -(u_m S) dF, dF the
+    terms of F_t of positive fiber degree; no inverse of F_t is formed.  The
+    defining residual is re-checked exactly, and X vanishes on the zero section.
     """
-    chart = fam.chart
-    b = chart.base_dim
+    b = fam.chart.base_dim
     member = _nondegenerate_member(fam, t)
-    F = member.fform.matrix()
-    G = member.fform_inverse
+    F, S = member.fform.matrix(), member.fform_inv_seed
     phi = fam.phi.phi
-    X = [dot(phi, [G[j][s] for j in range(b)]).truncate(G[0][0].valid_order)
-         for s in range(b)]
+    vo = min(mat_valid_order(F), mat_valid_order(S))
+    dF = list(zip(*([a.truncate(vo).fiber_part(1, vo) for a in row] for row in F)))
+    u, terms = [p.truncate(vo) for p in phi], []
+    while not terms or any(u):
+        terms.append([dot(u, col) for col in zip(*S)])
+        u = [-dot(terms[-1], col) for col in dF]
+    X = [FiberSeries.sum(col) for col in zip(*terms)]
     for j in range(b):
         if not (dot(X, [F[s][j] for s in range(b)]) - phi[j].truncate(X[0].valid_order)).is_zero():
             raise InternalInvariantError("homological solve residual is nonzero")
@@ -324,27 +354,30 @@ def horizontal_field(fam, t, X):
                        min([conn.valid_order()] + [x.valid_order for x in X]))
 
 
-def _frame_residual(fam, t):
+def _frame_residual(fam, t, coefficients):
     """The frame blocks of the deformation residual at sample t, as
     ``verify_deformation_equation`` states them: R_HH by its entries i < j, R_HV
     as a b x r matrix and VV as a bivector, each entry one ``dot`` that contracts
-    X_t into the member's ``coupling_residuals``."""
-    member = _nondegenerate_member(fam, t)
+    t^k X_t into the coefficients of t^k of the members' residuals, the
+    ``coefficients`` of ``HomotopyFamily.residual_coefficients``."""
     chart, b, r = fam.chart, fam.chart.base_dim, fam.chart.fiber_dim
+    brackets, dF, rho, dphi = coefficients
     X, one = solve_homological(fam, t), FiberSeries.constant(chart, 1)
-    brackets, dF, rho = coupling_residuals(member)
-    dphi = member.connection.cov_ext_deriv(fam.phi.hform())
-    hh = {(k, l): dot([one, one] + X,
-                      [_t_poly([c.scale(m) for m, c in enumerate(fam.fform_t[k][l]) if m], t),
-                       dphi.component((k, l))] + [dF.component((i, k, l)) for i in range(b)])
+    tX = [[x.scale(t ** k) for x in X] for k in range(max(len(dF), len(rho)))]
+    hh = {(k, l): dot(*zip((one, _t_poly([c.scale(m) for m, c in enumerate(fam.fform_t[k][l]) if m],
+                                         t), 1),
+                           *((FiberSeries.constant(chart, t ** m), D.component((k, l)), 1)
+                             for m, D in enumerate(dphi)),
+                           *((x, D.component((i, k, l)), 1) for xs, D in zip(tX, dF)
+                             for i, x in enumerate(xs))))
           for k, l in combinations(range(b), 2)}
-    sharps = _fiber_sharps(fam.data.vertical, fam.phi)
-    hv = [[dot(*zip((one, fam.corrections[j][u], 1), (one, sharps[j][u], -1),
-                    *((X[i], rho[min(i, j), max(i, j)].component((b + u,)), 1 if i > j else -1)
-                      for i in range(b) if i != j)))
+    hv = [[dot(*zip((one, fam.corrections[j][u], 1), (one, fam._sharps[j][u], -1),
+                    *((xs[i], R[min(i, j), max(i, j)].component((b + u,)), 1 if i > j else -1)
+                      for xs, R in zip(tX, rho) for i in range(b) if i != j)))
            for u in range(r)] for j in range(b)]
-    vv = Multivector(chart, 2, _collect((ab, 1, x, c) for x, B in zip(X, brackets)
-                                        for ab, c in B.comps.items()), brackets[0].valid_order)
+    vv = Multivector(chart, 2, _collect((ab, 1, x, c) for xs, Bk in zip(tX, brackets)
+                                        for x, B in zip(xs, Bk) for ab, c in B.comps.items()),
+                     min(Bk[0].valid_order for Bk in brackets))
     return hh, hv, vv
 
 
@@ -380,7 +413,8 @@ def verify_deformation_equation(fam):
         R_HV = -F_t HV = C - V# dphi - X_t | rho,    VV = sum_i X^i [h_i, V],
 
     vanish at the least order of their entries, which the entry certifies.
-    Only a failing entry maps them back to coordinates (``_coordinates``).
+    Only a failing entry maps them back to coordinates (``_coordinates``),
+    through its member's ``fform_inverse``.
     """
     chart = fam.chart
     report = CheckReport("deformation-equation")
@@ -388,13 +422,14 @@ def verify_deformation_equation(fam):
                          [exterior_derivative(chart, [(fam.phi.hform(), fam.moves())]) - fam.quad],
                          None)
 
+    coefficients = fam.residual_coefficients()
     for t in fam.t_samples:
         name = "deformation-at-t=%s" % t
         member = fam.member(t)
         if member is None:
             report.add(name, "part-2", None, False, fam.member_errors[t])
             continue
-        hh, hv, vv = _frame_residual(fam, t)
+        hh, hv, vv = _frame_residual(fam, t, coefficients)
         blocks = [*hh.values(), *(x for row in hv for x in row), vv]
         order = min(s.valid_order for s in blocks)
         residual = Multivector.zero(chart, 2, order)

@@ -295,6 +295,33 @@ def rand_valid_data(r, trunc=3):
                          HForm(chart, 2, fcomps), omega_inv)
 
 
+def rand_quad_family(r, trunc=4):
+    """
+    Coupling data and a 1-form phi whose family moves F by a {phi ^ phi}_V
+    that is nonzero for most draws: a zero connection, the standard 2-form
+    and, on a fiber of dimension 2, a base-independent vertical bivector with
+    a nonzero fiber-constant term (always Poisson, and preserved by the lifts
+    d_i).  phi has fiber degree 2 to 3, so the fiber-constant block of F_t is
+    the data's at every t; phi_i holds a term x1^2 or x2^2 (i even or odd),
+    which makes the Jacobian of (phi_0, phi_1) in the fiber nonzero.
+    """
+    chart = ChartSpec(r.choice([2, 4]), 2, trunc)
+    b = chart.base_dim
+    omega, omega_inv = std_omega(chart)
+    vxy = rand_series(r, ChartSpec(0, 2, trunc), xdeg=2, terms=2, min_xdeg=1)
+    v = (FiberSeries(chart, {(0,) * b + e: c for e, c in vxy.terms.items()})
+         + Fraction(r.choice([-2, -1, 1, 2]), 2))
+    zero = FiberSeries.zero(chart)
+    vertical = vertical_from_matrix(chart, [[zero, v], [-v, zero]])
+    data = GeometricData(flat_connection(chart), vertical, HForm.from_matrix(chart, omega),
+                         omega_inv)
+    squares = [(0,) * b + (2, 0), (0,) * b + (0, 2)]
+    return data, PhiForm(chart, [rand_series(r, chart, xdeg=3, terms=3, min_xdeg=2)
+                                 + FiberSeries.monomial(chart, squares[i % 2],
+                                                        Fraction(r.choice([-2, -1, 1, 2]), 2))
+                                 for i in range(b)])
+
+
 def mutate_data(r, data):
     """Invariant-respecting perturbation that breaks the coupling
     conditions within certified order (low fiber degree injections)."""

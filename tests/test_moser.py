@@ -1,5 +1,7 @@
 import bisect
+import functools
 import math
+import operator
 import pathlib
 import sys
 from fractions import Fraction
@@ -24,7 +26,7 @@ import oracle
 from fixtures import (S, zeros, std_omega, rng, e1_data,
                       so3_flat_algebroid, wong_algebroid, so3_vertical,
                       vertical_from_matrix, rand_admissible, rand_mu,
-                      rand_phi, rand_valid_data, rand_series)
+                      rand_phi, rand_quad_family, rand_valid_data, rand_series)
 
 
 def e1_family(n=6, phi1="x1*xi2", samples=(Fraction(0), Fraction(1))):
@@ -283,9 +285,18 @@ class TestVerifyDeformation:
 
 class TestFamilyMember:
     def test_one_inverse_per_sample(self, monkeypatch):
-        calls = count_calls(monkeypatch, series, "matrix_invert")
-        assert verify_deformation_equation(wong_family(3, samples=DEFAULT_T_SAMPLES)).passed
-        assert len(calls) == len(DEFAULT_T_SAMPLES)
+        # the homological solve expands no inverse of F_t: only a failing entry,
+        # mapped back to coordinates, expands its member's
+        for breaking in [None, *BREAKINGS]:
+            calls = count_calls(monkeypatch, series, "matrix_invert")
+            fam = wong_family(3, samples=DEFAULT_T_SAMPLES)
+            if breaking:
+                BREAKINGS[breaking](fam)
+            rep = verify_deformation_equation(fam)
+            failed = [e for e in rep.entries if e.tag == "part-2" and not e.passed]
+            assert rep.passed == (breaking is None)
+            assert len(calls) == len(failed) == (len(DEFAULT_T_SAMPLES) if breaking else 0)
+            monkeypatch.undo()
 
     def test_every_member_seed_inverts_its_block(self, monkeypatch):
         # a member whose fiber-constant block is the data's keeps the data's
@@ -533,7 +544,7 @@ def part2_against_the_reference(fam, monkeypatch):
     seen = {}
     frame_residual = moser._frame_residual
     monkeypatch.setattr(moser, "_frame_residual",
-                        lambda fam, t: seen.setdefault(t, frame_residual(fam, t)))
+                        lambda fam, t, *rest: seen.setdefault(t, frame_residual(fam, t, *rest)))
     rep = verify_deformation_equation(fam)
     monkeypatch.undo()
     entries = [e for e in rep.entries if e.tag == "part-2"]
@@ -594,6 +605,69 @@ WONG_TAMPERINGS = {
 }
 
 
+def quad_data_phi(seed, count):
+    """The first ``count`` (data, phi) pairs of ``fixtures.rand_quad_family``
+    drawn from ``seed``: families with a nonzero {phi ^ phi}_V, so that F_t
+    has a t^2 term and the residuals a t^2 and a t^3 coefficient."""
+    r = rng(seed)
+    return [rand_quad_family(r) for _ in range(count)]
+
+
+class TestResidualCoefficients:
+    """``HomotopyFamily.residual_coefficients`` summed at each sample, t^k times
+    the coefficient of t^k, against the member's own ``coupling_residuals`` and
+    d_Gamma_t(phi): equal entry by entry, in value and in certified order."""
+
+    @staticmethod
+    def check(fam):
+        def at(coefficients, t):
+            return functools.reduce(operator.add, (oracle.scaled(c, t ** k)
+                                                   for k, c in enumerate(coefficients)))
+
+        def same(got, want):
+            assert got.valid_order == want.valid_order and got.comps == want.comps
+
+        brackets, dF, rho, dphi = fam.residual_coefficients()
+        for t in fam.t_samples:
+            member = fam.member(t)
+            if member is None:
+                continue
+            want = coupling.coupling_residuals(member)
+            for i, B in enumerate(want[0]):
+                same(at([Bk[i] for Bk in brackets], t), B)
+            same(at(dF, t), want[1])
+            for ij, R in want[2].items():
+                same(at([rk[ij] for rk in rho], t), R)
+            # at t = 0 a member's lifts leave out the entries of Gamma - 0 C that
+            # vanish, and their order, which the t^1 coefficient of dphi keeps
+            got, want = at(dphi, t), member.connection.cov_ext_deriv(fam.phi.hform())
+            order = got.valid_order
+            assert order == want.valid_order or (t == 0 and order < want.valid_order)
+            assert got.comps == HForm(fam.chart, 2, want.comps, order).comps
+
+    @pytest.mark.parametrize("family, n", [(e1_family, 3), (e1_family, 6)]
+                             + [(wong_family, n) for n in (2, 3, 4, 5)])
+    def test_shipped_families(self, family, n):
+        self.check(family(n, samples=DEFAULT_T_SAMPLES))
+
+    def test_random_families(self):
+        for data, phi in random_data_phi(42, 40) + quad_data_phi(5, 8):
+            self.check(build_family(data, phi))
+
+    @pytest.mark.parametrize("breaking", BREAKINGS)
+    def test_failing_families(self, breaking):
+        families = [family(n, samples=DEFAULT_T_SAMPLES) for family, n in ((wong_family, 3),
+                                                                          (e1_family, 4))]
+        for fam in families + [build_family(*pair) for pair in random_data_phi(42, 4)
+                               + quad_data_phi(5, 4)]:
+            BREAKINGS[breaking](fam)
+            self.check(fam)
+
+    @pytest.mark.parametrize("tampering", WONG_TAMPERINGS)
+    def test_tampered_wong(self, tampering):
+        self.check(HomotopyFamily(*tampered_wong_data(tampering), DEFAULT_T_SAMPLES))
+
+
 class TestDeformationAtTheBracketOrder:
     """Part 2 in the frame of the lifts: each entry has the verdict and the
     certified order of the coordinate reference, which forms [[X_t^h, Pi_t]]
@@ -619,6 +693,22 @@ class TestDeformationAtTheBracketOrder:
             failed += part2_against_the_reference(fam, monkeypatch)
         assert failed == {"moves-doubled": 10, "fform-t-tripled": 30}[breaking]
 
+    @pytest.mark.parametrize("breaking", [None, *BREAKINGS])
+    def test_families_with_quad(self, breaking, monkeypatch):
+        # F_t has a t^2 term on most of these families, so the t^2 and t^3
+        # coefficients of the residuals are formed and contracted.  Broken, every
+        # entry fails but two: at t = 0 the tripled terms of F_t leave -2 d_Gamma(phi)
+        # in R_HH, which is zero on one family and above the entry's order on another
+        failed = with_quad = 0
+        for data, phi in quad_data_phi(5, 10):
+            fam = build_family(data, phi)
+            with_quad += not fam.quad.is_zero()
+            if breaking:
+                BREAKINGS[breaking](fam)
+            failed += part2_against_the_reference(fam, monkeypatch)
+        assert with_quad >= 8
+        assert failed == {None: 0, "moves-doubled": 50, "fform-t-tripled": 48}[breaking]
+
     @pytest.mark.parametrize("tampering", WONG_TAMPERINGS)
     def test_tampered_wong(self, tampering, monkeypatch):
         # every entry fails, and its text is the coordinate residual
@@ -631,8 +721,10 @@ class TestDeformationAtTheBracketOrder:
         # order, 54,086 with every entry of the antisymmetric matrices and the
         # horizontal bivectors formed by wedges, 35,642 with the moved term of
         # dPi_t/dt still formed by wedges, 35,314 with part 2 in coordinates,
-        # 26,287 in the frame of the lifts with derivatives of X_t and 14,987
-        # with X_t contracted into the member's coupling residuals
+        # 26,287 in the frame of the lifts with derivatives of X_t, 14,987
+        # with X_t contracted into the member's coupling residuals and 9,458
+        # with t^k X_t contracted into the coefficients of t^k of the members'
+        # residuals, formed once per family, and X_t solved from the seed
         pairs = [0]
         mul_into = series._mul_into
 
@@ -644,7 +736,7 @@ class TestDeformationAtTheBracketOrder:
         monkeypatch.setattr(series, "_mul_into", counted)
         path = pathlib.Path(__file__).resolve().parent / "data" / "wong_family.problem.json"
         assert cli.main(["moser-verify", str(path), "--order", "4"]) == 0
-        assert 0 < pairs[0] <= 14987
+        assert 0 < pairs[0] <= 9458
 
 
 class TestFrameBlocks:
@@ -657,12 +749,12 @@ class TestFrameBlocks:
         """Check the three identities at every sample of ``fam`` with a member;
         returns the names of the blocks that are nonzero at some sample."""
         b, r = fam.chart.base_dim, fam.chart.fiber_dim
-        seen = set()
+        seen, coefficients = set(), fam.residual_coefficients()
         for t in fam.t_samples:
             member = fam.member(t)
             if member is None:
                 continue
-            hh, hv, vv = moser._frame_residual(fam, t)
+            hh, hv, vv = moser._frame_residual(fam, t, coefficients)
             HH, HV, VV = oracle.frame_blocks(member.connection, oracle.deformation_residual(fam, t))
             F = member.fform.matrix()
             FHHF, FHV = series.mat_mul(series.mat_mul(F, HH), F), series.mat_mul(F, HV)
@@ -721,6 +813,18 @@ class TestFrameBlocks:
                 BREAKINGS[breaking](fam)
             seen |= self.nonzero_blocks(fam)
         assert seen == {None: set(), "moves-doubled": {"HV"}, "fform-t-tripled": {"HH", "HV"}}[breaking]
+
+    @pytest.mark.parametrize("breaking", [None, *BREAKINGS])
+    def test_families_with_quad(self, breaking):
+        # with a zero connection, X_t of fiber degree 2 contracts the tripled
+        # terms of the curvature identity above R_HV's order
+        seen = set()
+        for data, phi in quad_data_phi(5, 10):
+            fam = build_family(data, phi)
+            if breaking:
+                BREAKINGS[breaking](fam)
+            seen |= self.nonzero_blocks(fam)
+        assert seen == {None: set(), "moves-doubled": {"HV"}, "fform-t-tripled": {"HH"}}[breaking]
 
     @pytest.mark.parametrize("tampering", WONG_TAMPERINGS)
     def test_tampered_wong(self, tampering):

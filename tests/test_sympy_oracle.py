@@ -1,9 +1,10 @@
 """
 moser-verify against ``sympy_oracle``, which checks the deformation equation
 and part 1's reduced identity for every t in sympy's polynomial ring from the
-problem file's strings alone: on e1 at order 6, on the Wong family at order 2
-and on five random families on ChartSpec(2, 2, 3).  Part 2 is checked whole and
-broken as ``BREAKINGS``, part 1 whole and tampered as ``TAMPERINGS``.
+problem file's strings alone: on e1 at order 6, on the Wong family at order 2,
+on five random families on ChartSpec(2, 2, 3) and, for part 2, on ten families
+with a nonzero {phi ^ phi}_V.  Part 2 is checked whole and broken as
+``BREAKINGS``, part 1 whole and tampered as ``TAMPERINGS``.
 """
 
 import json
@@ -17,7 +18,7 @@ import sympy_oracle
 from fiberpoisson import (DEFAULT_T_SAMPLES, ChartSpec, HomotopyFamily, build_family, cli,
                           verify_deformation_equation)
 
-from test_moser import BREAKINGS, random_data_phi, tamper
+from test_moser import BREAKINGS, quad_data_phi, random_data_phi, tamper
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -70,16 +71,14 @@ BROKEN = {
 }
 
 
-@pytest.mark.parametrize("breaking", BROKEN)
-def test_verdicts_agree(breaking):
-    # each part-2 entry passes exactly where the oracle's residual vanishes at
-    # its sample and certified order.  Whole, every family's residual is zero
-    # for every t.  e1 has no vertical part, hence no corrections to double,
-    # and three of the random families have F_t = F, with no terms in t to
-    # triple
+def part2_caught(breaking, families):
+    """Check that each part-2 entry on the (name, doc, order) ``families``,
+    broken as ``BROKEN[breaking]``, passes exactly where the oracle's residual
+    vanishes at its sample and certified order; the names of the families whose
+    residual is nonzero."""
     kwargs, brake = BROKEN[breaking]
     caught = []
-    for name, doc, order in cases():
+    for name, doc, order in families:
         problem = cli.Problem(doc, order)
         fam = build_family(problem.geometric_data(), problem.phi())
         brake(fam)
@@ -89,9 +88,29 @@ def test_verdicts_agree(breaking):
             assert e.passed == (not sympy_oracle.at(doc, residual, t, e.certified_order)), (name, t)
         if residual:
             caught.append(name)
-    assert caught == {None: [],
-                      "moves-doubled": ["wong"] + ["random-%d" % k for k in range(5)],
-                      "fform-t-tripled": ["e1", "wong", "random-0", "random-1"]}[breaking]
+    return caught
+
+
+@pytest.mark.parametrize("breaking", BROKEN)
+def test_verdicts_agree(breaking):
+    # whole, every family's residual is zero for every t.  e1 has no vertical
+    # part, hence no corrections to double, and three of the random families
+    # have F_t = F, with no terms in t to triple
+    assert part2_caught(breaking, cases()) == {
+        None: [],
+        "moves-doubled": ["wong"] + ["random-%d" % k for k in range(5)],
+        "fform-t-tripled": ["e1", "wong", "random-0", "random-1"]}[breaking]
+
+
+@pytest.mark.parametrize("breaking", BROKEN)
+def test_verdicts_agree_with_quad(breaking):
+    # the families of test_moser.quad_data_phi, whose F_t has a t^2 term and whose
+    # residuals have t^2 and t^3 coefficients: whole, every residual is zero for
+    # every t, and broken either way, none is
+    families = [("quad-%d" % k, problem_doc(data, phi), data.chart.trunc_order)
+                for k, (data, phi) in enumerate(quad_data_phi(5, 10))]
+    assert part2_caught(breaking, families) == ([] if breaking is None else
+                                                [name for name, _, _ in families])
 
 
 # the tamperings of test_moser.TAMPERINGS that move part 1, as the oracle's
