@@ -38,10 +38,10 @@ Cartan's formula L_X = d i_X + i_X d and X_t | F_t = phi give
 X_t contracted into the member's ``coupling_residuals``, plus terms of phi,
 with no derivative of X_t.  Their coefficients in t are formed once per
 family (``HomotopyFamily.residual_coefficients``, which the family's verdict
-judges), a sample contracts t^k X_t into each, and X_t is solved from the
-seed of F_t's fiber-constant block, with no inverse of F_t.  dF_t/dt +
-dGamma_t(phi) is t times part 1's residual, and C - V# dphi is zero by the
-definition of C.
+judges and both parts read), a sample contracts t^k X_t into each, and X_t is
+solved from the seed of F_t's fiber-constant block, with no inverse of F_t.
+The t^1 coefficient of dF_t/dt + dGamma_t(phi) is part 1's residual, and
+C - V# dphi is zero by the definition of C.
 """
 
 import functools
@@ -137,7 +137,7 @@ def gauge_terms(data, phi):
 
 def _t_poly(coeffs, t):
     """
-    sum_k t^k coeffs[k]: an entry of F_t, Gamma_t or dF_t/dt from the series
+    sum_k t^k coeffs[k]: an entry of F_t or Gamma_t from the series
     coefficients of its powers of t.  Trailing zero coefficients are skipped,
     so an absent higher term of the family does not lower the certified
     order; an all-zero entry is a zero at the chart order.
@@ -156,7 +156,7 @@ class HomotopyFamily:
     rational ``t_samples``.  ``fform_t[i][j]`` and ``gamma_t[i][s]`` hold the
     coefficients of the powers of t in the entries of F_t and Gamma_t; the
     matrix C = ``corrections`` is held once, and the t^1 coefficient of
-    hor_t(d_i) is sum_s C_is d_(x s) (``moves``, read from ``gamma_t``).
+    hor_t(d_i) is sum_s C_is d_(x s), read from ``gamma_t``.
     ``member(t)`` is the geometric data at a sample, built at its first read,
     and ``degenerate_samples`` are the samples without one; ``member_errors``
     holds why each of those read so far has none, in ``block_inverse``'s
@@ -221,32 +221,28 @@ class HomotopyFamily:
                 self._uncertified.add(t)
             return None
 
-    def moves(self):
-        """The t^1 coefficients sum_s C_is d_(x s) of the lifts hor_t(d_i) as
-        (direction, coefficient, sign) terms, read from ``gamma_t``."""
-        b = self.chart.base_dim
-        return [[(b + s, cs[1], -1) for s, cs in enumerate(row) if cs[1]] for row in self.gamma_t]
-
+    @functools.cached_property
     def residual_coefficients(self):
         """
         The coefficients of the powers of t in the members' residuals of
-        conditions 2 to 4 (``coupling_residuals``) and in dGamma_t(phi), read from
-        ``fform_t`` and ``gamma_t`` at each call: lists of brackets, dF, rho and
-        dphi indexed by the power.  With F_t = sum_k t^k F_k and the lifts L_0 +
-        t L_1 (``moves``), the t^k coefficients are [L_k, V], sum_{m+n=k} d_{L_n}
-        F_m, -[L_m, L_n] - V# dF_k and d_{L_k} phi; those of t^0 are the data's
-        ``residuals`` and ``dphi``.  A trailing zero F_k or L_1 is left out, with
-        every coefficient formed from it, as ``_t_poly`` leaves out an entry's: no
-        member carries its order, and the sum at t is the member's residual.
+        conditions 2 to 4 (``coupling_residuals``) and in their drift dF_t/dt +
+        dGamma_t(phi), formed from ``fform_t`` and ``gamma_t`` at the first read and
+        kept: lists of brackets, dF, rho and drift indexed by the power.  With F_t =
+        sum_k t^k F_k and the lifts L_0 + t L_1, L_1 = sum_s C_is d_(x s), the t^k
+        coefficients are [L_k, V], sum_{m+n=k} d_{L_n} F_m, -[L_m, L_n] - V# dF_k and
+        (k+1) F_(k+1) + d_{L_k} phi; those of t^0 are the data's ``residuals`` and
+        F_1 + ``dphi``, and the drift's t^1 coefficient is part 1's residual.  A
+        trailing zero F_k or L_1 is left out, with every coefficient formed from it,
+        as ``_t_poly`` leaves out an entry's: no member carries its order, and the
+        sum at t is the member's residual.
         """
         chart, V, b = self.chart, self.data.vertical, self.chart.base_dim
         F = [HForm(chart, 2, {(i, j): self.fform_t[i][j][k] for i, j in combinations(range(b), 2)})
              for k in range(3)]
         while len(F) > 1 and F[-1].is_zero():
             F.pop()
-        lifts = [self.data.connection.lifts(), self.moves()]
-        if not any(lifts[1]):
-            lifts.pop()
+        moves = [[(b + s, cs[1], -1) for s, cs in enumerate(row) if cs[1]] for row in self.gamma_t]
+        lifts = [self.data.connection.lifts()] + ([moves] if any(moves) else [])
         # the members' connection order: an entry's t-polynomial without its trailing zeros
         vo = min((c.valid_order for row in self.gamma_t for cs in row
                   for k, c in enumerate(cs) if any(cs[k:])), default=chart.trunc_order)
@@ -260,7 +256,11 @@ class HomotopyFamily:
                         for ij, c in curv.items()})
         dphi = [self.dphi] + [exterior_derivative(chart, [(self.phi.hform(), L)])
                               for L in lifts[1:]]
-        return brackets, dF, rho, dphi
+        # the drift's t^m coefficient is d_{L_m} phi + (m+1) F_(m+1), with either left out
+        dFdt = [HForm(chart, 2, {ij: c.scale(k) for ij, c in Fk.comps.items()}, Fk.valid_order)
+                for k, Fk in enumerate(F) if k]
+        drift = [d + f for d, f in zip(dphi, dFdt)] + dphi[len(dFdt):] + dFdt[len(dphi):]
+        return brackets, dF, rho, drift
 
     @functools.cached_property
     def conditions(self):
@@ -271,7 +271,7 @@ class HomotopyFamily:
         at most 3 that vanishes at four values of t is zero, so this verdict is
         at least as strong as the members' at the samples.  Computed once.
         """
-        brackets, dF, rho, _ = self.residual_coefficients()
+        brackets, dF, rho, _ = self.residual_coefficients
         report = CheckReport("family-coupling-conditions")
         report.add_residuals("horizontal-lifts-preserve-vertical", "cond-2",
                              [B for Bk in brackets[1:] for B in Bk], None)
@@ -354,21 +354,19 @@ def horizontal_field(fam, t, X):
                        min([conn.valid_order()] + [x.valid_order for x in X]))
 
 
-def _frame_residual(fam, t, coefficients):
+def _frame_residual(fam, t):
     """The frame blocks of the deformation residual at sample t, as
     ``verify_deformation_equation`` states them: R_HH by its entries i < j, R_HV
     as a b x r matrix and VV as a bivector, each entry one ``dot`` that contracts
-    t^k X_t into the coefficients of t^k of the members' residuals, the
-    ``coefficients`` of ``HomotopyFamily.residual_coefficients``."""
+    t^k X_t into the coefficients of t^k of ``HomotopyFamily.residual_coefficients``
+    and sums the drift's at t."""
     chart, b, r = fam.chart, fam.chart.base_dim, fam.chart.fiber_dim
-    brackets, dF, rho, dphi = coefficients
+    brackets, dF, rho, drift = fam.residual_coefficients
     X, one = solve_homological(fam, t), FiberSeries.constant(chart, 1)
     tX = [[x.scale(t ** k) for x in X] for k in range(max(len(dF), len(rho)))]
-    hh = {(k, l): dot(*zip((one, _t_poly([c.scale(m) for m, c in enumerate(fam.fform_t[k][l]) if m],
-                                         t), 1),
-                           *((FiberSeries.constant(chart, t ** m), D.component((k, l)), 1)
-                             for m, D in enumerate(dphi)),
-                           *((x, D.component((i, k, l)), 1) for xs, D in zip(tX, dF)
+    hh = {(k, l): dot(*zip(*((FiberSeries.constant(chart, t ** m), D.component((k, l)))
+                             for m, D in enumerate(drift)),
+                           *((x, D.component((i, k, l))) for xs, D in zip(tX, dF)
                              for i, x in enumerate(xs))))
           for k, l in combinations(range(b), 2)}
     hv = [[dot(*zip((one, fam.corrections[j][u], 1), (one, fam._sharps[j][u], -1),
@@ -404,9 +402,10 @@ def verify_deformation_equation(fam):
 
     Part 1 (identically in t): the t^1 coefficient of the reduced identity
     dGamma_t(phi) - dGamma(phi) - t {phi^phi}_V = 0, whose t^0 coefficient is
-    zero by the definition of dGamma(phi): the derivative of phi along C
-    (``HomotopyFamily.moves``) minus ``quad``.  Part 2 (at each of the family's
-    samples, whose members the family's verdict covers): the blocks of
+    zero by the definition of dGamma(phi): the derivative of phi along C minus
+    ``quad``, the drift's t^1 coefficient (``HomotopyFamily.residual_coefficients``;
+    with C = 0 there is none, and it is -``quad``).  Part 2 (at each of the
+    family's samples, whose members the family's verdict covers): the blocks of
     [[X_t^h, Pi_t]] + dPi_t/dt in the frame of the lifts (see the module),
 
         R_HH = F_t HH F_t = dF_t/dt + dGamma_t(phi) + X_t | dGamma_t F_t,
@@ -416,20 +415,17 @@ def verify_deformation_equation(fam):
     Only a failing entry maps them back to coordinates (``_coordinates``),
     through its member's ``fform_inverse``.
     """
-    chart = fam.chart
+    chart, drift = fam.chart, fam.residual_coefficients[3]
     report = CheckReport("deformation-equation")
     report.add_residuals("reduced-identity-in-t", "part-1",
-                         [exterior_derivative(chart, [(fam.phi.hform(), fam.moves())]) - fam.quad],
-                         None)
-
-    coefficients = fam.residual_coefficients()
+                         [drift[1] if len(drift) > 1 else -fam.quad], None)
     for t in fam.t_samples:
         name = "deformation-at-t=%s" % t
         member = fam.member(t)
         if member is None:
             report.add(name, "part-2", None, False, fam.member_errors[t])
             continue
-        hh, hv, vv = _frame_residual(fam, t, coefficients)
+        hh, hv, vv = _frame_residual(fam, t)
         blocks = [*hh.values(), *(x for row in hv for x in row), vv]
         order = min(s.valid_order for s in blocks)
         residual = Multivector.zero(chart, 2, order)

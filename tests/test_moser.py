@@ -1,5 +1,6 @@
 import bisect
 import functools
+import itertools
 import math
 import operator
 import pathlib
@@ -17,7 +18,7 @@ from fiberpoisson import (ChartSpec, FiberSeries, Multivector, HForm,
                           change_connection, ConnectionChange,
                           verify_coupling_conditions, DEFAULT_T_SAMPLES,
                           HomotopyFamily, InternalInvariantError)
-from fiberpoisson import series, cli, coupling, moser, multivector
+from fiberpoisson import series, cli, connection, coupling, moser, multivector
 from fiberpoisson.report import summarize_residual
 from fiberpoisson.series import FloatEvaluator
 
@@ -29,11 +30,13 @@ from fixtures import (S, zeros, std_omega, rng, e1_data,
                       rand_phi, rand_quad_family, rand_valid_data, rand_series)
 
 
-def e1_family(n=6, phi1="x1*xi2", samples=(Fraction(0), Fraction(1))):
+def e1_data_phi(n, phi1="x1*xi2"):
     data = e1_data(n)
-    ch = data.chart
-    phi = PhiForm(ch, [S(phi1, ch), S("0", ch)])
-    return build_family(data, phi, samples)
+    return data, PhiForm(data.chart, [S(phi1, data.chart), S("0", data.chart)])
+
+
+def e1_family(n=6, phi1="x1*xi2", samples=(Fraction(0), Fraction(1))):
+    return build_family(*e1_data_phi(n, phi1), samples)
 
 
 def wong_data_phi(n, comps=("3*x1*xi4", "-3*x1*xi3", "2*x2*xi2", "-2*x2*xi1")):
@@ -191,6 +194,25 @@ class TestSolveHomological:
         assert X[0].is_zero()
         assert (X[1] - expect.truncate(X[1].valid_order)).is_zero()
 
+    def test_against_the_general_inverse(self):
+        # X = phi F_t^{-1} with every entry of every Neumann term formed, at every
+        # sample of the shipped, random and quad families: each component equal
+        # in value and in certified order
+        pairs = ([wong_data_phi(n) for n in (2, 3, 4, 5)] + [e1_data_phi(n) for n in (3, 6)]
+                 + random_data_phi(42, 20) + quad_data_phi(5, 10))
+        checked = 0
+        for data, phi in pairs:
+            fam = build_family(data, phi)
+            for t in fam.t_samples:
+                member = fam.member(t)
+                if member is None:
+                    continue
+                G = oracle.neumann_invert(member.fform.matrix(), member.fform_inv_seed)
+                for x, col in zip(solve_homological(fam, t), zip(*G)):
+                    assert x == series.dot(phi.phi, col)  # in value and order
+                    checked += 1
+        assert checked == 520
+
     def test_unverified_time_rejected(self):
         # e1_family(6) verified its members at 0 and 1 only
         fam = e1_family(6)
@@ -289,10 +311,7 @@ class TestFamilyMember:
         # mapped back to coordinates, expands its member's
         for breaking in [None, *BREAKINGS]:
             calls = count_calls(monkeypatch, series, "matrix_invert")
-            fam = wong_family(3, samples=DEFAULT_T_SAMPLES)
-            if breaking:
-                BREAKINGS[breaking](fam)
-            rep = verify_deformation_equation(fam)
+            rep = verify_deformation_equation(broken_family(breaking, *wong_data_phi(3)))
             failed = [e for e in rep.entries if e.tag == "part-2" and not e.passed]
             assert rep.passed == (breaking is None)
             assert len(calls) == len(failed) == (len(DEFAULT_T_SAMPLES) if breaking else 0)
@@ -544,7 +563,7 @@ def part2_against_the_reference(fam, monkeypatch):
     seen = {}
     frame_residual = moser._frame_residual
     monkeypatch.setattr(moser, "_frame_residual",
-                        lambda fam, t, *rest: seen.setdefault(t, frame_residual(fam, t, *rest)))
+                        lambda fam, t: seen.setdefault(t, frame_residual(fam, t)))
     rep = verify_deformation_equation(fam)
     monkeypatch.undo()
     entries = [e for e in rep.entries if e.tag == "part-2"]
@@ -564,7 +583,8 @@ def part2_against_the_reference(fam, monkeypatch):
     return sum(not e.passed for e in entries)
 
 
-# the family broken after its verdict, so that part 2 must catch it
+# the family broken before its coefficients are formed, with no verdict, so
+# that part 2 must catch it
 BREAKINGS = {
     "moves-doubled": lambda fam: setattr(fam, "corrections", [[c.scale(2) for c in row]
                                                               for row in fam.corrections]),
@@ -572,6 +592,18 @@ BREAKINGS = {
                                                              for cs in row]
                                                             for row in fam.fform_t]),
 }
+
+
+def broken_family(breaking, data, phi):
+    """The family of data and phi at the default samples: built by ``build_family``
+    when ``breaking`` is None, else built with no verdict and broken as
+    ``BREAKINGS[breaking]``.  A family forms its coefficients in t once, at their
+    first read (the verdict's), so it is broken before."""
+    if breaking is None:
+        return build_family(data, phi)
+    fam = HomotopyFamily(data, phi, DEFAULT_T_SAMPLES)
+    BREAKINGS[breaking](fam)
+    return fam
 
 
 def tampered_wong_data(tampering):
@@ -616,7 +648,8 @@ def quad_data_phi(seed, count):
 class TestResidualCoefficients:
     """``HomotopyFamily.residual_coefficients`` summed at each sample, t^k times
     the coefficient of t^k, against the member's own ``coupling_residuals`` and
-    d_Gamma_t(phi): equal entry by entry, in value and in certified order."""
+    dF_t/dt + d_Gamma_t(phi): equal entry by entry, in value and in certified
+    order."""
 
     @staticmethod
     def check(fam):
@@ -627,7 +660,8 @@ class TestResidualCoefficients:
         def same(got, want):
             assert got.valid_order == want.valid_order and got.comps == want.comps
 
-        brackets, dF, rho, dphi = fam.residual_coefficients()
+        brackets, dF, rho, drift = fam.residual_coefficients
+        b = fam.chart.base_dim
         for t in fam.t_samples:
             member = fam.member(t)
             if member is None:
@@ -638,9 +672,13 @@ class TestResidualCoefficients:
             same(at(dF, t), want[1])
             for ij, R in want[2].items():
                 same(at([rk[ij] for rk in rho], t), R)
-            # at t = 0 a member's lifts leave out the entries of Gamma - 0 C that
-            # vanish, and their order, which the t^1 coefficient of dphi keeps
-            got, want = at(dphi, t), member.connection.cov_ext_deriv(fam.phi.hform())
+            # dF_t/dt from each entry's coefficients of the powers of t.  At t = 0
+            # a member's lifts leave out the entries of Gamma - 0 C that vanish, and
+            # their order, which the drift's t^1 coefficient keeps
+            dFdt = HForm(fam.chart, 2, {
+                (i, j): moser._t_poly([c.scale(k) for k, c in enumerate(fam.fform_t[i][j]) if k], t)
+                for i, j in itertools.combinations(range(b), 2)})
+            got, want = at(drift, t), dFdt + member.connection.cov_ext_deriv(fam.phi.hform())
             order = got.valid_order
             assert order == want.valid_order or (t == 0 and order < want.valid_order)
             assert got.comps == HForm(fam.chart, 2, want.comps, order).comps
@@ -656,12 +694,24 @@ class TestResidualCoefficients:
 
     @pytest.mark.parametrize("breaking", BREAKINGS)
     def test_failing_families(self, breaking):
-        families = [family(n, samples=DEFAULT_T_SAMPLES) for family, n in ((wong_family, 3),
-                                                                          (e1_family, 4))]
-        for fam in families + [build_family(*pair) for pair in random_data_phi(42, 4)
-                               + quad_data_phi(5, 4)]:
-            BREAKINGS[breaking](fam)
-            self.check(fam)
+        for pair in ([wong_data_phi(3), e1_data_phi(4)] + random_data_phi(42, 4)
+                     + quad_data_phi(5, 4)):
+            self.check(broken_family(breaking, *pair))
+
+    def test_formed_once_per_run(self, monkeypatch):
+        # one moser-verify run forms the family's coefficients once, for its
+        # verdict, and both parts read them: one lift bracket of the family (two
+        # when part 2 formed them again), six exterior derivatives (eleven, with
+        # part 1's own) and three curvatures (five), the data's among them
+        brackets = []
+        lift_brackets = moser.lift_brackets
+        monkeypatch.setattr(moser, "lift_brackets",
+                            lambda *args: brackets.append(args) or lift_brackets(*args))
+        derivatives = count_calls(monkeypatch, connection, "exterior_derivative")
+        curvatures = count_calls(monkeypatch, connection, "lift_curvature")
+        path = pathlib.Path(__file__).resolve().parent / "data" / "wong_family.problem.json"
+        assert cli.main(["moser-verify", str(path), "--order", "4"]) == 0
+        assert (len(brackets), len(derivatives), len(curvatures)) == (1, 6, 3)
 
     @pytest.mark.parametrize("tampering", WONG_TAMPERINGS)
     def test_tampered_wong(self, tampering):
@@ -686,11 +736,8 @@ class TestDeformationAtTheBracketOrder:
     @pytest.mark.parametrize("breaking", BREAKINGS)
     def test_failing_families(self, breaking, monkeypatch):
         failed = 0
-        families = [family(n, samples=DEFAULT_T_SAMPLES) for family, n in ((wong_family, 3),
-                                                                          (e1_family, 4))]
-        for fam in families + [build_family(data, phi) for data, phi in random_data_phi(42, 4)]:
-            BREAKINGS[breaking](fam)
-            failed += part2_against_the_reference(fam, monkeypatch)
+        for pair in [wong_data_phi(3), e1_data_phi(4)] + random_data_phi(42, 4):
+            failed += part2_against_the_reference(broken_family(breaking, *pair), monkeypatch)
         assert failed == {"moves-doubled": 10, "fform-t-tripled": 30}[breaking]
 
     @pytest.mark.parametrize("breaking", [None, *BREAKINGS])
@@ -701,10 +748,8 @@ class TestDeformationAtTheBracketOrder:
         # in R_HH, which is zero on one family and above the entry's order on another
         failed = with_quad = 0
         for data, phi in quad_data_phi(5, 10):
-            fam = build_family(data, phi)
+            fam = broken_family(breaking, data, phi)
             with_quad += not fam.quad.is_zero()
-            if breaking:
-                BREAKINGS[breaking](fam)
             failed += part2_against_the_reference(fam, monkeypatch)
         assert with_quad >= 8
         assert failed == {None: 0, "moves-doubled": 50, "fform-t-tripled": 48}[breaking]
@@ -722,9 +767,10 @@ class TestDeformationAtTheBracketOrder:
         # horizontal bivectors formed by wedges, 35,642 with the moved term of
         # dPi_t/dt still formed by wedges, 35,314 with part 2 in coordinates,
         # 26,287 in the frame of the lifts with derivatives of X_t, 14,987
-        # with X_t contracted into the member's coupling residuals and 9,458
+        # with X_t contracted into the member's coupling residuals, 9,458
         # with t^k X_t contracted into the coefficients of t^k of the members'
-        # residuals, formed once per family, and X_t solved from the seed
+        # residuals and X_t solved from the seed, the coefficients formed for the
+        # verdict and again for part 2, and 9,039 with them formed once per family
         pairs = [0]
         mul_into = series._mul_into
 
@@ -736,7 +782,7 @@ class TestDeformationAtTheBracketOrder:
         monkeypatch.setattr(series, "_mul_into", counted)
         path = pathlib.Path(__file__).resolve().parent / "data" / "wong_family.problem.json"
         assert cli.main(["moser-verify", str(path), "--order", "4"]) == 0
-        assert 0 < pairs[0] <= 9458
+        assert 0 < pairs[0] <= 9039
 
 
 class TestFrameBlocks:
@@ -749,12 +795,12 @@ class TestFrameBlocks:
         """Check the three identities at every sample of ``fam`` with a member;
         returns the names of the blocks that are nonzero at some sample."""
         b, r = fam.chart.base_dim, fam.chart.fiber_dim
-        seen, coefficients = set(), fam.residual_coefficients()
+        seen = set()
         for t in fam.t_samples:
             member = fam.member(t)
             if member is None:
                 continue
-            hh, hv, vv = moser._frame_residual(fam, t, coefficients)
+            hh, hv, vv = moser._frame_residual(fam, t)
             HH, HV, VV = oracle.frame_blocks(member.connection, oracle.deformation_residual(fam, t))
             F = member.fform.matrix()
             FHHF, FHV = series.mat_mul(series.mat_mul(F, HH), F), series.mat_mul(F, HV)
@@ -808,10 +854,7 @@ class TestFrameBlocks:
         # R_HH, and R_HV through X_t
         seen = set()
         for data, phi in random_data_phi(42, 20):
-            fam = build_family(data, phi)
-            if breaking:
-                BREAKINGS[breaking](fam)
-            seen |= self.nonzero_blocks(fam)
+            seen |= self.nonzero_blocks(broken_family(breaking, data, phi))
         assert seen == {None: set(), "moves-doubled": {"HV"}, "fform-t-tripled": {"HH", "HV"}}[breaking]
 
     @pytest.mark.parametrize("breaking", [None, *BREAKINGS])
@@ -820,10 +863,7 @@ class TestFrameBlocks:
         # terms of the curvature identity above R_HV's order
         seen = set()
         for data, phi in quad_data_phi(5, 10):
-            fam = build_family(data, phi)
-            if breaking:
-                BREAKINGS[breaking](fam)
-            seen |= self.nonzero_blocks(fam)
+            seen |= self.nonzero_blocks(broken_family(breaking, data, phi))
         assert seen == {None: set(), "moves-doubled": {"HV"}, "fform-t-tripled": {"HH"}}[breaking]
 
     @pytest.mark.parametrize("tampering", WONG_TAMPERINGS)

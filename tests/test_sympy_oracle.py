@@ -63,7 +63,7 @@ def cases():
 # corrections move Gamma_t as well as its t-derivative, so they are doubled in
 # the members too
 BROKEN = {
-    None: ({}, lambda fam: None),
+    None: ({}, None),
     "moves-doubled": ({"moves": 2}, lambda fam: (
         BREAKINGS["moves-doubled"](fam),
         setattr(fam, "gamma_t", [[[g, c.scale(2)] for g, c in row] for row in fam.gamma_t]))),
@@ -80,8 +80,13 @@ def part2_caught(breaking, families):
     caught = []
     for name, doc, order in families:
         problem = cli.Problem(doc, order)
-        fam = build_family(problem.geometric_data(), problem.phi())
-        brake(fam)
+        data, phi = problem.geometric_data(), problem.phi()
+        if breaking is None:
+            fam = build_family(data, phi)
+        else:
+            # built with no verdict, and broken before it forms its coefficients in t
+            fam = HomotopyFamily(data, phi, DEFAULT_T_SAMPLES)
+            brake(fam)
         entries = [e for e in verify_deformation_equation(fam).entries if e.tag == "part-2"]
         residual = sympy_oracle.deformation_residual(doc, order, **kwargs)
         for t, e in zip(fam.t_samples, entries):
